@@ -7,6 +7,7 @@ that f(0) = 0 and the analytic part has unit derivative at the origin.  Each
 one carries both truncated series coefficients and closed-form evaluators.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,9 @@ from hmap import (
     plot_command,
 )
 
-OUT = Path(__file__).parent / "output"
-OUT.mkdir(exist_ok=True)
+# figures go to the directory named by the first argument, by default demos/output
+OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "output"
+OUT.mkdir(parents=True, exist_ok=True)
 
 # -- the extremal family ------------------------------------------------------
 # f_alpha has coefficients a_n = (n+1)/2 and b_n = alpha (n-1)/2; its second

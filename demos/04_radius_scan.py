@@ -10,6 +10,7 @@ polynomials.
 """
 
 import math
+import sys
 from pathlib import Path
 
 from hmap import (
@@ -23,8 +24,9 @@ from hmap import (
     starlike_test_at_radius,
 )
 
-OUT = Path(__file__).parent / "output"
-OUT.mkdir(exist_ok=True)
+# figures go to the directory named by the first argument, by default demos/output
+OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "output"
+OUT.mkdir(parents=True, exist_ok=True)
 
 F = map_F()
 

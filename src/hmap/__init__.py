@@ -73,7 +73,7 @@ from .radius import (
     starlike_margin,
     starlike_test_at_radius,
 )
-from .series import TruncatedSeries, combine, differentiate, evaluate, make_generator
+from .series import TruncatedSeries, make_generator
 from .verify import VerificationReport, run_suite
 
 __version__ = "0.1.0"
@@ -96,6 +96,6 @@ __all__ = [
     "convex_test_at_radius", "identity_check_tangent", "p_root_in_radius",
     "polynomial_p", "polynomial_q", "q_interior_min_location", "radius_search",
     "solve_special_radii", "starlike_margin", "starlike_test_at_radius",
-    "TruncatedSeries", "combine", "differentiate", "evaluate", "make_generator",
+    "TruncatedSeries", "make_generator",
     "VerificationReport", "run_suite",
 ]

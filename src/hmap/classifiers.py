@@ -15,10 +15,10 @@ truncation degree so callers can reason about the neglected tail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .defaults import CIRCLE_THETA_POINTS, RELATION_ABS_TOL
 from .harmonic import HarmonicMap, SingularPointError, evaluate_f
@@ -338,16 +338,55 @@ def poisson_kernel(zeta: complex, theta) -> float | np.ndarray:
     return float(val) if np.isscalar(theta) else val
 
 
-def kaplan_integrand(f: HarmonicMap, epsilon: complex, r: float, theta):
-    """Re(1 + z Fe''/Fe') on |z| = r, where Fe = h + epsilon g."""
-    z = r * np.exp(1j * np.asarray(theta, dtype=float))
+def _fe_derivatives(f: HarmonicMap, epsilon: complex, z):
+    """Fe' and Fe'' at z for Fe = h + epsilon g; raises where Fe' vanishes."""
     fp = f.dh_at(z) + epsilon * f.dg_at(z)
     small = np.abs(np.asarray(fp)) < 1e-13
     if np.any(small):
         zf = np.broadcast_to(np.asarray(z, dtype=complex), small.shape)
         raise SingularPointError(complex(zf.ravel()[int(np.argmax(small.ravel()))]))
-    fpp = f.d2h_at(z) + epsilon * f.d2g_at(z)
+    return fp, f.d2h_at(z) + epsilon * f.d2g_at(z)
+
+
+def kaplan_integrand(f: HarmonicMap, epsilon: complex, r: float, theta):
+    """Re(1 + z Fe''/Fe') on |z| = r, where Fe = h + epsilon g."""
+    z = r * np.exp(1j * np.asarray(theta, dtype=float))
+    fp, fpp = _fe_derivatives(f, epsilon, z)
     return np.real(1 + z * fpp / fp)
+
+
+def _arc_phase(
+    f: HarmonicMap,
+    epsilon: complex,
+    r: float,
+    theta1: float,
+    theta2: float,
+    steps: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [theta1, theta2] and the continuous argument of z Fe'(z) there.
+
+    With z = r e^{i theta}, d/dtheta arg(z Fe'(z)) = Re(1 + z Fe''/Fe'), so
+    the phase increase between two nodes is the exact arc integral of the
+    Kaplan integrand.  ``np.unwrap`` picks the branch step by step; the
+    cumulative trapezoid sum of the integrand on the same nodes must agree
+    with the phase increase to within pi/2 at every node, otherwise a winding
+    slipped between two nodes and no number is returned.  By default the arc
+    gets the circle-test density, CIRCLE_THETA_POINTS steps per period and
+    at least 64.
+    """
+    if steps is None:
+        steps = max(64, math.ceil(CIRCLE_THETA_POINTS * (theta2 - theta1) / (2 * np.pi)))
+    theta = np.linspace(theta1, theta2, steps + 1)
+    z = r * np.exp(1j * theta)
+    fp, fpp = _fe_derivatives(f, epsilon, z)
+    phase = np.unwrap(np.angle(z * fp))
+    integrand = np.real(1 + z * fpp / fp)
+    trap = np.concatenate([[0.0], np.cumsum((integrand[1:] + integrand[:-1]) / 2 * np.diff(theta))])
+    gap = float(np.max(np.abs(trap - (phase - phase[0]))))
+    if gap > np.pi / 2:
+        raise ValueError(f"arc phase is ambiguous on {steps} steps: the trapezoid sum "
+                         f"of the integrand strays {gap:.3g} from the unwrapped phase")
+    return theta, phase
 
 
 def kaplan_integral_check(
@@ -359,23 +398,21 @@ def kaplan_integral_check(
 ) -> float:
     """Arc integral of Re(1 + z Fe''/Fe') over theta in [theta1, theta2].
 
-    Adaptive quadrature; the close-to-convexity criterion asks for every such
-    integral to stay above -pi.  A full period (theta2 - theta1 = 2 pi) must
-    integrate to exactly 2 pi when Fe' has no zeros inside |z| < r.
+    The integrand is the theta-derivative of arg(z Fe'(z)) on |z| = r, so the
+    integral is the increase of that argument along the arc, read off the
+    unwrapped phase at the circle-test density.  A branch guard compares the
+    phase with the trapezoid sum of the integrand and raises ``ValueError``
+    instead of returning a value that may sit on the wrong branch.  The
+    close-to-convexity criterion asks for every such integral to stay above
+    -pi.  A full period (theta2 - theta1 = 2 pi) gives 2 pi times the number
+    of zeros of z Fe' inside |z| < r, so exactly 2 pi when Fe' has none.
     """
     if not 0 < theta2 - theta1 <= 2 * np.pi + 1e-12:
         raise ValueError("need 0 < theta2 - theta1 <= 2 pi")
     if abs(abs(epsilon) - 1) > 1e-12:
         raise ValueError("epsilon must be unimodular")
-    val, _ = quad(
-        lambda t: float(kaplan_integrand(f, epsilon, r, t)),
-        theta1,
-        theta2,
-        limit=400,
-        epsabs=1e-10,
-        epsrel=1e-10,
-    )
-    return float(val)
+    _, phase = _arc_phase(f, epsilon, r, theta1, theta2)
+    return float(phase[-1] - phase[0])
 
 
 def kaplan_worst_subarc(
@@ -386,16 +423,14 @@ def kaplan_worst_subarc(
 ) -> tuple[float, tuple[float, float]]:
     """Scan all grid sub-arcs for the minimal arc integral of the integrand.
 
-    Cumulative trapezoid sums make the scan O(n); the returned arc can be
-    re-verified with :func:`kaplan_integral_check`.
+    A running minimum over the unwrapped phase of z Fe'(z) makes the scan
+    O(n); at grid nodes the phase differences are the exact arc integrals,
+    so :func:`kaplan_integral_check` on the returned arc gives the same value.
     """
-    theta = np.linspace(0, 2 * np.pi, n_grid + 1)
-    vals = kaplan_integrand(f, epsilon, r, theta)
-    step = 2 * np.pi / n_grid
-    cum = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2 * step)])
-    run_min = np.minimum.accumulate(cum)
-    diffs = cum[1:] - run_min[:-1]
+    theta, phase = _arc_phase(f, epsilon, r, 0.0, 2 * np.pi, n_grid)
+    run_min = np.minimum.accumulate(phase)
+    diffs = phase[1:] - run_min[:-1]
     j = int(np.argmin(diffs))
     worst = float(diffs[j])
-    i = int(np.argmin(cum[: j + 1]))
+    i = int(np.argmin(phase[: j + 1]))
     return worst, (float(theta[i]), float(theta[j + 1]))

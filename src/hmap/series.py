@@ -154,29 +154,3 @@ def make_generator(kind: str, order: int) -> TruncatedSeries:
     else:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
     return TruncatedSeries(c)
-
-
-def combine(a: TruncatedSeries, b: TruncatedSeries, op: str, scalar: complex | None = None) -> TruncatedSeries:
-    """Combine two series: ``a (op) scalar*b`` with op in {add, sub, mul}.
-
-    The optional scalar premultiplies ``b``.  Products use the Cauchy
-    convolution truncated to the smaller operand degree.
-    """
-    rhs = b if scalar is None else scalar * b
-    if op == "add":
-        return a + rhs
-    if op == "sub":
-        return a - rhs
-    if op == "mul":
-        return a * rhs
-    raise ValueError(f"unknown op {op!r}; expected add, sub or mul")
-
-
-def differentiate(a: TruncatedSeries, times: int = 1) -> TruncatedSeries:
-    """Module-level alias for :meth:`TruncatedSeries.differentiate`."""
-    return a.differentiate(times)
-
-
-def evaluate(a: TruncatedSeries, z):
-    """Module-level alias for :meth:`TruncatedSeries.evaluate`."""
-    return a.evaluate(z)

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad  # reference quadrature; hmap itself must not import it
 
 from hmap.catalog import example21, f_alpha, g_alpha, make_M_alpha_member, map_F
 from hmap.classifiers import (
@@ -10,6 +14,7 @@ from hmap.classifiers import (
     coefficient_relation_residual,
     growth_bound,
     kaplan_integral_check,
+    kaplan_integrand,
     kaplan_worst_subarc,
     coefficient_sum_orders,
     m_alpha_check,
@@ -244,18 +249,42 @@ class TestKaplan:
 
     def test_worst_subarc_scan_and_requadrature(self):
         F = map_F()
-        worst, (t1, t2) = kaplan_worst_subarc(F, -1.0, 0.95)
-        assert worst > -math.pi
-        # re-verify the scanned minimum by adaptive quadrature
-        requad = kaplan_integral_check(F, -1.0, 0.95, t1, t2)
-        assert requad == pytest.approx(worst, abs=1e-4)
+        for eps in (-1.0, 1.0, 1j, np.exp(0.3j)):
+            worst, (t1, t2) = kaplan_worst_subarc(F, eps, 0.95)
+            assert worst > -math.pi
+            # both read the same phase of z Fe'(z) at the arc's end nodes
+            recheck = kaplan_integral_check(F, eps, 0.95, t1, t2)
+            assert recheck == pytest.approx(worst, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.5, 0.95, 0.99])
+    @pytest.mark.parametrize("eps", [1, -1, 1j])
+    def test_phase_increase_matches_adaptive_quadrature(self, r, eps):
+        F = map_F()
+        for t1, t2 in ((0.0, 1.0), (-0.4, 0.4), (0.5, 3.0), (3.0, 3.2), (2.0, 5.5)):
+            ref, _ = quad(lambda t: float(kaplan_integrand(F, eps, r, t)), t1, t2,
+                          limit=400, epsabs=1e-12, epsrel=1e-12)
+            assert kaplan_integral_check(F, eps, r, t1, t2) == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize("r,windings", [(0.3, 1), (0.9, 2)])
+    def test_full_period_counts_zeros(self, r, windings):
+        # h = z + z^2: z Fe' = z (1 + 2z) has zeros at 0 and -1/2
+        f = HarmonicMap(padded([0, 1, 1]), padded([0]))
+        val = kaplan_integral_check(f, 1.0, r, 0.0, 2 * math.pi)
+        assert val == pytest.approx(2 * math.pi * windings, abs=1e-12)
+
+    def test_branch_guard_refuses_coarse_grid(self):
+        # h' = 1 + 4 z^12 has twelve zeros at |z| = 4^(-1/12) < 0.9, so the
+        # phase of z Fe' turns 13 times: 4096 steps resolve it, 8 cannot
+        f = HarmonicMap(padded([0, 1] + [0] * 11 + [4 / 13]), padded([0]))
+        val = kaplan_integral_check(f, 1.0, 0.9, 0.0, 2 * math.pi)
+        assert val == pytest.approx(26 * math.pi, abs=1e-10)
+        with pytest.raises(ValueError):
+            kaplan_worst_subarc(f, 1.0, 0.9, n_grid=8)
 
     def test_scan_matches_quadrature_on_fixed_arc(self):
         F = map_F()
         direct = kaplan_integral_check(F, 1j, 0.5, 1.0, 4.0)
         theta = np.linspace(1.0, 4.0, 20001)
-        from hmap.classifiers import kaplan_integrand
-
         vals = kaplan_integrand(F, 1j, 0.5, theta)
         trap = float(np.trapezoid(vals, theta))
         assert direct == pytest.approx(trap, abs=1e-6)
@@ -267,6 +296,16 @@ class TestKaplan:
     def test_bad_arc(self):
         with pytest.raises(ValueError):
             kaplan_integral_check(map_F(), 1.0, 0.5, 1.0, 1.0)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import hmap, sys; assert 'scipy.integrate' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestRelationResidual:

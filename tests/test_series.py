@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hmap.series import TruncatedSeries, combine, differentiate, evaluate, make_generator
+from hmap.series import TruncatedSeries, make_generator
 
 
 def geometric_tail_bound(z_abs: float, order: int, growth: float = 1.0) -> float:
@@ -54,7 +54,7 @@ class TestEvaluate:
     def test_half_plane_at_half(self):
         s = make_generator("half_plane_l", 50)
         # closed form z/(1-z) = 1.0; tail below 0.5^50/(1-0.5)
-        assert abs(evaluate(s, 0.5) - 1.0) <= 0.5 ** 50 / 0.5
+        assert abs(s.evaluate(0.5) - 1.0) <= 0.5 ** 50 / 0.5
 
     def test_at_zero_returns_constant(self):
         s = TruncatedSeries([3 + 1j, 2, 5])
@@ -83,23 +83,23 @@ class TestCombine:
     def test_add_coefficient(self):
         l = make_generator("half_plane_l", 8)
         k = make_generator("koebe_k", 8)
-        assert combine(l, k, "add").coefficient(2) == 3  # 1 + 2
+        assert (l + k).coefficient(2) == 3  # 1 + 2
 
     def test_mul_identity_squared(self):
         i = make_generator("identity", 6)
-        sq = combine(i, i, "mul")
+        sq = i * i
         expect = np.zeros(7)
         expect[2] = 1
         assert np.allclose(sq.coeffs, expect)
 
     def test_sub_cancels(self):
         l = make_generator("half_plane_l", 8)
-        assert np.allclose(combine(l, l, "sub").coeffs, 0)
+        assert np.allclose((l - l).coeffs, 0)
 
     def test_scalar_premultiplies_rhs(self):
         l = make_generator("half_plane_l", 8)
         k = make_generator("koebe_k", 8)
-        got = combine(l, k, "add", scalar=2j)
+        got = l + 2j * k
         assert got.coefficient(2) == 1 + 4j
 
     def test_mul_truncates_to_min_order(self):
@@ -107,25 +107,20 @@ class TestCombine:
         b = make_generator("half_plane_l", 4)
         assert (a * b).order == 4
 
-    def test_unknown_op(self):
-        l = make_generator("half_plane_l", 4)
-        with pytest.raises(ValueError):
-            combine(l, l, "div")
-
 
 class TestDifferentiate:
     def test_half_plane_derivative(self):
         # d/dz z/(1-z) = 1/(1-z)^2 with coefficients 1, 2, 3, ...
-        d = differentiate(make_generator("half_plane_l", 6))
+        d = make_generator("half_plane_l", 6).differentiate()
         assert np.allclose(d.coeffs, [1, 2, 3, 4, 5, 6])
 
     def test_log_derivative(self):
         # d/dz log(1-z) = -1/(1-z): all coefficients -1
-        d = differentiate(make_generator("log_one_minus_z", 6))
+        d = make_generator("log_one_minus_z", 6).differentiate()
         assert np.allclose(d.coeffs, -np.ones(6))
 
     def test_second_derivative_of_identity_vanishes(self):
-        d = differentiate(make_generator("identity", 5), times=2)
+        d = make_generator("identity", 5).differentiate(times=2)
         assert np.allclose(d.coeffs, 0)
 
     def test_coefficient_shift_rule(self):
