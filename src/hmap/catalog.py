@@ -1,8 +1,11 @@
 """Constructors for the named harmonic mappings studied by the package.
 
 Every entry returns a :class:`~hmap.harmonic.HarmonicMap` populated with both
-truncated series coefficients and closed-form evaluators, so that radius
-scans close to the unit circle stay accurate.
+truncated series coefficients and closed-form evaluators.  The closed forms
+evaluate every point, so radius scans close to the unit circle stay accurate;
+the coefficients serve the coefficient classifiers and Hadamard products, and
+meet the closed forms once, in the agreement check at construction.  Shears
+and ``make_M_alpha_member`` build series-only maps, evaluated by Horner.
 
 Catalog vocabulary (also the CLI ``--function`` grammar):
 
@@ -38,9 +41,9 @@ class CatalogEntry:
     alpha: complex | None = None
 
     def __post_init__(self):
-        if self.name not in CATALOG_NAMES + ("m_alpha_member",):
+        if self.name not in CATALOG_NAMES:
             raise ValueError(f"unknown catalog name {self.name!r}")
-        if self.name in ("f_alpha", "g_alpha", "m_alpha_member"):
+        if self.name in ("f_alpha", "g_alpha"):
             if self.alpha is None:
                 raise ValueError(f"{self.name} requires a parameter alpha")
             if abs(self.alpha) > 1 + 1e-12:

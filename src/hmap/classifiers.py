@@ -427,7 +427,11 @@ def kaplan_worst_subarc(
     O(n); at grid nodes the phase differences are the exact arc integrals,
     so :func:`kaplan_integral_check` on the returned arc gives the same value.
     """
-    theta, phase = _arc_phase(f, epsilon, r, 0.0, 2 * np.pi, n_grid)
+    return _worst_subarc(*_arc_phase(f, epsilon, r, 0.0, 2 * np.pi, n_grid))
+
+
+def _worst_subarc(theta: np.ndarray, phase: np.ndarray) -> tuple[float, tuple[float, float]]:
+    """Minimal phase increase over all node-to-node sub-arcs, and that arc."""
     run_min = np.minimum.accumulate(phase)
     diffs = phase[1:] - run_min[:-1]
     j = int(np.argmin(diffs))

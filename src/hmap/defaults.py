@@ -17,18 +17,14 @@ COEFF_ABS_TOL = 1e-12
 # Coefficient recurrences checked relation-by-relation.
 RELATION_ABS_TOL = 1e-10
 
-# |z| above which closed-form evaluators take over from truncated series
-# (when available): keeps truncation error below SERIES_ABS_TOL while
-# allowing radius scans close to the boundary.
-EXACT_SWITCH_RADIUS = 0.7
-
 # Agreement required between closed-form and series evaluation, checked on
 # random points with |z| <= 0.5 when a map is built with both.
 EXACT_AGREEMENT_TOL = 1e-8
 EXACT_AGREEMENT_POINTS = 20
 
 # Circle tests: number of sample angles, pass threshold for the minimum
-# angular derivative, and the allowed defect in the total-turning integral.
+# angular derivative, and the allowed defect in the total turning (the
+# winding of the sampled curve, 2 pi for a simple closed regular curve).
 CIRCLE_THETA_POINTS = 4096
 CIRCLE_MIN_TOL = 1e-9
 TURNING_TOL = 1e-3

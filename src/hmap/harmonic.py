@@ -4,8 +4,11 @@ The analytic part ``h`` and the co-analytic part ``g`` are both stored as
 analytic power series (the conjugation is applied only at evaluation time),
 because every coefficient relation used elsewhere in the package acts on the
 analytic ``g``.  A map may carry closed-form evaluators for (h, g) and their
-first two derivatives; whenever they are present they take over from the
-truncated series outside |z| = 0.7, so boundary-adjacent scans stay accurate.
+first two derivatives.  Each map has exactly one evaluation route: a map with
+closed forms evaluates them on every point, so scans near the boundary stay
+accurate; a map without them runs Horner on its truncated series.  The two
+meet only once, when a map with closed forms is built and checked against its
+series.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .defaults import (
-    COEFF_ABS_TOL,
-    EXACT_AGREEMENT_POINTS,
-    EXACT_AGREEMENT_TOL,
-    EXACT_SWITCH_RADIUS,
-)
+from .defaults import COEFF_ABS_TOL, EXACT_AGREEMENT_POINTS, EXACT_AGREEMENT_TOL
 from .series import TruncatedSeries
 
 
@@ -54,21 +52,13 @@ def _check_exact_agreement(hmap: "HarmonicMap") -> None:
     r = 0.5 * np.sqrt(rng.uniform(0, 1, EXACT_AGREEMENT_POINTS))
     t = rng.uniform(0, 2 * np.pi, EXACT_AGREEMENT_POINTS)
     z = r * np.exp(1j * t)
-    pairs = (
-        ("h", hmap.exact.h, hmap.h),
-        ("g", hmap.exact.g, hmap.g),
-        ("dh", hmap.exact.dh, hmap.h.differentiate()),
-        ("dg", hmap.exact.dg, hmap.g.differentiate()),
-        ("d2h", hmap.exact.d2h, hmap.h.differentiate(2)),
-        ("d2g", hmap.exact.d2g, hmap.g.differentiate(2)),
-    )
     # second derivatives of maps with quadratically growing coefficients leave
     # a tail ~ n^4 (1/2)^n at the check radius; the allowance keeps the check
     # strict at the default truncation degree but not vacuous below it
     order = min(hmap.h.order, hmap.g.order)
     tol = EXACT_AGREEMENT_TOL + 8.0 * (order + 2) ** 4 * 0.5 ** (order + 1)
-    for name, exact, ser in pairs:
-        gap = np.max(np.abs(exact(z) - ser.evaluate(z)))
+    for name in ("h", "g", "dh", "dg", "d2h", "d2g"):
+        gap = np.max(np.abs(getattr(hmap.exact, name)(z) - hmap._series(name).evaluate(z)))
         if gap > tol:
             raise ValueError(
                 f"closed-form {name} disagrees with its series by {gap:.3e} "
@@ -116,28 +106,25 @@ class HarmonicMap:
     def _d2g(self) -> TruncatedSeries:
         return self.g.differentiate(2)
 
+    def _series(self, which: str) -> TruncatedSeries:
+        """The truncated series of one of h, g, h', g', h'', g''."""
+        return getattr(self, which if which in ("h", "g") else "_" + which)
+
     # -- evaluation plumbing -------------------------------------------------
 
     def _eval(self, which: str, z):
-        """Evaluate one of h, g, h', g', h'', g'' with the series/exact switch."""
+        """Evaluate one of h, g, h', g', h'', g'' on the map's one route.
+
+        A map with closed forms evaluates them on every point, scalar or
+        array; a map without them runs Horner on its truncated series.
+        """
         zarr = np.asarray(z, dtype=complex)
         if np.any(np.abs(zarr) >= 1.0):
             raise ValueError("harmonic map evaluation requires |z| < 1")
-        series = {
-            "h": self.h, "g": self.g,
-            "dh": self._dh, "dg": self._dg,
-            "d2h": self._d2h, "d2g": self._d2g,
-        }[which]
         if self.exact is None:
-            return series.evaluate(zarr if zarr.ndim else z)
+            return self._series(which).evaluate(zarr if zarr.ndim else z)
         exact_fn = getattr(self.exact, which)
-        far = np.abs(zarr) > EXACT_SWITCH_RADIUS
-        if zarr.ndim == 0:
-            return complex(exact_fn(complex(z))) if far else series.evaluate(z)
-        out = series.evaluate(np.where(far, 0, zarr))
-        if np.any(far):
-            out = np.where(far, exact_fn(zarr), out)
-        return out
+        return exact_fn(zarr) if zarr.ndim else complex(exact_fn(complex(z)))
 
     def h_at(self, z):
         return self._eval("h", z)
@@ -272,6 +259,17 @@ def angular_derivatives(f: HarmonicMap, r: float, theta):
     Both follow from differentiating z(theta) = r e^{i theta} through the
     chain rule; they drive the circle-image convexity and starlikeness tests.
     """
+    z, zhp, zgp, d1 = _tangent(f, r, theta)
+    d2 = -(zhp + z * z * f.d2h_at(z)) - np.conj(zgp + z * z * f.d2g_at(z))
+    return d1, d2
+
+
+def _tangent(f: HarmonicMap, r: float, theta):
+    """z = r e^{i theta}, z h'(z), z g'(z) and d1 = i (z h' - conj(z g')).
+
+    d1 alone needs only h' and g', so a caller that does not read d2 (the
+    starlikeness test) evaluates two derivatives instead of four.
+    """
     if not 0 < r < 1:
         raise ValueError("need 0 < r < 1")
     z = r * np.exp(1j * np.asarray(theta, dtype=float))
@@ -279,9 +277,7 @@ def angular_derivatives(f: HarmonicMap, r: float, theta):
         z = complex(z)
     zhp = z * f.dh_at(z)
     zgp = z * f.dg_at(z)
-    d1 = 1j * (zhp - np.conj(zgp))
-    d2 = -(zhp + z * z * f.d2h_at(z)) - np.conj(zgp + z * z * f.d2g_at(z))
-    return d1, d2
+    return z, zhp, zgp, 1j * (zhp - np.conj(zgp))
 
 
 def sense_preserving_check(

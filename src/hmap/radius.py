@@ -10,10 +10,12 @@ computed in closed form,
 
 sampled on a uniform theta grid (default 4096 points), and sharpened with
 one parabolic refinement step around the grid minimum so that transitions
-are resolved well below the bisection tolerance.  The total-turning integral
-(trapezoid over the same grid, exact for smooth periodic integrands up to
-exponentially small error) guards against irregular curves: a simple closed
-regular curve must turn by exactly 2 pi.
+are resolved well below the bisection tolerance.  The total turning guards
+against irregular curves: a simple closed regular curve must turn by exactly
+2 pi.  It is read as the winding of the samples the test already holds (df
+for convexity, f for starlikeness), the sum of the arguments of consecutive
+sample ratios, so it is an integer multiple of 2 pi up to rounding.  A
+branch guard checks every step against the trapezoid of the rate.
 
 For the horizontally sheared half-plane map the transition radii admit exact
 descriptions through two trigonometric polynomials in u = cos(theta):
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .defaults import CIRCLE_MIN_TOL, CIRCLE_THETA_POINTS, TURNING_TOL
-from .harmonic import HarmonicMap, angular_derivatives, evaluate_f
+from .harmonic import HarmonicMap, _tangent, angular_derivatives, evaluate_f
 
 
 class CircleTest(NamedTuple):
@@ -95,9 +97,36 @@ def _refined_min(values: np.ndarray, thetas: np.ndarray, fn: Callable[[np.ndarra
     return float(min(v0, extra[0]))
 
 
-def _turning(values: np.ndarray) -> float:
-    # trapezoid of a periodic function on a uniform grid
-    return float(np.mean(values) * 2 * np.pi)
+def _winding(curve: np.ndarray, rate: np.ndarray, step: float) -> float:
+    """Total turning of arg(curve) once around a uniform periodic grid.
+
+    Each step adds the argument of the ratio of consecutive samples, which
+    lies in (-pi, pi].  The trapezoid of ``rate`` (the theta-derivative of
+    that argument) over the same step must agree with it within pi/2;
+    otherwise the argument may have slipped a branch between two nodes and
+    the turning is nan, which fails the circle.
+    """
+    steps = np.angle(np.roll(curve, -1) / curve)
+    trap = 0.5 * (rate + np.roll(rate, -1)) * step
+    if np.max(np.abs(steps - trap)) > np.pi / 2:
+        return math.nan
+    return float(np.sum(steps))
+
+
+def _circle_test(
+    thetas: np.ndarray,
+    sample: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+) -> CircleTest:
+    """Shared tail of the circle tests: ``sample`` gives (rate, curve) at angles.
+
+    Passes iff the refined minimum of the rate stays above -CIRCLE_MIN_TOL
+    and the winding of the curve equals 2 pi within TURNING_TOL.
+    """
+    rate, curve = sample(thetas)
+    mn = _refined_min(rate, thetas, lambda th: sample(th)[0])
+    turning = _winding(curve, rate, thetas[1] - thetas[0])
+    ok = mn >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
+    return CircleTest(ok, mn, turning)
 
 
 def convex_test_at_radius(
@@ -108,24 +137,20 @@ def convex_test_at_radius(
     """Is the image of |z| = r convex?  Tests min d/dtheta arg(df/dtheta) >= 0.
 
     Fails fast if d1f vanishes on the circle (the curve would not be
-    regular).  Passes iff the sampled minimum stays above -1e-9 and the total
-    turning equals 2 pi within 1e-3.
+    regular).  Passes iff the sampled minimum stays above -1e-9 and the
+    tangent d1f winds once, by 2 pi within 1e-3.
     """
     if not 0 < r < 1:
         raise ValueError("need 0 < r < 1")
     thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
 
-    def derivative(th: np.ndarray) -> np.ndarray:
+    def sample(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d1, d2 = angular_derivatives(f, r, th)
         if np.any(np.abs(d1) < 1e-13):
             raise ValueError(f"tangent vector vanishes on |z| = {r}")
-        return np.imag(d2 / d1)
+        return np.imag(d2 / d1), d1
 
-    vals = derivative(thetas)
-    mn = _refined_min(vals, thetas, derivative)
-    turning = _turning(vals)
-    ok = mn >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
-    return CircleTest(ok, mn, turning)
+    return _circle_test(thetas, sample)
 
 
 def starlike_test_at_radius(
@@ -133,24 +158,24 @@ def starlike_test_at_radius(
     r: float,
     n_theta: int = CIRCLE_THETA_POINTS,
 ) -> CircleTest:
-    """Is the image of |z| = r starlike about 0?  Tests min d/dtheta arg f >= 0."""
+    """Is the image of |z| = r starlike about 0?  Tests min d/dtheta arg f >= 0.
+
+    Reads only f and d1f on the circle, four evaluations per set of angles.
+    Passes iff the sampled minimum stays above -1e-9 and f winds once about
+    the origin, by 2 pi within 1e-3.
+    """
     if not 0 < r < 1:
         raise ValueError("need 0 < r < 1")
     thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
 
-    def derivative(th: np.ndarray) -> np.ndarray:
-        z = r * np.exp(1j * th)
+    def sample(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z, _, _, d1 = _tangent(f, r, th)
         fv = evaluate_f(f, z)
         if np.any(np.abs(fv) < 1e-13):
             raise ValueError(f"map vanishes on |z| = {r}")
-        d1, _ = angular_derivatives(f, r, th)
-        return np.imag(d1 / fv)
+        return np.imag(d1 / fv), fv
 
-    vals = derivative(thetas)
-    mn = _refined_min(vals, thetas, derivative)
-    turning = _turning(vals)
-    ok = mn >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
-    return CircleTest(ok, mn, turning)
+    return _circle_test(thetas, sample)
 
 
 def radius_search(

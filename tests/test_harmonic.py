@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from hmap.catalog import example21, f_alpha, g_alpha, map_F, map_L
+from hmap.catalog import (
+    example21,
+    example22,
+    f_alpha,
+    g_alpha,
+    l_hadamard_l,
+    make_M_alpha_member,
+    map_F,
+    map_L,
+    parse_function,
+    shear_horizontal,
+)
 from hmap.harmonic import (
     ExactEvaluators,
     HarmonicMap,
@@ -91,6 +102,49 @@ class TestEvaluate:
         assert np.max(np.abs(evaluate_f(F, z) - evaluate_f(series_only, z))) < 1e-8
 
 
+ROUTES = ("h", "g", "dh", "dg", "d2h", "d2g")
+
+
+class TestEvaluationRoute:
+    CLOSED = {
+        "F": map_F, "L": map_L, "f_alpha": lambda: f_alpha(0.3 + 0.4j), "g_alpha": lambda: g_alpha(1j),
+        "example21": example21, "example22": example22, "L*L": l_hadamard_l,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLOSED))
+    def test_closed_form_on_every_point(self, name):
+        # bit for bit, for arrays and for scalars, on radii where the
+        # degree-64 series is exact to rounding (0.1) and where it is not
+        f = self.CLOSED[name]()
+        thetas = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        for r in (0.1, 0.5, 0.7 * (1 - 1e-12)):
+            z = r * np.exp(1j * thetas)
+            for which in ROUTES:
+                exact = getattr(f.exact, which)
+                assert np.array_equal(getattr(f, which + "_at")(z), exact(z))
+                assert getattr(f, which + "_at")(complex(z[3])) == complex(exact(complex(z[3])))
+
+    def test_F_second_derivative_just_inside_0_7(self):
+        # the degree-64 series of h'' is 8.9e-5 off here, so any series
+        # fallback would show
+        F = map_F()
+        z = 0.7 * (1 - 1e-12) * np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
+        assert np.max(np.abs(F.d2h_at(z) - F.exact.d2h(z))) < 1e-12
+
+    @pytest.mark.parametrize("build", [
+        lambda: parse_function("conv(L,L)"),
+        lambda: shear_horizontal(make_generator("half_plane_l", 64), make_generator("identity", 64)),
+        lambda: make_M_alpha_member(make_generator("half_plane_l", 64), 0.5j),
+    ])
+    def test_series_only_maps_run_horner(self, build):
+        f = build()
+        assert f.exact is None
+        z = np.array([0.1, 0.5j, -0.7 * (1 - 1e-12), 0.9 * np.exp(2j)])
+        for which, series in zip(ROUTES, (f.h, f.g, f.h.differentiate(), f.g.differentiate(),
+                                          f.h.differentiate(2), f.g.differentiate(2))):
+            assert np.array_equal(getattr(f, which + "_at")(z), series.evaluate(z))
+
+
 class TestDilatation:
     def test_L_dilatation_is_minus_z(self):
         L = map_L()
@@ -161,8 +215,8 @@ class TestAngularDerivatives:
 
     @pytest.mark.parametrize("factory", [map_F, map_L, example21, lambda: f_alpha(0.5j), lambda: g_alpha(0.8)])
     def test_against_finite_differences(self, factory):
-        # the 16 x 16 grid stays below the series/exact switch radius so the
-        # oracle differences never mix the two evaluation routes
+        # each map evaluates its closed forms on every point, so the oracle
+        # differences and the derivatives come from the same route
         f = factory()
         radii = np.linspace(0.05, 0.65, 16)
         thetas = np.linspace(0, 2 * np.pi, 16, endpoint=False)
@@ -174,8 +228,8 @@ class TestAngularDerivatives:
 
     @pytest.mark.parametrize("factory", [map_F, map_L, lambda: f_alpha(0.5j)])
     def test_against_finite_differences_exact_regime(self, factory):
-        # above the switch radius the closed forms drive both routes; the
-        # second-derivative step shrinks to keep the stencil truncation small
+        # nearer the boundary the derivatives grow, so the second-derivative
+        # step shrinks to keep the stencil truncation small
         f = factory()
         thetas = np.linspace(0, 2 * np.pi, 12, endpoint=False)
         for r in (0.75, 0.85):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hmap.catalog import example22, g_alpha, l_hadamard_l, map_F
-from hmap.harmonic import angular_derivatives
+from hmap.catalog import example22, f_alpha, g_alpha, l_hadamard_l, map_F
+from hmap.harmonic import HarmonicMap, angular_derivatives
+from hmap.series import TruncatedSeries
 from hmap.radius import (
     NonMonotoneError,
     closed_form_F,
@@ -68,6 +69,34 @@ class TestCircleTests:
         with pytest.raises(ValueError):
             convex_test_at_radius(map_F(), 1.2)
 
+    def test_turning_is_an_exact_winding_near_the_boundary(self):
+        # a 4096-point trapezoid of the turning rate reads 2 pi - 2.1e-3 on
+        # this starlike circle; the winding of the samples is 2 pi to rounding
+        res = starlike_test_at_radius(f_alpha(-0.8432 - 0.2061j), 0.965)
+        assert res.passed
+        assert res.total_turning == pytest.approx(2 * math.pi, abs=1e-12)
+
+    def test_multiply_wound_curve_fails(self):
+        # h' = 1 + 4 z^12: at r = 0.9 the tangent turns the right way at every
+        # angle but winds 13 times, so the image curve is not convex
+        c = np.zeros(14, dtype=complex)
+        c[1], c[13] = 1.0, 4 / 13
+        f = HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(14, dtype=complex)))
+        res = convex_test_at_radius(f, 0.9)
+        assert res.min_derivative > 0 and not res.passed
+        assert res.total_turning == pytest.approx(26 * math.pi, abs=1e-9)
+        # on 8 nodes a step may slip a branch: the guard fails the circle
+        coarse = convex_test_at_radius(f, 0.9, n_theta=8)
+        assert not coarse.passed and math.isnan(coarse.total_turning)
+
+    def test_starlike_test_reads_no_second_derivatives(self, monkeypatch):
+        def refuse(self, z):
+            raise AssertionError("second derivative evaluated")
+
+        monkeypatch.setattr(HarmonicMap, "d2h_at", refuse)
+        monkeypatch.setattr(HarmonicMap, "d2g_at", refuse)
+        assert starlike_test_at_radius(map_F(), 0.65).passed
+
 
 class TestRadiusSearch:
     def test_convexity_bracket_contains_constant(self):
@@ -80,6 +109,19 @@ class TestRadiusSearch:
         res = radius_search(map_F(), "starlikeness", tol=1e-6)
         assert res.r_hi - res.r_lo <= 1e-6
         assert res.r_lo <= R_STAR <= res.r_hi
+
+    @pytest.mark.parametrize("alpha,r_true", [
+        # roots of the closed-form margin min_theta d/dtheta arg f (dense
+        # theta grid with local refinement, brentq to 1e-13)
+        (-0.8432 - 0.2061j, 0.97334764517),  # where a trapezoid turning check fails
+        (0.5928 - 0.6931j, 0.69219164396),  # where the degree-64 series of h' is 4e-7 off
+    ])
+    def test_f_alpha_starlikeness_bracket_contains_true_radius(self, alpha, r_true):
+        res = radius_search(f_alpha(alpha), "starlikeness", tol=1e-9)
+        assert res.r_hi - res.r_lo <= 1e-9
+        # a circle passes while its margin is >= -1e-9 (CIRCLE_MIN_TOL), so
+        # r_lo may pass the root by 1e-9 / |margin'|, about 2.5e-10 here
+        assert res.r_lo - 5e-10 <= r_true <= res.r_hi
 
     def test_endpoints_certify(self):
         res = radius_search(map_F(), "convexity", tol=1e-5)
