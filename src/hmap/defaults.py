@@ -7,10 +7,6 @@ and library code agree on what "equal" means at each precision tier.
 # Truncation degree used by the catalog constructors unless overridden.
 DEFAULT_ORDER = 64
 
-# Absolute tolerance for series identities (coefficient comparisons after
-# arithmetic, evaluation against closed forms inside the convergence zone).
-SERIES_ABS_TOL = 1e-9
-
 # Exact coefficient relations (integer-valued in exact arithmetic).
 COEFF_ABS_TOL = 1e-12
 

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .defaults import CIRCLE_MIN_TOL, CIRCLE_THETA_POINTS, TURNING_TOL
 from .harmonic import HarmonicMap, _tangent, angular_derivatives, evaluate_f
@@ -293,6 +292,52 @@ def polynomial_q(r: float, u) -> float | np.ndarray:
     return float(val) if np.isscalar(u) else val
 
 
+def _bracketed_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] by the Brent-Dekker method, to xtol + 4 eps |root|.
+
+    f(a) and f(b) must differ in sign (ValueError otherwise); an end where f
+    is exactly 0 is returned as is.  [b, c] is always a sign-change bracket
+    with |f(b)| <= |f(c)|.  Each step tries inverse quadratic (or secant)
+    interpolation and falls back to bisection unless the trial point lands
+    well inside the bracket and the last steps shrank fast enough.
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0 or fb == 0:
+        return a if fa == 0 else b
+    if (fa > 0) == (fb > 0):
+        raise ValueError(f"f({a}) and f({b}) must have different signs")
+    c, fc, d = a, fa, b - a
+    e = d
+    while True:
+        if (fb > 0) == (fc > 0):
+            c, fc, d = a, fa, b - a
+            e = d
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 0.5 * xtol + 2 * math.ulp(1.0) * abs(b)
+        m = 0.5 * (c - b)
+        if fb == 0 or abs(m) <= tol:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2 * m * s, 1 - s
+            else:
+                q, t = fa / fc, fb / fc
+                p = s * (2 * m * q * (q - t) - (b - a) * (t - 1))
+                q = (q - 1) * (t - 1) * (s - 1)
+            p, q = abs(p), (-q if p > 0 else q)
+            if 2 * p < min(3 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+
+
 def p_root_in_radius(u: float) -> float:
     """Smallest r in (0, 1] with p(r, u) = 0, for a fixed u in [-1, 1].
 
@@ -303,7 +348,7 @@ def p_root_in_radius(u: float) -> float:
     """
     if not -1 <= u < 1:
         raise ValueError("need -1 <= u < 1 (at u = 1 the polynomial has no root below 1)")
-    return float(brentq(lambda r: polynomial_p(r, u), 0.0, 1.0, xtol=1e-14))
+    return float(_bracketed_root(lambda r: polynomial_p(r, u), 0.0, 1.0, xtol=1e-14))
 
 
 def q_interior_min_location(r: float) -> float:
@@ -392,11 +437,11 @@ def solve_special_radii() -> SpecialRadii:
     The convexity radius is the smallest positive root of 1 - 4r + r^2; the
     starlikeness radius is the root of the starlike margin on the branch
     r >= 1/sqrt(3) where the interior minimum of q exists.  Both are found
-    by bracketing bisection to machine precision.
+    by the Brent-Dekker bracketing method to machine precision.
     """
-    r_convex = float(brentq(lambda r: 1 - 4 * r + r * r, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16))
+    r_convex = _bracketed_root(lambda r: 1 - 4 * r + r * r, 0.0, 0.5, xtol=1e-15)
     lo = 1 / math.sqrt(3) + 1e-12
-    r_star = float(brentq(starlike_margin, lo, 0.9999, xtol=1e-15, rtol=8.9e-16))
+    r_star = _bracketed_root(starlike_margin, lo, 0.9999, xtol=1e-15)
     return SpecialRadii(
         r_convex=r_convex,
         r_star=r_star,

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -298,12 +299,36 @@ class TestKaplan:
             kaplan_integral_check(map_F(), 1.0, 0.5, 1.0, 1.0)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+# the five calls of the benchmark's cli-cold workload, plus the radii suite,
+# which runs every root solve hmap makes
+NO_SCIPY_CLI_CALLS = [
+    ["radius", "--function", "F", "--kind", "convex"],
+    ["classify", "--function", "F", "--check", "m-alpha"],
+    ["convolve", "--left", "L", "--right", "L", "--emit", "coeffs"],
+    ["plot", "--function", "example22", "--radii", "0.5,0.9", "--out", "curves.csv"],
+    ["verify", "--suite", "coefficients", "--out", "report.json"],
+    ["verify", "--suite", "radii", "--out", "radii.json"],
+]
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import hmap
+assert not scipy_modules(), ("import hmap", scipy_modules())
+import hmap.cli
+for argv in json.loads(sys.argv[1]):
+    assert hmap.cli.dispatch(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+"""
+
+
+def test_import_and_cli_calls_leave_scipy_unloaded(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import hmap, sys; assert 'scipy.integrate' not in sys.modules"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(NO_SCIPY_CLI_CALLS)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 

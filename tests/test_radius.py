@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq  # reference solver; hmap itself must not import scipy
 
 from hmap.catalog import example22, f_alpha, g_alpha, l_hadamard_l, map_F
 from hmap.harmonic import HarmonicMap, angular_derivatives
 from hmap.series import TruncatedSeries
+from hmap import radius
 from hmap.radius import (
     NonMonotoneError,
+    _bracketed_root,
     closed_form_F,
     convex_test_at_radius,
     identity_check_tangent,
@@ -309,3 +312,59 @@ class TestSpecialRadii:
         sp = solve_special_radii()
         assert sp.r_close_to_convex_star <= sp.r_star
         assert sp.r_convex < sp.r_close_to_convex_star
+
+
+class TestBracketedRoot:
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda x: x * x + 1, -1.0, 1.0),
+        (lambda x: x * x - 0.25, -1.0, 1.0),  # two roots, no sign change at the ends
+        (lambda x: -1.0, 0.0, 1.0),
+    ])
+    def test_no_sign_change_raises(self, f, a, b):
+        with pytest.raises(ValueError):
+            _bracketed_root(f, a, b, 1e-12)
+
+    def test_endpoint_roots_come_back_exactly(self):
+        assert _bracketed_root(lambda x: x - 0.3, 0.3, 1.0, 1e-12) == 0.3
+        assert _bracketed_root(lambda x: x - 0.3, -1.0, 0.3, 1e-12) == 0.3
+        # a double root at an end has no sign change, but is still a root
+        assert _bracketed_root(lambda x: x * x, 0.0, 1.0, 1e-12) == 0.0
+
+    def test_bracket_shrinks_on_a_step(self):
+        # interpolation is useless on a jump; the bracket must still close in
+        # on it, to xtol + 4 eps |x|
+        x = _bracketed_root(lambda t: -1.0 if t < 0.3 else 1.0, 0.0, 1.0, 1e-12)
+        assert abs(x - 0.3) <= 1e-12 + 4 * math.ulp(1.0) * 0.3
+
+    def test_p_roots_match_brentq(self):
+        us = np.linspace(-1.0, 0.95, 40)
+        roots = [p_root_in_radius(u) for u in us]
+        ref = [brentq(lambda r: polynomial_p(r, u), 0.0, 1.0, xtol=1e-14) for u in us]
+        assert max(abs(a - b) for a, b in zip(roots, ref)) <= 1e-14
+        assert all(b > a for a, b in zip(roots, roots[1:]))
+
+    def test_evaluations_against_brentq(self, monkeypatch):
+        # the 40 p roots of the radii suite and the 2 special radii, counted
+        # at their real call sites and re-solved by brentq on the same brackets
+        calls = []
+        original = radius._bracketed_root
+
+        def counted(f, a, b, xtol):
+            n = [0]
+
+            def g(x):
+                n[0] += 1
+                return f(x)
+
+            calls.append((f, a, b, xtol, n))
+            return original(g, a, b, xtol)
+
+        monkeypatch.setattr(radius, "_bracketed_root", counted)
+        for u in np.linspace(-1.0, 0.95, 40):
+            p_root_in_radius(u)
+        solve_special_radii()
+        assert len(calls) == 42
+        ours = sum(n[0] for *_, n in calls)
+        theirs = sum(brentq(f, a, b, xtol=xtol, full_output=True)[1].function_calls
+                     for f, a, b, xtol, _ in calls)
+        assert ours <= 1.5 * theirs
