@@ -63,13 +63,7 @@ def _f_alpha_series(alpha: complex, order: int) -> tuple[TruncatedSeries, Trunca
     return TruncatedSeries(a.astype(complex)), TruncatedSeries(b.astype(complex))
 
 
-def f_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:
-    """Extremal family member: a_n = (n+1)/2, b_n = alpha (n-1)/2.
-
-    Dilatation alpha*z; h = (l + k)/2 where l = z/(1-z), k = z/(1-z)^2.
-    """
-    if abs(alpha) > 1 + 1e-12:
-        raise ValueError("need |alpha| <= 1")
+def _f_alpha_map(alpha: complex, order: int, label: str) -> HarmonicMap:
     h, g = _f_alpha_series(alpha, order)
     exact = ExactEvaluators(
         h=lambda z: 0.5 * (z / (1 - z) + z / (1 - z) ** 2),
@@ -79,13 +73,22 @@ def f_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:
         d2h=lambda z: 3 / (1 - z) ** 4,
         d2g=lambda z, a=alpha: a * (1 + 2 * z) / (1 - z) ** 4,
     )
-    return HarmonicMap(h, g, exact, label=f"f_alpha({alpha})")
+    return HarmonicMap(h, g, exact, label=label)
+
+
+def f_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:
+    """Extremal family member: a_n = (n+1)/2, b_n = alpha (n-1)/2.
+
+    Dilatation alpha*z; h = (l + k)/2 where l = z/(1-z), k = z/(1-z)^2.
+    """
+    if abs(alpha) > 1 + 1e-12:
+        raise ValueError("need |alpha| <= 1")
+    return _f_alpha_map(alpha, order, f"f_alpha({alpha})")
 
 
 def map_L(order: int = DEFAULT_ORDER) -> HarmonicMap:
     """Harmonic half-plane map Re(z/(1-z)) + i Im(z/(1-z)^2); dilatation -z."""
-    f = f_alpha(-1, order)
-    return HarmonicMap(f.h, f.g, f.exact, label="L")
+    return _f_alpha_map(-1, order, "L")
 
 
 def map_F(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -94,8 +97,7 @@ def map_F(order: int = DEFAULT_ORDER) -> HarmonicMap:
     The flagship example for the radius computations: its circle images stop
     being convex above 2 - sqrt(3) and stop being starlike above ~0.658331.
     """
-    f = f_alpha(1, order)
-    return HarmonicMap(f.h, f.g, f.exact, label="F")
+    return _f_alpha_map(1, order, "F")
 
 
 def g_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -236,29 +238,14 @@ def parse_function(text: str, order: int = DEFAULT_ORDER):
 # -- shearing construction ------------------------------------------------------
 
 
-def _geometric_inverse(w: TruncatedSeries, sign: float, order: int) -> np.ndarray:
-    """Coefficients of 1/(1 + sign*w) as a truncated geometric series.
-
-    Requires w(0) = 0 so the expansion is a polynomial identity up to the
-    truncation degree.
-    """
-    if abs(w.coefficient(0)) != 0.0:
-        raise ValueError("shear dilatation must vanish at the origin")
-    wc = np.zeros(order + 1, dtype=complex)
-    m = min(order, w.order)
-    wc[: m + 1] = w.coeffs[: m + 1]
-    inv = np.zeros(order + 1, dtype=complex)
-    inv[0] = 1.0
-    term = inv.copy()
-    for _ in range(order):
-        term = np.convolve(term, -sign * wc)[: order + 1]
-        if not term.any():
-            break
-        inv += term
-    return inv
-
-
 def _shear(phi: TruncatedSeries, w: TruncatedSeries, sign: float, label: str) -> HarmonicMap:
+    """Shear phi with dilatation w: h' = phi'/(1 + sign*w), g = sign*(phi - h).
+
+    h' is one truncated series quotient.  w is read as the polynomial its
+    coefficients give, so a w of lower degree does not cut the shear's.
+    """
+    if w.coefficient(0) != 0:
+        raise ValueError("shear dilatation must vanish at the origin")
     order = phi.order
     # guard: the construction divides by 1 +- w, which must not vanish
     rr = np.linspace(0.05, 0.95, 16)
@@ -270,8 +257,11 @@ def _shear(phi: TruncatedSeries, w: TruncatedSeries, sign: float, label: str) ->
     if np.any(np.abs(1.0 + sign * wv) < 1e-9):
         raise ValueError("1 %s w vanishes on the sample grid" % ("+" if sign > 0 else "-"))
     dphi = phi.differentiate()
-    inv = _geometric_inverse(w, sign, order - 1)
-    hp = np.convolve(dphi.coeffs, inv)[:order]
+    m = min(dphi.order, w.order)
+    d = np.zeros(dphi.order + 1, dtype=complex)
+    d[: m + 1] = sign * w.coeffs[: m + 1]
+    d[0] = 1.0
+    hp = (dphi / TruncatedSeries(d)).coeffs[:order]
     h = np.zeros(order + 1, dtype=complex)
     h[1:] = hp / np.arange(1, order + 1)
     hs = TruncatedSeries(h)
@@ -282,6 +272,7 @@ def _shear(phi: TruncatedSeries, w: TruncatedSeries, sign: float, label: str) ->
 def shear_horizontal(phi: TruncatedSeries, w: TruncatedSeries, label: str = "shear_h") -> HarmonicMap:
     """Harmonic map with h - g = phi and g' = w h', i.e. h' = phi'/(1 - w).
 
+    h' is computed as one series quotient; w must vanish at the origin.
     Shearing the half-plane map with w(z) = z reproduces the catalog map F.
     """
     return _shear(phi, w, -1.0, label)
@@ -290,6 +281,7 @@ def shear_horizontal(phi: TruncatedSeries, w: TruncatedSeries, label: str = "she
 def shear_vertical(phi: TruncatedSeries, w: TruncatedSeries, label: str = "shear_v") -> HarmonicMap:
     """Harmonic map with h + g = phi and g' = w h', i.e. h' = phi'/(1 + w).
 
+    h' is computed as one series quotient; w must vanish at the origin.
     Shearing the half-plane map with w(z) = -z reproduces the catalog map L.
     """
     return _shear(phi, w, 1.0, label)

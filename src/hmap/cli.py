@@ -103,12 +103,10 @@ def _alpha_from_function(text: str):
         _, _, param = text.partition(":")
         re_, im = param.split(",")
         return complex(float(re_), float(im))
-    if text == "F":
+    if text in ("F", "example21", "example22"):
         return 1 + 0j
     if text == "L":
         return -1 + 0j
-    if text == "example22":
-        return 1 + 0j
     return None
 
 

@@ -3,9 +3,10 @@
 A :class:`TruncatedSeries` holds the Taylor coefficients ``c[0] .. c[N]`` of
 an analytic function at the origin.  Arithmetic is exact on the retained
 coefficients and never extends the truncation degree: sums and differences
-keep the smaller degree of the two operands, and Cauchy products are cut at
-the smaller degree as well.  Evaluation is restricted to the open unit disk,
-which is the only domain the rest of the package cares about.
+keep the smaller degree of the two operands, and Cauchy products and
+quotients are cut at the smaller degree as well.  Evaluation is restricted
+to the open unit disk, which is the only domain the rest of the package
+cares about.
 """
 
 from __future__ import annotations
@@ -66,6 +67,29 @@ class TruncatedSeries:
 
     def __rmul__(self, scalar) -> "TruncatedSeries":
         return TruncatedSeries(self.coeffs * complex(scalar))
+
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Series quotient q = p/d, cut at the smaller degree like ``*``.
+
+        Solves ``q[n] = (p[n] - sum_{k>=1} d[k] q[n-k]) / d[0]`` term by term,
+        summing over the nonzero ``d[k]`` only: K of them cost O(N K), which
+        is O(N) for the few-term dilatations of shears.  Raises ValueError
+        when ``d[0]`` is zero.
+        """
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        n = min(self.order, other.order)
+        d = other.coeffs[: n + 1]
+        if d[0] == 0:
+            raise ValueError("divisor must have a nonzero constant term")
+        k = np.flatnonzero(d[1:]) + 1
+        dk = d[k]
+        used = np.searchsorted(k, np.arange(n + 1), side="right")
+        q = np.zeros(n + 1, dtype=complex)
+        for m, p in enumerate(self.coeffs[: n + 1]):
+            j = used[m]
+            q[m] = (p - np.dot(dk[:j], q[m - k[:j]])) / d[0]
+        return TruncatedSeries(q)
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(-self.coeffs)

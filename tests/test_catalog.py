@@ -59,6 +59,19 @@ class TestNamedMaps:
         f1 = f_alpha(1, 32)
         assert F.h.isclose(f1.h) and F.g.isclose(f1.g)
 
+    @pytest.mark.parametrize("build,label", [
+        (lambda: map_F(512), "F"), (lambda: map_L(), "L"), (lambda: f_alpha(0.5j), "f_alpha(0.5j)"),
+    ], ids=["map_F", "map_L", "f_alpha"])
+    def test_one_agreement_check_per_map(self, monkeypatch, build, label):
+        import hmap.harmonic
+
+        calls = []
+        check = hmap.harmonic._check_exact_agreement
+        monkeypatch.setattr(hmap.harmonic, "_check_exact_agreement", lambda m: calls.append(m) or check(m))
+        f = build()
+        assert f.label == label
+        assert calls == [f]
+
     def test_l_hadamard_l_closed_forms(self):
         ll = l_hadamard_l(32)
         n = np.arange(1, 33)

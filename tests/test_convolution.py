@@ -153,6 +153,15 @@ class TestTildeDilatation:
             assert rep.cross_check_passed
             assert rep.cross_check_max_err < 1e-6
 
+    @pytest.mark.parametrize("n,theta", [(1, 0.0), (2, math.pi / 3), (1, math.pi)])
+    def test_cross_check_at_degree_2048(self, n, theta):
+        # the shear's division is linear in the degree for these one-term
+        # dilatations; a cubic inverse takes seconds per case at 2048, so a
+        # return of it shows in the suite's time
+        rep = tilde_dilatation_check(n, theta, cross_order=2048)
+        assert rep.cross_check_passed
+        assert rep.cross_check_max_err < 1e-6
+
     def test_direct_product_dilatation_matches(self):
         # independent reconstruction at one point, all plumbing inlined
         order = 256

@@ -110,6 +110,20 @@ class TestCli:
         rc = dispatch(["classify", "--function", "f_alpha:0,1", "--check", "m-alpha"])
         assert rc == 0
 
+    def test_classify_m_alpha_example21_needs_no_alpha(self, tmp_path, capsys):
+        # example21 has dilatation z, so its catalog alpha is 1; the relation
+        # holds exactly and only the curvature condition fails (-98 < -0.5)
+        out = tmp_path / "m.json"
+        rc = dispatch(["classify", "--function", "example21", "--check", "m-alpha",
+                       "--out", str(out)])
+        assert rc == 1
+        assert "relation residual 0.000e+00" in capsys.readouterr().out
+        data = json.loads(out.read_text())
+        assert data["alpha"] == [1.0, 0.0]
+        assert data["relation_residual"] == 0.0 and data["relation_passed"]
+        assert not data["curvature_passed"]
+        assert data["curvature_grid_min"] == pytest.approx(-98.0, abs=1e-9)
+
     def test_classify_failure_exit_code(self):
         # the identity-like map with g = 0 cannot satisfy the recurrence at alpha = 1
         rc = dispatch(["classify", "--function", "g_alpha:0,0", "--check", "m-alpha",

@@ -108,6 +108,65 @@ class TestCombine:
         assert (a * b).order == 4
 
 
+class TestDivide:
+    ORDER = 512
+
+    @staticmethod
+    def _toeplitz_solve(p, d):
+        # reference: d * q = p is the lower-triangular Toeplitz system T q = p
+        n = p.size
+        i, j = np.indices((n, n))
+        t = np.where(i >= j, d[np.clip(i - j, 0, n - 1)], 0)
+        return np.linalg.solve(t, p)
+
+    @classmethod
+    def _divisors(cls):
+        rng = np.random.default_rng(7)
+        out = []
+        for n in (1, 2):
+            c = np.zeros(cls.ORDER + 1, dtype=complex)
+            c[0], c[n] = 1, np.exp(1j * np.pi / 3)
+            out.append(TruncatedSeries(c))
+        # dense, geometrically decaying, well inside the disk of convergence
+        c = (rng.normal(size=cls.ORDER + 1) + 1j * rng.normal(size=cls.ORDER + 1)) * 0.5 ** np.arange(cls.ORDER + 1)
+        c[0] = 2.0
+        out.append(TruncatedSeries(c))
+        return out
+
+    def test_one_over_one_minus_z_is_all_ones(self):
+        e = np.eye(33)
+        q = TruncatedSeries(e[0]) / TruncatedSeries(e[0] - e[1])
+        assert np.array_equal(q.coeffs, np.ones(33, dtype=complex))
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_product_recovers_numerator(self, which):
+        d = self._divisors()[which]
+        p = make_generator("half_plane_l", self.ORDER)
+        back = (p / d) * d
+        assert np.max(np.abs(back.coeffs - p.coeffs)) < 1e-13
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_matches_triangular_solve(self, which):
+        d = self._divisors()[which]
+        rng = np.random.default_rng(11)
+        p = rng.normal(size=self.ORDER + 1) + 1j * rng.normal(size=self.ORDER + 1)
+        q = (TruncatedSeries(p) / d).coeffs
+        ref = self._toeplitz_solve(p, d.coeffs)
+        # relative to the largest coefficient: 1/(1 + e^{it} z^n) does not
+        # decay, so q grows like a random walk (to 20-60 here)
+        assert np.max(np.abs(q - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    def test_zero_constant_term_raises(self):
+        with pytest.raises(ValueError):
+            make_generator("half_plane_l", 8) / make_generator("identity", 8)
+
+    def test_truncates_to_min_order(self):
+        d = TruncatedSeries([1, 0.5, 0, 0, 0])
+        a = make_generator("half_plane_l", 10)
+        assert (a / d).order == 4
+        assert (TruncatedSeries([1, 2, 3]) / TruncatedSeries(np.eye(9)[0])).order == 2
+
+
 class TestDifferentiate:
     def test_half_plane_derivative(self):
         # d/dz z/(1-z) = 1/(1-z)^2 with coefficients 1, 2, 3, ...
