@@ -9,6 +9,11 @@ closed forms evaluates them on every point, so scans near the boundary stay
 accurate; a map without them runs Horner on its truncated series.  The two
 meet only once, when a map with closed forms is built and checked against its
 series.
+
+Circle tests read a series-only map from its coefficients instead: on |z| = r
+it is a trigonometric polynomial in theta, so on the uniform circle-test grid
+f and its theta-derivatives are each one inverse FFT of the two-sided
+coefficients (see :func:`_circle_derivatives`).
 """
 
 from __future__ import annotations
@@ -117,6 +122,8 @@ class HarmonicMap:
 
         A map with closed forms evaluates them on every point, scalar or
         array; a map without them runs Horner on its truncated series.
+        Circle tests of a series-only map do not come here: they sample it
+        by inverse FFT of its coefficients (:func:`_circle_derivatives`).
         """
         zarr = np.asarray(z, dtype=complex)
         if np.any(np.abs(zarr) >= 1.0):
@@ -278,6 +285,38 @@ def _tangent(f: HarmonicMap, r: float, theta):
     zhp = z * f.dh_at(z)
     zgp = z * f.dg_at(z)
     return z, zhp, zgp, 1j * (zhp - np.conj(zgp))
+
+
+def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray, on_grid: bool):
+    """theta-derivatives (d^{m+1} f, d^m f) of f(r e^{i theta}), for m = 0 or 1.
+
+    A map with closed forms evaluates them at ``theta``: f and d1 for m = 0,
+    :func:`angular_derivatives` for m = 1.  On a series-only map the circle
+    image is the trigonometric polynomial
+
+        sum_{n>=0} a_n r^n e^{i n theta} + sum_{n>=0} conj(b_n) r^n e^{-i n theta},
+
+    whose theta-derivative multiplies the coefficient at frequency k by ik.
+    ``on_grid`` says that ``theta`` is the uniform grid 2 pi j / n, j < n =
+    theta.size; there each derivative is one inverse FFT of the coefficients
+    folded modulo n, exact at any degree.  Other angles take the direct sum.
+    """
+    if f.exact is not None:
+        if m == 1:
+            d1, d2 = angular_derivatives(f, r, theta)
+            return d2, d1
+        z, _, _, d1 = _tangent(f, r, theta)
+        return d1, evaluate_f(f, z)
+    k = np.concatenate([np.arange(f.h.order + 1), -np.arange(f.g.order + 1)])
+    c = np.concatenate([f.h.coeffs, np.conj(f.g.coeffs)]) * r ** np.abs(k)
+    rows = np.stack([(1j * k) ** (m + 1) * c, (1j * k) ** m * c])
+    if on_grid:
+        spec = np.zeros((2, theta.size), dtype=complex)
+        np.add.at(spec, (slice(None), k % theta.size), rows)
+        upper, lower = np.fft.ifft(spec, norm="forward")
+    else:
+        upper, lower = rows @ np.exp(1j * np.outer(k, theta))
+    return upper, lower
 
 
 def sense_preserving_check(

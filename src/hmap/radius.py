@@ -2,8 +2,8 @@
 
 A circle |z| = r maps to a convex curve exactly when the tangent direction
 arg(df/dtheta) is nondecreasing in theta, and to a curve starlike about the
-origin exactly when arg f itself is nondecreasing.  Both derivatives are
-computed in closed form,
+origin exactly when arg f itself is nondecreasing.  Both rates are
+quotients of theta-derivatives of f,
 
     d/dtheta arg(df/dtheta) = Im( d2f / d1f ),
     d/dtheta arg f          = Im( d1f / f ),
@@ -16,6 +16,12 @@ against irregular curves: a simple closed regular curve must turn by exactly
 for convexity, f for starlikeness), the sum of the arguments of consecutive
 sample ratios, so it is an integer multiple of 2 pi up to rounding.  A
 branch guard checks every step against the trapezoid of the rate.
+
+A map with closed forms gives the derivatives through them, from h, g and
+their first two derivatives.  A series-only map is a trigonometric
+polynomial in theta on the circle: each derivative on the grid is one
+inverse FFT of its two-sided coefficients, and the refinement point is their
+direct sum (``harmonic._circle_derivatives``).
 
 For the horizontally sheared half-plane map the transition radii admit exact
 descriptions through two trigonometric polynomials in u = cos(theta):
@@ -38,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .defaults import CIRCLE_MIN_TOL, CIRCLE_THETA_POINTS, TURNING_TOL
-from .harmonic import HarmonicMap, _tangent, angular_derivatives, evaluate_f
+from .harmonic import HarmonicMap, _circle_derivatives
 
 
 class CircleTest(NamedTuple):
@@ -112,17 +118,26 @@ def _winding(curve: np.ndarray, rate: np.ndarray, step: float) -> float:
     return float(np.sum(steps))
 
 
-def _circle_test(
-    thetas: np.ndarray,
-    sample: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-) -> CircleTest:
-    """Shared tail of the circle tests: ``sample`` gives (rate, curve) at angles.
+def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str) -> CircleTest:
+    """Shared body of the circle tests: the rate Im(d^{m+1} f / d^m f) of arg d^m f.
 
-    Passes iff the refined minimum of the rate stays above -CIRCLE_MIN_TOL
-    and the winding of the curve equals 2 pi within TURNING_TOL.
+    Samples the rate and the curve d^m f on the uniform grid of ``n_theta``
+    angles, and raises ValueError where the curve vanishes.  Passes iff the
+    refined minimum of the rate stays above -CIRCLE_MIN_TOL and the winding
+    of the curve equals 2 pi within TURNING_TOL.
     """
-    rate, curve = sample(thetas)
-    mn = _refined_min(rate, thetas, lambda th: sample(th)[0])
+    if not 0 < r < 1:
+        raise ValueError("need 0 < r < 1")
+    thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
+
+    def sample(th: np.ndarray, on_grid: bool) -> tuple[np.ndarray, np.ndarray]:
+        upper, curve = _circle_derivatives(f, r, m, th, on_grid)
+        if np.any(np.abs(curve) < 1e-13):
+            raise ValueError(f"{curve_name} vanishes on |z| = {r}")
+        return np.imag(upper / curve), curve
+
+    rate, curve = sample(thetas, True)
+    mn = _refined_min(rate, thetas, lambda th: sample(th, False)[0])
     turning = _winding(curve, rate, thetas[1] - thetas[0])
     ok = mn >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
     return CircleTest(ok, mn, turning)
@@ -139,17 +154,7 @@ def convex_test_at_radius(
     regular).  Passes iff the sampled minimum stays above -1e-9 and the
     tangent d1f winds once, by 2 pi within 1e-3.
     """
-    if not 0 < r < 1:
-        raise ValueError("need 0 < r < 1")
-    thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
-
-    def sample(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d1, d2 = angular_derivatives(f, r, th)
-        if np.any(np.abs(d1) < 1e-13):
-            raise ValueError(f"tangent vector vanishes on |z| = {r}")
-        return np.imag(d2 / d1), d1
-
-    return _circle_test(thetas, sample)
+    return _circle_test(f, r, 1, n_theta, "tangent vector")
 
 
 def starlike_test_at_radius(
@@ -159,22 +164,11 @@ def starlike_test_at_radius(
 ) -> CircleTest:
     """Is the image of |z| = r starlike about 0?  Tests min d/dtheta arg f >= 0.
 
-    Reads only f and d1f on the circle, four evaluations per set of angles.
-    Passes iff the sampled minimum stays above -1e-9 and f winds once about
-    the origin, by 2 pi within 1e-3.
+    Reads only f and d1f on the circle: four evaluations per set of angles
+    on a map with closed forms.  Passes iff the sampled minimum stays above
+    -1e-9 and f winds once about the origin, by 2 pi within 1e-3.
     """
-    if not 0 < r < 1:
-        raise ValueError("need 0 < r < 1")
-    thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
-
-    def sample(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z, _, _, d1 = _tangent(f, r, th)
-        fv = evaluate_f(f, z)
-        if np.any(np.abs(fv) < 1e-13):
-            raise ValueError(f"map vanishes on |z| = {r}")
-        return np.imag(d1 / fv), fv
-
-    return _circle_test(thetas, sample)
+    return _circle_test(f, r, 0, n_theta, "map")
 
 
 def radius_search(

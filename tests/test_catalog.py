@@ -143,6 +143,23 @@ class TestShears:
         with pytest.raises(ValueError):
             shear_vertical(phi, w)
 
+    def test_guard_reads_w_to_its_last_nonzero_coefficient(self, monkeypatch):
+        # the zeros above it would add exact zeros to the guard's Horner sums
+        orders = []
+        evaluate = TruncatedSeries.evaluate
+
+        def recording(series, z):
+            orders.append(series.order)
+            return evaluate(series, z)
+
+        monkeypatch.setattr(TruncatedSeries, "evaluate", recording)
+        phi = make_generator("half_plane_l", 512)
+        shear_vertical(phi, -make_generator("identity", 512))
+        assert orders == [1]
+        with pytest.raises(ValueError):  # |2 z^3| reaches 1.7 on the guard grid
+            shear_vertical(phi, TruncatedSeries(np.r_[0, 0, 0, 2, np.zeros(509)]))
+        assert orders == [1, 3]
+
 
 class TestMAlphaMember:
     def test_half_plane_gives_example22_g(self):

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq  # reference solver; hmap itself must not import scipy
 
-from hmap.catalog import example22, f_alpha, g_alpha, l_hadamard_l, map_F
-from hmap.harmonic import HarmonicMap, angular_derivatives
-from hmap.series import TruncatedSeries
+from hmap.catalog import (
+    example22,
+    f_alpha,
+    g_alpha,
+    l_hadamard_l,
+    make_M_alpha_member,
+    map_F,
+    parse_function,
+    shear_horizontal,
+)
+from hmap.harmonic import ExactEvaluators, HarmonicMap, _circle_derivatives, angular_derivatives
+from hmap.series import TruncatedSeries, make_generator
 from hmap import radius
 from hmap.radius import (
     NonMonotoneError,
@@ -99,6 +108,92 @@ class TestCircleTests:
         monkeypatch.setattr(HarmonicMap, "d2h_at", refuse)
         monkeypatch.setattr(HarmonicMap, "d2g_at", refuse)
         assert starlike_test_at_radius(map_F(), 0.65).passed
+
+
+ROUTES = ("h", "g", "dh", "dg", "d2h", "d2g")
+
+
+def half_plane_koebe_mix(order):
+    return 0.5 * (make_generator("half_plane_l", order) + make_generator("koebe_k", order))
+
+
+SERIES_ONLY = {
+    "conv(L,L)": lambda: parse_function("conv(L,L)"),
+    "M_alpha twin": lambda: make_M_alpha_member(half_plane_koebe_mix(64), 0.5 - 0.3j),
+    "horizontal shear": lambda: shear_horizontal(make_generator("half_plane_l", 64), make_generator("identity", 64)),
+}
+
+
+def horner_twin(f):
+    """f on the closed-form route, with Horner on its own series as the closed forms.
+
+    Its circle tests evaluate the series point by point, as every
+    series-only map did before circle tests read the coefficients directly.
+    """
+    return HarmonicMap(f.h, f.g, ExactEvaluators(**{w: f._series(w).evaluate for w in ROUTES}))
+
+
+class TestSeriesOnlyCircles:
+    """Circle tests of series-only maps: one inverse FFT of the coefficients per derivative."""
+
+    @pytest.mark.parametrize("name", sorted(SERIES_ONLY))
+    def test_grid_matches_horner(self, name):
+        f = SERIES_ONLY[name]()
+        ref = horner_twin(f)
+        thetas = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
+        for r in (0.3, 0.6, 0.9, 0.99):
+            for m, test in ((0, starlike_test_at_radius), (1, convex_test_at_radius)):
+                got = _circle_derivatives(f, r, m, thetas, True)
+                want = _circle_derivatives(ref, r, m, thetas, True)
+                # each derivative to 1e-12 of its own largest modulus; the rate,
+                # their quotient, can lose more where the curve is small
+                for a, b in zip(got, want):
+                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+                new, old = test(f, r), test(ref, r)
+                assert new.passed == old.passed
+                assert new.total_turning == pytest.approx(old.total_turning, abs=1e-12, nan_ok=True)
+                assert abs(new.min_derivative - old.min_derivative) <= 1e-10 * max(1.0, abs(old.min_derivative))
+
+    @pytest.mark.parametrize("n_theta", [64, 256])
+    def test_degree_above_grid_size_folds(self, n_theta):
+        # r^2048 a_2048 is about 1e-6 at r = 0.99: every frequency above the
+        # grid's Nyquist limit must land on its alias
+        f = make_M_alpha_member(half_plane_koebe_mix(2048), 0.5j)
+        ref = horner_twin(f)
+        thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
+        for m in (0, 1):
+            for a, b in zip(_circle_derivatives(f, 0.99, m, thetas, True),
+                            _circle_derivatives(ref, 0.99, m, thetas, True)):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_off_grid_angles_sum_directly(self):
+        f = SERIES_ONLY["conv(L,L)"]()
+        thetas = np.array([0.1, 1.234, 3.0, 6.2])
+        for m in (0, 1):
+            for a, b in zip(_circle_derivatives(f, 0.8, m, thetas, False),
+                            _circle_derivatives(horner_twin(f), 0.8, m, thetas, False)):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("name", sorted(SERIES_ONLY))
+    def test_no_pointwise_evaluation(self, name, monkeypatch):
+        f = SERIES_ONLY[name]()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("series-only circle test evaluated pointwise")
+
+        monkeypatch.setattr(TruncatedSeries, "evaluate", refuse)
+        for which in ROUTES:
+            monkeypatch.setattr(HarmonicMap, which + "_at", refuse)
+        for r in (0.2, 0.7):
+            convex_test_at_radius(f, r)
+            starlike_test_at_radius(f, r)
+
+    def test_degree_256_twin_of_L_brackets_its_radius(self):
+        # 0.8718541098 is the root of the closed-form starlikeness margin of
+        # f_alpha(-1); the degree-64 twin misses it by 0.035
+        res = radius_search(make_M_alpha_member(half_plane_koebe_mix(256), -1.0), "starlikeness", tol=1e-6)
+        assert res.r_hi - res.r_lo <= 1e-6
+        assert res.r_lo <= 0.8718541098 <= res.r_hi
 
 
 class TestRadiusSearch:
