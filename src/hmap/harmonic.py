@@ -10,16 +10,19 @@ accurate; a map without them runs Horner on its truncated series.  The two
 meet only once, when a map with closed forms is built and checked against its
 series.
 
-Circle tests read a series-only map from its coefficients instead: on |z| = r
-it is a trigonometric polynomial in theta, so on the uniform circle-test grid
-f and its theta-derivatives are each one inverse FFT of the two-sided
-coefficients (see :func:`_circle_derivatives`).
+Circle tests sample a map on their own path (see :func:`_circle_derivatives`),
+not through the ``*_at`` methods.  Both routes share one cached uniform grid
+of angles per grid size.  A map with closed forms is sampled at z = r e^{i
+theta}, scaled from the cached e^{i theta}, with one |z| < 1 guard per set of
+points.  A series-only map is read from its coefficients: on |z| = r it is a
+trigonometric polynomial in theta, so on the grid f and its theta-derivatives
+are each one inverse FFT of the two-sided coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -69,6 +72,11 @@ def _check_exact_agreement(hmap: "HarmonicMap") -> None:
                 f"closed-form {name} disagrees with its series by {gap:.3e} "
                 f"inside |z| <= 0.5 (allowed {tol:.3e})"
             )
+
+
+def _require_inside(z: np.ndarray) -> None:
+    if np.any(np.abs(z) >= 1.0):
+        raise ValueError("harmonic map evaluation requires |z| < 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +130,12 @@ class HarmonicMap:
 
         A map with closed forms evaluates them on every point, scalar or
         array; a map without them runs Horner on its truncated series.
-        Circle tests of a series-only map do not come here: they sample it
-        by inverse FFT of its coefficients (:func:`_circle_derivatives`).
+        Circle tests on either route do not come here: they call the closed
+        forms directly or read the coefficients by inverse FFT
+        (:func:`_circle_derivatives`).
         """
         zarr = np.asarray(z, dtype=complex)
-        if np.any(np.abs(zarr) >= 1.0):
-            raise ValueError("harmonic map evaluation requires |z| < 1")
+        _require_inside(zarr)
         if self.exact is None:
             return self._series(which).evaluate(zarr if zarr.ndim else z)
         exact_fn = getattr(self.exact, which)
@@ -266,47 +274,66 @@ def angular_derivatives(f: HarmonicMap, r: float, theta):
     Both follow from differentiating z(theta) = r e^{i theta} through the
     chain rule; they drive the circle-image convexity and starlikeness tests.
     """
-    z, zhp, zgp, d1 = _tangent(f, r, theta)
-    d2 = -(zhp + z * z * f.d2h_at(z)) - np.conj(zgp + z * z * f.d2g_at(z))
-    return d1, d2
-
-
-def _tangent(f: HarmonicMap, r: float, theta):
-    """z = r e^{i theta}, z h'(z), z g'(z) and d1 = i (z h' - conj(z g')).
-
-    d1 alone needs only h' and g', so a caller that does not read d2 (the
-    starlikeness test) evaluates two derivatives instead of four.
-    """
     if not 0 < r < 1:
         raise ValueError("need 0 < r < 1")
     z = r * np.exp(1j * np.asarray(theta, dtype=float))
     if np.isscalar(theta):
         z = complex(z)
-    zhp = z * f.dh_at(z)
-    zgp = z * f.dg_at(z)
-    return z, zhp, zgp, 1j * (zhp - np.conj(zgp))
+    return _angular(z, f.dh_at, f.dg_at, f.d2h_at, f.d2g_at)
+
+
+def _angular(z, dh, dg, d2h=None, d2g=None):
+    """(d1, d2) at the points z from callables for h', g', h'' and g''.
+
+    The one body of the formulas in :func:`angular_derivatives`.  Without
+    ``d2h`` and ``d2g`` it returns (d1, None): d1 alone needs only h' and g',
+    so the starlikeness test evaluates two derivatives instead of four.
+    """
+    zhp = z * dh(z)
+    zgp = z * dg(z)
+    d1 = 1j * (zhp - np.conj(zgp))
+    if d2h is None:
+        return d1, None
+    return d1, -(zhp + z * z * d2h(z)) - np.conj(zgp + z * z * d2g(z))
+
+
+@lru_cache(maxsize=8)
+def _unit_circle(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform grid theta_j = 2 pi j / n_theta and e^{i theta_j}, read-only.
+
+    Every circle test on ``n_theta`` angles shares these two arrays.
+    """
+    theta = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
+    unit = np.exp(1j * theta)
+    theta.flags.writeable = False
+    unit.flags.writeable = False
+    return theta, unit
 
 
 def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray, on_grid: bool):
     """theta-derivatives (d^{m+1} f, d^m f) of f(r e^{i theta}), for m = 0 or 1.
 
-    A map with closed forms evaluates them at ``theta``: f and d1 for m = 0,
-    :func:`angular_derivatives` for m = 1.  On a series-only map the circle
-    image is the trigonometric polynomial
+    ``on_grid`` says that ``theta`` is the uniform grid 2 pi j / n, j < n =
+    theta.size (:func:`_unit_circle`).  A map with closed forms calls them
+    at z = r e^{i theta}, taking e^{i theta} from the cache on the grid, after
+    one |z| < 1 guard: f and d1 for m = 0, d1 and d2 of :func:`_angular` for
+    m = 1.  On a series-only map the circle image is the trigonometric
+    polynomial
 
         sum_{n>=0} a_n r^n e^{i n theta} + sum_{n>=0} conj(b_n) r^n e^{-i n theta},
 
     whose theta-derivative multiplies the coefficient at frequency k by ik.
-    ``on_grid`` says that ``theta`` is the uniform grid 2 pi j / n, j < n =
-    theta.size; there each derivative is one inverse FFT of the coefficients
+    On the grid each derivative is one inverse FFT of the coefficients
     folded modulo n, exact at any degree.  Other angles take the direct sum.
     """
     if f.exact is not None:
+        ex = f.exact
+        z = r * (_unit_circle(theta.size)[1] if on_grid else np.exp(1j * theta))
+        _require_inside(z)
         if m == 1:
-            d1, d2 = angular_derivatives(f, r, theta)
+            d1, d2 = _angular(z, ex.dh, ex.dg, ex.d2h, ex.d2g)
             return d2, d1
-        z, _, _, d1 = _tangent(f, r, theta)
-        return d1, evaluate_f(f, z)
+        return _angular(z, ex.dh, ex.dg)[0], ex.h(z) + np.conj(ex.g(z))
     k = np.concatenate([np.arange(f.h.order + 1), -np.arange(f.g.order + 1)])
     c = np.concatenate([f.h.coeffs, np.conj(f.g.coeffs)]) * r ** np.abs(k)
     rows = np.stack([(1j * k) ** (m + 1) * c, (1j * k) ** m * c])

@@ -17,11 +17,14 @@ for convexity, f for starlikeness), the sum of the arguments of consecutive
 sample ratios, so it is an integer multiple of 2 pi up to rounding.  A
 branch guard checks every step against the trapezoid of the rate.
 
-A map with closed forms gives the derivatives through them, from h, g and
-their first two derivatives.  A series-only map is a trigonometric
-polynomial in theta on the circle: each derivative on the grid is one
-inverse FFT of its two-sided coefficients, and the refinement point is their
-direct sum (``harmonic._circle_derivatives``).
+Each circle test samples its map once, on its own path
+(``harmonic._circle_derivatives``), and tests of every radius share one
+cached grid of angles and of e^{i theta}.  A map with closed forms is
+sampled at z = r e^{i theta} by calling them directly, h, g and their first
+two derivatives, after one |z| < 1 guard per circle.  A series-only map is a
+trigonometric polynomial in theta on the circle: each derivative on the grid
+is one inverse FFT of its two-sided coefficients, and the refinement point
+is their direct sum.
 
 For the horizontally sheared half-plane map the transition radii admit exact
 descriptions through two trigonometric polynomials in u = cos(theta):
@@ -44,7 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .defaults import CIRCLE_MIN_TOL, CIRCLE_THETA_POINTS, TURNING_TOL
-from .harmonic import HarmonicMap, _circle_derivatives
+from .harmonic import HarmonicMap, _circle_derivatives, _unit_circle
 
 
 class CircleTest(NamedTuple):
@@ -59,8 +62,8 @@ class RadiusResult:
 
     The test passes at ``r_lo`` and fails at ``r_hi`` (unless the property
     survived to the search cap, flagged by ``upper_limit_hit``).  Bisection
-    assumes the property is monotone in r; a 50-point scan cross-checks that
-    assumption before the search starts.
+    assumes the property is monotone in r; a 50-point scan from ``r_min``,
+    which it includes, cross-checks that assumption before the search starts.
     """
 
     kind: str
@@ -111,8 +114,8 @@ def _winding(curve: np.ndarray, rate: np.ndarray, step: float) -> float:
     otherwise the argument may have slipped a branch between two nodes and
     the turning is nan, which fails the circle.
     """
-    steps = np.angle(np.roll(curve, -1) / curve)
-    trap = 0.5 * (rate + np.roll(rate, -1)) * step
+    steps = np.angle(np.append(curve[1:], curve[:1]) / curve)
+    trap = 0.5 * (rate + np.append(rate[1:], rate[:1])) * step
     if np.max(np.abs(steps - trap)) > np.pi / 2:
         return math.nan
     return float(np.sum(steps))
@@ -128,7 +131,7 @@ def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str
     """
     if not 0 < r < 1:
         raise ValueError("need 0 < r < 1")
-    thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
+    thetas = _unit_circle(n_theta)[0]
 
     def sample(th: np.ndarray, on_grid: bool) -> tuple[np.ndarray, np.ndarray]:
         upper, curve = _circle_derivatives(f, r, m, th, on_grid)
@@ -199,8 +202,9 @@ def radius_search(
     if not test(r_min):
         raise ValueError(f"{kind} already fails at r = {r_min}; nothing to bracket")
 
+    # the scan starts exactly at r_min, which just passed
     scan_r = np.linspace(r_min, r_cap, scan_points)
-    flags = [test(r) for r in scan_r]
+    flags = [True] + [test(r) for r in scan_r[1:]]
     seen_fail = False
     for r, flag in zip(scan_r, flags):
         if not flag:
@@ -213,8 +217,7 @@ def radius_search(
 
     # bracket the transition between the last scan pass and the first fail
     idx = flags.index(False)
-    lo = scan_r[idx - 1] if idx > 0 else r_min
-    hi = scan_r[idx]
+    lo, hi = scan_r[idx - 1], scan_r[idx]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if test(mid):

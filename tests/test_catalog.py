@@ -239,3 +239,45 @@ class TestEvaluatorsAgainstDefinitions:
         z = 0.9 * np.exp(1j * np.linspace(0.1, 6.2, 17))
         expect = 2 * np.real(z / (1 - z)) + np.conj(np.log(1 - z))
         assert np.max(np.abs(evaluate_f(f, z) - expect)) < 1e-9
+
+
+# the closed forms as written with numpy's power of 1 - z; the catalog
+# evaluates the same expressions with the powers as products
+TEXTBOOK = {
+    "f_alpha": (lambda: f_alpha(0.5 - 0.5j), {
+        "h": lambda z: 0.5 * (z / (1 - z) + z / (1 - z) ** 2),
+        "g": lambda z: 0.5 * (0.5 - 0.5j) * (z / (1 - z) ** 2 - z / (1 - z)),
+        "dh": lambda z: 1 / (1 - z) ** 3,
+        "dg": lambda z: (0.5 - 0.5j) * z / (1 - z) ** 3,
+        "d2h": lambda z: 3 / (1 - z) ** 4,
+        "d2g": lambda z: (0.5 - 0.5j) * (1 + 2 * z) / (1 - z) ** 4,
+    }),
+    "example22": (example22, {
+        "dh": lambda z: 1 / (1 - z) ** 2,
+        "dg": lambda z: z / (1 - z) ** 2,
+        "d2h": lambda z: 2 / (1 - z) ** 3,
+        "d2g": lambda z: (1 + z) / (1 - z) ** 3,
+    }),
+    "l_hadamard_l": (l_hadamard_l, {
+        "h": lambda z: (z * (1 + z) / (1 - z) ** 3 + 2 * z / (1 - z) ** 2 + z / (1 - z)) / 4,
+        "g": lambda z: z * z * (1 + z) / (4 * (1 - z) ** 3),
+        "dh": lambda z: ((1 + 4 * z + z * z) / (1 - z) ** 4 + 2 * (1 + z) / (1 - z) ** 3 + 1 / (1 - z) ** 2) / 4,
+        "dg": lambda z: z * (1 + 2 * z) / (2 * (1 - z) ** 4),
+        "d2h": lambda z: ((8 + 14 * z + 2 * z * z) / (1 - z) ** 5 + (8 + 4 * z) / (1 - z) ** 4
+                          + 2 / (1 - z) ** 3) / 4,
+        "d2g": lambda z: (1 + 7 * z + 4 * z * z) / (2 * (1 - z) ** 5),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXTBOOK))
+def test_powers_of_one_minus_z_match_textbook_forms(name):
+    build, forms = TEXTBOOK[name]
+    f = build()
+    theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    for r in (0.5, 0.9, 0.999):
+        z = r * np.exp(1j * theta)
+        for which, textbook in forms.items():
+            want = textbook(z)
+            got = getattr(f.exact, which)(z)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (which, r)

@@ -4,17 +4,27 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq  # reference solver; hmap itself must not import scipy
 
+from hmap import harmonic
 from hmap.catalog import (
+    example21,
     example22,
     f_alpha,
     g_alpha,
     l_hadamard_l,
     make_M_alpha_member,
     map_F,
+    map_L,
     parse_function,
     shear_horizontal,
 )
-from hmap.harmonic import ExactEvaluators, HarmonicMap, _circle_derivatives, angular_derivatives
+from hmap.harmonic import (
+    ExactEvaluators,
+    HarmonicMap,
+    _circle_derivatives,
+    _unit_circle,
+    angular_derivatives,
+    evaluate_f,
+)
 from hmap.series import TruncatedSeries, make_generator
 from hmap import radius
 from hmap.radius import (
@@ -196,7 +206,85 @@ class TestSeriesOnlyCircles:
         assert res.r_lo <= 0.8718541098 <= res.r_hi
 
 
+CLOSED_FORM = {
+    "map_F": map_F,
+    "map_L": map_L,
+    "f_alpha(0.5j)": lambda: f_alpha(0.5j),
+    "example21": example21,
+    "example22": example22,
+    "l_hadamard_l": l_hadamard_l,
+    "g_alpha(0.5)": lambda: g_alpha(0.5),
+}
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestClosedFormCircles:
+    """Circle tests of maps with closed forms: one cached grid, one range guard, no *_at."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM))
+    def test_matches_angular_derivatives_bit_for_bit(self, name):
+        f = CLOSED_FORM[name]()
+        for theta, on_grid in ((np.linspace(0, 2 * np.pi, 4096, endpoint=False), True),
+                               (np.array([0.1, 1.234, 3.0, 6.2]), False)):
+            for r in (0.3, 0.9, 0.999):
+                d1, d2 = angular_derivatives(f, r, theta)
+                value = evaluate_f(f, r * np.exp(1j * theta))
+                for m, want in ((0, (d1, value)), (1, (d2, d1))):
+                    got = _circle_derivatives(f, r, m, theta, on_grid)
+                    assert all(same_bits(a, b) for a, b in zip(got, want)), (r, m, on_grid)
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM))
+    def test_no_pointwise_methods(self, name, monkeypatch):
+        f = CLOSED_FORM[name]()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed-form circle test went through a *_at method")
+
+        for which in ROUTES:
+            monkeypatch.setattr(HarmonicMap, which + "_at", refuse)
+        for r in (0.3, 0.9):
+            convex_test_at_radius(f, r)
+            starlike_test_at_radius(f, r)
+
+    def test_one_range_guard_per_sample_set(self, monkeypatch):
+        calls = []
+        guard = harmonic._require_inside
+        monkeypatch.setattr(harmonic, "_require_inside", lambda z: calls.append(z.size) or guard(z))
+        theta = _unit_circle(512)[0]
+        for m in (0, 1):
+            _circle_derivatives(map_F(), 0.9, m, theta, True)
+        assert calls == [512, 512]
+        with pytest.raises(ValueError, match=r"\|z\| < 1"):
+            _circle_derivatives(map_F(), 1.0, 1, theta, True)
+
+    def test_cached_grid_is_read_only_and_shared(self):
+        theta, unit = _unit_circle(4096)
+        assert not theta.flags.writeable and not unit.flags.writeable
+        with pytest.raises(ValueError):
+            unit[0] = 0.0
+        again = _unit_circle(4096)
+        assert again[0] is theta and again[1] is unit
+        assert same_bits(theta, np.linspace(0, 2 * np.pi, 4096, endpoint=False))
+        assert same_bits(unit, np.exp(1j * theta))
+
+
 class TestRadiusSearch:
+    def test_circle_test_budget(self, monkeypatch):
+        radii = []
+        inner = radius._circle_test
+        monkeypatch.setattr(radius, "_circle_test", lambda f, r, *rest: radii.append(r) or inner(f, r, *rest))
+        # 1 at r_min, 49 more scan points, 15 bisection steps: r_min is not tested twice
+        res = radius_search(map_F(), "convexity")
+        assert len(radii) == 65 and len(set(radii)) == 65
+        assert res.r_lo <= R_CONVEX <= res.r_hi
+        radii.clear()
+        with pytest.raises(ValueError, match="already fails"):
+            radius_search(map_F(), "convexity", r_min=0.5)
+        assert radii == [0.5]
+
     def test_convexity_bracket_contains_constant(self):
         res = radius_search(map_F(), "convexity", tol=1e-6)
         assert res.r_hi - res.r_lo <= 1e-6
