@@ -29,13 +29,13 @@ from hmap import (
 L, F = map_L(), map_F()
 
 # -- L*L: coefficient squares ---------------------------------------------------
-LL = hadamard(L, L).product
+LL = hadamard(L, L)
 print("L*L coefficients a_2..a_5:", [LL.h.coefficient(n).real for n in range(2, 6)])
 print("L*L coefficients b_2..b_5:", [LL.g.coefficient(n).real for n in range(2, 6)])
 
 # conjugate-parameter products all collapse onto L*L
 for alpha in (1, -1, 1j):
-    prod = hadamard(f_alpha(alpha), f_alpha(np.conj(alpha))).product
+    prod = hadamard(f_alpha(alpha), f_alpha(np.conj(alpha)))
     same = np.array_equal(prod.h.coeffs, LL.h.coeffs) and np.array_equal(prod.g.coeffs, LL.g.coeffs)
     print(f"f_alpha({alpha}) * f_alpha(conj) == L*L: {same}")
 
@@ -47,7 +47,7 @@ res = radius_search(ll, "starlikeness", tol=1e-5)
 print(f"L*L circle starlikeness transition: [{res.r_lo:.6f}, {res.r_hi:.6f}]")
 
 # -- L*F: sense-preserving but not injective -------------------------------------
-LF = hadamard(L, F).product
+LF = hadamard(L, F)
 
 
 def im_h_plus_g(th, r=0.9):
@@ -58,7 +58,7 @@ def im_h_plus_g(th, r=0.9):
 
 theta = brentq(im_h_plus_g, 1.5, 1.6, xtol=1e-15)
 z_star = 0.9 * np.exp(1j * theta)
-rep = injectivity_sample_check(hadamard(map_L(512), map_F(512)).product, 0.95,
+rep = injectivity_sample_check(hadamard(map_L(512), map_F(512)), 0.95,
                                n_samples=400, include=(z_star, np.conj(z_star)))
 print(f"L*F collision at conjugate pair around theta = {theta:.6f}: {rep.collision}")
 print("L*F sense-preserving on the sampled disk:",

@@ -36,7 +36,6 @@ from .classifiers import (
     family_bounds_check,
 )
 from .convolution import (
-    ConvolutionResult,
     convex_combination_convolve,
     hadamard,
     tilde_dilatation,
@@ -85,7 +84,7 @@ __all__ = [
     "BoundsReport", "ClassificationReport", "MAlphaReport", "area_series",
     "growth_bound", "kaplan_integral_check", "kaplan_worst_subarc", "coefficient_sum_orders",
     "m_alpha_check", "poisson_kernel", "analytic_part_classify", "family_bounds_check",
-    "ConvolutionResult", "convex_combination_convolve", "hadamard",
+    "convex_combination_convolve", "hadamard",
     "tilde_dilatation", "tilde_dilatation_check",
     "DEFAULT_ORDER",
     "CollisionReport", "ExactEvaluators", "GridCheckReport", "HarmonicMap",

@@ -234,7 +234,7 @@ def parse_function(text: str, order: int = DEFAULT_ORDER):
 
                 left = parse_function(inner[:i], order)
                 right = parse_function(inner[i + 1 :], order)
-                return hadamard(left, right).product
+                return hadamard(left, right)
         raise ValueError(f"malformed convolution expression {text!r}")
     if ":" in text:
         name, _, param = text.partition(":")

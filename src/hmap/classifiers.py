@@ -16,43 +16,31 @@ truncation degree so callers can reason about the neglected tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .defaults import CIRCLE_THETA_POINTS, RELATION_ABS_TOL
-from .harmonic import HarmonicMap, SingularPointError, evaluate_f
+from .harmonic import HarmonicMap, SingularPointError, _polar_grid, evaluate_f
+from .report import Report
 from .series import TruncatedSeries
 
 _ONE_MINUS = float(np.nextafter(1.0, 0.0))
 
 
 @dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Report):
     """Which coefficient condition fired, and the orders it certifies."""
 
     condition_name: str
     condition_value: float
-    threshold: float
+    threshold: float = field(default=1.0, init=False)
     passed: bool
     order_starlike: float | None = None
     order_convex: float | None = None
     close_to_convex: bool | None = None
     degenerate: bool = False
     truncation_order: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "condition_name": self.condition_name,
-            "condition_value": self.condition_value,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "orders": {"starlike": self.order_starlike, "convex": self.order_convex},
-            "close_to_convex": self.close_to_convex,
-            "degenerate": self.degenerate,
-            "truncation_order": self.truncation_order,
-            "grid": None,
-        }
 
 
 def _capped_order(value: float) -> tuple[float, bool]:
@@ -94,19 +82,19 @@ def coefficient_sum_orders(f: HarmonicMap) -> tuple[ClassificationReport, Classi
 
     if lam1 <= 1.0:
         v, degen = _capped_order(order_starlike_from_linear_sum(lam1))
-        rep1 = ClassificationReport("linear_coefficient_sum", lam1, 1.0, True,
+        rep1 = ClassificationReport("linear_coefficient_sum", lam1, True,
                                     order_starlike=v, degenerate=degen, truncation_order=order)
     else:
-        rep1 = ClassificationReport("linear_coefficient_sum", lam1, 1.0, False, truncation_order=order)
+        rep1 = ClassificationReport("linear_coefficient_sum", lam1, False, truncation_order=order)
 
     if lam2 <= 1.0:
         vs, dg1 = _capped_order(order_starlike_from_quadratic_sum(lam2))
         vc, dg2 = _capped_order(order_convex_from_quadratic_sum(lam2))
-        rep2 = ClassificationReport("quadratic_coefficient_sum", lam2, 1.0, True,
+        rep2 = ClassificationReport("quadratic_coefficient_sum", lam2, True,
                                     order_starlike=vs, order_convex=vc,
                                     degenerate=dg1 or dg2, truncation_order=order)
     else:
-        rep2 = ClassificationReport("quadratic_coefficient_sum", lam2, 1.0, False, truncation_order=order)
+        rep2 = ClassificationReport("quadratic_coefficient_sum", lam2, False, truncation_order=order)
     return rep1, rep2
 
 
@@ -131,22 +119,22 @@ def analytic_part_classify(h: TruncatedSeries, alpha: complex, power: int) -> Cl
     name = "cubed_coefficient_sum" if power == 3 else "squared_coefficient_sum"
 
     if total > 1.0:
-        return ClassificationReport(name, total, 1.0, False, truncation_order=order)
+        return ClassificationReport(name, total, False, truncation_order=order)
 
     if power == 2:
         ctc = a <= 1.0
         if a <= 1 / 3:
             v, degen = _capped_order(2 * (1 - 3 * a) / (5 + 3 * a))
-            return ClassificationReport(name, total, 1.0, True, order_starlike=v,
+            return ClassificationReport(name, total, True, order_starlike=v,
                                         close_to_convex=ctc, degenerate=degen, truncation_order=order)
-        return ClassificationReport(name, total, 1.0, ctc, close_to_convex=ctc, truncation_order=order)
+        return ClassificationReport(name, total, ctc, close_to_convex=ctc, truncation_order=order)
 
     if a <= 2 / 11:
         vs, d1 = _capped_order(2 * (6 - 11 * a) / (18 + 11 * a))
         vc, d2 = _capped_order(2 * (2 - 11 * a) / (10 + 11 * a))
-        return ClassificationReport(name, total, 1.0, True, order_starlike=vs, order_convex=vc,
+        return ClassificationReport(name, total, True, order_starlike=vs, order_convex=vc,
                                     degenerate=d1 or d2, truncation_order=order)
-    return ClassificationReport(name, total, 1.0, False, truncation_order=order)
+    return ClassificationReport(name, total, False, truncation_order=order)
 
 
 # -- dilatation-family checks ----------------------------------------------------
@@ -164,9 +152,10 @@ def coefficient_relation_residual(f: HarmonicMap, alpha: complex) -> float:
 
 
 @dataclass(frozen=True)
-class MAlphaReport:
+class MAlphaReport(Report):
     """Outcome of the membership test for the dilatation-alpha*z family."""
 
+    condition_name: str = field(default="dilatation_family_membership", init=False)
     alpha: complex
     relation_residual: float
     relation_passed: bool
@@ -176,22 +165,7 @@ class MAlphaReport:
     r_max: float
     grid: tuple[int, int]
     truncation_order: int
-    check_kind: str = "necessary"
-
-    def to_dict(self) -> dict:
-        return {
-            "condition_name": "dilatation_family_membership",
-            "alpha": [self.alpha.real, self.alpha.imag],
-            "relation_residual": self.relation_residual,
-            "relation_passed": self.relation_passed,
-            "curvature_grid_min": self.curvature_grid_min,
-            "curvature_passed": self.curvature_passed,
-            "passed": self.passed,
-            "r_max": self.r_max,
-            "grid": list(self.grid),
-            "truncation_order": self.truncation_order,
-            "check_kind": self.check_kind,
-        }
+    check_kind: str = field(default="necessary", init=False)
 
 
 def m_alpha_check(
@@ -214,10 +188,7 @@ def m_alpha_check(
     residual = coefficient_relation_residual(f, alpha)
     relation_ok = residual <= RELATION_ABS_TOL
 
-    n_r, n_t = grid
-    radii = np.linspace(r_max / n_r, r_max, n_r)
-    thetas = np.linspace(0, 2 * np.pi, n_t, endpoint=False)
-    z = radii[:, None] * np.exp(1j * thetas[None, :])
+    z = _polar_grid(r_max, *grid)
     hp = f.dh_at(z)
     if np.any(np.abs(hp) == 0.0):
         idx = int(np.argmax(np.abs(hp).ravel() == 0.0))
@@ -239,9 +210,10 @@ def m_alpha_check(
 
 
 @dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Report):
     """Coefficient and growth bound verification for a family member."""
 
+    condition_name: str = field(default="coefficient_and_growth_bounds", init=False)
     alpha: complex
     coeff_slack_a: float
     coeff_slack_b: float
@@ -251,20 +223,6 @@ class BoundsReport:
     passed: bool
     samples: int
     truncation_order: int
-
-    def to_dict(self) -> dict:
-        return {
-            "condition_name": "coefficient_and_growth_bounds",
-            "alpha": [self.alpha.real, self.alpha.imag],
-            "coeff_slack_a": self.coeff_slack_a,
-            "coeff_slack_b": self.coeff_slack_b,
-            "coeff_passed": self.coeff_passed,
-            "growth_min_slack": self.growth_min_slack,
-            "growth_passed": self.growth_passed,
-            "passed": self.passed,
-            "samples": self.samples,
-            "truncation_order": self.truncation_order,
-        }
 
 
 def growth_bound(alpha: complex, z) -> np.ndarray:

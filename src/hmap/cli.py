@@ -2,9 +2,12 @@
 
 Subcommands: plot, classify, radius, convolve, verify.  The function grammar
 is ``name[:re,im]`` for catalog entries and ``conv(left,right)`` for Hadamard
-products.  Exit codes: 0 success, 1 check failure, 2 usage error.  The
-environment variable ``HMAP_TRUNC_ORDER`` overrides the default truncation
-degree 64.
+products.  ``classify`` reads the family parameter alpha off the map as
+2 b_2, from (n+1) b_{n+1} = n alpha a_n at n = 1, unless ``--alpha`` is given.
+JSON reports (``--out``) are the reports' ``to_dict`` (see
+:mod:`hmap.report`).  Exit codes: 0 success, 1 check failure, 2 usage error.
+The environment variable ``HMAP_TRUNC_ORDER`` overrides the default
+truncation degree 64.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--function", required=True)
     p_cls.add_argument("--check", required=True,
                        choices=("coefficient-orders", "analytic-sums", "m-alpha", "bounds"))
-    p_cls.add_argument("--alpha", type=_parse_alpha, default=None, help="re,im")
+    p_cls.add_argument("--alpha", type=_parse_alpha, default=None,
+                       help="re,im; defaults to 2 b_2 of the map")
     p_cls.add_argument("--power", type=int, choices=(2, 3), default=2)
     p_cls.add_argument("--r-max", type=float, default=0.99)
     p_cls.add_argument("--out", default=None, help="optional JSON report path")
@@ -98,21 +102,10 @@ def _cmd_plot(args, order: int) -> int:
     return 0
 
 
-def _alpha_from_function(text: str):
-    if ":" in text:
-        _, _, param = text.partition(":")
-        re_, im = param.split(",")
-        return complex(float(re_), float(im))
-    if text in ("F", "example21", "example22"):
-        return 1 + 0j
-    if text == "L":
-        return -1 + 0j
-    return None
-
-
 def _cmd_classify(args, order: int) -> int:
     f = parse_function(args.function, order)
-    alpha = args.alpha if args.alpha is not None else _alpha_from_function(args.function)
+    # the relation (n+1) b_{n+1} = n alpha a_n at n = 1 reads alpha = 2 b_2
+    alpha = args.alpha if args.alpha is not None else 2 * f.g.coefficient(2)
     if args.check == "coefficient-orders":
         rep1, rep2 = coefficient_sum_orders(f)
         payload = [rep1.to_dict(), rep2.to_dict()]
@@ -122,8 +115,6 @@ def _cmd_classify(args, order: int) -> int:
             print(f"[{status}] {rep.condition_name}: sum = {rep.condition_value:.6g}, "
                   f"orders = (starlike {rep.order_starlike}, convex {rep.order_convex})")
     elif args.check == "analytic-sums":
-        if alpha is None:
-            raise SystemExit("--alpha is required for analytic-sums")
         rep = analytic_part_classify(f.h, alpha, args.power)
         payload = rep.to_dict()
         ok = rep.passed
@@ -131,16 +122,12 @@ def _cmd_classify(args, order: int) -> int:
               f"orders = (starlike {rep.order_starlike}, convex {rep.order_convex}), "
               f"close_to_convex = {rep.close_to_convex}")
     elif args.check == "m-alpha":
-        if alpha is None:
-            raise SystemExit("--alpha is required for m-alpha")
         rep = m_alpha_check(f, alpha, r_max=args.r_max)
         payload = rep.to_dict()
         ok = rep.passed
         print(f"[{'PASS' if ok else 'FAIL'}] membership: relation residual {rep.relation_residual:.3e}, "
               f"curvature grid min {rep.curvature_grid_min:.6f} (needs > -0.5)")
     else:  # bounds
-        if alpha is None:
-            raise SystemExit("--alpha is required for bounds")
         rep = family_bounds_check(f, alpha)
         payload = rep.to_dict()
         ok = rep.passed
@@ -173,8 +160,7 @@ def _cmd_radius(args, order: int) -> int:
 def _cmd_convolve(args, order: int) -> int:
     left = parse_function(args.left, order)
     right = parse_function(args.right, order)
-    result = convolution.hadamard(left, right)
-    prod = result.product
+    prod = convolution.hadamard(left, right)
     if args.emit == "coeffs":
         lines = ["n,a_re,a_im,b_re,b_im"]
         for k in range(prod.order + 1):

@@ -17,19 +17,13 @@ computed pointwise from the product series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonic import HarmonicMap
+from .harmonic import HarmonicMap, _polar_grid, dilatation
+from .report import Report
 from .series import TruncatedSeries, make_generator
-
-
-@dataclass(frozen=True)
-class ConvolutionResult:
-    product: HarmonicMap
-    left_label: str
-    right_label: str
 
 
 def hadamard_series(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -38,20 +32,19 @@ def hadamard_series(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.coeffs[: n + 1] * b.coeffs[: n + 1])
 
 
-def hadamard(f: HarmonicMap, F: HarmonicMap) -> ConvolutionResult:
+def hadamard(f: HarmonicMap, F: HarmonicMap) -> HarmonicMap:
     """Harmonic Hadamard product of two normalized maps.
 
     The result keeps the normalization (the degree-one analytic coefficient
     is 1 * 1) and is truncated to the smaller operand degree.  Closed-form
     evaluators do not survive the product; the result is series-backed.
     """
-    prod = HarmonicMap(
+    return HarmonicMap(
         hadamard_series(f.h, F.h),
         hadamard_series(f.g, F.g),
         None,
         label=f"({f.label or 'f'})*({F.label or 'F'})",
     )
-    return ConvolutionResult(prod, f.label or "f", F.label or "F")
 
 
 def convex_combination_convolve(
@@ -88,9 +81,10 @@ def tilde_dilatation(z, n: int, theta: float):
 
 
 @dataclass(frozen=True)
-class TildeDilatationReport:
+class TildeDilatationReport(Report):
     """Grid maximum of |wtil| plus the closed-form vs series cross-check."""
 
+    condition_name: str = field(default="product_dilatation_bounded", init=False)
     n: int
     theta: float
     max_abs: float
@@ -100,20 +94,6 @@ class TildeDilatationReport:
     cross_check_max_err: float
     cross_check_r_max: float
     cross_check_passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "condition_name": "product_dilatation_bounded",
-            "n": self.n,
-            "theta": self.theta,
-            "max_abs": self.max_abs,
-            "passed": self.passed,
-            "r_max": self.r_max,
-            "grid": list(self.grid),
-            "cross_check_max_err": self.cross_check_max_err,
-            "cross_check_r_max": self.cross_check_r_max,
-            "cross_check_passed": self.cross_check_passed,
-        }
 
 
 def tilde_dilatation_check(
@@ -138,10 +118,7 @@ def tilde_dilatation_check(
         raise ValueError("closed form applies to n = 1 or 2")
     from .catalog import map_F, shear_vertical
 
-    n_r, n_t = grid
-    radii = np.linspace(r_max / n_r, r_max, n_r)
-    thetas = np.linspace(0, 2 * np.pi, n_t, endpoint=False)
-    zg = radii[:, None] * np.exp(1j * thetas[None, :])
+    zg = _polar_grid(r_max, *grid)
     wt = tilde_dilatation(zg, n, theta)
     if not np.all(np.isfinite(wt)):
         raise ZeroDivisionError("product-dilatation denominator vanishes on the grid")
@@ -150,13 +127,9 @@ def tilde_dilatation_check(
     w = np.zeros(cross_order + 1, dtype=complex)
     w[n] = np.exp(1j * theta)
     right = shear_vertical(make_generator("half_plane_l", cross_order), TruncatedSeries(w))
-    prod = hadamard(map_F(cross_order), right).product
-    cr = np.linspace(cross_r_max / 16, cross_r_max, 16)
-    ct = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    zc = cr[:, None] * np.exp(1j * ct[None, :])
-    from .harmonic import dilatation as _dil
-
-    err = float(np.max(np.abs(_dil(prod, zc) - tilde_dilatation(zc, n, theta))))
+    prod = hadamard(map_F(cross_order), right)
+    zc = _polar_grid(cross_r_max, 16, 64)
+    err = float(np.max(np.abs(dilatation(prod, zc) - tilde_dilatation(zc, n, theta))))
     return TildeDilatationReport(
         n=n,
         theta=theta,

@@ -21,13 +21,14 @@ are each one inverse FFT of the two-sided coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .defaults import COEFF_ABS_TOL, EXACT_AGREEMENT_POINTS, EXACT_AGREEMENT_TOL
+from .report import Report
 from .series import TruncatedSeries
 
 
@@ -168,37 +169,24 @@ class HarmonicMap:
 
 
 @dataclass(frozen=True)
-class GridCheckReport:
+class GridCheckReport(Report):
     """Outcome of a sampled positivity check on a polar grid.
 
     A pass is a necessary condition only: the property was observed on the
     grid, not certified on the disk.
     """
 
-    name: str
+    name: str = field(default="sense_preserving", init=False)
     passed: bool
     r_max: float
     grid: tuple[int, int]
     worst_value: float
     first_failure: complex | None = None
-    check_kind: str = "necessary"
-
-    def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "passed": self.passed,
-            "r_max": self.r_max,
-            "grid": list(self.grid),
-            "worst_value": self.worst_value,
-            "check_kind": self.check_kind,
-        }
-        if self.first_failure is not None:
-            d["first_failure"] = [self.first_failure.real, self.first_failure.imag]
-        return d
+    check_kind: str = field(default="necessary", init=False)
 
 
 @dataclass(frozen=True)
-class CollisionReport:
+class CollisionReport(Report):
     """Outcome of the sampled injectivity check.
 
     ``collision`` is True when two sample points at domain distance at least
@@ -215,22 +203,7 @@ class CollisionReport:
     r_max: float
     min_separation: float
     collision_tol: float
-    check_kind: str = "necessary"
-
-    def to_dict(self) -> dict:
-        d = {
-            "passed": self.passed,
-            "collision": self.collision,
-            "min_image_distance": self.min_image_distance,
-            "n_samples": self.n_samples,
-            "r_max": self.r_max,
-            "min_separation": self.min_separation,
-            "collision_tol": self.collision_tol,
-            "check_kind": self.check_kind,
-        }
-        if self.witness is not None:
-            d["witness"] = [[w.real, w.imag] for w in self.witness]
-        return d
+    check_kind: str = field(default="necessary", init=False)
 
 
 # -- operations ----------------------------------------------------------------
@@ -346,6 +319,13 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray, on_
     return upper, lower
 
 
+def _polar_grid(r_max: float, n_r: int, n_t: int) -> np.ndarray:
+    """The (n_r x n_t) polar grid: radii r_max/n_r .. r_max, angles 2 pi j / n_t."""
+    radii = np.linspace(r_max / n_r, r_max, n_r)
+    thetas = np.linspace(0, 2 * np.pi, n_t, endpoint=False)
+    return radii[:, None] * np.exp(1j * thetas[None, :])
+
+
 def sense_preserving_check(
     f: HarmonicMap,
     r_max: float,
@@ -361,15 +341,13 @@ def sense_preserving_check(
     n_r, n_t = grid
     if n_r < 8 or n_t < 8:
         raise ValueError("grid must be at least 8 x 8")
-    radii = np.linspace(r_max / n_r, r_max, n_r)
-    thetas = np.linspace(0.0, 2 * np.pi, n_t, endpoint=False)
-    zg = radii[:, None] * np.exp(1j * thetas[None, :])
+    zg = _polar_grid(r_max, n_r, n_t)
     jac = jacobian(f, zg)
     worst = float(np.min(jac))
     if worst > 0:
-        return GridCheckReport("sense_preserving", True, r_max, grid, worst)
+        return GridCheckReport(True, r_max, grid, worst)
     idx = np.unravel_index(int(np.argmin(jac)), jac.shape)
-    return GridCheckReport("sense_preserving", False, r_max, grid, worst, complex(zg[idx]))
+    return GridCheckReport(False, r_max, grid, worst, complex(zg[idx]))
 
 
 def _disk_samples(r_max: float, n: int) -> np.ndarray:

@@ -48,6 +48,7 @@ import numpy as np
 
 from .defaults import CIRCLE_MIN_TOL, CIRCLE_THETA_POINTS, TURNING_TOL
 from .harmonic import HarmonicMap, _circle_derivatives, _unit_circle
+from .report import Report
 
 
 class CircleTest(NamedTuple):
@@ -57,7 +58,7 @@ class CircleTest(NamedTuple):
 
 
 @dataclass(frozen=True)
-class RadiusResult:
+class RadiusResult(Report):
     """Bracketing interval for a geometric transition radius.
 
     The test passes at ``r_lo`` and fails at ``r_hi`` (unless the property
@@ -72,16 +73,6 @@ class RadiusResult:
     grid_theta: int
     tol: float
     upper_limit_hit: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "r_lo": self.r_lo,
-            "r_hi": self.r_hi,
-            "grid_theta": self.grid_theta,
-            "tol": self.tol,
-            "upper_limit_hit": self.upper_limit_hit,
-        }
 
 
 class NonMonotoneError(RuntimeError):
@@ -404,7 +395,7 @@ def identity_check_tangent(r: float, u: float, step: float = 1e-6) -> TangentIde
 
 
 @dataclass(frozen=True)
-class SpecialRadii:
+class SpecialRadii(Report):
     """The package's flagship constants, solved numerically.
 
     r_convex                  root of 1 - 4r + r^2, equals 2 - sqrt(3)
@@ -418,14 +409,6 @@ class SpecialRadii:
     r_star: float
     r_close_to_convex_star: float
     r_close_to_convex_convex: float
-
-    def to_dict(self) -> dict:
-        return {
-            "r_convex": self.r_convex,
-            "r_star": self.r_star,
-            "r_close_to_convex_star": self.r_close_to_convex_star,
-            "r_close_to_convex_convex": self.r_close_to_convex_convex,
-        }
 
 
 def solve_special_radii() -> SpecialRadii:

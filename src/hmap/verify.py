@@ -10,20 +10,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import catalog, classifiers, convolution, radius
 from .defaults import DEFAULT_ORDER
 from .harmonic import HarmonicMap, evaluate_f, sense_preserving_check
+from .report import Report
 from .series import TruncatedSeries, make_generator
 
 SUITES = ("all", "coefficients", "radii", "convolution", "bounds")
 
 
 @dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(Report):
     claim_id: str
     claim: str
     computed: float
@@ -32,33 +33,15 @@ class ClaimRecord:
     comparison: str  # "abs_diff", "at_least", "at_most"
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "claim": self.claim,
-            "computed": self.computed,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "comparison": self.comparison,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Report):
     suite: str
+    passed: bool = field(init=False)
     records: tuple[ClaimRecord, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "records": [r.to_dict() for r in self.records],
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "passed", all(r.passed for r in self.records))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -295,7 +278,7 @@ def suite_convolution(order: int = DEFAULT_ORDER) -> list[ClaimRecord]:
     recs: list[ClaimRecord] = []
     n = np.arange(order + 1, dtype=float)
     L = catalog.map_L(order)
-    LL = convolution.hadamard(L, L).product
+    LL = convolution.hadamard(L, L)
     dev_a = np.max(np.abs(LL.h.coeffs[1:] - ((n[1:] + 1) / 2) ** 2))
     dev_b = np.max(np.abs(LL.g.coeffs[1:] - ((n[1:] - 1) / 2) ** 2))
     recs.append(_abs_diff("conv.square_coefficients",
@@ -305,7 +288,7 @@ def suite_convolution(order: int = DEFAULT_ORDER) -> list[ClaimRecord]:
     for alpha in (1, -1, 1j):
         fa = catalog.f_alpha(alpha, order)
         fc = catalog.f_alpha(np.conj(alpha), order)
-        prod = convolution.hadamard(fa, fc).product
+        prod = convolution.hadamard(fa, fc)
         dev = max(np.max(np.abs(prod.h.coeffs - LL.h.coeffs)),
                   np.max(np.abs(prod.g.coeffs - LL.g.coeffs)))
         recs.append(_abs_diff(f"conv.conjugate_pair[{alpha}]",
@@ -314,7 +297,7 @@ def suite_convolution(order: int = DEFAULT_ORDER) -> list[ClaimRecord]:
 
     F = catalog.map_F(order)
     ones = TruncatedSeries(np.concatenate([[0], np.ones(order)]).astype(complex))
-    ident_map = convolution.hadamard(F, HarmonicMap(ones, ones)).product
+    ident_map = convolution.hadamard(F, HarmonicMap(ones, ones))
     dev = max(np.max(np.abs(ident_map.h.coeffs - F.h.coeffs)),
               np.max(np.abs(ident_map.g.coeffs - F.g.coeffs)))
     recs.append(_abs_diff("conv.identity_element",
@@ -332,7 +315,7 @@ def suite_convolution(order: int = DEFAULT_ORDER) -> list[ClaimRecord]:
                          abs(comb.g.coefficient(1)), abs(comb.h.coefficient(1)) - 1e-12))
 
     fa = catalog.f_alpha(1, order)
-    sq = convolution.hadamard(fa, fa).product
+    sq = convolution.hadamard(fa, fa)
     recs.append(_at_least("conv.self_product_escapes",
                           "self-product coefficient |a_3| = 4 exceeds the family bound (3+1)/2 = 2",
                           float(abs(sq.h.coefficient(3))), 2.0 + 1e-9))

@@ -187,21 +187,21 @@ def test_criterion_09_collision_and_sense_preservation():
 
 def test_criterion_10a_product_coefficients():
     n = np.arange(65, dtype=float)
-    LL = hadamard(map_L(64), map_L(64)).product
+    LL = hadamard(map_L(64), map_L(64))
     exact_a = np.array_equal(LL.h.coeffs[1:].real, ((n[1:] + 1) / 2) ** 2)
     exact_b = np.array_equal(LL.g.coeffs[1:].real, ((n[1:] - 1) / 2) ** 2)
     _gate("10a", exact_a and exact_b, "product coefficients ((n+1)/2)^2 and ((n-1)/2)^2 exact")
 
 
 def test_criterion_10b_conjugate_pairs_match():
-    LL = hadamard(map_L(64), map_L(64)).product
+    LL = hadamard(map_L(64), map_L(64))
     ok = True
     for alpha in (1, -1, 1j):
-        prod = hadamard(f_alpha(alpha, 64), f_alpha(np.conj(alpha), 64)).product
+        prod = hadamard(f_alpha(alpha, 64), f_alpha(np.conj(alpha), 64))
         ok &= np.array_equal(prod.h.coeffs, LL.h.coeffs)
         ok &= np.array_equal(prod.g.coeffs, LL.g.coeffs)
     alpha = np.exp(2j)
-    prod = hadamard(f_alpha(alpha, 64), f_alpha(np.conj(alpha), 64)).product
+    prod = hadamard(f_alpha(alpha, 64), f_alpha(np.conj(alpha), 64))
     ok &= bool(np.max(np.abs(prod.g.coeffs - LL.g.coeffs)) <= 1e-12)
     _gate("10b", ok, "conjugate-parameter products equal the half-plane square")
 

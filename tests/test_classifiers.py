@@ -86,7 +86,7 @@ class TestLemma13:
     def test_report_serialization(self):
         f = HarmonicMap(padded([0, 1, 0.25]), padded([0]))
         d = coefficient_sum_orders(f)[0].to_dict()
-        assert d["orders"]["starlike"] == pytest.approx(0.4)
+        assert d["order_starlike"] == pytest.approx(0.4)
         assert d["truncation_order"] == 16
 
 

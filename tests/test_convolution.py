@@ -19,7 +19,7 @@ from hmap.series import TruncatedSeries, make_generator
 class TestHadamard:
     def test_half_plane_square_coefficients(self):
         L = map_L(32)
-        prod = hadamard(L, L).product
+        prod = hadamard(L, L)
         n = np.arange(1, 33)
         assert np.array_equal(prod.h.coeffs[1:].real, ((n + 1) / 2) ** 2)
         assert np.array_equal(prod.g.coeffs[1:].real, ((n - 1) / 2) ** 2)
@@ -29,41 +29,41 @@ class TestHadamard:
         ones = TruncatedSeries(np.concatenate([[0], np.ones(32)]).astype(complex))
         e = HarmonicMap(ones, ones)
         for f in (map_F(32), f_alpha(0.3 + 0.4j, 32)):
-            prod = hadamard(f, e).product
+            prod = hadamard(f, e)
             assert np.array_equal(prod.h.coeffs, f.h.coeffs)
             assert np.array_equal(prod.g.coeffs, f.g.coeffs)
 
     def test_conjugate_pair_product_equals_square(self):
-        LL = hadamard(map_L(32), map_L(32)).product
+        LL = hadamard(map_L(32), map_L(32))
         for alpha in (1, -1, 1j):
-            prod = hadamard(f_alpha(alpha, 32), f_alpha(np.conj(alpha), 32)).product
+            prod = hadamard(f_alpha(alpha, 32), f_alpha(np.conj(alpha), 32))
             assert np.array_equal(prod.h.coeffs, LL.h.coeffs)
             assert np.array_equal(prod.g.coeffs, LL.g.coeffs)
 
     def test_unimodular_pair_product_close(self):
-        LL = hadamard(map_L(32), map_L(32)).product
+        LL = hadamard(map_L(32), map_L(32))
         alpha = np.exp(1j * math.pi / 7)
-        prod = hadamard(f_alpha(alpha, 32), f_alpha(np.conj(alpha), 32)).product
+        prod = hadamard(f_alpha(alpha, 32), f_alpha(np.conj(alpha), 32))
         assert prod.h.isclose(LL.h, tol=1e-12)
         assert prod.g.isclose(LL.g, tol=1e-12)
 
     def test_matches_catalog_closed_form_map(self):
-        LL = hadamard(map_L(32), map_L(32)).product
+        LL = hadamard(map_L(32), map_L(32))
         cat = l_hadamard_l(32)
         assert LL.h.isclose(cat.h, tol=0) and LL.g.isclose(cat.g, tol=0)
 
     def test_normalization_preserved(self):
-        prod = hadamard(map_F(16), map_L(16)).product
+        prod = hadamard(map_F(16), map_L(16))
         assert prod.h.coefficient(1) == 1
         assert prod.h.coefficient(0) == 0
 
     def test_result_truncates_to_min_order(self):
-        prod = hadamard(map_F(16), map_L(32)).product
+        prod = hadamard(map_F(16), map_L(32))
         assert prod.order == 16
 
     def test_self_product_coefficients_escape_family_bound(self):
         # a_3 of the self-product is 4, above the in-family bound (3+1)/2 = 2
-        prod = hadamard(f_alpha(1, 16), f_alpha(1, 16)).product
+        prod = hadamard(f_alpha(1, 16), f_alpha(1, 16))
         assert abs(prod.h.coefficient(3)) == 4.0 > 2.0
 
 
@@ -169,7 +169,7 @@ class TestTildeDilatation:
         w = np.zeros(order + 1, dtype=complex)
         w[n] = np.exp(1j * theta)
         right = shear_vertical(make_generator("half_plane_l", order), TruncatedSeries(w))
-        prod = hadamard(map_F(order), right).product
+        prod = hadamard(map_F(order), right)
         z = 0.5 * np.exp(0.7j)
         assert abs(dilatation(prod, z) - tilde_dilatation(z, n, theta)) < 1e-10
 
@@ -185,7 +185,7 @@ class TestHalfPlaneCrossProduct:
     # falsifying injectivity even though the product stays sense-preserving.
 
     def _build(self, order=512):
-        prod = hadamard(map_L(order), map_F(order)).product
+        prod = hadamard(map_L(order), map_F(order))
         return prod
 
     def test_coefficients(self):

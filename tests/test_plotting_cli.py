@@ -83,6 +83,22 @@ class TestEmission:
         assert not starlike_test_at_radius(f, 0.95).passed
 
 
+# Without --alpha, classify reads alpha = 2 b_2 off the map; on catalog maps
+# that is the catalog parameter.  example21 has dilatation z, so the relation
+# holds exactly and only the curvature condition fails (-98 < -0.5); g_alpha
+# has h = z, so its curvature term is 1.  conv(L,L) has b_2 = 1/4 but is no
+# family member: the relation fails from n = 2 on.
+ALPHA_OFF_THE_MAP = [
+    ("F", [1.0, 0.0], "0.000e+00", None, 0),
+    ("L", [-1.0, 0.0], "0.000e+00", None, 0),
+    ("example21", [1.0, 0.0], "0.000e+00", -98.0, 1),
+    ("example22", [1.0, 0.0], "0.000e+00", None, 0),
+    ("f_alpha:0.5,0.2", [0.5, 0.2], "0.000e+00", None, 0),
+    ("g_alpha:0.3,-0.1", [0.3, -0.1], "0.000e+00", 1.0, 0),
+    ("conv(L,L)", [0.5, 0.0], "3.125e+04", None, 1),
+]
+
+
 class TestCli:
     def test_plot_csv(self, tmp_path):
         out = tmp_path / "curves.csv"
@@ -110,19 +126,21 @@ class TestCli:
         rc = dispatch(["classify", "--function", "f_alpha:0,1", "--check", "m-alpha"])
         assert rc == 0
 
-    def test_classify_m_alpha_example21_needs_no_alpha(self, tmp_path, capsys):
-        # example21 has dilatation z, so its catalog alpha is 1; the relation
-        # holds exactly and only the curvature condition fails (-98 < -0.5)
+    @pytest.mark.parametrize("name, alpha, residual, curvature_min, rc", ALPHA_OFF_THE_MAP,
+                             ids=[row[0] for row in ALPHA_OFF_THE_MAP])
+    def test_classify_m_alpha_reads_alpha_off_the_map(self, tmp_path, capsys, name, alpha,
+                                                      residual, curvature_min, rc):
         out = tmp_path / "m.json"
-        rc = dispatch(["classify", "--function", "example21", "--check", "m-alpha",
-                       "--out", str(out)])
-        assert rc == 1
-        assert "relation residual 0.000e+00" in capsys.readouterr().out
+        assert dispatch(["classify", "--function", name, "--check", "m-alpha",
+                         "--out", str(out)]) == rc
+        assert f"relation residual {residual}" in capsys.readouterr().out
         data = json.loads(out.read_text())
-        assert data["alpha"] == [1.0, 0.0]
-        assert data["relation_residual"] == 0.0 and data["relation_passed"]
-        assert not data["curvature_passed"]
-        assert data["curvature_grid_min"] == pytest.approx(-98.0, abs=1e-9)
+        assert data["alpha"] == alpha
+        exact = residual == "0.000e+00"
+        assert (data["relation_residual"] == 0.0) == exact and data["relation_passed"] == exact
+        assert data["curvature_passed"] == data["passed"] == (rc == 0)
+        if curvature_min is not None:
+            assert data["curvature_grid_min"] == pytest.approx(curvature_min, abs=1e-9)
 
     def test_classify_failure_exit_code(self):
         # the identity-like map with g = 0 cannot satisfy the recurrence at alpha = 1
