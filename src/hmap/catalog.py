@@ -5,8 +5,9 @@ truncated series coefficients and closed-form evaluators.  The closed forms
 evaluate every point, so radius scans close to the unit circle stay accurate;
 the coefficients serve the coefficient classifiers and Hadamard products, and
 meet the closed forms once, in the agreement check at construction.  Shears
-and ``make_M_alpha_member`` build series-only maps, evaluated by Horner (and
-sampled on circle-test grids by inverse FFT of their coefficients).
+and ``make_M_alpha_member`` build series-only maps, evaluated from their
+truncated series (and sampled on circle-test grids by inverse FFT of their
+coefficients).
 
 Catalog vocabulary (also the CLI ``--function`` grammar):
 
@@ -262,7 +263,7 @@ def _shear(phi: TruncatedSeries, w: TruncatedSeries, sign: float, label: str) ->
     rr = np.linspace(0.05, 0.95, 16)
     tt = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     zg = rr[:, None] * np.exp(1j * tt[None, :])
-    # Horner from the last nonzero coefficient: the zeros above it add exact zeros
+    # evaluate up to the last nonzero coefficient: the zeros above it add exact zeros
     wv = w.truncate(int(np.flatnonzero(w.coeffs).max(initial=1))).evaluate(zg)
     if np.any(np.abs(wv) >= 1.0):
         raise ValueError("dilatation must satisfy |w(z)| < 1 on the sample grid")

@@ -222,6 +222,7 @@ class BoundsReport(Report):
     growth_passed: bool
     passed: bool
     samples: int
+    r_max: float
     truncation_order: int
 
 
@@ -266,6 +267,7 @@ def family_bounds_check(
         growth_passed=growth_ok,
         passed=coeff_ok and growth_ok,
         samples=samples,
+        r_max=float(r_max),
         truncation_order=order,
     )
 

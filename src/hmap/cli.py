@@ -3,7 +3,9 @@
 Subcommands: plot, classify, radius, convolve, verify.  The function grammar
 is ``name[:re,im]`` for catalog entries and ``conv(left,right)`` for Hadamard
 products.  ``classify`` reads the family parameter alpha off the map as
-2 b_2, from (n+1) b_{n+1} = n alpha a_n at n = 1, unless ``--alpha`` is given.
+2 b_2, from (n+1) b_{n+1} = n alpha a_n at n = 1, unless ``--alpha`` is given;
+``classify --check bounds`` on a map outside that family prints a FAIL line
+with the relation residual, writes no report and exits 1.
 JSON reports (``--out``) are the reports' ``to_dict`` (see
 :mod:`hmap.report`).  Exit codes: 0 success, 1 check failure, 2 usage error.
 The environment variable ``HMAP_TRUNC_ORDER`` overrides the default
@@ -19,8 +21,14 @@ import sys
 
 from . import convolution, radius, verify
 from .catalog import parse_function
-from .classifiers import coefficient_sum_orders, m_alpha_check, analytic_part_classify, family_bounds_check
-from .defaults import DEFAULT_ORDER
+from .classifiers import (
+    analytic_part_classify,
+    coefficient_relation_residual,
+    coefficient_sum_orders,
+    family_bounds_check,
+    m_alpha_check,
+)
+from .defaults import DEFAULT_ORDER, RELATION_ABS_TOL
 from .plotting import PlotSpec, plot_command
 
 
@@ -68,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--alpha", type=_parse_alpha, default=None,
                        help="re,im; defaults to 2 b_2 of the map")
     p_cls.add_argument("--power", type=int, choices=(2, 3), default=2)
-    p_cls.add_argument("--r-max", type=float, default=0.99)
+    p_cls.add_argument("--r-max", type=float, default=None,
+                       help="largest sampled radius; defaults to 0.99 for m-alpha, 0.9 for bounds")
     p_cls.add_argument("--out", default=None, help="optional JSON report path")
 
     p_rad = sub.add_parser("radius", help="bracket a convexity/starlikeness transition radius")
@@ -106,6 +115,7 @@ def _cmd_classify(args, order: int) -> int:
     f = parse_function(args.function, order)
     # the relation (n+1) b_{n+1} = n alpha a_n at n = 1 reads alpha = 2 b_2
     alpha = args.alpha if args.alpha is not None else 2 * f.g.coefficient(2)
+    sampled = {} if args.r_max is None else {"r_max": args.r_max}
     if args.check == "coefficient-orders":
         rep1, rep2 = coefficient_sum_orders(f)
         payload = [rep1.to_dict(), rep2.to_dict()]
@@ -122,13 +132,18 @@ def _cmd_classify(args, order: int) -> int:
               f"orders = (starlike {rep.order_starlike}, convex {rep.order_convex}), "
               f"close_to_convex = {rep.close_to_convex}")
     elif args.check == "m-alpha":
-        rep = m_alpha_check(f, alpha, r_max=args.r_max)
+        rep = m_alpha_check(f, alpha, **sampled)
         payload = rep.to_dict()
         ok = rep.passed
         print(f"[{'PASS' if ok else 'FAIL'}] membership: relation residual {rep.relation_residual:.3e}, "
               f"curvature grid min {rep.curvature_grid_min:.6f} (needs > -0.5)")
     else:  # bounds
-        rep = family_bounds_check(f, alpha)
+        residual = coefficient_relation_residual(f, alpha)
+        if residual > RELATION_ABS_TOL:
+            print(f"[FAIL] bounds: relation residual {residual:.3e} (needs <= {RELATION_ABS_TOL:g}); "
+                  "the bounds only apply to family members")
+            return 1
+        rep = family_bounds_check(f, alpha, **sampled)
         payload = rep.to_dict()
         ok = rep.passed
         print(f"[{'PASS' if ok else 'FAIL'}] bounds: coeff slack ({rep.coeff_slack_a:.3e}, "

@@ -6,7 +6,7 @@ because every coefficient relation used elsewhere in the package acts on the
 analytic ``g``.  A map may carry closed-form evaluators for (h, g) and their
 first two derivatives.  Each map has exactly one evaluation route: a map with
 closed forms evaluates them on every point, so scans near the boundary stay
-accurate; a map without them runs Horner on its truncated series.  The two
+accurate; a map without them evaluates its truncated series.  The two
 meet only once, when a map with closed forms is built and checked against its
 series.
 
@@ -130,7 +130,8 @@ class HarmonicMap:
         """Evaluate one of h, g, h', g', h'', g'' on the map's one route.
 
         A map with closed forms evaluates them on every point, scalar or
-        array; a map without them runs Horner on its truncated series.
+        array; a map without them evaluates its truncated series
+        (:meth:`TruncatedSeries.evaluate`, blocked in sqrt(N) blocks).
         Circle tests on either route do not come here: they call the closed
         forms directly or read the coefficients by inverse FFT
         (:func:`_circle_derivatives`).

@@ -167,6 +167,26 @@ class TestCli:
                        "--alpha", "0.5,0"])
         assert rc == 0
 
+    def test_classify_bounds_on_non_member_is_check_failure(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        rc = dispatch(["classify", "--function", "conv(L,L)", "--check", "bounds", "--out", str(out)])
+        assert rc == 1
+        assert "[FAIL] bounds: relation residual 3.125e+04" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_classify_bounds_bad_radius_is_usage_error(self):
+        rc = dispatch(["classify", "--function", "F", "--check", "bounds", "--r-max", "1.5"])
+        assert rc == 2
+
+    def test_classify_bounds_samples_up_to_r_max(self, tmp_path):
+        default, half = tmp_path / "d.json", tmp_path / "h.json"
+        for path, extra in ((default, []), (half, ["--r-max", "0.5"])):
+            assert dispatch(["classify", "--function", "F", "--check", "bounds",
+                             "--out", str(path)] + extra) == 0
+        d, h = json.loads(default.read_text()), json.loads(half.read_text())
+        assert d["r_max"] == 0.9 and h["r_max"] == 0.5
+        assert h["growth_min_slack"] != d["growth_min_slack"]
+
     def test_convolve_coeffs(self, tmp_path):
         out = tmp_path / "coeffs.csv"
         rc = dispatch(["convolve", "--left", "L", "--right", "L", "--emit", "coeffs",

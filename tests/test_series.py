@@ -1,3 +1,4 @@
+import mpmath  # 40-digit reference evaluation
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +78,77 @@ class TestEvaluate:
         arr = s.evaluate(z)
         for zi, vi in zip(z, arr):
             assert vi == s.evaluate(complex(zi))
+
+
+# the block length is b = ceil(sqrt(N + 1)): degrees 63, 64 and 65 are b^2 - 1
+# (8 full rows of 8), b^2 and b^2 + 1 (a ninth, partial row); 1, 2 and 3 have b = 2
+BLOCK_EDGE_DEGREES = (1, 2, 3, 63, 64, 65, 511, 2048)
+
+
+def _random_series(order: int, seed: int) -> TruncatedSeries:
+    rng = np.random.default_rng(seed)
+    return TruncatedSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+
+
+def _random_disk_points(n: int, seed: int = 11) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 0.999, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+class TestBlockedEvaluate:
+    @pytest.mark.parametrize("order", BLOCK_EDGE_DEGREES)
+    def test_matches_mpmath_reference(self, order):
+        s = _random_series(order, seed=order)
+        radii = np.array([0.0, 0.5, 0.9, 0.999])
+        thetas = 2 * np.pi * np.arange(16) / 16
+        z = (radii[:, None] * np.exp(1j * thetas[None, :])).ravel()
+        got = s.evaluate(z)
+        coeffs = [mpmath.mpc(c.real, c.imag) for c in s.coeffs[::-1]]
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for zi, vi in zip(z, got):
+                ref = mpmath.polyval(coeffs, mpmath.mpc(zi.real, zi.imag))
+                err = float(abs(mpmath.mpc(vi.real, vi.imag) - ref))
+                scale = float(np.sum(np.abs(s.coeffs) * abs(zi) ** np.arange(order + 1)))
+                assert err <= 8 * (order + 1) * eps * scale, (order, zi)
+
+    @pytest.mark.parametrize("order", (2, 65, 511))
+    def test_point_value_independent_of_batch(self, order):
+        # 4097 points: one full slice of 4096 and a last slice of one point
+        s = _random_series(order, seed=3)
+        z = _random_disk_points(4097)
+        full = s.evaluate(z)
+        alone = np.array([s.evaluate(complex(zi)) for zi in z])
+        assert np.array_equal(alone, full)
+        for size in (2, 3):
+            batched = np.concatenate([s.evaluate(z[i : i + size]) for i in range(0, z.size, size)])
+            assert np.array_equal(batched, full)
+
+    def test_scalar_returns_complex(self):
+        s = _random_series(64, seed=1)
+        for z in (0.3, 0.2 - 0.1j, np.complex128(0.4j), 0):
+            value = s.evaluate(z)
+            assert type(value) is complex
+            assert value == s.evaluate(np.array([z, z]))[0]
+
+    def test_array_shapes_preserved(self):
+        s = _random_series(64, seed=2)
+        z = _random_disk_points(12).reshape(3, 4)
+        grid = s.evaluate(z)
+        assert grid.shape == (3, 4)
+        assert np.array_equal(grid.ravel(), s.evaluate(z.ravel()))
+        assert np.shape(s.evaluate(np.array(0.5j))) == ()
+        assert s.evaluate(np.array(0.5j)) == s.evaluate(0.5j)
+        for empty in (np.zeros(0, dtype=complex), np.zeros((0, 3), dtype=complex)):
+            out = s.evaluate(empty)
+            assert out.shape == empty.shape and out.dtype == complex
+
+    def test_any_point_outside_disk_rejected(self):
+        s = _random_series(64, seed=4)
+        z = _random_disk_points(5000)
+        z[4500] = 1.0
+        with pytest.raises(ValueError):
+            s.evaluate(z)
 
 
 class TestCombine:
