@@ -28,7 +28,6 @@ from .classifiers import (
     area_series,
     growth_bound,
     kaplan_integral_check,
-    kaplan_worst_subarc,
     coefficient_sum_orders,
     m_alpha_check,
     poisson_kernel,
@@ -82,7 +81,7 @@ __all__ = [
     "make_M_alpha_member", "make_named", "map_F", "map_L", "parse_function",
     "shear_horizontal", "shear_vertical",
     "BoundsReport", "ClassificationReport", "MAlphaReport", "area_series",
-    "growth_bound", "kaplan_integral_check", "kaplan_worst_subarc", "coefficient_sum_orders",
+    "growth_bound", "kaplan_integral_check", "coefficient_sum_orders",
     "m_alpha_check", "poisson_kernel", "analytic_part_classify", "family_bounds_check",
     "convex_combination_convolve", "hadamard",
     "tilde_dilatation", "tilde_dilatation_check",

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import CIRCLE_THETA_POINTS, RELATION_ABS_TOL
-from .harmonic import HarmonicMap, SingularPointError, _polar_grid, evaluate_f
+from .harmonic import (HarmonicMap, _circle_derivatives, _phase_steps, _polar_grid, _require_nonzero,
+                       _unit_circle, evaluate_f)
 from .report import Report
 from .series import TruncatedSeries
 
@@ -190,9 +191,7 @@ def m_alpha_check(
 
     z = _polar_grid(r_max, *grid)
     hp = f.dh_at(z)
-    if np.any(np.abs(hp) == 0.0):
-        idx = int(np.argmax(np.abs(hp).ravel() == 0.0))
-        raise SingularPointError(complex(z.ravel()[idx]))
+    _require_nonzero(hp, z)
     curv = np.real(1 + z * f.d2h_at(z) / hp)
     cmin = float(np.min(curv))
     curv_ok = cmin > -0.5
@@ -298,55 +297,26 @@ def poisson_kernel(zeta: complex, theta) -> float | np.ndarray:
     return float(val) if np.isscalar(theta) else val
 
 
-def _fe_derivatives(f: HarmonicMap, epsilon: complex, z):
-    """Fe' and Fe'' at z for Fe = h + epsilon g; raises where Fe' vanishes."""
-    fp = f.dh_at(z) + epsilon * f.dg_at(z)
-    small = np.abs(np.asarray(fp)) < 1e-13
-    if np.any(small):
-        zf = np.broadcast_to(np.asarray(z, dtype=complex), small.shape)
-        raise SingularPointError(complex(zf.ravel()[int(np.argmax(small.ravel()))]))
-    return fp, f.d2h_at(z) + epsilon * f.d2g_at(z)
+def _fe_circle(f: HarmonicMap, epsilon, r: float, theta: np.ndarray, on_grid: bool = False):
+    """Re(1 + z Fe''/Fe') and i z Fe' at z = r e^{i theta}, one row per epsilon.
+
+    With Fe = h + epsilon g, the integrand is the convexity rate Im(d2/d1) of
+    the analytic map Fe on the circle, and i z Fe' = d1 is the curve whose
+    argument it differentiates.  Both come from the circle-test sampler
+    (``harmonic._circle_derivatives``), every epsilon in one pass.  Raises
+    :class:`SingularPointError` where Fe' vanishes.
+    """
+    if not 0 < r < 1:
+        raise ValueError("need 0 < r < 1")
+    d2, d1 = _circle_derivatives(f, r, 1, theta, on_grid, np.atleast_1d(epsilon))
+    _require_nonzero(d1, r * np.exp(1j * theta), tol=1e-13)
+    return np.imag(d2 / d1), d1
 
 
 def kaplan_integrand(f: HarmonicMap, epsilon: complex, r: float, theta):
     """Re(1 + z Fe''/Fe') on |z| = r, where Fe = h + epsilon g."""
-    z = r * np.exp(1j * np.asarray(theta, dtype=float))
-    fp, fpp = _fe_derivatives(f, epsilon, z)
-    return np.real(1 + z * fpp / fp)
-
-
-def _arc_phase(
-    f: HarmonicMap,
-    epsilon: complex,
-    r: float,
-    theta1: float,
-    theta2: float,
-    steps: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes on [theta1, theta2] and the continuous argument of z Fe'(z) there.
-
-    With z = r e^{i theta}, d/dtheta arg(z Fe'(z)) = Re(1 + z Fe''/Fe'), so
-    the phase increase between two nodes is the exact arc integral of the
-    Kaplan integrand.  ``np.unwrap`` picks the branch step by step; the
-    cumulative trapezoid sum of the integrand on the same nodes must agree
-    with the phase increase to within pi/2 at every node, otherwise a winding
-    slipped between two nodes and no number is returned.  By default the arc
-    gets the circle-test density, CIRCLE_THETA_POINTS steps per period and
-    at least 64.
-    """
-    if steps is None:
-        steps = max(64, math.ceil(CIRCLE_THETA_POINTS * (theta2 - theta1) / (2 * np.pi)))
-    theta = np.linspace(theta1, theta2, steps + 1)
-    z = r * np.exp(1j * theta)
-    fp, fpp = _fe_derivatives(f, epsilon, z)
-    phase = np.unwrap(np.angle(z * fp))
-    integrand = np.real(1 + z * fpp / fp)
-    trap = np.concatenate([[0.0], np.cumsum((integrand[1:] + integrand[:-1]) / 2 * np.diff(theta))])
-    gap = float(np.max(np.abs(trap - (phase - phase[0]))))
-    if gap > np.pi / 2:
-        raise ValueError(f"arc phase is ambiguous on {steps} steps: the trapezoid sum "
-                         f"of the integrand strays {gap:.3g} from the unwrapped phase")
-    return theta, phase
+    th = np.asarray(theta, dtype=float)
+    return _fe_circle(f, epsilon, r, th.ravel())[0][0].reshape(th.shape)
 
 
 def kaplan_integral_check(
@@ -359,9 +329,10 @@ def kaplan_integral_check(
     """Arc integral of Re(1 + z Fe''/Fe') over theta in [theta1, theta2].
 
     The integrand is the theta-derivative of arg(z Fe'(z)) on |z| = r, so the
-    integral is the increase of that argument along the arc, read off the
-    unwrapped phase at the circle-test density.  A branch guard compares the
-    phase with the trapezoid sum of the integrand and raises ``ValueError``
+    integral is the increase of that argument along the arc: the sum of its
+    steps between nodes at the circle-test density, CIRCLE_THETA_POINTS steps
+    per period and at least 64.  The circle tests' branch guard checks every
+    step against the trapezoid of the integrand and raises ``ValueError``
     instead of returning a value that may sit on the wrong branch.  The
     close-to-convexity criterion asks for every such integral to stay above
     -pi.  A full period (theta2 - theta1 = 2 pi) gives 2 pi times the number
@@ -371,23 +342,29 @@ def kaplan_integral_check(
         raise ValueError("need 0 < theta2 - theta1 <= 2 pi")
     if abs(abs(epsilon) - 1) > 1e-12:
         raise ValueError("epsilon must be unimodular")
-    _, phase = _arc_phase(f, epsilon, r, theta1, theta2)
-    return float(phase[-1] - phase[0])
+    steps = max(64, math.ceil(CIRCLE_THETA_POINTS * (theta2 - theta1) / (2 * np.pi)))
+    theta = np.linspace(theta1, theta2, steps + 1)
+    rate, curve = _fe_circle(f, epsilon, r, theta)
+    return float(np.sum(_phase_steps(curve, rate, theta[1] - theta[0])))
 
 
-def kaplan_worst_subarc(
-    f: HarmonicMap,
-    epsilon: complex,
-    r: float,
-    n_grid: int = CIRCLE_THETA_POINTS,
-) -> tuple[float, tuple[float, float]]:
-    """Scan all grid sub-arcs for the minimal arc integral of the integrand.
+def _kaplan_sweep(f: HarmonicMap, epsilons: np.ndarray, r: float, n_theta: int = CIRCLE_THETA_POINTS):
+    """Full-period integral and worst grid sub-arc for each epsilon, one sampling of |z| = r.
 
-    A running minimum over the unwrapped phase of z Fe'(z) makes the scan
-    O(n); at grid nodes the phase differences are the exact arc integrals,
-    so :func:`kaplan_integral_check` on the returned arc gives the same value.
+    Samples every Fe = h + epsilon g once on the cached circle-test grid,
+    closes each curve at theta = 2 pi and takes the cumulative sum of its
+    guarded phase steps.  Returns (full-period integral, minimal sub-arc
+    integral, that arc) per epsilon; at grid nodes the phase differences are
+    the exact arc integrals, so :func:`kaplan_integral_check` on the arc
+    gives the same value.
     """
-    return _worst_subarc(*_arc_phase(f, epsilon, r, 0.0, 2 * np.pi, n_grid))
+    theta = _unit_circle(n_theta)[0]
+    rate, curve = _fe_circle(f, epsilons, r, theta, on_grid=True)
+    rate, curve = (np.concatenate([a, a[:, :1]], axis=1) for a in (rate, curve))
+    steps = _phase_steps(curve, rate, theta[1])
+    phase = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
+    nodes = np.append(theta, 2 * np.pi)
+    return [(float(p[-1]), *_worst_subarc(nodes, p)) for p in phase]
 
 
 def _worst_subarc(theta: np.ndarray, phase: np.ndarray) -> tuple[float, tuple[float, float]]:

@@ -10,13 +10,15 @@ accurate; a map without them evaluates its truncated series.  The two
 meet only once, when a map with closed forms is built and checked against its
 series.
 
-Circle tests sample a map on their own path (see :func:`_circle_derivatives`),
-not through the ``*_at`` methods.  Both routes share one cached uniform grid
-of angles per grid size.  A map with closed forms is sampled at z = r e^{i
-theta}, scaled from the cached e^{i theta}, with one |z| < 1 guard per set of
-points.  A series-only map is read from its coefficients: on |z| = r it is a
-trigonometric polynomial in theta, so on the grid f and its theta-derivatives
-are each one inverse FFT of the two-sided coefficients.
+Circle tests and Kaplan arc integrals (of Fe = h + epsilon g, all epsilon at
+once) sample a map on one path (see :func:`_circle_derivatives`), not
+through the ``*_at`` methods, and read the argument of the sampled curve
+through one per-step branch guard (:func:`_phase_steps`).  Both routes share
+one cached uniform grid of angles per grid size.  A map with closed forms is
+sampled at z = r e^{i theta}, scaled from the cached e^{i theta}, with one
+|z| < 1 guard per set of points.  A series-only map is read from its
+coefficients: on |z| = r it is a trigonometric polynomial in theta, so on the
+grid f and its theta-derivatives are each one inverse FFT of the coefficients.
 """
 
 from __future__ import annotations
@@ -78,6 +80,14 @@ def _check_exact_agreement(hmap: "HarmonicMap") -> None:
 def _require_inside(z: np.ndarray) -> None:
     if np.any(np.abs(z) >= 1.0):
         raise ValueError("harmonic map evaluation requires |z| < 1")
+
+
+def _require_nonzero(values, z, tol: float = 0.0) -> None:
+    """Raise :class:`SingularPointError` at the first z where |values| <= tol."""
+    small = np.abs(np.asarray(values)) <= tol
+    if np.any(small):
+        zf = np.broadcast_to(np.asarray(z, dtype=complex), small.shape)
+        raise SingularPointError(complex(zf.ravel()[int(np.argmax(small.ravel()))]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,13 +231,8 @@ def dilatation(f: HarmonicMap, z):
     Raises :class:`SingularPointError` where h' vanishes.
     """
     hp = f.dh_at(z)
-    gp = f.dg_at(z)
-    hp_arr = np.asarray(hp)
-    zero = np.abs(hp_arr) == 0.0
-    if np.any(zero):
-        zf = np.broadcast_to(np.asarray(z, dtype=complex), hp_arr.shape)
-        raise SingularPointError(complex(zf.ravel()[int(np.argmax(zero.ravel()))]))
-    return gp / hp
+    _require_nonzero(hp, z)
+    return f.dg_at(z) / hp
 
 
 def jacobian(f: HarmonicMap, z):
@@ -284,7 +289,7 @@ def _unit_circle(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, unit
 
 
-def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray, on_grid: bool):
+def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray, on_grid: bool, eps=None):
     """theta-derivatives (d^{m+1} f, d^m f) of f(r e^{i theta}), for m = 0 or 1.
 
     ``on_grid`` says that ``theta`` is the uniform grid 2 pi j / n, j < n =
@@ -299,25 +304,59 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray, on_
     whose theta-derivative multiplies the coefficient at frequency k by ik.
     On the grid each derivative is one inverse FFT of the coefficients
     folded modulo n, exact at any degree.  Other angles take the direct sum.
+
+    With a 1-D array ``eps`` (m = 1 only) it samples the analytic maps
+    Fe = h + eps g of Kaplan's arc integrals instead, one row per eps:
+    d1 = i z Fe' and d2 = -(z Fe' + z^2 Fe'').  Closed forms are called once
+    for all rows; a series-only map folds a_n + eps b_n into one-sided rows
+    of the same inverse FFT.
     """
     if f.exact is not None:
         ex = f.exact
         z = r * (_unit_circle(theta.size)[1] if on_grid else np.exp(1j * theta))
         _require_inside(z)
+        if eps is not None:
+            zhp, zgp = z * ex.dh(z), z * ex.dg(z)
+            e = eps[:, None]
+            return -(zhp + z * z * ex.d2h(z) + e * (zgp + z * z * ex.d2g(z))), 1j * (zhp + e * zgp)
         if m == 1:
             d1, d2 = _angular(z, ex.dh, ex.dg, ex.d2h, ex.d2g)
             return d2, d1
         return _angular(z, ex.dh, ex.dg)[0], ex.h(z) + np.conj(ex.g(z))
-    k = np.concatenate([np.arange(f.h.order + 1), -np.arange(f.g.order + 1)])
-    c = np.concatenate([f.h.coeffs, np.conj(f.g.coeffs)]) * r ** np.abs(k)
-    rows = np.stack([(1j * k) ** (m + 1) * c, (1j * k) ** m * c])
-    if on_grid:
-        spec = np.zeros((2, theta.size), dtype=complex)
-        np.add.at(spec, (slice(None), k % theta.size), rows)
-        upper, lower = np.fft.ifft(spec, norm="forward")
+    if eps is None:
+        k = np.concatenate([np.arange(f.h.order + 1), -np.arange(f.g.order + 1)])
+        c = (np.concatenate([f.h.coeffs, np.conj(f.g.coeffs)]) * r ** np.abs(k))[None]
     else:
-        upper, lower = rows @ np.exp(1j * np.outer(k, theta))
-    return upper, lower
+        k = np.arange(max(f.h.order, f.g.order) + 1)
+        a, b = (np.pad(s.coeffs, (0, k.size - s.coeffs.size)) for s in (f.h, f.g))
+        c = (a + eps[:, None] * b) * r ** k
+    rows = np.concatenate([(1j * k) ** (m + 1) * c, (1j * k) ** m * c])
+    if on_grid:
+        spec = np.zeros((rows.shape[0], theta.size), dtype=complex)
+        np.add.at(spec, (slice(None), k % theta.size), rows)
+        out = np.fft.ifft(spec, norm="forward")
+    else:
+        out = rows @ np.exp(1j * np.outer(k, theta))
+    upper, lower = out[: len(c)], out[len(c) :]
+    return (upper, lower) if eps is not None else (upper[0], lower[0])
+
+
+def _phase_steps(curve: np.ndarray, rate: np.ndarray, step: float) -> np.ndarray:
+    """Increments of arg(curve) between consecutive samples along the last axis.
+
+    Each increment is the argument of the ratio of consecutive samples, in
+    (-pi, pi].  The trapezoid of ``rate``, the theta-derivative of that
+    argument, over the same step must agree with it within pi/2; otherwise
+    the argument may have slipped a branch between two nodes and ValueError
+    is raised.  Circle tests sum the increments of a closed curve into its
+    winding; Kaplan arcs sum them into arc integrals.
+    """
+    steps = np.angle(curve[..., 1:] / curve[..., :-1])
+    trap = 0.5 * (rate[..., 1:] + rate[..., :-1]) * step
+    if np.max(np.abs(steps - trap)) > np.pi / 2:
+        raise ValueError(f"phase is ambiguous on {curve.shape[-1] - 1} steps: a step of the "
+                         "argument strays more than pi/2 from the trapezoid of its rate")
+    return steps
 
 
 def _polar_grid(r_max: float, n_r: int, n_t: int) -> np.ndarray:

@@ -15,11 +15,14 @@ against irregular curves: a simple closed regular curve must turn by exactly
 2 pi.  It is read as the winding of the samples the test already holds (df
 for convexity, f for starlikeness), the sum of the arguments of consecutive
 sample ratios, so it is an integer multiple of 2 pi up to rounding.  A
-branch guard checks every step against the trapezoid of the rate.
+branch guard (``harmonic._phase_steps``) checks every step against the
+trapezoid of the rate and fails the circle if one may have slipped a branch.
 
 Each circle test samples its map once, on its own path
 (``harmonic._circle_derivatives``), and tests of every radius share one
-cached grid of angles and of e^{i theta}.  A map with closed forms is
+cached grid of angles and of e^{i theta}.  Kaplan's arc integrals in
+``hmap.classifiers`` read the convexity rate of h + epsilon g from the same
+sampler and sum the steps of the same guard.  A map with closed forms is
 sampled at z = r e^{i theta} by calling them directly, h, g and their first
 two derivatives, after one |z| < 1 guard per circle.  A series-only map is a
 trigonometric polynomial in theta on the circle: each derivative on the grid
@@ -47,7 +50,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .defaults import CIRCLE_MIN_TOL, CIRCLE_THETA_POINTS, TURNING_TOL
-from .harmonic import HarmonicMap, _circle_derivatives, _unit_circle
+from .harmonic import HarmonicMap, _circle_derivatives, _phase_steps, _unit_circle
 from .report import Report
 
 
@@ -96,22 +99,6 @@ def _refined_min(values: np.ndarray, thetas: np.ndarray, fn: Callable[[np.ndarra
     return float(min(v0, extra[0]))
 
 
-def _winding(curve: np.ndarray, rate: np.ndarray, step: float) -> float:
-    """Total turning of arg(curve) once around a uniform periodic grid.
-
-    Each step adds the argument of the ratio of consecutive samples, which
-    lies in (-pi, pi].  The trapezoid of ``rate`` (the theta-derivative of
-    that argument) over the same step must agree with it within pi/2;
-    otherwise the argument may have slipped a branch between two nodes and
-    the turning is nan, which fails the circle.
-    """
-    steps = np.angle(np.append(curve[1:], curve[:1]) / curve)
-    trap = 0.5 * (rate + np.append(rate[1:], rate[:1])) * step
-    if np.max(np.abs(steps - trap)) > np.pi / 2:
-        return math.nan
-    return float(np.sum(steps))
-
-
 def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str) -> CircleTest:
     """Shared body of the circle tests: the rate Im(d^{m+1} f / d^m f) of arg d^m f.
 
@@ -132,7 +119,11 @@ def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str
 
     rate, curve = sample(thetas, True)
     mn = _refined_min(rate, thetas, lambda th: sample(th, False)[0])
-    turning = _winding(curve, rate, thetas[1] - thetas[0])
+    closed = np.append(curve, curve[:1]), np.append(rate, rate[:1])
+    try:
+        turning = float(np.sum(_phase_steps(*closed, thetas[1])))
+    except ValueError:  # a step may have slipped a branch: the circle fails
+        turning = math.nan
     ok = mn >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
     return CircleTest(ok, mn, turning)
 

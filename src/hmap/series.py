@@ -156,9 +156,6 @@ class TruncatedSeries:
             return complex(result[0])
         return result.reshape(zarr.shape)
 
-    def __call__(self, z):
-        return self.evaluate(z)
-
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop coefficients above ``order`` (must be >= 1)."""
         if order < 1:
@@ -166,11 +163,6 @@ class TruncatedSeries:
         if order >= self.order:
             return self
         return TruncatedSeries(self.coeffs[: order + 1])
-
-    def isclose(self, other: "TruncatedSeries", tol: float = 1e-12) -> bool:
-        """Coefficientwise comparison up to the common truncation degree."""
-        n = min(self.order, other.order)
-        return bool(np.all(np.abs(self.coeffs[: n + 1] - other.coeffs[: n + 1]) <= tol))
 
     def __repr__(self) -> str:
         head = np.array2string(self.coeffs[:4], precision=6, separator=", ")

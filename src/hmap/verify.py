@@ -185,13 +185,10 @@ def suite_bounds(order: int = DEFAULT_ORDER, growth_samples: int = 2000) -> list
 
     eps_sweep = np.exp(2j * np.pi * np.arange(16) / 16)
     for r in (0.5, 0.9):
-        # one phase pass per epsilon serves both records: the full-period
-        # integral is its total increase, the worst sub-arc its minimal rise
-        worst_dev, worst_arc = 0.0, math.inf
-        for eps in eps_sweep:
-            theta, phase = classifiers._arc_phase(F, eps, r, 0.0, 2 * math.pi)
-            worst_dev = max(worst_dev, abs(phase[-1] - phase[0] - 2 * math.pi))
-            worst_arc = min(worst_arc, classifiers._worst_subarc(theta, phase)[0])
+        # one sampling of the circle for all 16 epsilon serves both records
+        sweep = classifiers._kaplan_sweep(F, eps_sweep, r)
+        worst_dev = max(abs(full - 2 * math.pi) for full, _, _ in sweep)
+        worst_arc = min(worst for _, worst, _ in sweep)
         recs.append(_abs_diff(f"bounds.arc_full_period[r={r}]",
                               "full-period arc integral of Re(1 + z Fe''/Fe') equals 2 pi",
                               worst_dev, 0.0, 1e-6))

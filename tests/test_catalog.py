@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import same_coeffs
 from hmap.catalog import (
     CatalogEntry,
     example22,
@@ -57,7 +58,7 @@ class TestNamedMaps:
     def test_F_equals_f_alpha_at_one(self):
         F = map_F(32)
         f1 = f_alpha(1, 32)
-        assert F.h.isclose(f1.h) and F.g.isclose(f1.g)
+        assert same_coeffs(F.h, f1.h) and same_coeffs(F.g, f1.g)
 
     @pytest.mark.parametrize("build,label", [
         (lambda: map_F(512), "F"), (lambda: map_L(), "L"), (lambda: f_alpha(0.5j), "f_alpha(0.5j)"),
@@ -88,30 +89,30 @@ class TestShears:
         w = make_generator("identity", 24)
         sheared = shear_horizontal(phi, w)
         target = f_alpha(1, 24)
-        assert sheared.h.isclose(target.h, tol=1e-12)
-        assert sheared.g.isclose(target.g, tol=1e-12)
+        assert same_coeffs(sheared.h, target.h, tol=1e-12)
+        assert same_coeffs(sheared.g, target.g, tol=1e-12)
 
     def test_vertical_shear_of_half_plane_gives_L(self):
         phi = make_generator("half_plane_l", 24)
         w = -1 * make_generator("identity", 24)
         sheared = shear_vertical(phi, w)
         target = f_alpha(-1, 24)
-        assert sheared.h.isclose(target.h, tol=1e-12)
-        assert sheared.g.isclose(target.g, tol=1e-12)
+        assert same_coeffs(sheared.h, target.h, tol=1e-12)
+        assert same_coeffs(sheared.g, target.g, tol=1e-12)
 
     def test_vertical_shear_h_is_half_l_plus_k(self):
         phi = make_generator("half_plane_l", 24)
         w = -1 * make_generator("identity", 24)
         sheared = shear_vertical(phi, w)
         half = 0.5 * (make_generator("half_plane_l", 24) + make_generator("koebe_k", 24))
-        assert sheared.h.isclose(half, tol=1e-12)
+        assert same_coeffs(sheared.h, half, tol=1e-12)
 
     def test_zero_dilatation_keeps_phi(self):
         phi = make_generator("half_plane_l", 16)
         zero = TruncatedSeries(np.zeros(17, dtype=complex))
         for shear in (shear_horizontal, shear_vertical):
             out = shear(phi, zero)
-            assert out.h.isclose(phi, tol=1e-14)
+            assert same_coeffs(out.h, phi, tol=1e-14)
             assert np.allclose(out.g.coeffs, 0)
 
     @pytest.mark.parametrize("shear,sign", [(shear_horizontal, -1), (shear_vertical, 1)])
@@ -120,7 +121,7 @@ class TestShears:
         w = 0.5j * make_generator("identity", 20)
         out = shear(phi, w)
         recon = out.h + sign * out.g if sign > 0 else out.h - out.g
-        assert recon.isclose(phi, tol=1e-12)
+        assert same_coeffs(recon, phi, tol=1e-12)
 
     def test_resulting_dilatation_is_w(self):
         phi = make_generator("half_plane_l", 48)
@@ -166,7 +167,7 @@ class TestMAlphaMember:
         h = make_generator("half_plane_l", 32)
         member = make_M_alpha_member(h, 1.0)
         target = example22(32)
-        assert member.g.isclose(target.g, tol=1e-14)
+        assert same_coeffs(member.g, target.g, tol=1e-14)
 
     def test_identity_h_gives_g_alpha(self):
         h = make_generator("identity", 16)

@@ -11,19 +11,19 @@ from scipy.integrate import quad  # reference quadrature; hmap itself must not i
 
 from hmap.catalog import example21, f_alpha, g_alpha, make_M_alpha_member, map_F
 from hmap.classifiers import (
+    _kaplan_sweep,
     area_series,
     coefficient_relation_residual,
     growth_bound,
     kaplan_integral_check,
     kaplan_integrand,
-    kaplan_worst_subarc,
     coefficient_sum_orders,
     m_alpha_check,
     poisson_kernel,
     analytic_part_classify,
     family_bounds_check,
 )
-from hmap.harmonic import HarmonicMap, jacobian
+from hmap.harmonic import HarmonicMap, SingularPointError, jacobian
 from hmap.series import TruncatedSeries, make_generator
 
 
@@ -250,8 +250,8 @@ class TestKaplan:
 
     def test_worst_subarc_scan_and_requadrature(self):
         F = map_F()
-        for eps in (-1.0, 1.0, 1j, np.exp(0.3j)):
-            worst, (t1, t2) = kaplan_worst_subarc(F, eps, 0.95)
+        epsilons = np.array([-1.0, 1.0, 1j, np.exp(0.3j)])
+        for eps, (_, worst, (t1, t2)) in zip(epsilons, _kaplan_sweep(F, epsilons, 0.95)):
             assert worst > -math.pi
             # both read the same phase of z Fe'(z) at the arc's end nodes
             recheck = kaplan_integral_check(F, eps, 0.95, t1, t2)
@@ -280,7 +280,7 @@ class TestKaplan:
         val = kaplan_integral_check(f, 1.0, 0.9, 0.0, 2 * math.pi)
         assert val == pytest.approx(26 * math.pi, abs=1e-10)
         with pytest.raises(ValueError):
-            kaplan_worst_subarc(f, 1.0, 0.9, n_grid=8)
+            _kaplan_sweep(f, np.array([1.0]), 0.9, n_theta=8)
 
     def test_scan_matches_quadrature_on_fixed_arc(self):
         F = map_F()
@@ -289,6 +289,51 @@ class TestKaplan:
         vals = kaplan_integrand(F, 1j, 0.5, theta)
         trap = float(np.trapezoid(vals, theta))
         assert direct == pytest.approx(trap, abs=1e-6)
+
+    def test_sweep_matches_arc_integrals(self):
+        F = map_F()
+        epsilons = np.exp(2j * np.pi * np.arange(16) / 16)
+        for r in (0.5, 0.9):
+            for eps, (full, _, _) in zip(epsilons, _kaplan_sweep(F, epsilons, r)):
+                assert full == pytest.approx(kaplan_integral_check(F, eps, r, 0.0, 2 * math.pi), abs=1e-12)
+
+    def test_series_only_twin_matches_closed_form(self):
+        # F is the member with h = (L + K)/2 and dilatation z; its degree-512
+        # twin is sampled by inverse FFT of h + eps g instead of closed forms
+        F = map_F()
+        twin = make_M_alpha_member(0.5 * (make_generator("half_plane_l", 512)
+                                          + make_generator("koebe_k", 512)), 1.0)
+        assert twin.exact is None
+        epsilons = np.exp(2j * np.pi * np.arange(16) / 16)
+        for r in (0.5, 0.9):
+            for (full, worst, _), (full_t, worst_t, _) in zip(_kaplan_sweep(F, epsilons, r),
+                                                              _kaplan_sweep(twin, epsilons, r)):
+                assert full_t == pytest.approx(full, abs=1e-9)
+                assert worst_t == pytest.approx(worst, abs=1e-9)
+
+    @pytest.mark.parametrize("series_only", [False, True])
+    def test_sweep_evaluates_no_point(self, series_only, monkeypatch):
+        f = make_M_alpha_member(make_generator("half_plane_l", 64), 0.5j) if series_only else map_F()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Kaplan sweep evaluated pointwise")
+
+        monkeypatch.setattr(TruncatedSeries, "evaluate", refuse)
+        for which in ("h", "g", "dh", "dg", "d2h", "d2g"):
+            monkeypatch.setattr(HarmonicMap, which + "_at", refuse)
+        epsilons = np.exp(2j * np.pi * np.arange(16) / 16)
+        for r in (0.5, 0.9):
+            assert len(_kaplan_sweep(f, epsilons, r)) == 16
+            kaplan_integral_check(f, 1j, r, 1.0, 4.0)
+
+    def test_singular_point_raises(self):
+        # Fe' = h' = 1 + 2z vanishes at z = -1/2 on the circle r = 1/2
+        f = HarmonicMap(padded([0, 1, 1]), padded([0]))
+        for check in (lambda: kaplan_integrand(f, 1.0, 0.5, math.pi),
+                      lambda: kaplan_integral_check(f, 1.0, 0.5, 0.0, 2 * math.pi)):
+            with pytest.raises(SingularPointError) as err:
+                check()
+            assert err.value.z == pytest.approx(-0.5)
 
     def test_epsilon_must_be_unimodular(self):
         with pytest.raises(ValueError):
