@@ -4,9 +4,9 @@ Radii of convexity and starlikeness
 
 The map F = Re(z/(1-z)^2) + i Im(z/(1-z)) sends small circles to convex
 curves and larger ones to curves that first lose convexity (at 2 - sqrt(3))
-and then starlikeness (at ~0.658331).  Both transitions are located by
-bisection over circle tests, and both constants drop out of explicit sign
-polynomials.
+and then starlikeness (at ~0.658331).  Both transitions are located as the
+first loss of the circle tests, a scan in r closed by a root of the margin,
+and both constants drop out of explicit sign polynomials.
 """
 
 import math
@@ -38,11 +38,11 @@ for r in (0.15, 0.25, 0.267949, 0.30, 0.5, 0.65, 0.658330, 0.66, 0.8):
     print(f"{r:.6f}  {str(c.passed):5}   {str(s.passed):5}"
           f"   ({c.min_derivative:+.2e}, {s.min_derivative:+.2e})")
 
-# bisect both transitions to 1e-6
+# root the margin of both transitions to a bracket of width 1e-6
 conv = radius_search(F, "convexity", tol=1e-6)
 star = radius_search(F, "starlikeness", tol=1e-6)
-print(f"\nconvexity bracket  [{conv.r_lo:.9f}, {conv.r_hi:.9f}]")
-print(f"starlikeness bracket [{star.r_lo:.9f}, {star.r_hi:.9f}]")
+print(f"\nconvexity bracket  [{conv.r_lo:.9f}, {conv.r_hi:.9f}]  ({conv.circle_tests} circle tests)")
+print(f"starlikeness bracket [{star.r_lo:.9f}, {star.r_hi:.9f}]  ({star.circle_tests} circle tests)")
 
 # the same constants from the sign polynomials
 sp = solve_special_radii()

@@ -10,7 +10,7 @@ quotients of theta-derivatives of f,
 
 sampled on a uniform theta grid (default 4096 points), and sharpened with
 one parabolic refinement step around the grid minimum so that transitions
-are resolved well below the bisection tolerance.  The total turning guards
+are resolved well below the search tolerance.  The total turning guards
 against irregular curves: a simple closed regular curve must turn by exactly
 2 pi.  It is read as the winding of the samples the test already holds (df
 for convexity, f for starlikeness), the sum of the arguments of consecutive
@@ -28,6 +28,12 @@ two derivatives, after one |z| < 1 guard per circle.  A series-only map is a
 trigonometric polynomial in theta on the circle: each derivative on the grid
 is one inverse FFT of its two-sided coefficients, and the refinement point
 is their direct sum.
+
+The radius of convexity (or starlikeness) is the first r where the test
+fails.  ``radius_search`` scans r upward to the first failing circle and
+roots the margin, the refined minimum of the rate, which is continuous in r,
+between the last pass and that failure.  Margins that dip between scan
+points are searched for a failing band narrower than the scan step.
 
 For the horizontally sheared half-plane map the transition radii admit exact
 descriptions through two trigonometric polynomials in u = cos(theta):
@@ -64,10 +70,10 @@ class CircleTest(NamedTuple):
 class RadiusResult(Report):
     """Bracketing interval for a geometric transition radius.
 
-    The test passes at ``r_lo`` and fails at ``r_hi`` (unless the property
-    survived to the search cap, flagged by ``upper_limit_hit``).  Bisection
-    assumes the property is monotone in r; a 50-point scan from ``r_min``,
-    which it includes, cross-checks that assumption before the search starts.
+    The test passes at ``r_lo`` and at every circle the search tested below
+    it, and fails at ``r_hi`` (unless the property survived to the search
+    cap, flagged by ``upper_limit_hit``), so the bracket holds the first
+    loss the search found.  ``circle_tests`` counts the circle tests it ran.
     """
 
     kind: str
@@ -75,11 +81,8 @@ class RadiusResult(Report):
     r_hi: float
     grid_theta: int
     tol: float
+    circle_tests: int
     upper_limit_hit: bool = False
-
-
-class NonMonotoneError(RuntimeError):
-    """The pass/fail pattern over r is not a single transition."""
 
 
 def _refined_min(values: np.ndarray, thetas: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -156,6 +159,28 @@ def starlike_test_at_radius(
     return _circle_test(f, r, 0, n_theta, "map")
 
 
+def _dip_fails(test: Callable[[float], CircleTest], a: float, b: float, tol: float) -> bool:
+    """Golden-section search for the least margin on [a, b], to ``tol``.
+
+    Stops, returning True, at the first circle that fails.
+    """
+    shrink = (math.sqrt(5) - 1) / 2
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    tc, td = test(c), test(d)
+    while tc.passed and td.passed:
+        if b - a <= tol:
+            return False
+        if tc.min_derivative < td.min_derivative:
+            b, d, td = d, c, tc
+            c = b - shrink * (b - a)
+            tc = test(c)
+        else:
+            a, c, tc = c, d, td
+            d = a + shrink * (b - a)
+            td = test(d)
+    return True
+
+
 def radius_search(
     f: HarmonicMap,
     kind: str,
@@ -165,48 +190,75 @@ def radius_search(
     r_cap: float = 0.999,
     scan_points: int = 50,
 ) -> RadiusResult:
-    """Bisect for the radius where the circle-image property is lost.
+    """Bracket the first radius where the circle-image property is lost.
 
     The property must hold at ``r_min`` (otherwise there is no inner radius
-    to report).  A linear scan first cross-validates that pass/fail is
-    monotone in r; a pass above a fail aborts with
-    :class:`NonMonotoneError`.  If the property still holds at ``r_cap`` the
-    result carries ``upper_limit_hit`` and the bracket degenerates to
-    [r_cap, 1).
+    to report).  A linear scan of ``scan_points`` radii from ``r_min`` stops
+    at the first failing circle.  Where the margins scanned below it dip to
+    a local minimum, a golden-section search of the two neighbouring steps
+    looks for a failing band narrower than the step; a failure found there
+    is the first loss.  Between the last pass and the first fail the margin
+    plus CIRCLE_MIN_TOL, which is continuous in r and changes sign exactly
+    where the circle test does, is rooted by Brent-Dekker, and the bracket
+    [x - 0.45 tol, x + 0.45 tol] around the root x is confirmed by two more
+    tests.  A winding failure (margin above threshold) or an unconfirmed
+    bracket falls back to bisection on pass/fail.  Radii above the first
+    loss where the property holds again are not searched.  If the property
+    still holds at ``r_cap`` the result carries ``upper_limit_hit`` and the
+    bracket degenerates to [r_cap, 1).
     """
     if kind == "convexity":
-        test = lambda r: convex_test_at_radius(f, r, n_theta).passed
+        circle = lambda r: convex_test_at_radius(f, r, n_theta)
     elif kind == "starlikeness":
-        test = lambda r: starlike_test_at_radius(f, r, n_theta).passed
+        circle = lambda r: starlike_test_at_radius(f, r, n_theta)
     else:
         raise ValueError("kind must be 'convexity' or 'starlikeness'")
 
-    if not test(r_min):
+    seen: dict[float, CircleTest] = {}
+
+    def test(r: float) -> CircleTest:
+        r = float(r)
+        if r not in seen:
+            seen[r] = circle(r)
+        return seen[r]
+
+    def first_loss() -> tuple[float, float]:
+        hi = min(r for r, t in seen.items() if not t.passed)
+        return max(r for r, t in seen.items() if t.passed and r < hi), hi
+
+    if not test(r_min).passed:
         raise ValueError(f"{kind} already fails at r = {r_min}; nothing to bracket")
 
-    # the scan starts exactly at r_min, which just passed
-    scan_r = np.linspace(r_min, r_cap, scan_points)
-    flags = [True] + [test(r) for r in scan_r[1:]]
-    seen_fail = False
-    for r, flag in zip(scan_r, flags):
-        if not flag:
-            seen_fail = True
-        elif seen_fail:
-            raise NonMonotoneError(f"{kind} passes at r = {r:.6f} above an earlier failure")
+    # the scan starts exactly at r_min, which is not tested again
+    for r in np.linspace(r_min, r_cap, scan_points):
+        if not test(r).passed:
+            break
+    # a failing band narrower than the scan step can hide where the margin
+    # dips between passing scan points; rounding noise is no dip
+    passing = [r for r in sorted(seen) if seen[r].passed]
+    margins = [seen[r].min_derivative for r in passing]
+    for i in range(1, len(passing) - 1):
+        if min(margins[i - 1], margins[i + 1]) - margins[i] > CIRCLE_MIN_TOL:
+            if _dip_fails(test, passing[i - 1], passing[i + 1], tol):
+                break
+    if all(t.passed for t in seen.values()):
+        return RadiusResult(kind, r_cap, 1.0, n_theta, tol, len(seen), upper_limit_hit=True)
 
-    if all(flags):
-        return RadiusResult(kind, r_cap, 1.0, n_theta, tol, upper_limit_hit=True)
-
-    # bracket the transition between the last scan pass and the first fail
-    idx = flags.index(False)
-    lo, hi = scan_r[idx - 1], scan_r[idx]
+    lo, hi = first_loss()
+    margin = lambda r: test(r).min_derivative + CIRCLE_MIN_TOL
+    if margin(hi) < 0:  # a margin failure, not a winding one: root the margin
+        x = _bracketed_root(margin, lo, hi, xtol=0.4 * tol)
+        lo_x, hi_x = max(lo, x - 0.45 * tol), min(hi, x + 0.45 * tol)
+        if test(lo_x).passed and not test(hi_x).passed and first_loss()[1] > lo_x:
+            return RadiusResult(kind, lo_x, hi_x, n_theta, tol, len(seen))
+        lo, hi = first_loss()
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if test(mid):
+        if test(mid).passed:
             lo = mid
         else:
             hi = mid
-    return RadiusResult(kind, float(lo), float(hi), n_theta, tol)
+    return RadiusResult(kind, lo, hi, n_theta, tol, len(seen))
 
 
 # -- closed forms for the horizontally sheared half-plane map -------------------

@@ -216,12 +216,12 @@ def suite_radii(order: int = DEFAULT_ORDER) -> list[ClaimRecord]:
     F = catalog.map_F(order)
     res_c = radius.radius_search(F, "convexity", tol=1e-6)
     recs.append(_at_most("radii.convexity_bracket",
-                         "bisection bracket of width <= 1e-6 contains 2 - sqrt(3)",
+                         "first-loss bracket of width <= 1e-6 contains 2 - sqrt(3)",
                          max(res_c.r_lo - r_convex_exact, r_convex_exact - res_c.r_hi,
                              res_c.r_hi - res_c.r_lo - 1e-6), 0.0))
     res_s = radius.radius_search(F, "starlikeness", tol=1e-6)
     recs.append(_at_most("radii.starlikeness_bracket",
-                         "bisection bracket of width <= 1e-6 contains the sharp starlike radius",
+                         "first-loss bracket of width <= 1e-6 contains the sharp starlike radius",
                          max(res_s.r_lo - r_star_exact, r_star_exact - res_s.r_hi,
                              res_s.r_hi - res_s.r_lo - 1e-6), 0.0))
 

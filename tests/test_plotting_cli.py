@@ -121,6 +121,17 @@ class TestCli:
         assert "0.267949" in printed
         data = json.loads(out.read_text())
         assert data["r_lo"] <= 2 - math.sqrt(3) <= data["r_hi"]
+        assert data["circle_tests"] == 19
+
+    def test_radius_first_loss(self, capsys):
+        # convexity of f_alpha(-0.75) is lost at 0.5803479 and comes back
+        # between about 0.834 and 0.87: the radius is the first loss
+        rc = dispatch(["radius", "--function", "f_alpha:-0.75,0", "--kind", "convex"])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        lo, hi = (float(x) for x in printed.split("[")[1].split("]")[0].split(","))
+        assert hi - lo <= 1e-6
+        assert lo <= 0.580348 <= hi
 
     def test_classify_m_alpha_pass(self):
         rc = dispatch(["classify", "--function", "f_alpha:0,1", "--check", "m-alpha"])

@@ -27,8 +27,9 @@ from hmap.harmonic import (
 )
 from hmap.series import TruncatedSeries, make_generator
 from hmap import radius
+from hmap.defaults import CIRCLE_MIN_TOL
 from hmap.radius import (
-    NonMonotoneError,
+    CircleTest,
     _bracketed_root,
     closed_form_F,
     convex_test_at_radius,
@@ -274,11 +275,13 @@ class TestClosedFormCircles:
 class TestRadiusSearch:
     def test_circle_test_budget(self, monkeypatch):
         radii = []
-        inner = radius._circle_test
-        monkeypatch.setattr(radius, "_circle_test", lambda f, r, *rest: radii.append(r) or inner(f, r, *rest))
-        # 1 at r_min, 49 more scan points, 15 bisection steps: r_min is not tested twice
+        inner = radius.convex_test_at_radius
+        monkeypatch.setattr(radius, "convex_test_at_radius", lambda f, r, *rest: radii.append(r) or inner(f, r, *rest))
+        # 14 scan points up to the first failure (r_min included, tested once),
+        # 3 Brent steps on the margin, 2 tests that confirm the final bracket
         res = radius_search(map_F(), "convexity")
-        assert len(radii) == 65 and len(set(radii)) == 65
+        assert res.circle_tests == 19
+        assert len(radii) == 19 and len(set(radii)) == 19
         assert res.r_lo <= R_CONVEX <= res.r_hi
         radii.clear()
         with pytest.raises(ValueError, match="already fails"):
@@ -342,17 +345,55 @@ class TestRadiusSearch:
         assert d["kind"] == "convexity"
         assert d["r_hi"] - d["r_lo"] <= 1e-4
 
-    def test_non_monotone_scan_aborts(self, monkeypatch):
-        # a pass above a fail must abort instead of bisecting a fake bracket
-        import hmap.radius as radius_mod
+    def test_first_loss_below_a_band(self, monkeypatch):
+        # the circles fail only on a middle band: the search brackets its
+        # lower edge and does not look above it
+        def band(f, r, n_theta=0):
+            passed = not (0.3 < r < 0.5)
+            return CircleTest(passed, 1.0 if passed else -1.0, 2 * math.pi)
 
-        def flaky(f, r, n_theta=0):
-            passed = not (0.3 < r < 0.5)  # fails only on a middle band
-            return radius_mod.CircleTest(passed, 1.0 if passed else -1.0, 2 * math.pi)
+        monkeypatch.setattr(radius, "convex_test_at_radius", band)
+        res = radius_search(map_F(), "convexity", tol=1e-3)
+        assert res.r_hi - res.r_lo <= 1e-3
+        assert res.r_lo <= 0.3 < res.r_hi
+        assert not res.upper_limit_hit
 
-        monkeypatch.setattr(radius_mod, "convex_test_at_radius", flaky)
-        with pytest.raises(NonMonotoneError):
-            radius_mod.radius_search(map_F(), "convexity", tol=1e-3)
+    def test_narrow_band_at_a_margin_dip(self, monkeypatch):
+        # the margin dips below zero on a band about 0.0063 wide, between two
+        # passing scan points (0.3935 and 0.4137) and at no scan point
+        depth, curvature = 5e-4, 50.0
+
+        def dip(f, r, n_theta=0):
+            m = curvature * (r - 0.405) ** 2 - depth
+            return CircleTest(m >= -CIRCLE_MIN_TOL, m, 2 * math.pi)
+
+        monkeypatch.setattr(radius, "convex_test_at_radius", dip)
+        res = radius_search(map_F(), "convexity", tol=1e-6)
+        edge = 0.405 - math.sqrt((depth - CIRCLE_MIN_TOL) / curvature)
+        assert not res.upper_limit_hit
+        assert res.r_hi - res.r_lo <= 1e-6
+        assert res.r_lo <= edge <= res.r_hi
+
+    def test_f_alpha_convexity_first_loss(self):
+        # the convexity margin of f_alpha(-0.75) is negative on about
+        # (0.5803, 0.834) and positive again up to about 0.87; 0.58034786306
+        # is its first root (closed-form margin on a dense theta grid with
+        # local refinement, brentq to 1e-14), where the slope is -0.49
+        res = radius_search(f_alpha(-0.75), "convexity", tol=1e-6)
+        assert res.r_hi - res.r_lo <= 1e-6
+        assert res.r_lo - CIRCLE_MIN_TOL / 0.49 <= 0.58034786306 <= res.r_hi
+
+    def test_L_starlikeness_bracket_stays_below_the_overshoot(self):
+        # root of the closed-form starlikeness margin of L = f_alpha(-1),
+        # where the slope is -2.1585; the one parabolic theta step
+        # overestimates the sampled minimum there by about 5e-10, so a bracket
+        # pressed against the sampled transition would pass the root by more
+        # than a circle's allowance of CIRCLE_MIN_TOL / |slope|
+        r_true = 0.871854109771851
+        res = radius_search(map_L(), "starlikeness", tol=1e-6)
+        assert res.r_hi - res.r_lo <= 1e-6
+        assert res.r_lo <= r_true + CIRCLE_MIN_TOL / 2.1585
+        assert r_true <= res.r_hi
 
 
 class TestClosedForms:
