@@ -19,6 +19,9 @@ sampled at z = r e^{i theta}, scaled from the cached e^{i theta}, with one
 |z| < 1 guard per set of points.  A series-only map is read from its
 coefficients: on |z| = r it is a trigonometric polynomial in theta, so on the
 grid f and its theta-derivatives are each one inverse FFT of the coefficients.
+A map with f(conj z) = conj f(z) (``HarmonicMap._conjugate_symmetric``) has
+circle images that mirror in the real axis, and its circle tests sample only
+the prefix theta <= pi of the grid.
 """
 
 from __future__ import annotations
@@ -57,18 +60,29 @@ class ExactEvaluators:
     d2g: Callable
 
 
-def _check_exact_agreement(hmap: "HarmonicMap") -> None:
+_ROUTES = ("h", "g", "dh", "dg", "d2h", "d2g")
+
+
+@lru_cache(maxsize=1)
+def _agreement_points() -> np.ndarray:
+    """The fixed sample points in |z| <= 1/2 where closed forms are checked, read-only."""
     # fixed seed: construction must be deterministic
     rng = np.random.default_rng(20157)
     r = 0.5 * np.sqrt(rng.uniform(0, 1, EXACT_AGREEMENT_POINTS))
     t = rng.uniform(0, 2 * np.pi, EXACT_AGREEMENT_POINTS)
     z = r * np.exp(1j * t)
+    z.flags.writeable = False
+    return z
+
+
+def _check_exact_agreement(hmap: "HarmonicMap") -> None:
+    z = _agreement_points()
     # second derivatives of maps with quadratically growing coefficients leave
     # a tail ~ n^4 (1/2)^n at the check radius; the allowance keeps the check
     # strict at the default truncation degree but not vacuous below it
     order = min(hmap.h.order, hmap.g.order)
     tol = EXACT_AGREEMENT_TOL + 8.0 * (order + 2) ** 4 * 0.5 ** (order + 1)
-    for name in ("h", "g", "dh", "dg", "d2h", "d2g"):
+    for name in _ROUTES:
         gap = np.max(np.abs(getattr(hmap.exact, name)(z) - hmap._series(name).evaluate(z)))
         if gap > tol:
             raise ValueError(
@@ -133,6 +147,25 @@ class HarmonicMap:
     def _series(self, which: str) -> TruncatedSeries:
         """The truncated series of one of h, g, h', g', h'', g''."""
         return getattr(self, which if which in ("h", "g") else "_" + which)
+
+    @cached_property
+    def _conjugate_symmetric(self) -> bool:
+        """Does f(conj z) = conj f(z) hold, so that circle images mirror in the real axis?
+
+        True when every coefficient of h and g is real and, on a map with
+        closed forms, each of them satisfies F(conj z) = conj F(z) on the
+        agreement points within EXACT_AGREEMENT_TOL.  Worked out at the
+        first circle test that asks, not when the map is built.
+        """
+        if np.any(self.h.coeffs.imag != 0) or np.any(self.g.coeffs.imag != 0):
+            return False
+        if self.exact is None:
+            return True
+        z = _agreement_points()
+        return all(
+            np.max(np.abs(fn(np.conj(z)) - np.conj(fn(z)))) <= EXACT_AGREEMENT_TOL
+            for fn in (getattr(self.exact, name) for name in _ROUTES)
+        )
 
     # -- evaluation plumbing -------------------------------------------------
 
@@ -292,9 +325,11 @@ def _unit_circle(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
 def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray, on_grid: bool, eps=None):
     """theta-derivatives (d^{m+1} f, d^m f) of f(r e^{i theta}), for m = 0 or 1.
 
-    ``on_grid`` says that ``theta`` is the uniform grid 2 pi j / n, j < n =
-    theta.size (:func:`_unit_circle`).  A map with closed forms calls them
-    at z = r e^{i theta}, taking e^{i theta} from the cache on the grid, after
+    ``on_grid`` says that ``theta`` is the uniform grid 2 pi j / n of
+    :func:`_unit_circle`, or a prefix of it (j < theta.size <= n, n read off
+    the spacing theta[1] = 2 pi / n): half-circle tests pass j <= n/2.  A
+    map with closed forms calls them at z = r e^{i theta}, taking
+    e^{i theta} from the cache on the grid, after
     one |z| < 1 guard: f and d1 for m = 0, d1 and d2 of :func:`_angular` for
     m = 1.  On a series-only map the circle image is the trigonometric
     polynomial
@@ -303,7 +338,8 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray, on_
 
     whose theta-derivative multiplies the coefficient at frequency k by ik.
     On the grid each derivative is one inverse FFT of the coefficients
-    folded modulo n, exact at any degree.  Other angles take the direct sum.
+    folded modulo n, exact at any degree, cut to the prefix.  Other angles
+    take the direct sum.
 
     With a 1-D array ``eps`` (m = 1 only) it samples the analytic maps
     Fe = h + eps g of Kaplan's arc integrals instead, one row per eps:
@@ -311,9 +347,10 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray, on_
     for all rows; a series-only map folds a_n + eps b_n into one-sided rows
     of the same inverse FFT.
     """
+    n = round(2 * np.pi / theta[1]) if on_grid else theta.size
     if f.exact is not None:
         ex = f.exact
-        z = r * (_unit_circle(theta.size)[1] if on_grid else np.exp(1j * theta))
+        z = r * (_unit_circle(n)[1][: theta.size] if on_grid else np.exp(1j * theta))
         _require_inside(z)
         if eps is not None:
             zhp, zgp = z * ex.dh(z), z * ex.dg(z)
@@ -332,9 +369,9 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray, on_
         c = (a + eps[:, None] * b) * r ** k
     rows = np.concatenate([(1j * k) ** (m + 1) * c, (1j * k) ** m * c])
     if on_grid:
-        spec = np.zeros((rows.shape[0], theta.size), dtype=complex)
-        np.add.at(spec, (slice(None), k % theta.size), rows)
-        out = np.fft.ifft(spec, norm="forward")
+        spec = np.zeros((rows.shape[0], n), dtype=complex)
+        np.add.at(spec, (slice(None), k % n), rows)
+        out = np.fft.ifft(spec, norm="forward")[:, : theta.size]
     else:
         out = rows @ np.exp(1j * np.outer(k, theta))
     upper, lower = out[: len(c)], out[len(c) :]

@@ -27,13 +27,17 @@ sampled at z = r e^{i theta} by calling them directly, h, g and their first
 two derivatives, after one |z| < 1 guard per circle.  A series-only map is a
 trigonometric polynomial in theta on the circle: each derivative on the grid
 is one inverse FFT of its two-sided coefficients, and the refinement point
-is their direct sum.
+is their direct sum.  A map with f(conj z) = conj f(z) has circle images
+that mirror in the real axis, and on an even grid its tests sample only the
+nodes 0 <= theta <= pi (series-only maps cut their full-size FFT there).
 
 The radius of convexity (or starlikeness) is the first r where the test
 fails.  ``radius_search`` scans r upward to the first failing circle and
 roots the margin, the refined minimum of the rate, which is continuous in r,
 between the last pass and that failure.  Margins that dip between scan
-points are searched for a failing band narrower than the scan step.
+points are searched for a failing band narrower than the scan step.  A
+first loss that fails only on the branch guard is searched again on a
+finer grid.
 
 For the horizontally sheared half-plane map the transition radii admit exact
 descriptions through two trigonometric polynomials in u = cos(theta):
@@ -73,7 +77,10 @@ class RadiusResult(Report):
     The test passes at ``r_lo`` and at every circle the search tested below
     it, and fails at ``r_hi`` (unless the property survived to the search
     cap, flagged by ``upper_limit_hit``), so the bracket holds the first
-    loss the search found.  ``circle_tests`` counts the circle tests it ran.
+    loss the search found.  ``grid_theta`` is the full-circle grid of the
+    last search: the requested one, or a finer one where a first loss failed
+    only on the branch guard.  ``circle_tests`` counts the circle tests of
+    every search on every grid.
     """
 
     kind: str
@@ -109,10 +116,18 @@ def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str
     angles, and raises ValueError where the curve vanishes.  Passes iff the
     refined minimum of the rate stays above -CIRCLE_MIN_TOL and the winding
     of the curve equals 2 pi within TURNING_TOL.
+
+    On a map with f(conj z) = conj f(z) and an even grid it samples only the
+    nodes 0 <= theta <= pi.  The curve at -theta is the conjugate of that at
+    theta, up to sign, and the rate is even in theta: the vanishing check
+    holds by symmetry, every step of the second half repeats one of the
+    first, so the winding is twice the half, and the refinement reads the
+    rate mirrored back onto the whole grid.
     """
     if not 0 < r < 1:
         raise ValueError("need 0 < r < 1")
     thetas = _unit_circle(n_theta)[0]
+    half = n_theta % 2 == 0 and f._conjugate_symmetric
 
     def sample(th: np.ndarray, on_grid: bool) -> tuple[np.ndarray, np.ndarray]:
         upper, curve = _circle_derivatives(f, r, m, th, on_grid)
@@ -120,11 +135,15 @@ def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str
             raise ValueError(f"{curve_name} vanishes on |z| = {r}")
         return np.imag(upper / curve), curve
 
-    rate, curve = sample(thetas, True)
-    mn = _refined_min(rate, thetas, lambda th: sample(th, False)[0])
-    closed = np.append(curve, curve[:1]), np.append(rate, rate[:1])
+    if half:
+        rate, curve = sample(thetas[: n_theta // 2 + 1], True)
+        path, full_rate = (curve, rate), np.concatenate([rate, rate[-2:0:-1]])
+    else:
+        rate, curve = sample(thetas, True)
+        path, full_rate = (np.append(curve, curve[:1]), np.append(rate, rate[:1])), rate
+    mn = _refined_min(full_rate, thetas, lambda th: sample(th, False)[0])
     try:
-        turning = float(np.sum(_phase_steps(*closed, thetas[1])))
+        turning = (2 if half else 1) * float(np.sum(_phase_steps(*path, thetas[1])))
     except ValueError:  # a step may have slipped a branch: the circle fails
         turning = math.nan
     ok = mn >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
@@ -181,6 +200,9 @@ def _dip_fails(test: Callable[[float], CircleTest], a: float, b: float, tol: flo
     return True
 
 
+_MAX_THETA_POINTS = 65536  # largest grid a guard-only first loss is searched again on
+
+
 def radius_search(
     f: HarmonicMap,
     kind: str,
@@ -206,14 +228,42 @@ def radius_search(
     loss where the property holds again are not searched.  If the property
     still holds at ``r_cap`` the result carries ``upper_limit_hit`` and the
     bracket degenerates to [r_cap, 1).
+
+    A first loss that fails only on the branch guard (turning nan, margin
+    above threshold) says that the grid is too coarse for the curve there,
+    not that the property is lost.  The search then runs again on 4 times
+    as many angles, up to 65536, and raises ValueError past that.  The
+    result reports the grid of the last run and the circle tests of all.
     """
     if kind == "convexity":
-        circle = lambda r: convex_test_at_radius(f, r, n_theta)
+        circle = lambda r, n: convex_test_at_radius(f, r, n)
     elif kind == "starlikeness":
-        circle = lambda r: starlike_test_at_radius(f, r, n_theta)
+        circle = lambda r, n: starlike_test_at_radius(f, r, n)
     else:
         raise ValueError("kind must be 'convexity' or 'starlikeness'")
 
+    tests = 0
+    while True:
+        lo, hi, seen = _first_loss(lambda r: circle(r, n_theta), kind, tol, r_min, r_cap, scan_points)
+        tests += len(seen)
+        if hi == 1.0:
+            return RadiusResult(kind, lo, hi, n_theta, tol, tests, upper_limit_hit=True)
+        loss = seen[hi]
+        if not (math.isnan(loss.total_turning) and loss.min_derivative >= -CIRCLE_MIN_TOL):
+            return RadiusResult(kind, lo, hi, n_theta, tol, tests)
+        if 4 * n_theta > _MAX_THETA_POINTS:
+            raise ValueError(f"{kind} circle at r = {hi} fails only on the branch guard on "
+                             f"{n_theta} angles; the curve needs a finer grid than the cap")
+        n_theta *= 4
+
+
+def _first_loss(
+    circle: Callable[[float], CircleTest], kind: str, tol: float, r_min: float, r_cap: float, scan_points: int
+) -> tuple[float, float, dict[float, CircleTest]]:
+    """One run of :func:`radius_search` on one grid: r_lo, r_hi and every circle tested.
+
+    r_hi is 1.0 when the property still holds at ``r_cap`` (then r_lo = r_cap).
+    """
     seen: dict[float, CircleTest] = {}
 
     def test(r: float) -> CircleTest:
@@ -222,7 +272,7 @@ def radius_search(
             seen[r] = circle(r)
         return seen[r]
 
-    def first_loss() -> tuple[float, float]:
+    def bracket() -> tuple[float, float]:
         hi = min(r for r, t in seen.items() if not t.passed)
         return max(r for r, t in seen.items() if t.passed and r < hi), hi
 
@@ -242,23 +292,23 @@ def radius_search(
             if _dip_fails(test, passing[i - 1], passing[i + 1], tol):
                 break
     if all(t.passed for t in seen.values()):
-        return RadiusResult(kind, r_cap, 1.0, n_theta, tol, len(seen), upper_limit_hit=True)
+        return r_cap, 1.0, seen
 
-    lo, hi = first_loss()
+    lo, hi = bracket()
     margin = lambda r: test(r).min_derivative + CIRCLE_MIN_TOL
     if margin(hi) < 0:  # a margin failure, not a winding one: root the margin
         x = _bracketed_root(margin, lo, hi, xtol=0.4 * tol)
         lo_x, hi_x = max(lo, x - 0.45 * tol), min(hi, x + 0.45 * tol)
-        if test(lo_x).passed and not test(hi_x).passed and first_loss()[1] > lo_x:
-            return RadiusResult(kind, lo_x, hi_x, n_theta, tol, len(seen))
-        lo, hi = first_loss()
+        if test(lo_x).passed and not test(hi_x).passed and bracket()[1] > lo_x:
+            return lo_x, hi_x, seen
+        lo, hi = bracket()
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if test(mid).passed:
             lo = mid
         else:
             hi = mid
-    return RadiusResult(kind, lo, hi, n_theta, tol, len(seen))
+    return lo, hi, seen
 
 
 # -- closed forms for the horizontally sheared half-plane map -------------------

@@ -133,6 +133,18 @@ class TestCli:
         assert hi - lo <= 1e-6
         assert lo <= 0.580348 <= hi
 
+    def test_radius_guard_only_circles_refine_the_grid(self, tmp_path, capsys):
+        # on 4096 angles the starlike circles of f_alpha(-0.75) fail on the
+        # branch guard from 0.9964 on; the radius is 0.997900
+        out = tmp_path / "rad.json"
+        rc = dispatch(["radius", "--function", "f_alpha:-0.75,0", "--kind", "starlike", "--out", str(out)])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        lo, hi = (float(x) for x in printed.split("[")[1].split("]")[0].split(","))
+        assert hi - lo <= 1e-6
+        assert lo <= 0.997900 <= hi
+        assert json.loads(out.read_text())["grid_theta"] == 16384
+
     def test_classify_m_alpha_pass(self):
         rc = dispatch(["classify", "--function", "f_alpha:0,1", "--check", "m-alpha"])
         assert rc == 0

@@ -272,6 +272,127 @@ class TestClosedFormCircles:
         assert same_bits(unit, np.exp(1j * theta))
 
 
+MIRRORED = {
+    "map_F": map_F,
+    "map_L": map_L,
+    "example21": example21,
+    "example22": example22,
+    "l_hadamard_l": l_hadamard_l,
+    "conv(L,L)": SERIES_ONLY["conv(L,L)"],
+    "twin f_alpha(0.5)": lambda: make_M_alpha_member(half_plane_koebe_mix(64), 0.5),
+}
+
+
+def full_circle(f, monkeypatch):
+    """f with its mirror predicate patched to False: circle tests sample every node."""
+    monkeypatch.setitem(vars(f), "_conjugate_symmetric", False)
+    return f
+
+
+def recording(f, sizes):
+    """f with closed forms that append the number of points of each call to ``sizes``."""
+    def wrap(fn):
+        return lambda z: sizes.append(np.size(z)) or fn(z)
+
+    return HarmonicMap(f.h, f.g, ExactEvaluators(**{w: wrap(getattr(f.exact, w)) for w in ROUTES}))
+
+
+class TestHalfCircle:
+    """Maps with f(conj z) = conj f(z) sample the nodes 0 <= theta <= pi only."""
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED))
+    def test_half_circle_equals_full_circle(self, name, monkeypatch):
+        # 2 - sqrt(3) puts the convexity argmin of F, L*L and conv(L,L) at
+        # theta = pi; example21's starlikeness argmin sits at theta = 0.  Near
+        # the boundary a series-only map's refinement point, a direct sum, is
+        # rounded differently at 2 pi - t than at t (4e-11 relative at r =
+        # 0.95), so the radii stop at 0.8
+        f = MIRRORED[name]()
+        assert f._conjugate_symmetric
+        radii = (0.2, R_CONVEX, 0.5, 0.8)
+        tests = (convex_test_at_radius, starlike_test_at_radius)
+        half = [test(f, r) for r in radii for test in tests]
+        full = [test(full_circle(f, monkeypatch), r) for r in radii for test in tests]
+        for a, b in zip(half, full):
+            assert a.passed == b.passed
+            scale = max(1.0, abs(b.min_derivative))
+            assert abs(a.min_derivative - b.min_derivative) <= 1e-12 * scale
+            assert a.total_turning == pytest.approx(b.total_turning, abs=1e-12, nan_ok=True)
+
+    def test_argmin_at_zero_and_pi(self, monkeypatch):
+        theta = _unit_circle(4096)[0]
+        for f, r, m, node in ((map_F(), R_CONVEX, 1, 2048), (example21(), 0.5, 0, 0)):
+            upper, curve = _circle_derivatives(f, r, m, theta, True)
+            assert int(np.argmin(np.imag(upper / curve))) == node
+            test = (starlike_test_at_radius, convex_test_at_radius)[m]
+            half, full = test(f, r), test(full_circle(f, monkeypatch), r)
+            assert half.min_derivative == pytest.approx(full.min_derivative, abs=1e-15)
+
+    @pytest.mark.parametrize("build", [lambda c: HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(3))),
+                                       lambda c: HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(3)),
+                                                             ExactEvaluators(h=lambda z: z + 2 * z * z,
+                                                                             g=lambda z: 0 * z,
+                                                                             dh=lambda z: 1 + 4 * z,
+                                                                             dg=lambda z: 0 * z,
+                                                                             d2h=lambda z: 4 + 0 * z,
+                                                                             d2g=lambda z: 0 * z))],
+                             ids=["series", "closed"])
+    def test_vanishing_curve_raises_on_both_paths(self, build, monkeypatch):
+        # h = z + 2 z^2 vanishes at z = -1/2 and h' at z = -1/4, both at theta = pi
+        for test, r, what in ((starlike_test_at_radius, 0.5, "map"),
+                              (convex_test_at_radius, 0.25, "tangent vector")):
+            f = build(np.array([0, 1, 2], dtype=complex))
+            assert f._conjugate_symmetric
+            with pytest.raises(ValueError, match=f"{what} vanishes"):
+                test(f, r)
+            with pytest.raises(ValueError, match=f"{what} vanishes"):
+                test(full_circle(f, monkeypatch), r)
+
+    def test_branch_guard_trips_on_both_paths(self, monkeypatch):
+        # h' = 1 + 4 z^12 on 8 nodes, and f_alpha(-0.75) past r = 0.9964 on
+        # 4096: a step may slip a branch on either path
+        c = np.zeros(14, dtype=complex)
+        c[1], c[13] = 1.0, 4 / 13
+        wound = HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(14, dtype=complex)))
+        for f, test, r, n in ((wound, convex_test_at_radius, 0.9, 8),
+                              (f_alpha(-0.75), starlike_test_at_radius, 0.997, 4096)):
+            half = test(f, r, n)
+            full = test(full_circle(f, monkeypatch), r, n)
+            assert math.isnan(half.total_turning) and math.isnan(full.total_turning)
+            assert not half.passed and not full.passed
+            assert half.min_derivative == pytest.approx(full.min_derivative, abs=1e-12)
+
+    def test_closed_forms_see_half_the_grid(self):
+        for f, n, want in ((map_F(), 4096, 2049), (example22(), 4096, 2049), (map_F(), 4095, 4095),
+                           (f_alpha(0.5 + 0.5j), 4096, 4096)):
+            sizes = []
+            f = recording(f, sizes)
+            f._conjugate_symmetric
+            sizes.clear()
+            convex_test_at_radius(f, 0.5, n)
+            starlike_test_at_radius(f, 0.5, n)
+            # four closed forms per test on the grid, and one refinement point
+            assert set(sizes) <= {want, 1} and sizes.count(want) == 8
+
+    def test_full_circle_without_the_symmetry(self, monkeypatch):
+        sizes = []
+        sample = radius._circle_derivatives
+        monkeypatch.setattr(radius, "_circle_derivatives", lambda f, r, m, th, on_grid: sizes.append(th.size)
+                            or sample(f, r, m, th, on_grid))
+        c = np.array([0, 1, 0, 0, 0], dtype=complex)
+        one_imaginary = np.array([0, 0, 0.1, 0.01j, 0], dtype=complex)
+        # real coefficients, but the closed form of h is z + 1e-3 i z^2, which
+        # agrees with the series only within the allowance of a degree-4 map
+        broken = ExactEvaluators(h=lambda z: z + 1e-3j * z * z, g=lambda z: 0 * z,
+                                 dh=lambda z: 1 + 2e-3j * z, dg=lambda z: 0 * z,
+                                 d2h=lambda z: 2e-3j + 0 * z, d2g=lambda z: 0 * z)
+        for f in (HarmonicMap(TruncatedSeries(c), TruncatedSeries(one_imaginary)),
+                  HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(5)), broken)):
+            sizes.clear()
+            convex_test_at_radius(f, 0.5)
+            assert not f._conjugate_symmetric and sizes[0] == 4096
+
+
 class TestRadiusSearch:
     def test_circle_test_budget(self, monkeypatch):
         radii = []
@@ -394,6 +515,45 @@ class TestRadiusSearch:
         assert res.r_hi - res.r_lo <= 1e-6
         assert res.r_lo <= r_true + CIRCLE_MIN_TOL / 2.1585
         assert r_true <= res.r_hi
+
+
+    def test_guard_only_first_loss_is_searched_on_a_finer_grid(self):
+        # on 4096 angles the starlike circles of f_alpha(-0.75) trip the branch
+        # guard from r = 0.9964 on, with a margin of +0.0676; 0.997900 is the
+        # root of the margin on 65536 angles
+        res = radius_search(f_alpha(-0.75), "starlikeness")
+        assert res.grid_theta == 16384
+        assert res.r_hi - res.r_lo <= 1e-6
+        assert res.r_lo <= 0.997900 <= res.r_hi
+
+    def test_guard_rerun_counts_every_circle(self, monkeypatch):
+        # the guard trips above 0.5 on 4096 angles only; finer grids lose the
+        # property at 0.6 on the margin
+        grids = []
+
+        def coarse(f, r, n_theta=0):
+            grids.append(n_theta)
+            if n_theta == 4096 and r >= 0.5:
+                return CircleTest(False, 1.0, math.nan)
+            return CircleTest(r <= 0.6, 0.6 - r, 2 * math.pi)
+
+        monkeypatch.setattr(radius, "convex_test_at_radius", coarse)
+        res = radius_search(map_F(), "convexity", tol=1e-6)
+        assert res.grid_theta == 16384 and set(grids) == {4096, 16384}
+        assert res.circle_tests == len(grids)
+        assert res.r_lo <= 0.6 <= res.r_hi and res.r_hi - res.r_lo <= 1e-6
+
+    def test_guard_only_past_the_cap_raises(self, monkeypatch):
+        grids = []
+
+        def guard_only(f, r, n_theta=0):
+            grids.append(n_theta)
+            return CircleTest(r < 0.5, 1.0, 2 * math.pi if r < 0.5 else math.nan)
+
+        monkeypatch.setattr(radius, "starlike_test_at_radius", guard_only)
+        with pytest.raises(ValueError, match="only on the branch guard on 65536 angles"):
+            radius_search(map_F(), "starlikeness", tol=1e-3)
+        assert sorted(set(grids)) == [4096, 16384, 65536]
 
 
 class TestClosedForms:
