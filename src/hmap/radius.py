@@ -244,7 +244,7 @@ def radius_search(
 
     tests = 0
     while True:
-        lo, hi, seen = _first_loss(lambda r: circle(r, n_theta), kind, tol, r_min, r_cap, scan_points)
+        lo, hi, seen = _search_grid(lambda r: circle(r, n_theta), kind, tol, r_min, r_cap, scan_points)
         tests += len(seen)
         if hi == 1.0:
             return RadiusResult(kind, lo, hi, n_theta, tol, tests, upper_limit_hit=True)
@@ -257,7 +257,7 @@ def radius_search(
         n_theta *= 4
 
 
-def _first_loss(
+def _search_grid(
     circle: Callable[[float], CircleTest], kind: str, tol: float, r_min: float, r_cap: float, scan_points: int
 ) -> tuple[float, float, dict[float, CircleTest]]:
     """One run of :func:`radius_search` on one grid: r_lo, r_hi and every circle tested.
@@ -272,7 +272,7 @@ def _first_loss(
             seen[r] = circle(r)
         return seen[r]
 
-    def bracket() -> tuple[float, float]:
+    def first_loss() -> tuple[float, float]:
         hi = min(r for r, t in seen.items() if not t.passed)
         return max(r for r, t in seen.items() if t.passed and r < hi), hi
 
@@ -294,14 +294,14 @@ def _first_loss(
     if all(t.passed for t in seen.values()):
         return r_cap, 1.0, seen
 
-    lo, hi = bracket()
+    lo, hi = first_loss()
     margin = lambda r: test(r).min_derivative + CIRCLE_MIN_TOL
     if margin(hi) < 0:  # a margin failure, not a winding one: root the margin
         x = _bracketed_root(margin, lo, hi, xtol=0.4 * tol)
         lo_x, hi_x = max(lo, x - 0.45 * tol), min(hi, x + 0.45 * tol)
-        if test(lo_x).passed and not test(hi_x).passed and bracket()[1] > lo_x:
+        if test(lo_x).passed and not test(hi_x).passed and first_loss()[1] > lo_x:
             return lo_x, hi_x, seen
-        lo, hi = bracket()
+        lo, hi = first_loss()
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if test(mid).passed:

@@ -328,20 +328,15 @@ class TestHalfCircle:
             half, full = test(f, r), test(full_circle(f, monkeypatch), r)
             assert half.min_derivative == pytest.approx(full.min_derivative, abs=1e-15)
 
-    @pytest.mark.parametrize("build", [lambda c: HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(3))),
-                                       lambda c: HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(3)),
-                                                             ExactEvaluators(h=lambda z: z + 2 * z * z,
-                                                                             g=lambda z: 0 * z,
-                                                                             dh=lambda z: 1 + 4 * z,
-                                                                             dg=lambda z: 0 * z,
-                                                                             d2h=lambda z: 4 + 0 * z,
-                                                                             d2g=lambda z: 0 * z))],
-                             ids=["series", "closed"])
-    def test_vanishing_curve_raises_on_both_paths(self, build, monkeypatch):
+    @pytest.mark.parametrize("closed", [False, True], ids=["series", "closed"])
+    def test_vanishing_curve_raises_on_both_paths(self, closed, monkeypatch):
         # h = z + 2 z^2 vanishes at z = -1/2 and h' at z = -1/4, both at theta = pi
+        exact = ExactEvaluators(h=lambda z: z + 2 * z * z, g=lambda z: 0 * z, dh=lambda z: 1 + 4 * z,
+                                dg=lambda z: 0 * z, d2h=lambda z: 4 + 0 * z, d2g=lambda z: 0 * z)
         for test, r, what in ((starlike_test_at_radius, 0.5, "map"),
                               (convex_test_at_radius, 0.25, "tangent vector")):
-            f = build(np.array([0, 1, 2], dtype=complex))
+            f = HarmonicMap(TruncatedSeries(np.array([0, 1, 2], dtype=complex)), TruncatedSeries(np.zeros(3)),
+                            exact if closed else None)
             assert f._conjugate_symmetric
             with pytest.raises(ValueError, match=f"{what} vanishes"):
                 test(f, r)
