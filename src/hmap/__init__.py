@@ -58,7 +58,6 @@ from .plotting import PlotSpec, plot_command, sample_curves
 from .radius import (
     RadiusResult,
     SpecialRadii,
-    closed_form_F,
     convex_test_at_radius,
     identity_check_tangent,
     p_root_in_radius,
@@ -89,7 +88,7 @@ __all__ = [
     "SingularPointError", "angular_derivatives", "dilatation", "evaluate_f",
     "injectivity_sample_check", "jacobian", "sense_preserving_check",
     "PlotSpec", "plot_command", "sample_curves",
-    "RadiusResult", "SpecialRadii", "closed_form_F",
+    "RadiusResult", "SpecialRadii",
     "convex_test_at_radius", "identity_check_tangent", "p_root_in_radius",
     "polynomial_p", "polynomial_q", "q_interior_min_location", "radius_search",
     "solve_special_radii", "starlike_margin", "starlike_test_at_radius",

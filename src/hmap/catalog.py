@@ -74,9 +74,9 @@ def _with_w(fn):
     return lambda z: fn(z, 1 - z)
 
 
-def _f_alpha_map(alpha: complex, order: int, label: str) -> HarmonicMap:
-    h, g = _f_alpha_series(alpha, order)
-    exact = ExactEvaluators(
+def _f_alpha_exact(alpha: complex) -> ExactEvaluators:
+    """Closed forms of f_alpha: h = (l + k)/2 and g = alpha (k - l)/2, l = z/(1-z), k = z/(1-z)^2."""
+    return ExactEvaluators(
         h=_with_w(lambda z, w: 0.5 * (z / w + z / (w * w))),
         g=_with_w(lambda z, w, a=alpha: 0.5 * a * (z / (w * w) - z / w)),
         dh=_with_w(lambda z, w: 1 / (w * w * w)),
@@ -84,7 +84,11 @@ def _f_alpha_map(alpha: complex, order: int, label: str) -> HarmonicMap:
         d2h=_with_w(lambda z, w: 3 / (w * w * w * w)),
         d2g=_with_w(lambda z, w, a=alpha: a * (1 + 2 * z) / (w * w * w * w)),
     )
-    return HarmonicMap(h, g, exact, label=label)
+
+
+def _f_alpha_map(alpha: complex, order: int, label: str) -> HarmonicMap:
+    h, g = _f_alpha_series(alpha, order)
+    return HarmonicMap(h, g, _f_alpha_exact(alpha), label=label)
 
 
 def f_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:

@@ -284,7 +284,9 @@ def angular_derivatives(f: HarmonicMap, r: float, theta):
         d2 = -(z h' + z^2 h'') - conj(z g' + z^2 g'')
 
     Both follow from differentiating z(theta) = r e^{i theta} through the
-    chain rule; they drive the circle-image convexity and starlikeness tests.
+    chain rule.  This is the public route through the ``*_at`` methods; the
+    circle tests and Kaplan arcs sample the same formulas on their own path
+    (:func:`_circle_derivatives`).
     """
     if not 0 < r < 1:
         raise ValueError("need 0 < r < 1")
@@ -339,7 +341,9 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray, on_
     whose theta-derivative multiplies the coefficient at frequency k by ik.
     On the grid each derivative is one inverse FFT of the coefficients
     folded modulo n, exact at any degree, cut to the prefix.  Other angles
-    take the direct sum.
+    take the direct sum, after they are reduced into (-pi, pi]: a phase
+    k theta near 2 pi k would lose digits at high frequencies, and the
+    mirror images theta and 2 pi - theta would be rounded differently.
 
     With a 1-D array ``eps`` (m = 1 only) it samples the analytic maps
     Fe = h + eps g of Kaplan's arc integrals instead, one row per eps:
@@ -373,7 +377,7 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray, on_
         np.add.at(spec, (slice(None), k % n), rows)
         out = np.fft.ifft(spec, norm="forward")[:, : theta.size]
     else:
-        out = rows @ np.exp(1j * np.outer(k, theta))
+        out = rows @ np.exp(1j * np.outer(k, np.angle(np.exp(1j * theta))))
     upper, lower = out[: len(c)], out[len(c) :]
     return (upper, lower) if eps is not None else (upper[0], lower[0])
 

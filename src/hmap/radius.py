@@ -39,16 +39,27 @@ points are searched for a failing band narrower than the scan step.  A
 first loss that fails only on the branch guard is searched again on a
 finer grid.
 
-For the horizontally sheared half-plane map the transition radii admit exact
-descriptions through two trigonometric polynomials in u = cos(theta):
+For the horizontally sheared half-plane map F = f_alpha(1) the transition
+radii admit exact descriptions through two polynomials in u = cos(theta).
+With Psi and Phi the tangent and radial direction angles of the image of
+|z| = r,
 
     [(1 - 6r^2 + r^4) + 2r(1 + r^2) u]^2 (1 - u^2) d/dtheta tan Psi = p(r, u)
-    [(1 + r^2) u - 2r]^2                           d/dtheta tan Phi = q(r, u)
+    [(1 + r^2) u - 2r]^2                           d/dtheta tan Phi = q(r, u).
 
-where Psi and Phi are the tangent and radial direction angles.  The circle
-images stay convex while p >= 0 on [-1, 1] (equivalently r <= 2 - sqrt(3),
-from p(r, -1) = (1+r)^6 (1 - 4r + r^2)) and starlike while q >= 0
-(equivalently r below the root of q evaluated at its interior minimum).
+Multiplied through by the squared denominators of the two tangents, with
+z = r e^{i theta} and d1, d2 the theta-derivatives of F, they read
+
+    r^2 p(r, u) = |1 - z|^12 Im(conj(d1) d2)
+    r^2 q(r, u) = |1 - z|^8  Im(conj(F) d1),
+
+which hold everywhere, u = +-1 and the poles of the tangents included.  The
+circle tests' rates are Im(d2/d1) = Im(conj(d1) d2) / |d1|^2 and Im(d1/F) =
+Im(conj(F) d1) / |F|^2, so on every circle F's rates have the signs of p and
+q.  The circle images stay convex while p >= 0 on [-1, 1] (equivalently
+r <= 2 - sqrt(3), from p(r, -1) = (1+r)^6 (1 - 4r + r^2)) and starlike while
+q >= 0 (equivalently r below the root of q evaluated at its interior
+minimum).
 """
 
 from __future__ import annotations
@@ -60,7 +71,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .defaults import CIRCLE_MIN_TOL, CIRCLE_THETA_POINTS, TURNING_TOL
-from .harmonic import HarmonicMap, _circle_derivatives, _phase_steps, _unit_circle
+from .catalog import _f_alpha_exact
+from .harmonic import HarmonicMap, _angular, _circle_derivatives, _phase_steps, _unit_circle
 from .report import Report
 
 
@@ -311,39 +323,7 @@ def _search_grid(
     return lo, hi, seen
 
 
-# -- closed forms for the horizontally sheared half-plane map -------------------
-
-
-def _rho(r: float, theta: float) -> np.ndarray:
-    return 1 - 2 * r * np.cos(theta) + r * r
-
-
-def closed_form_F(expr: str, r: float, theta) -> float | np.ndarray:
-    """Components of the sheared map and of its angular derivative on |z| = r.
-
-    C + iD is the map itself, A + iB its theta-derivative:
-
-        A = -r[(1 - 6r^2 + r^4) sin t + r(1 + r^2) sin 2t] / |1-z|^6
-        B =  r[(1 + r^2) cos t - 2r] / |1-z|^4
-        C =  r[(1 + r^2) cos t - 2r] / |1-z|^4
-        D =  r sin t / |1-z|^2
-
-    (B and C coincide for this map: d/dtheta Im f = Re f.)
-    """
-    if not 0 < r < 1:
-        raise ValueError("need 0 < r < 1")
-    th = np.asarray(theta, dtype=float)
-    r2 = r * r
-    rho = _rho(r, th)
-    if expr == "A":
-        val = -r * ((1 - 6 * r2 + r2 * r2) * np.sin(th) + r * (1 + r2) * np.sin(2 * th)) / rho ** 3
-    elif expr in ("B", "C"):
-        val = r * ((1 + r2) * np.cos(th) - 2 * r) / rho ** 2
-    elif expr == "D":
-        val = r * np.sin(th) / rho
-    else:
-        raise ValueError("expr must be one of A, B, C, D")
-    return float(val) if np.isscalar(theta) else val
+# -- sign polynomials of the horizontally sheared half-plane map F --------------
 
 
 def polynomial_p(r: float, u) -> float | np.ndarray:
@@ -455,36 +435,32 @@ class TangentIdentityResiduals:
     starlike: float
 
 
-def identity_check_tangent(r: float, u: float, step: float = 1e-6) -> TangentIdentityResiduals:
-    """Residuals of the two tangent-derivative identities at (r, u).
+def identity_check_tangent(r, u) -> TangentIdentityResiduals:
+    """Largest residuals of the two pole-free tangent identities over the points (r, u).
 
-    The left sides are built from the closed-form components A, B, C, D with
-    a central finite difference in theta; the right sides are p(r, u) and
-    q(r, u).  Points with u = +-1 or where tan Psi / tan Phi has a pole
-    (the prefactor brackets vanish) are rejected.
+    r and u broadcast against each other.  At z = r (u + i sqrt(1 - u^2))
+    the closed forms of F = f_alpha(1) give F and, through the formulas the
+    circle tests sample (``harmonic._angular``), its theta-derivatives d1
+    and d2.  With |1 - z|^2 = 1 - 2ru + r^2 the residuals, in units of p and
+    q, are
+
+        convex   = max | |1 - z|^12 Im(conj(d1) d2) / r^2 - p(r, u) |
+        starlike = max | |1 - z|^8  Im(conj(F) d1)  / r^2 - q(r, u) |.
+
+    Every point with 0 < r < 1 and -1 <= u <= 1 is valid, u = +-1 and the
+    poles of tan Psi and tan Phi included; ValueError otherwise.
     """
-    if not 0 < r < 1:
-        raise ValueError("need 0 < r < 1")
-    if not -1 < u < 1:
-        raise ValueError("u = +-1 degenerates the identities (sin theta = 0)")
-    r2 = r * r
-    brk_psi = (1 - 6 * r2 + r2 * r2) + 2 * r * (1 + r2) * u
-    brk_phi = (1 + r2) * u - 2 * r
-    if abs(brk_psi) < 0.05 or abs(brk_phi) < 0.05:
-        raise ValueError("too close to a tangent pole; identity is ill-conditioned there")
-    theta = math.acos(u)
-
-    def tan_psi(t):
-        return closed_form_F("B", r, t) / closed_form_F("A", r, t)
-
-    def tan_phi(t):
-        return closed_form_F("D", r, t) / closed_form_F("C", r, t)
-
-    d_psi = (tan_psi(theta + step) - tan_psi(theta - step)) / (2 * step)
-    d_phi = (tan_phi(theta + step) - tan_phi(theta - step)) / (2 * step)
-    res_psi = abs(brk_psi ** 2 * (1 - u * u) * d_psi - polynomial_p(r, u))
-    res_phi = abs(brk_phi ** 2 * d_phi - polynomial_q(r, u))
-    return TangentIdentityResiduals(convex=float(res_psi), starlike=float(res_phi))
+    r, u = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(u, dtype=float))
+    if not (np.all((0 < r) & (r < 1)) and np.all(np.abs(u) <= 1)):
+        raise ValueError("need 0 < r < 1 and -1 <= u <= 1")
+    ex = _f_alpha_exact(1)
+    z = r * (u + 1j * np.sqrt(1 - u * u))
+    d1, d2 = _angular(z, ex.dh, ex.dg, ex.d2h, ex.d2g)
+    f = ex.h(z) + np.conj(ex.g(z))
+    rho = 1 - 2 * r * u + r * r
+    convex = rho ** 6 * np.imag(np.conj(d1) * d2) / (r * r) - polynomial_p(r, u)
+    starlike = rho ** 4 * np.imag(np.conj(f) * d1) / (r * r) - polynomial_q(r, u)
+    return TangentIdentityResiduals(float(np.max(np.abs(convex))), float(np.max(np.abs(starlike))))
 
 
 @dataclass(frozen=True)

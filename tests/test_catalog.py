@@ -227,6 +227,10 @@ class TestEvaluatorsAgainstDefinitions:
         expect = np.real(z / (1 - z) ** 2) + 1j * np.imag(z / (1 - z))
         # the closed forms evaluate every point, so only rounding separates them
         assert np.max(np.abs(evaluate_f(F, z) - expect)) < 1e-12
+        # F is real on the real axis, and F(0.5) = 0.5 / 0.5^2 = 2
+        x = np.array([-0.9, 0.1, 0.5, 0.9]) + 0j
+        assert np.all(evaluate_f(F, x).imag == 0.0)
+        assert evaluate_f(F, 0.5 + 0j) == pytest.approx(2.0, abs=1e-14)
 
     def test_L_value_formula(self):
         L = map_L()

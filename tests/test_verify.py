@@ -88,3 +88,9 @@ def test_claim_table_is_pinned():
     assert len(CLAIMS) == 70
     assert got == CLAIMS
     assert report.passed, [r.claim_id for r in report.records if not r.passed]
+
+
+def test_tangent_identities_hold_to_rounding():
+    # the pole-free identities are checked on every point of the claim grid
+    rec = next(r for r in run_suite("radii").records if r.claim_id == "radii.tangent_identities")
+    assert rec.computed <= 1e-12
