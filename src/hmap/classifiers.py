@@ -66,20 +66,33 @@ def order_convex_from_quadratic_sum(lam: float) -> float:
     return 2 * (1 - lam) / (2 + lam)
 
 
+def _weighted_terms(f: HarmonicMap, power: int) -> np.ndarray:
+    """The terms c_n = n^power (|a_n| + |b_n|), n = 2, 3, ..., of every stored coefficient.
+
+    Their sum is the weighted coefficient sum of :func:`coefficient_sum_orders`.
+    The dilation f(rz)/r has coefficients a_n r^(n-1) and b_n r^(n-1), so its
+    sum is sum_n c_n r^(n-1) (``radius._certified_radius``).  h and g may be
+    stored to different degrees: the missing coefficients of the shorter one
+    are zeros.
+    """
+    top = max(f.h.order, f.g.order)
+    mags = np.zeros(top - 1)
+    for s in (f.h, f.g):
+        mags[: s.order - 1] += np.abs(s.coeffs[2:])
+    return np.arange(2, top + 1, dtype=float) ** power * mags
+
+
 def coefficient_sum_orders(f: HarmonicMap) -> tuple[ClassificationReport, ClassificationReport]:
     """Classify via the two weighted coefficient sums (weights n and n^2).
 
     Requires b_1 = 0.  The linear sum certifies full starlikeness; the
     quadratic sum certifies full starlikeness of a higher order plus full
-    convexity.
+    convexity.  Both run over every stored coefficient (:func:`_weighted_terms`).
     """
     if abs(f.g.coefficient(1)) > 1e-14:
         raise ValueError("classifier requires b_1 = g'(0) = 0")
     order = f.order
-    n = np.arange(2, order + 1, dtype=float)
-    mags = np.abs(f.h.coeffs[2 : order + 1]) + np.abs(f.g.coeffs[2 : order + 1])
-    lam1 = float(np.sum(n * mags))
-    lam2 = float(np.sum(n * n * mags))
+    lam1, lam2 = (float(np.sum(_weighted_terms(f, power))) for power in (1, 2))
 
     if lam1 <= 1.0:
         v, degen = _capped_order(order_starlike_from_linear_sum(lam1))

@@ -119,9 +119,22 @@ class TestCli:
         assert rc == 0
         printed = capsys.readouterr().out
         assert "0.267949" in printed
+        assert "certify every circle up to r = 0.090333074" in printed
         data = json.loads(out.read_text())
         assert data["r_lo"] <= 2 - math.sqrt(3) <= data["r_hi"]
-        assert data["circle_tests"] == 19
+        # three scan circles below the certified radius are not tested
+        assert data["circle_tests"] == 16
+        assert data["r_certified"] == pytest.approx(0.0903330742578, abs=1e-12)
+
+    def test_radius_certified_to_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "rad.json"
+        rc = dispatch(["radius", "--function", "g_alpha:0.3,0", "--kind", "convex", "--out", str(out)])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert "certify every circle up to r = 1.000000000, past the search cap" in printed
+        assert "one circle was tested, at r = 0.999" in printed
+        data = json.loads(out.read_text())
+        assert data["upper_limit_hit"] and data["circle_tests"] == 1 and data["r_certified"] == 1.0
 
     def test_radius_first_loss(self, capsys):
         # convexity of f_alpha(-0.75) is lost at 0.5803479 and comes back

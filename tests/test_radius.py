@@ -27,6 +27,7 @@ from hmap.harmonic import (
 )
 from hmap.series import TruncatedSeries, make_generator
 from hmap import radius
+from hmap.classifiers import coefficient_sum_orders
 from hmap.defaults import CIRCLE_MIN_TOL
 from hmap.radius import (
     CircleTest,
@@ -404,11 +405,14 @@ class TestRadiusSearch:
         radii = []
         inner = radius.convex_test_at_radius
         monkeypatch.setattr(radius, "convex_test_at_radius", lambda f, r, *rest: radii.append(r) or inner(f, r, *rest))
-        # 14 scan points up to the first failure (r_min included, tested once),
-        # 3 Brent steps on the margin, 2 tests that confirm the final bracket
+        # the coefficient sums certify every circle up to r = 0.0903, so the
+        # scan points 0.01, 0.0302 and 0.0504 below it are skipped; 11 scan
+        # points from 0.0706 (tested once) up to the first failure, 3 Brent
+        # steps on the margin, 2 tests that confirm the final bracket
         res = radius_search(map_F(), "convexity")
-        assert res.circle_tests == 19
-        assert len(radii) == 19 and len(set(radii)) == 19
+        assert res.circle_tests == 16
+        assert len(radii) == 16 and len(set(radii)) == 16
+        assert min(radii) == np.linspace(0.01, 0.999, 50)[3]
         assert res.r_lo <= R_CONVEX <= res.r_hi
         radii.clear()
         with pytest.raises(ValueError, match="already fails"):
@@ -560,6 +564,110 @@ class TestRadiusSearch:
         with pytest.raises(ValueError, match="only on the branch guard on 65536 angles"):
             radius_search(map_F(), "starlikeness", tol=1e-3)
         assert sorted(set(grids)) == [4096, 16384, 65536]
+
+
+class TestRefinementPoint:
+    """The one off-grid angle of a circle test is sampled as a scalar."""
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED))
+    def test_scalar_matches_a_one_element_array(self, name):
+        f = MIRRORED[name]()
+        for m in (0, 1):
+            for r in (0.3, 0.95):
+                got = _circle_derivatives(f, r, m, np.float64(1.234), False)
+                want = _circle_derivatives(f, r, m, np.array([1.234]), False)
+                assert all(np.ndim(a) == 0 for a in got)
+                for a, b in zip(got, want):
+                    assert abs(a - b[0]) <= 1e-14 * abs(b[0])
+
+    def test_closed_forms_take_a_python_complex(self):
+        kinds = set()
+        f = map_F()
+        spy = HarmonicMap(f.h, f.g, ExactEvaluators(
+            **{w: (lambda fn: lambda z: kinds.add(type(z)) or fn(z))(getattr(f.exact, w)) for w in ROUTES}))
+        convex_test_at_radius(spy, 0.2)
+        starlike_test_at_radius(spy, 0.2)
+        assert kinds == {np.ndarray, complex}
+
+
+def dilation(f, r):
+    """f(rz)/r as a series-only map: coefficients a_n r^(n-1) and b_n r^(n-1)."""
+    def scaled(s):
+        return TruncatedSeries(s.coeffs * r ** (np.arange(s.order + 1) - 1.0))
+
+    return HarmonicMap(scaled(f.h), scaled(f.g))
+
+
+KINDS = (("convexity", 1), ("starlikeness", 0))  # kind, and the coefficient sum that certifies it
+
+
+class TestCertifiedStart:
+    """The scan starts at the last scan radius the coefficient sums certify."""
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED))
+    @pytest.mark.parametrize("kind,which", KINDS)
+    def test_root_of_the_dilated_sum(self, name, kind, which):
+        f = MIRRORED[name]()
+        r_cert = radius._certified_radius(f, kind)
+        assert 0.05 < r_cert < 0.5
+        passes = [coefficient_sum_orders(dilation(f, r_cert * s))[which].passed for s in (1 - 1e-6, 1 + 1e-6)]
+        assert passes == [True, False]
+
+    def test_measured_radii(self):
+        assert radius._certified_radius(map_F(), "convexity") == pytest.approx(0.0903330742578, abs=1e-11)
+        assert radius._certified_radius(map_F(), "starlikeness") == pytest.approx(0.164877651517, abs=1e-11)
+        # example21 is a cubic: 4r + 3r^2 = 1 and 2r + r^2 = 1
+        assert radius._certified_radius(example21(), "convexity") == pytest.approx((math.sqrt(7) - 2) / 3, abs=1e-11)
+        assert radius._certified_radius(example21(), "starlikeness") == pytest.approx(math.sqrt(2) - 1, abs=1e-11)
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED))
+    @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
+    def test_skipped_circles_pass(self, name, kind):
+        f = MIRRORED[name]()
+        grid = np.linspace(0.01, 0.999, 50)
+        skipped = grid[grid <= radius._certified_radius(f, kind)][:-1]
+        assert skipped.size >= 2
+        test = convex_test_at_radius if kind == "convexity" else starlike_test_at_radius
+        assert all(test(f, r).passed for r in skipped)
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED) + ["f_alpha(-0.75)"])
+    @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
+    def test_brackets_match_the_full_scan(self, name, kind, monkeypatch):
+        # f_alpha(-0.75): a first loss with re-entry above it (convexity) and
+        # the guard rerun on 16384 angles (starlikeness)
+        f = MIRRORED[name]() if name in MIRRORED else f_alpha(-0.75)
+        got = radius_search(f, kind)
+        monkeypatch.setattr(radius, "_certified_radius", lambda f, kind: 0.0)
+        full = radius_search(f, kind)
+        assert (got.r_lo, got.r_hi, got.grid_theta) == (full.r_lo, full.r_hi, full.grid_theta)
+        assert full.r_certified == 0.0 and got.circle_tests <= full.circle_tests
+
+    @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
+    def test_fully_certified_map_takes_one_test(self, kind):
+        res = radius_search(g_alpha(0.3), kind)
+        assert res.upper_limit_hit and res.circle_tests == 1
+        assert res.r_certified == 1.0 and res.r_lo == 0.999
+
+    def test_b1_certifies_nothing(self):
+        f = HarmonicMap(TruncatedSeries(np.array([0, 1, 0.1], dtype=complex)),
+                        TruncatedSeries(np.array([0, 0.2, 0], dtype=complex)))
+        assert radius._certified_radius(f, "starlikeness") == 0.0
+        assert radius_search(f, "starlikeness", n_theta=512).r_certified == 0.0
+
+    def test_tail_beyond_the_trusted_term_certifies_nothing_there(self):
+        # at degree 16 the last stored term 16^3 r^15 of F reaches 1e-16 at r = 0.0653,
+        # below the root 0.0903 of the sum: the certificate stops there
+        top = (1e-16 / 16 ** 3) ** (1 / 15)
+        assert radius._certified_radius(map_F(16), "convexity") == pytest.approx(top, rel=1e-12)
+
+    def test_failing_certified_circle_raises(self, monkeypatch):
+        # the sums certify example21's convexity up to 0.2153; the scan starts at 0.2118
+        def fails_below(f, r, n_theta=0):
+            return CircleTest(r > 0.3, 1.0 if r > 0.3 else -1.0, 2 * math.pi)
+
+        monkeypatch.setattr(radius, "convex_test_at_radius", fails_below)
+        with pytest.raises(ValueError, match="below the radius .* that the coefficient sums certify"):
+            radius_search(example21(), "convexity")
 
 
 class TestPolynomials:
