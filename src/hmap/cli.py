@@ -163,16 +163,19 @@ def _cmd_radius(args, order: int) -> int:
         print(f"radius search failed: {exc}", file=sys.stderr)
         return 1
     cert = result.r_certified
-    sums = (f"the coefficient sums certify every circle up to r = {cert:.9f}" if cert > 0
-            else "the coefficient sums certify no circle")
+    if cert > 0:
+        sums = f"the coefficient sums certify every circle up to r = {cert:.9f}"
+        start = "the last scan radius at or below that"
+    else:
+        sums, start = "the coefficient sums certify no circle", "the first scan radius"
     if not result.upper_limit_hit:
         print(f"{kind} radius of {args.function}: bracket [{result.r_lo:.9f}, {result.r_hi:.9f}]")
-        print(f"{sums}; the circle tests start at the last scan radius at or below that")
+        print(f"{sums}; the circle tests start at {start}")
     elif cert >= result.r_lo:
         print(f"{kind} of {args.function}: {sums}, past the search cap; one circle was tested, at r = {result.r_lo}")
     else:
         print(f"{kind} of {args.function}: holds at every tested radius up to {result.r_lo}; "
-              f"{sums}, and circles were tested from the last scan radius at or below that to {result.r_lo}")
+              f"{sums}, and circles were tested from {start} to {result.r_lo}")
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             json.dump(result.to_dict(), fh, indent=2)
