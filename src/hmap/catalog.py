@@ -219,28 +219,53 @@ def make_named(entry: CatalogEntry, order: int = DEFAULT_ORDER) -> HarmonicMap:
     raise ValueError(f"{entry.name!r} has no direct constructor")
 
 
+def _conv_splits(inner: str) -> list[int]:
+    """Indices of the top-level commas of ``inner`` that leave two well-formed operands.
+
+    A parameter ``name:re,im`` holds a comma of its own, so the first
+    top-level comma need not be the one between the operands.
+    """
+    splits, depth = [], 0
+    for i, ch in enumerate(inner):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0 and _well_formed(inner[:i]) and _well_formed(inner[i + 1 :]):
+            splits.append(i)
+    return splits
+
+
+def _well_formed(text: str) -> bool:
+    """Does ``text`` follow the grammar: a catalog name, ``name:re,im`` or ``conv(left,right)``?"""
+    text = text.strip()
+    if text.startswith("conv(") and text.endswith(")"):
+        return len(_conv_splits(text[5:-1])) == 1
+    name, colon, param = text.partition(":")
+    if not colon:
+        return name in CATALOG_NAMES
+    try:
+        _re, _im = (float(x) for x in param.split(","))
+    except ValueError:  # not two numbers
+        return False
+    return name in CATALOG_NAMES
+
+
 def parse_function(text: str, order: int = DEFAULT_ORDER):
     """Parse the CLI function grammar: ``name[:re,im]`` or ``conv(left,right)``.
 
     Returns a HarmonicMap; convolution expressions are resolved recursively
-    through the Hadamard product.
+    through the Hadamard product, split at the one top-level comma that
+    leaves two well-formed operands (ValueError when there is none or more
+    than one), so ``conv(f_alpha:0.5,0,L)`` reads as f_alpha(0.5) * L.
     """
     text = text.strip()
     if text.startswith("conv(") and text.endswith(")"):
-        inner = text[5:-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                from .convolution import hadamard
+        from .convolution import hadamard
 
-                left = parse_function(inner[:i], order)
-                right = parse_function(inner[i + 1 :], order)
-                return hadamard(left, right)
-        raise ValueError(f"malformed convolution expression {text!r}")
+        inner = text[5:-1]
+        splits = _conv_splits(inner)
+        if len(splits) != 1:
+            raise ValueError(f"malformed convolution expression {text!r}")
+        i = splits[0]
+        return hadamard(parse_function(inner[:i], order), parse_function(inner[i + 1 :], order))
     if ":" in text:
         name, _, param = text.partition(":")
         parts = param.split(",")
@@ -267,8 +292,7 @@ def _shear(phi: TruncatedSeries, w: TruncatedSeries, sign: float, label: str) ->
     rr = np.linspace(0.05, 0.95, 16)
     tt = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     zg = rr[:, None] * np.exp(1j * tt[None, :])
-    # evaluate up to the last nonzero coefficient: the zeros above it add exact zeros
-    wv = w.truncate(int(np.flatnonzero(w.coeffs).max(initial=1))).evaluate(zg)
+    wv = w.evaluate(zg)
     if np.any(np.abs(wv) >= 1.0):
         raise ValueError("dilatation must satisfy |w(z)| < 1 on the sample grid")
     if np.any(np.abs(1.0 + sign * wv) < 1e-9):

@@ -172,6 +172,22 @@ class HarmonicMap:
             for fn in (getattr(self.exact, name) for name in _ROUTES)
         )
 
+    @cached_property
+    def _circle_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The circle image sum_k c_k r^|k| e^{i k theta} of a series-only map, as arrays over k.
+
+        Returns the frequencies k = 0 .. deg h, then -1 .. -deg g, each once;
+        |k| as floats; c_k = a_k for k >= 0 and conj(b_{-k}) for k < 0, with
+        c_0 = a_0 + conj(b_0); and the weights W[p] = (ik)^p for p = 0, 1, 2,
+        which a theta-derivative of order p multiplies in.  Built at the first
+        circle test that samples the map from its coefficients.
+        """
+        k = np.concatenate([np.arange(self.h.order + 1), -np.arange(1, self.g.order + 1)])
+        c = np.concatenate([self.h.coeffs, np.conj(self.g.coeffs[1:])])
+        c[0] += np.conj(self.g.coeffs[0])
+        ik = 1j * k
+        return k, np.abs(k).astype(float), c, np.stack([np.ones_like(ik), ik, ik * ik])
+
     # -- evaluation plumbing -------------------------------------------------
 
     def _eval(self, which: str, z):
@@ -348,11 +364,15 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray | fl
         sum_{n>=0} a_n r^n e^{i n theta} + sum_{n>=0} conj(b_n) r^n e^{-i n theta},
 
     whose theta-derivative multiplies the coefficient at frequency k by ik.
+    The frequencies, coefficients and weights (ik)^p are built once per map
+    (``HarmonicMap._circle_terms``), so a call only scales them by r^|k|.
     On the grid each derivative is one inverse FFT of the coefficients
-    folded modulo n, exact at any degree, cut to the prefix.  Other angles
-    take the direct sum, after they are reduced into (-pi, pi]: a phase
-    k theta near 2 pi k would lose digits at high frequencies, and the
-    mirror images theta and 2 pi - theta would be rounded differently.
+    folded modulo n, exact at any degree, cut to the prefix; the spectrum is
+    assigned when every frequency has a residue of its own (deg h + deg g
+    < n) and summed otherwise.  Other angles take the direct sum, after
+    they are reduced into (-pi, pi]: a phase k theta near 2 pi k would lose
+    digits at high frequencies, and the mirror images theta and
+    2 pi - theta would be rounded differently.
 
     With a 1-D array ``eps`` (m = 1 only) it samples the analytic maps
     Fe = h + eps g of Kaplan's arc integrals instead, one row per eps:
@@ -375,21 +395,27 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray | fl
             return d2, d1
         return _angular(z, ex.dh, ex.dg)[0], ex.h(z) + ex.g(z).conjugate()
     if eps is None:
-        k = np.concatenate([np.arange(f.h.order + 1), -np.arange(f.g.order + 1)])
-        c = (np.concatenate([f.h.coeffs, np.conj(f.g.coeffs)]) * r ** np.abs(k))[None]
+        k, abs_k, c, weights = f._circle_terms
+        # rows (ik)^m c_k r^|k| and (ik)^(m+1) c_k r^|k|: lower, then upper
+        rows = weights[m : m + 2] * (c * r ** abs_k)
     else:
         k = np.arange(max(f.h.order, f.g.order) + 1)
         a, b = (np.pad(s.coeffs, (0, k.size - s.coeffs.size)) for s in (f.h, f.g))
         c = (a + eps[:, None] * b) * r ** k
-    rows = np.concatenate([(1j * k) ** (m + 1) * c, (1j * k) ** m * c])
+        rows = np.concatenate([(1j * k) ** m * c, (1j * k) ** (m + 1) * c])
     if on_grid:
         spec = np.zeros((rows.shape[0], n), dtype=complex)
-        np.add.at(spec, (slice(None), k % n), rows)
-        out = np.fft.ifft(spec, norm="forward")[:, : theta.size]
+        if k.size <= n:  # every frequency has its own residue mod n
+            spec[:, k % n] = rows
+        else:
+            np.add.at(spec, (slice(None), k % n), rows)
+        # in place: one freed buffer of this size is reused by the next call,
+        # where two would be handed back to the system and fault in again
+        out = np.fft.ifft(spec, norm="forward", out=spec)[:, : theta.size]
     else:
         out = rows @ np.exp(1j * np.multiply.outer(k, np.angle(np.exp(1j * theta))))
-    upper, lower = out[: len(c)], out[len(c) :]
-    return (upper, lower) if eps is not None else (upper[0], lower[0])
+    half = len(out) // 2
+    return (out[half:], out[:half]) if eps is not None else (out[1], out[0])
 
 
 def _phase_steps(curve: np.ndarray, rate: np.ndarray, step: float) -> np.ndarray:

@@ -4,17 +4,21 @@ A :class:`TruncatedSeries` holds the Taylor coefficients ``c[0] .. c[N]`` of
 an analytic function at the origin.  Arithmetic is exact on the retained
 coefficients and never extends the truncation degree: sums and differences
 keep the smaller degree of the two operands, and Cauchy products and
-quotients are cut at the smaller degree as well.  Evaluation is blocked: the
-coefficients form rows of b = ceil(sqrt(N + 1)), one matrix product gives
-every row's value at a slice of points, and Horner in z^b combines the row
-values.  It is restricted to the open unit disk, which is the only
-domain the rest of the package cares about.
+quotients are cut at the smaller degree as well.  Quotients are a blocked
+forward substitution, about sqrt(N) numpy calls.  Evaluation is blocked and
+pays only for the coefficients a series holds: each series keeps one table
+of its coefficients up to the last nonzero one, M, in rows of
+b = ceil(sqrt(M + 1)), real when every coefficient is real.  One matrix
+product gives every row's value at a slice of points, and Horner in z^b
+combines the row values.  It is restricted to the open unit disk, which is
+the only domain the rest of the package cares about.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +28,11 @@ GENERATOR_KINDS = ("half_plane_l", "koebe_k", "log_one_minus_z", "identity")
 _EVAL_SLICE = 4096
 # A BLAS kernel sums a column of a product in the same order as every other
 # column only inside a full register block of columns (4 wide in OpenBLAS's
-# Haswell zgemm); edge columns, and a one-column product (which numpy hands to
-# gemv), sum in another order.  Padding every product to a multiple of 16
-# columns keeps each point's value independent of the other points of a call.
+# Haswell zgemm, 8 in its dgemm); edge columns, and a one-column product (which
+# numpy hands to gemv), sum in another order.  Padding every product to a
+# multiple of 16 points (32 real columns when a real table multiplies the
+# powers as float pairs) keeps each point's value independent of the other
+# points of a call.
 _EVAL_PAD = 16
 
 
@@ -83,10 +89,16 @@ class TruncatedSeries:
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Series quotient q = p/d, cut at the smaller degree like ``*``.
 
-        Solves ``q[n] = (p[n] - sum_{k>=1} d[k] q[n-k]) / d[0]`` term by term,
-        summing over the nonzero ``d[k]`` only: K of them cost O(N K), which
-        is O(N) for the few-term dilatations of shears.  Raises ValueError
-        when ``d[0]`` is zero.
+        Blocked forward substitution of d q = p.  The coefficients are solved
+        in blocks of B = max(16, ceil(sqrt(N + 1))).  For a block starting at
+        s, one Toeplitz matrix-vector product (``np.convolve`` in its "valid"
+        mode) subtracts the contribution of every earlier coefficient from
+        p[s : s + B]; with K the degree of d as a polynomial (its last nonzero
+        coefficient), only the last K earlier coefficients contribute.  The
+        block itself is the product of that remainder with the inverse of
+        d[0 : B], computed once by Newton doubling.  Cost: about N/B + log B
+        numpy calls and O(N (K + B)) flops, so O(N^1.5) for the few-term
+        dilatations of shears.  Raises ValueError when ``d[0]`` is zero.
         """
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -94,13 +106,18 @@ class TruncatedSeries:
         d = other.coeffs[: n + 1]
         if d[0] == 0:
             raise ValueError("divisor must have a nonzero constant term")
-        k = np.flatnonzero(d[1:]) + 1
-        dk = d[k]
-        used = np.searchsorted(k, np.arange(n + 1), side="right")
-        q = np.zeros(n + 1, dtype=complex)
-        for m, p in enumerate(self.coeffs[: n + 1]):
-            j = used[m]
-            q[m] = (p - np.dot(dk[:j], q[m - k[:j]])) / d[0]
+        p = self.coeffs[: n + 1]
+        size = max(16, math.isqrt(n) + 1)
+        inv = _inverse(d[:size])
+        last = int(np.flatnonzero(d).max())
+        q = np.empty(n + 1, dtype=complex)
+        for s in range(0, n + 1, size):
+            e = min(s + size, n + 1)
+            rest = p[s:e]
+            w = min(s, last)
+            if w:
+                rest = rest - np.convolve(d[1 : e - s + w], q[s - w : s], mode="valid")
+            q[s:e] = np.convolve(rest, inv[: e - s])[: e - s]
         return TruncatedSeries(q)
 
     def __neg__(self) -> "TruncatedSeries":
@@ -128,14 +145,37 @@ class TruncatedSeries:
 
     # -- evaluation ---------------------------------------------------------
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The block table of :meth:`evaluate`, built once per series.
+
+        It holds ``c[0] .. c[M]``, M the index of the last nonzero
+        coefficient, in rows of b = ceil(sqrt(M + 1)) padded with zeros; its
+        dtype is float when every coefficient is real.
+        """
+        nonzero = np.flatnonzero(self.coeffs)
+        c = self.coeffs[: nonzero[-1] + 1 if nonzero.size else 1]
+        if not c.imag.any():
+            c = c.real
+        b = math.isqrt(c.size - 1) + 1  # ceil(sqrt(M + 1))
+        table = np.zeros((-(-c.size // b), b), dtype=c.dtype)
+        table.flat[: c.size] = c
+        table.setflags(write=False)
+        return table
+
     def evaluate(self, z):
         """Blocked evaluation of the truncated polynomial at ``z``.
 
-        With b = ceil(sqrt(N + 1)) the coefficients form rows of b; a row is
-        one block value sum_j c[k b + j] z^j, and the polynomial is Horner in
-        z^b over the block values.  All block values of a slice of points come
-        from one matrix product with the table of powers z^0 .. z^(b-1), so a
-        degree-N evaluation takes about 2 sqrt(N) numpy calls, not 2 N.
+        The zeros above the last nonzero coefficient c[M] are dropped: with
+        b = ceil(sqrt(M + 1)) the coefficients c[0] .. c[M] form rows of b
+        (``_table``); a row is one block value sum_j c[k b + j] z^j, and the
+        polynomial is Horner in z^b over the block values.  All block values
+        of a slice of points come from one matrix product with the table of
+        powers z^0 .. z^(b-1); a real table multiplies the powers viewed as
+        (re, im) float pairs, one real product with half the flops of a
+        complex one.  So a series of M + 1 stored coefficients costs about
+        2 sqrt(M) numpy calls and (M + 1) complex multiply-adds per point,
+        whatever its truncation degree.
 
         ``z`` may be a complex scalar or an ndarray of any shape; every point
         must lie in the open unit disk.  A point's value does not depend on
@@ -144,14 +184,11 @@ class TruncatedSeries:
         zarr = np.asarray(z, dtype=complex)
         if np.any(np.abs(zarr) >= 1.0):
             raise ValueError("series evaluation requires |z| < 1")
-        b = math.isqrt(self.coeffs.size - 1) + 1  # ceil(sqrt(N + 1))
-        blocks = np.zeros((-(-self.coeffs.size // b), b), dtype=complex)
-        blocks.flat[: self.coeffs.size] = self.coeffs
         flat = zarr.ravel()
         result = np.empty_like(flat)
         for start in range(0, flat.size, _EVAL_SLICE):
             zs = flat[start : start + _EVAL_SLICE]
-            result[start : start + zs.size] = _evaluate_blocks(blocks, zs)
+            result[start : start + zs.size] = _evaluate_blocks(self._table, zs)
         if np.isscalar(z) or zarr.ndim == 0:
             return complex(result[0])
         return result.reshape(zarr.shape)
@@ -169,6 +206,19 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, coeffs={head}...)"
 
 
+def _inverse(d: np.ndarray) -> np.ndarray:
+    """The first d.size coefficients of 1/d, by Newton doubling: inv <- inv (2 - d inv).
+
+    When inv holds k correct coefficients, d inv = 1 + z^k R, and the next
+    ones, up to degree 2k - 1, are those of -inv R.
+    """
+    inv = np.array([1 / d[0]])
+    while inv.size < d.size:
+        k, m = inv.size, min(2 * inv.size, d.size)
+        inv = np.concatenate([inv, -np.convolve(inv, np.convolve(d[:m], inv)[k:m])[: m - k]])
+    return inv
+
+
 def _evaluate_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_k (blocks[k] . (z^0 .. z^(b-1))) (z^b)^k at the points of a 1-D array."""
     rows, b = blocks.shape
@@ -182,7 +232,10 @@ def _evaluate_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
     powers[1, z.size :] = 0.0
     for k in range(2, b + 1):
         np.multiply(powers[k - 1], powers[1], out=powers[k])
-    np.matmul(blocks, powers[:b], out=values)
+    if blocks.dtype == float:
+        np.matmul(blocks, powers[:b].view(float), out=values.view(float))
+    else:
+        np.matmul(blocks, powers[:b], out=values)
     acc = values[-1]
     for row in values[-2::-1]:
         acc *= powers[b]

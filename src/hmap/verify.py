@@ -162,8 +162,11 @@ def suite_bounds(order: int = DEFAULT_ORDER, growth_samples: int = 2000) -> list
         nr, nt = 400, 400
         rg = (np.arange(nr) + 0.5) / nr
         tg = 2 * np.pi * (np.arange(nt) + 0.5) / nt
-        zg = rg[:, None] * np.exp(1j * tg[None, :])
-        quad_area = float(np.sum(jacobian(g, zg) * rg[:, None]) * (1 / nr) * (2 * np.pi / nt))
+        unit = np.exp(1j * tg)
+        # midpoint rule on the polar grid, 25 radii (10^4 points, 160 KB) at a time
+        quad_sum = sum(float(np.sum(jacobian(g, rb[:, None] * unit) * rb[:, None]))
+                       for rb in np.split(rg, nr // 25))
+        quad_area = quad_sum * (1 / nr) * (2 * np.pi / nt)
         recs.append(_abs_diff(f"bounds.area_quadrature[{alpha}]",
                               "coefficient area formula matches the polar Jacobian integral",
                               quad_area / area, 1.0, 1e-4))

@@ -16,6 +16,7 @@ from hmap.catalog import (
     shear_vertical,
 )
 from hmap.harmonic import dilatation, evaluate_f
+from hmap import series
 from hmap.series import TruncatedSeries, make_generator
 
 
@@ -145,21 +146,24 @@ class TestShears:
             shear_vertical(phi, w)
 
     def test_guard_reads_w_to_its_last_nonzero_coefficient(self, monkeypatch):
-        # the zeros above it would add exact zeros to the guard's Horner sums
-        orders = []
-        evaluate = TruncatedSeries.evaluate
+        # evaluate's block table stops at w's last nonzero coefficient: the
+        # zeros above it would add exact zeros to the guard's Horner sums
+        tables = []
+        blocks = series._evaluate_blocks
 
-        def recording(series, z):
-            orders.append(series.order)
-            return evaluate(series, z)
+        def recording(table, z):
+            tables.append(table)
+            return blocks(table, z)
 
-        monkeypatch.setattr(TruncatedSeries, "evaluate", recording)
+        monkeypatch.setattr(series, "_evaluate_blocks", recording)
         phi = make_generator("half_plane_l", 512)
         shear_vertical(phi, -make_generator("identity", 512))
-        assert orders == [1]
+        # degree 1: one real row of b = 2
+        assert [(t.dtype, t.tolist()) for t in tables] == [(float, [[0.0, -1.0]])]
         with pytest.raises(ValueError):  # |2 z^3| reaches 1.7 on the guard grid
             shear_vertical(phi, TruncatedSeries(np.r_[0, 0, 0, 2, np.zeros(509)]))
-        assert orders == [1, 3]
+        # degree 3: two real rows of b = 2
+        assert [(t.dtype, t.tolist()) for t in tables[1:]] == [(float, [[0.0, 0.0], [0.0, 2.0]])]
 
 
 class TestMAlphaMember:
@@ -216,6 +220,31 @@ class TestParseFunction:
             parse_function("f_alpha:1", 16)
         with pytest.raises(ValueError):
             parse_function("conv(L)", 16)
+
+    @pytest.mark.parametrize("text", ["conv(f_alpha:0.5,0,L)", "conv(L,f_alpha:0.5,0)"])
+    def test_parameterized_operand_in_either_order(self, text):
+        # the parameter's own comma is not the one between the operands
+        prod = parse_function(text, 16)
+        n = np.arange(17)
+        # f_alpha(0.5) has b_n = (n - 1)/4 and L has b_n = -(n - 1)/2
+        assert np.array_equal(prod.h.coeffs[1:], ((n[1:] + 1) / 2) ** 2)
+        assert np.array_equal(prod.g.coeffs[1:], -0.5 * ((n[1:] - 1) / 2) ** 2)
+
+    def test_nested_parameterized_convolution(self):
+        prod = parse_function("conv(conv(f_alpha:0.5,0,L),f_alpha:0,1)", 16)
+        n = np.arange(17)
+        assert np.array_equal(prod.h.coeffs[1:], ((n[1:] + 1) / 2) ** 3)
+        assert prod.g.coefficient(3) == 0.5 * -1 * 1j  # (0.5)(-1)(i) ((3 - 1)/2)^3
+
+    @pytest.mark.parametrize("text", ["conv(L,L,L)", "conv(f_alpha:0.5,L)", "conv(bogus,L)",
+                                      "conv(f_alpha:0.5,0,0)", "conv(conv(L,F),)"])
+    def test_no_split_leaves_two_operands(self, text):
+        with pytest.raises(ValueError, match="malformed convolution"):
+            parse_function(text, 16)
+
+    def test_operand_errors_still_surface(self):
+        with pytest.raises(ValueError, match=r"\|alpha\| <= 1"):
+            parse_function("conv(f_alpha:2,0,L)", 16)
 
 
 class TestEvaluatorsAgainstDefinitions:

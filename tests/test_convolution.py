@@ -13,6 +13,7 @@ from hmap.convolution import (
     tilde_dilatation,
     tilde_dilatation_check,
 )
+from hmap import harmonic
 from hmap.harmonic import HarmonicMap, dilatation
 from hmap.series import TruncatedSeries, make_generator
 
@@ -156,12 +157,21 @@ class TestTildeDilatation:
 
     @pytest.mark.parametrize("n,theta", [(1, 0.0), (2, math.pi / 3), (1, math.pi)])
     def test_cross_check_at_degree_2048(self, n, theta):
-        # the shear's division is linear in the degree for these one-term
-        # dilatations; a cubic inverse takes seconds per case at 2048, so a
-        # return of it shows in the suite's time
+        # the shear's division takes about sqrt(N) numpy calls for these
+        # one-term dilatations; a cubic inverse takes seconds per case at
+        # 2048, so a return of it shows in the suite's time
         rep = tilde_dilatation_check(n, theta, cross_order=2048)
         assert rep.cross_check_passed
         assert rep.cross_check_max_err < 1e-6
+
+    def test_cross_check_builds_no_map_with_closed_forms(self, monkeypatch):
+        # the product reads only F's coefficients: its closed forms, and
+        # their agreement check, would be thrown away
+        calls = []
+        monkeypatch.setattr(harmonic, "_check_exact_agreement", calls.append)
+        rep = tilde_dilatation_check(2, math.pi / 3)
+        assert rep.cross_check_passed
+        assert calls == []
 
     def test_direct_product_dilatation_matches(self):
         # independent reconstruction at one point, all plumbing inlined

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from hmap.catalog import g_alpha, map_F
+from hmap.catalog import g_alpha, map_F, parse_function
 from hmap.cli import dispatch
 from hmap.plotting import PlotSpec, curves_to_csv, plot_command, sample_curves
-from hmap.radius import convex_test_at_radius
+from hmap.radius import convex_test_at_radius, radius_search
 
 
 class TestSampling:
@@ -125,6 +125,16 @@ class TestCli:
         # three scan circles below the certified radius are not tested
         assert data["circle_tests"] == 16
         assert data["r_certified"] == pytest.approx(0.0903330742578, abs=1e-12)
+
+    def test_radius_of_a_product_with_a_parameterized_operand(self, tmp_path, capsys):
+        # the comma inside f_alpha:0.5,0 does not split the product
+        out = tmp_path / "rad.json"
+        rc = dispatch(["radius", "--function", "conv(f_alpha:0.5,0,L)", "--kind", "convex", "--out", str(out)])
+        assert rc == 0
+        assert "convexity radius of conv(f_alpha:0.5,0,L): bracket [" in capsys.readouterr().out
+        want = radius_search(parse_function("conv(f_alpha:0.5,0,L)"), "convexity", tol=1e-6)
+        data = json.loads(out.read_text())
+        assert (data["r_lo"], data["r_hi"]) == (want.r_lo, want.r_hi)
 
     def test_radius_certified_to_the_cap(self, tmp_path, capsys):
         out = tmp_path / "rad.json"

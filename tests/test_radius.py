@@ -177,6 +177,23 @@ class TestSeriesOnlyCircles:
                             _circle_derivatives(ref, 0.99, m, thetas, True)):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
+    @pytest.mark.parametrize("order", [16, 48])
+    def test_zero_frequency_carries_both_constants(self, order):
+        # with g(0) = b_0 != 0 the constant of the circle image is
+        # a_0 + conj(b_0).  On 64 angles, degree 16 gives every frequency a
+        # residue of its own (the spectrum is assigned); degree 48 folds
+        # frequencies onto shared residues (the spectrum is summed)
+        rng = np.random.default_rng(order)
+        h = np.r_[0, 1, 0.1 * rng.normal(size=order - 1)]
+        g = 0.1 * (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+        g[0] = 0.3 - 0.2j
+        f = HarmonicMap(TruncatedSeries(h), TruncatedSeries(g))
+        thetas = _unit_circle(64)[0]
+        for m in (0, 1):
+            for a, b in zip(_circle_derivatives(f, 0.8, m, thetas, True),
+                            _circle_derivatives(horner_twin(f), 0.8, m, thetas, True)):
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
     def test_off_grid_angles_sum_directly(self):
         f = SERIES_ONLY["conv(L,L)"]()
         thetas = np.array([0.1, 1.234, 3.0, 6.2])
@@ -682,6 +699,16 @@ class TestPolynomials:
         for r in rng.uniform(0.01, 0.99, 100):
             assert polynomial_q(r, -1.0) == pytest.approx((1 + r) ** 4, abs=1e-12)
             assert polynomial_q(r, 1.0) == pytest.approx((1 - r) ** 4, abs=1e-12)
+
+    @pytest.mark.parametrize("poly", [polynomial_p, polynomial_q])
+    def test_scalar_gives_the_bits_of_a_0d_array(self, poly):
+        # a scalar u takes plain float arithmetic, which must round as the
+        # array path does on a 0-d u, the cube included
+        rng = np.random.default_rng(21)
+        for r, u in zip(rng.uniform(0.001, 0.999, 2000), rng.uniform(-1, 1, 2000)):
+            want = float(poly(r, np.asarray(u)))
+            for got in (poly(r, u), poly(float(r), float(u))):
+                assert type(got) is float and got == want
 
     def test_q_interior_minimum_is_critical(self):
         r = 0.7

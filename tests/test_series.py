@@ -113,17 +113,45 @@ class TestBlockedEvaluate:
                 scale = float(np.sum(np.abs(s.coeffs) * abs(zi) ** np.arange(order + 1)))
                 assert err <= 8 * (order + 1) * eps * scale, (order, zi)
 
-    @pytest.mark.parametrize("order", (2, 65, 511))
+    @pytest.mark.parametrize("order", (1, 2, 65, 511))
     def test_point_value_independent_of_batch(self, order):
-        # 4097 points: one full slice of 4096 and a last slice of one point
-        s = _random_series(order, seed=3)
+        # 4097 points: one full slice of 4096 and a last slice of one point;
+        # the real part of the series takes the real product over (re, im) pairs
         z = _random_disk_points(4097)
-        full = s.evaluate(z)
-        alone = np.array([s.evaluate(complex(zi)) for zi in z])
-        assert np.array_equal(alone, full)
-        for size in (2, 3):
-            batched = np.concatenate([s.evaluate(z[i : i + size]) for i in range(0, z.size, size)])
-            assert np.array_equal(batched, full)
+        complex_series = _random_series(order, seed=3)
+        for s, dtype in ((complex_series, complex), (TruncatedSeries(complex_series.coeffs.real), float)):
+            assert s._table.dtype == dtype
+            full = s.evaluate(z)
+            alone = np.array([s.evaluate(complex(zi)) for zi in z])
+            assert np.array_equal(alone, full)
+            for size in (2, 3):
+                batched = np.concatenate([s.evaluate(z[i : i + size]) for i in range(0, z.size, size)])
+                assert np.array_equal(batched, full)
+
+    @pytest.mark.parametrize("real", (False, True))
+    @pytest.mark.parametrize("degree", (0, 1, 3, 64))
+    def test_zero_padded_series_equals_its_trimmed_copy(self, degree, real):
+        # the zeros above the last nonzero coefficient are not evaluated
+        c = _random_series(max(degree, 1), seed=degree).coeffs[: degree + 1]
+        if real:
+            c = c.real
+        padded = TruncatedSeries(np.concatenate([c, np.zeros(2048 - degree)]))
+        trimmed = TruncatedSeries(c if degree else np.r_[c, 0])
+        assert padded.order == 2048
+        assert padded._table.shape == trimmed._table.shape
+        z = _random_disk_points(300)
+        assert np.array_equal(padded.evaluate(z), trimmed.evaluate(z))
+        assert padded.evaluate(0.3 - 0.2j) == trimmed.evaluate(0.3 - 0.2j)
+
+    def test_real_product_matches_the_complex_one(self):
+        s = _random_series(2048, seed=5)
+        real = TruncatedSeries(s.coeffs.real)
+        as_complex = TruncatedSeries(s.coeffs.real + 1j * np.where(np.arange(2049) == 2048, 1e-300, 0))
+        assert real._table.dtype == float and as_complex._table.dtype == complex
+        z = _random_disk_points(500)
+        got, want = real.evaluate(z), as_complex.evaluate(z)
+        scale = np.sum(np.abs(s.coeffs.real) * np.abs(z[:, None]) ** np.arange(2049), axis=1)
+        assert np.all(np.abs(got - want) <= 8 * 2049 * np.finfo(float).eps * scale)
 
     def test_scalar_returns_complex(self):
         s = _random_series(64, seed=1)
@@ -227,6 +255,43 @@ class TestDivide:
         ref = self._toeplitz_solve(p, d.coeffs)
         # relative to the largest coefficient: 1/(1 + e^{it} z^n) does not
         # decay, so q grows like a random walk (to 20-60 here)
+        assert np.max(np.abs(q - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    @staticmethod
+    def _forward_substitution(p, d):
+        # reference: the triangular solve of d * q = p, one coefficient at a
+        # time (a dense 2049 x 2049 system would take 67 MB)
+        q = np.zeros(p.size, dtype=complex)
+        for m in range(p.size):
+            q[m] = (p[m] - np.dot(d[1 : m + 1], q[m - 1 :: -1] if m else q[:0])) / d[0]
+        return q
+
+    @pytest.mark.parametrize("term", [1, 2, None])
+    def test_degree_2048_matches_triangular_solve(self, term):
+        # one-term divisors 1 + e^{i pi/3} z^term, and a dense one
+        n = 2048
+        rng = np.random.default_rng(13)
+        if term is None:
+            d = (rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)) * 0.5 ** np.arange(n + 1)
+            d[0] = 2.0
+        else:
+            d = np.zeros(n + 1, dtype=complex)
+            d[0], d[term] = 1, np.exp(1j * np.pi / 3)
+        p = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        q = (TruncatedSeries(p) / TruncatedSeries(d)).coeffs
+        ref = self._forward_substitution(p, d)
+        assert np.max(np.abs(q - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("order", [1, 2, 15, 16, 17, 64, 300])
+    def test_block_edges(self, order):
+        # the blocks hold max(16, ceil(sqrt(N + 1))) coefficients: degrees
+        # below, at and past one block, and a last block that is cut short
+        rng = np.random.default_rng(order)
+        d = (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)) * 0.5 ** np.arange(order + 1)
+        d[0] = 1.5
+        p = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        q = (TruncatedSeries(p) / TruncatedSeries(d)).coeffs
+        ref = self._forward_substitution(p, d)
         assert np.max(np.abs(q - ref)) < 1e-13 * np.max(np.abs(ref))
 
     def test_zero_constant_term_raises(self):
