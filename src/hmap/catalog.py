@@ -24,6 +24,7 @@ Catalog vocabulary (also the CLI ``--function`` grammar):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,61 +220,51 @@ def make_named(entry: CatalogEntry, order: int = DEFAULT_ORDER) -> HarmonicMap:
     raise ValueError(f"{entry.name!r} has no direct constructor")
 
 
-def _conv_splits(inner: str) -> list[int]:
-    """Indices of the top-level commas of ``inner`` that leave two well-formed operands.
-
-    A parameter ``name:re,im`` holds a comma of its own, so the first
-    top-level comma need not be the one between the operands.
-    """
-    splits, depth = [], 0
-    for i, ch in enumerate(inner):
-        depth += (ch == "(") - (ch == ")")
-        if ch == "," and depth == 0 and _well_formed(inner[:i]) and _well_formed(inner[i + 1 :]):
-            splits.append(i)
-    return splits
-
-
-def _well_formed(text: str) -> bool:
-    """Does ``text`` follow the grammar: a catalog name, ``name:re,im`` or ``conv(left,right)``?"""
-    text = text.strip()
-    if text.startswith("conv(") and text.endswith(")"):
-        return len(_conv_splits(text[5:-1])) == 1
-    name, colon, param = text.partition(":")
-    if not colon:
-        return name in CATALOG_NAMES
-    try:
-        _re, _im = (float(x) for x in param.split(","))
-    except ValueError:  # not two numbers
-        return False
-    return name in CATALOG_NAMES
-
-
 def parse_function(text: str, order: int = DEFAULT_ORDER):
     """Parse the CLI function grammar: ``name[:re,im]`` or ``conv(left,right)``.
 
     Returns a HarmonicMap; convolution expressions are resolved recursively
-    through the Hadamard product, split at the one top-level comma that
-    leaves two well-formed operands (ValueError when there is none or more
-    than one), so ``conv(f_alpha:0.5,0,L)`` reads as f_alpha(0.5) * L.
+    through the Hadamard product.  The text is read left to right, and a
+    parameter takes exactly the two numbers after its colon, so its comma is
+    never the one between two operands: ``conv(f_alpha:0.5,0,L)`` reads as
+    f_alpha(0.5) * L.
     """
-    text = text.strip()
-    if text.startswith("conv(") and text.endswith(")"):
+    f, rest = _parse_prefix(text, order)
+    if rest.strip():
+        raise ValueError(f"unexpected {rest.strip()!r} after the function in {text!r}")
+    return f
+
+
+# a catalog name, then optionally ":re" and ",im"; the numbers hold no comma or parenthesis
+_NAMED = re.compile(r"([^:,()]*)(?::([^,()]*)(?:,([^,()]*))?)?")
+
+
+def _parse_prefix(text: str, order: int) -> tuple[HarmonicMap, str]:
+    """(map, rest): the function that ``text`` begins with, and the text after it."""
+    text = text.lstrip()
+    if text.startswith("conv("):
         from .convolution import hadamard
 
-        inner = text[5:-1]
-        splits = _conv_splits(inner)
-        if len(splits) != 1:
-            raise ValueError(f"malformed convolution expression {text!r}")
-        i = splits[0]
-        return hadamard(parse_function(inner[:i], order), parse_function(inner[i + 1 :], order))
-    if ":" in text:
-        name, _, param = text.partition(":")
-        parts = param.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"parameter must be re,im in {text!r}")
-        alpha = complex(float(parts[0]), float(parts[1]))
-        return make_named(CatalogEntry(name, alpha), order)
-    return make_named(CatalogEntry(text), order)
+        left, rest = _parse_prefix(text[5:], order)
+        right, rest = _parse_prefix(_consume(",", rest, text), order)
+        return hadamard(left, right), _consume(")", rest, text)
+    m = _NAMED.match(text)
+    name, re_part, im_part = m.groups()
+    if re_part is None:
+        return make_named(CatalogEntry(name.strip()), order), text[m.end() :]
+    try:
+        alpha = complex(float(re_part), float(im_part))
+    except (TypeError, ValueError):  # no ",im", or not two numbers
+        raise ValueError(f"parameter must be re,im in {text[: m.end()].strip()!r}") from None
+    return make_named(CatalogEntry(name.strip(), alpha), order), text[m.end() :]
+
+
+def _consume(sep: str, rest: str, text: str) -> str:
+    """``rest`` after its leading ``sep``; ValueError naming the convolution ``text`` if it has none."""
+    rest = rest.lstrip()
+    if not rest.startswith(sep):
+        raise ValueError(f"malformed convolution expression {text!r}: expected {sep!r} at {rest!r}")
+    return rest[1:]
 
 
 # -- shearing construction ------------------------------------------------------

@@ -367,12 +367,10 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray | fl
     The frequencies, coefficients and weights (ik)^p are built once per map
     (``HarmonicMap._circle_terms``), so a call only scales them by r^|k|.
     On the grid each derivative is one inverse FFT of the coefficients
-    folded modulo n, exact at any degree, cut to the prefix; the spectrum is
-    assigned when every frequency has a residue of its own (deg h + deg g
-    < n) and summed otherwise.  Other angles take the direct sum, after
-    they are reduced into (-pi, pi]: a phase k theta near 2 pi k would lose
-    digits at high frequencies, and the mirror images theta and
-    2 pi - theta would be rounded differently.
+    folded modulo n, exact at any degree, cut to the prefix.  Other angles
+    take the direct sum, after they are reduced into (-pi, pi]: a phase
+    k theta near 2 pi k would lose digits at high frequencies, and the
+    mirror images theta and 2 pi - theta would be rounded differently.
 
     With a 1-D array ``eps`` (m = 1 only) it samples the analytic maps
     Fe = h + eps g of Kaplan's arc integrals instead, one row per eps:
@@ -405,13 +403,8 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray | fl
         rows = np.concatenate([(1j * k) ** m * c, (1j * k) ** (m + 1) * c])
     if on_grid:
         spec = np.zeros((rows.shape[0], n), dtype=complex)
-        if k.size <= n:  # every frequency has its own residue mod n
-            spec[:, k % n] = rows
-        else:
-            np.add.at(spec, (slice(None), k % n), rows)
-        # in place: one freed buffer of this size is reused by the next call,
-        # where two would be handed back to the system and fault in again
-        out = np.fft.ifft(spec, norm="forward", out=spec)[:, : theta.size]
+        np.add.at(spec, (slice(None), k % n), rows)
+        out = np.fft.ifft(spec, norm="forward")[:, : theta.size]
     else:
         out = rows @ np.exp(1j * np.multiply.outer(k, np.angle(np.exp(1j * theta))))
     half = len(out) // 2

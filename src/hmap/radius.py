@@ -403,44 +403,31 @@ def _search_grid(
 # -- sign polynomials of the horizontally sheared half-plane map F --------------
 
 
-def _operands(r, u):
-    """(r, u, u^3) for the sign polynomials: Python floats for a scalar u, else float arrays.
-
-    Plain float arithmetic costs a fraction of numpy's scalar arithmetic.
-    The cube comes from numpy's power loop in both cases: on some builds it
-    rounds differently from ``float ** 3``, and a scalar must give the bits
-    an array gives.
-    """
-    if np.isscalar(u):
-        u = float(u)
-        return float(r), u, float(np.power(u, 3))
-    uu = np.asarray(u, dtype=float)
-    return r, uu, uu ** 3
-
-
 def polynomial_p(r: float, u) -> float | np.ndarray:
     """Convexity sign polynomial; nonnegative on u in [-1, 1] iff r <= 2 - sqrt(3).
 
     p(r, -1) factors as (1+r)^6 (1 - 4r + r^2), which is where the sign is
     lost first.
     """
-    r, uu, u3 = _operands(r, u)
+    uu = np.asarray(u, dtype=float)
     r2 = r * r
     r4 = r2 * r2
-    return (
+    val = (
         1 + 4 * r2 - 26 * r4 + 4 * r4 * r2 + r4 * r4
         - 6 * uu * r * (1 + r2) * (1 + r4 - 6 * r2)
         - 12 * r2 * uu * uu * (1 + r2) ** 2
-        + 4 * r * u3 * (1 + r2) * (1 + r4)
+        + 4 * r * uu ** 3 * (1 + r2) * (1 + r4)
     )
+    return float(val) if np.isscalar(u) else val
 
 
 def polynomial_q(r: float, u) -> float | np.ndarray:
     """Starlikeness sign polynomial; q(r, +-1) = (1 -+ r)^4 > 0, the interior
     minimum decides the sign."""
-    r, uu, u3 = _operands(r, u)
+    uu = np.asarray(u, dtype=float)
     r2 = r * r
-    return (1 - r2) ** 2 - 2 * r * uu * (1 + r2) + 8 * r2 * uu * uu - 2 * r * (1 + r2) * u3
+    val = (1 - r2) ** 2 - 2 * r * uu * (1 + r2) + 8 * r2 * uu * uu - 2 * r * (1 + r2) * uu ** 3
+    return float(val) if np.isscalar(u) else val
 
 
 def _bracketed_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:

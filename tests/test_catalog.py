@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -236,10 +238,16 @@ class TestParseFunction:
         assert np.array_equal(prod.h.coeffs[1:], ((n[1:] + 1) / 2) ** 3)
         assert prod.g.coefficient(3) == 0.5 * -1 * 1j  # (0.5)(-1)(i) ((3 - 1)/2)^3
 
-    @pytest.mark.parametrize("text", ["conv(L,L,L)", "conv(f_alpha:0.5,L)", "conv(bogus,L)",
-                                      "conv(f_alpha:0.5,0,0)", "conv(conv(L,F),)"])
-    def test_no_split_leaves_two_operands(self, text):
-        with pytest.raises(ValueError, match="malformed convolution"):
+    @pytest.mark.parametrize("text, message", [
+        ("conv(L,L,L)", "malformed convolution expression 'conv(L,L,L)': expected ')'"),
+        ("conv(f_alpha:0.5,L)", "parameter must be re,im in 'f_alpha:0.5,L'"),
+        ("conv(bogus,L)", "unknown catalog name 'bogus'"),
+        ("conv(f_alpha:0.5,0,0)", "unknown catalog name '0'"),
+        ("conv(conv(L,F),)", "unknown catalog name ''"),
+        ("conv(L,L)F", "unexpected 'F' after the function"),
+    ])
+    def test_malformed_product_names_what_is_wrong(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             parse_function(text, 16)
 
     def test_operand_errors_still_surface(self):

@@ -181,8 +181,7 @@ class TestSeriesOnlyCircles:
     def test_zero_frequency_carries_both_constants(self, order):
         # with g(0) = b_0 != 0 the constant of the circle image is
         # a_0 + conj(b_0).  On 64 angles, degree 16 gives every frequency a
-        # residue of its own (the spectrum is assigned); degree 48 folds
-        # frequencies onto shared residues (the spectrum is summed)
+        # residue of its own; degree 48 folds frequencies onto shared residues
         rng = np.random.default_rng(order)
         h = np.r_[0, 1, 0.1 * rng.normal(size=order - 1)]
         g = 0.1 * (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
@@ -699,16 +698,6 @@ class TestPolynomials:
         for r in rng.uniform(0.01, 0.99, 100):
             assert polynomial_q(r, -1.0) == pytest.approx((1 + r) ** 4, abs=1e-12)
             assert polynomial_q(r, 1.0) == pytest.approx((1 - r) ** 4, abs=1e-12)
-
-    @pytest.mark.parametrize("poly", [polynomial_p, polynomial_q])
-    def test_scalar_gives_the_bits_of_a_0d_array(self, poly):
-        # a scalar u takes plain float arithmetic, which must round as the
-        # array path does on a 0-d u, the cube included
-        rng = np.random.default_rng(21)
-        for r, u in zip(rng.uniform(0.001, 0.999, 2000), rng.uniform(-1, 1, 2000)):
-            want = float(poly(r, np.asarray(u)))
-            for got in (poly(r, u), poly(float(r), float(u))):
-                assert type(got) is float and got == want
 
     def test_q_interior_minimum_is_critical(self):
         r = 0.7
