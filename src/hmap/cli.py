@@ -9,27 +9,17 @@ with the relation residual, writes no report and exits 1.
 JSON reports (``--out``) are the reports' ``to_dict`` (see
 :mod:`hmap.report`).  Exit codes: 0 success, 1 check failure, 2 usage error.
 The environment variable ``HMAP_TRUNC_ORDER`` overrides the default
-truncation degree 64.
+truncation degree 64.  Each subcommand imports the modules it runs, so a call
+loads no others.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import convolution, radius, verify
-from .catalog import parse_function
-from .classifiers import (
-    analytic_part_classify,
-    coefficient_relation_residual,
-    coefficient_sum_orders,
-    family_bounds_check,
-    m_alpha_check,
-)
-from .defaults import DEFAULT_ORDER, RELATION_ABS_TOL
-from .plotting import PlotSpec, plot_command
+from .defaults import DEFAULT_ORDER, RELATION_ABS_TOL, SUITES
 
 
 def _order_from_env() -> int:
@@ -93,12 +83,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="run a verification suite and write its report")
-    p_ver.add_argument("--suite", choices=verify.SUITES, default="all")
+    p_ver.add_argument("--suite", choices=SUITES, default="all")
     p_ver.add_argument("--out", default="verification_report.json")
     return parser
 
 
 def _cmd_plot(args, order: int) -> int:
+    from .catalog import parse_function
+    from .plotting import PlotSpec, plot_command
+
     f = parse_function(args.function, order)
     radii = tuple(float(r) for r in args.radii.split(",") if r) if args.radii else ()
     fmt = args.format
@@ -112,6 +105,15 @@ def _cmd_plot(args, order: int) -> int:
 
 
 def _cmd_classify(args, order: int) -> int:
+    from .catalog import parse_function
+    from .classifiers import (
+        analytic_part_classify,
+        coefficient_relation_residual,
+        coefficient_sum_orders,
+        family_bounds_check,
+        m_alpha_check,
+    )
+
     f = parse_function(args.function, order)
     # the relation (n+1) b_{n+1} = n alpha a_n at n = 1 reads alpha = 2 b_2
     alpha = args.alpha if args.alpha is not None else 2 * f.g.coefficient(2)
@@ -149,12 +151,17 @@ def _cmd_classify(args, order: int) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] bounds: coeff slack ({rep.coeff_slack_a:.3e}, "
               f"{rep.coeff_slack_b:.3e}), growth min slack {rep.growth_min_slack:.3e}")
     if args.out:
+        import json
+
         with open(args.out, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2)
     return 0 if ok else 1
 
 
 def _cmd_radius(args, order: int) -> int:
+    from . import radius
+    from .catalog import parse_function
+
     f = parse_function(args.function, order)
     kind = "convexity" if args.kind == "convex" else "starlikeness"
     try:
@@ -177,12 +184,17 @@ def _cmd_radius(args, order: int) -> int:
         print(f"{kind} of {args.function}: holds at every tested radius up to {result.r_lo}; "
               f"{sums}, and circles were tested from {start} to {result.r_lo}")
     if args.out:
+        import json
+
         with open(args.out, "w", encoding="ascii") as fh:
             json.dump(result.to_dict(), fh, indent=2)
     return 0
 
 
 def _cmd_convolve(args, order: int) -> int:
+    from . import convolution
+    from .catalog import parse_function
+
     left = parse_function(args.left, order)
     right = parse_function(args.right, order)
     prod = convolution.hadamard(left, right)
@@ -199,6 +211,8 @@ def _cmd_convolve(args, order: int) -> int:
         else:
             print(text, end="")
         return 0
+    import json
+
     from .harmonic import sense_preserving_check
 
     # products are series-backed; 0.7 is the largest radius where the default
@@ -220,6 +234,8 @@ def _cmd_convolve(args, order: int) -> int:
 
 
 def _cmd_verify(args, order: int) -> int:
+    from . import verify
+
     report = verify.run_suite(args.suite, order)
     for line in report.summary_lines():
         print(line)

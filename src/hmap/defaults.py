@@ -14,7 +14,7 @@ COEFF_ABS_TOL = 1e-12
 RELATION_ABS_TOL = 1e-10
 
 # Agreement required between closed-form and series evaluation, checked on
-# random points with |z| <= 0.5 when a map is built with both.
+# fixed sunflower points with |z| <= 0.5 when a map is built with both.
 EXACT_AGREEMENT_TOL = 1e-8
 EXACT_AGREEMENT_POINTS = 20
 
@@ -24,3 +24,6 @@ EXACT_AGREEMENT_POINTS = 20
 CIRCLE_THETA_POINTS = 4096
 CIRCLE_MIN_TOL = 1e-9
 TURNING_TOL = 1e-3
+
+# Verification suites: each suite of hmap.verify, or "all" of them in turn.
+SUITES = ("all", "coefficients", "radii", "convolution", "bounds")

@@ -63,14 +63,18 @@ class ExactEvaluators:
 _ROUTES = ("h", "g", "dh", "dg", "d2h", "d2g")
 
 
+def _disk_samples(r_max: float, n: int) -> np.ndarray:
+    # sunflower layout: quasi-uniform, deterministic
+    k = np.arange(1, n + 1)
+    rho = r_max * np.sqrt((k - 0.5) / n)
+    ang = k * (np.pi * (3 - np.sqrt(5)))
+    return rho * np.exp(1j * ang)
+
+
 @lru_cache(maxsize=1)
 def _agreement_points() -> np.ndarray:
     """The fixed sample points in |z| <= 1/2 where closed forms are checked, read-only."""
-    # fixed seed: construction must be deterministic
-    rng = np.random.default_rng(20157)
-    r = 0.5 * np.sqrt(rng.uniform(0, 1, EXACT_AGREEMENT_POINTS))
-    t = rng.uniform(0, 2 * np.pi, EXACT_AGREEMENT_POINTS)
-    z = r * np.exp(1j * t)
+    z = _disk_samples(0.5, EXACT_AGREEMENT_POINTS)
     z.flags.writeable = False
     return z
 
@@ -458,14 +462,6 @@ def sense_preserving_check(
         return GridCheckReport(True, r_max, grid, worst)
     idx = np.unravel_index(int(np.argmin(jac)), jac.shape)
     return GridCheckReport(False, r_max, grid, worst, complex(zg[idx]))
-
-
-def _disk_samples(r_max: float, n: int) -> np.ndarray:
-    # sunflower layout: quasi-uniform, deterministic
-    k = np.arange(1, n + 1)
-    rho = r_max * np.sqrt((k - 0.5) / n)
-    ang = k * (np.pi * (3 - np.sqrt(5)))
-    return rho * np.exp(1j * ang)
 
 
 def injectivity_sample_check(

@@ -489,7 +489,7 @@ def p_root_in_radius(u: float) -> float:
     return float(_bracketed_root(lambda r: polynomial_p(r, u), 0.0, 1.0, xtol=1e-14))
 
 
-def q_interior_min_location(r: float) -> float:
+def _q_interior_min_location(r: float) -> float:
     """u in (-1, 1) where q(r, .) attains its local minimum.
 
     Real only for r >= 1/sqrt(3) (the discriminant -3 + 10r^2 - 3r^4 must be
@@ -501,9 +501,9 @@ def q_interior_min_location(r: float) -> float:
     return (4 * r - math.sqrt(disc)) / (3 * (1 + r * r))
 
 
-def starlike_margin(r: float) -> float:
+def _starlike_margin(r: float) -> float:
     """q at its interior minimum: positive iff every u in [-1,1] keeps q >= 0."""
-    return float(polynomial_q(r, q_interior_min_location(r)))
+    return float(polynomial_q(r, _q_interior_min_location(r)))
 
 
 @dataclass(frozen=True)
@@ -567,7 +567,7 @@ def solve_special_radii() -> SpecialRadii:
     """
     r_convex = _bracketed_root(lambda r: 1 - 4 * r + r * r, 0.0, 0.5, xtol=1e-15)
     lo = 1 / math.sqrt(3) + 1e-12
-    r_star = _bracketed_root(starlike_margin, lo, 0.9999, xtol=1e-15)
+    r_star = _bracketed_root(_starlike_margin, lo, 0.9999, xtol=1e-15)
     return SpecialRadii(
         r_convex=r_convex,
         r_star=r_star,

@@ -193,14 +193,6 @@ class TruncatedSeries:
             return complex(result[0])
         return result.reshape(zarr.shape)
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Drop coefficients above ``order`` (must be >= 1)."""
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     def __repr__(self) -> str:
         head = np.array2string(self.coeffs[:4], precision=6, separator=", ")
         return f"TruncatedSeries(order={self.order}, coeffs={head}...)"

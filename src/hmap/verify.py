@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog, classifiers, convolution, radius
-from .defaults import DEFAULT_ORDER
+from .defaults import DEFAULT_ORDER, SUITES
 from .harmonic import HarmonicMap, evaluate_f, jacobian, sense_preserving_check
 from .report import Report
 from .series import TruncatedSeries, make_generator
-
-SUITES = ("all", "coefficients", "radii", "convolution", "bounds")
 
 
 @dataclass(frozen=True)

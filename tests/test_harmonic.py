@@ -13,10 +13,13 @@ from hmap.catalog import (
     parse_function,
     shear_horizontal,
 )
+from hmap.defaults import EXACT_AGREEMENT_POINTS
 from hmap.harmonic import (
     ExactEvaluators,
     HarmonicMap,
     SingularPointError,
+    _agreement_points,
+    _disk_samples,
     angular_derivatives,
     dilatation,
     evaluate_f,
@@ -25,6 +28,8 @@ from hmap.harmonic import (
     sense_preserving_check,
 )
 from hmap.series import TruncatedSeries, make_generator
+
+ROUTES = ("h", "g", "dh", "dg", "d2h", "d2g")
 
 
 def identity_map(order=16):
@@ -66,6 +71,23 @@ class TestConstruction:
         )
         with pytest.raises(ValueError):
             HarmonicMap(h, g, wrong)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_one_wrong_route_is_rejected(self, route):
+        f = map_L()
+        routes = {w: getattr(f.exact, w) for w in ROUTES}
+        right = routes[route]
+        routes[route] = lambda z: right(z) + 1e-6 * z
+        with pytest.raises(ValueError, match=f"closed-form {route} disagrees"):
+            HarmonicMap(f.h, f.g, ExactEvaluators(**routes))
+
+    def test_agreement_points_are_fixed_sunflower_samples(self):
+        z = _agreement_points()
+        assert np.array_equal(z, _disk_samples(0.5, EXACT_AGREEMENT_POINTS))
+        assert np.all(np.abs(z) <= 0.5)
+        assert not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[0] = 0
 
     def test_catalog_constructions_pass_agreement(self):
         # construction itself runs the 20-point exact/series cross-check

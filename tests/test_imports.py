@@ -1,0 +1,131 @@
+"""What ``import hmap`` and each CLI command load, read off ``sys.modules``.
+
+Every case runs in a fresh interpreter, since the test process itself has
+imported everything long before.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _run(script: str, *args: str, cwd=None):
+    """Run ``script`` in a fresh interpreter and return the JSON of its last output line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+LOADED = """
+import json
+import sys
+
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if m in prefixes or m.startswith(tuple(p + "." for p in prefixes)))
+"""
+
+
+def test_import_hmap_loads_no_submodule_and_no_numpy():
+    found = _run(LOADED + """
+import hmap
+print(json.dumps([loaded("hmap", "numpy"), hmap.__version__]))
+""")
+    assert found == [["hmap"], "0.1.0"]
+
+
+# the five calls of the benchmark's cli-cold workload: the module each one
+# runs, and the command modules it must not load
+CLI_CALLS = {
+    "radius": (["radius", "--function", "F", "--kind", "convex"],
+               "hmap.radius", ("hmap.verify", "hmap.plotting", "hmap.convolution")),
+    "classify": (["classify", "--function", "F", "--check", "m-alpha"],
+                 "hmap.classifiers", ("hmap.verify", "hmap.plotting", "hmap.convolution", "hmap.radius")),
+    "convolve": (["convolve", "--left", "L", "--right", "L", "--emit", "coeffs"],
+                 "hmap.convolution", ("hmap.verify", "hmap.plotting", "hmap.radius", "hmap.classifiers")),
+    "plot": (["plot", "--function", "example22", "--radii", "0.5,0.9", "--out", "curves.csv"],
+             "hmap.plotting", ("hmap.verify", "hmap.convolution", "hmap.radius", "hmap.classifiers")),
+    "verify": (["verify", "--suite", "coefficients", "--out", "report.json"],
+               "hmap.verify", ("hmap.plotting",)),
+}
+
+CLI_SCRIPT = LOADED + """
+import hmap.cli
+code = hmap.cli.dispatch(json.loads(sys.argv[1]))
+print()
+print(json.dumps([code, loaded("hmap", "numpy.random")]))
+"""
+
+
+@pytest.mark.parametrize("name", list(CLI_CALLS))
+def test_cli_call_loads_only_what_its_command_runs(tmp_path, name):
+    argv, runs, unused = CLI_CALLS[name]
+    code, loaded = _run(CLI_SCRIPT, json.dumps(argv), cwd=tmp_path)
+    assert code == 0
+    assert runs in loaded
+    assert not set(unused) & set(loaded)
+    assert "numpy.random" not in loaded
+
+
+def test_cli_loads_json_only_to_write_a_report(tmp_path):
+    # the script imports json itself, so look for it from a bare dispatch
+    script = """
+import sys
+import hmap.cli
+hmap.cli.dispatch(sys.argv[1:])
+print()
+print("[%d]" % ("json" in sys.modules))
+"""
+    assert _run(script, *CLI_CALLS["radius"][0], cwd=tmp_path) == [0]
+    assert _run(script, *CLI_CALLS["radius"][0], "--out", "r.json", cwd=tmp_path) == [1]
+
+
+def test_star_import_binds_every_public_name():
+    # each name is its submodule's own object, and none is cached on the package
+    wrong = _run(LOADED + """
+import hmap
+names = {}
+exec("from hmap import *", names)
+owner = {n: sys.modules[m] for m in loaded("hmap") for n in vars(sys.modules[m])}
+print(json.dumps(sorted(n for n in hmap.__all__
+                        if n not in names or n in vars(hmap) or names[n] is not getattr(owner[n], n))))
+""")
+    assert wrong == []
+
+
+def test_dir_lists_every_public_name_without_loading_it():
+    found = _run(LOADED + """
+import hmap
+print(json.dumps([sorted(set(hmap.__all__) - set(dir(hmap))), loaded("hmap")]))
+""")
+    assert found == [[], ["hmap"]]
+
+
+def test_unknown_name_raises_attribute_error():
+    found = _run(LOADED + """
+import hmap
+try:
+    hmap.no_such_name
+except AttributeError as exc:
+    print(json.dumps([str(exc), loaded("hmap")]))
+""")
+    assert found == ["module 'hmap' has no attribute 'no_such_name'", ["hmap"]]
+
+
+def test_names_are_read_from_their_submodule_on_every_access():
+    # nothing is cached on the package, so a patched function is what hmap returns
+    same = _run(LOADED + """
+import hmap
+import hmap.radius
+original = hmap.radius_search
+hmap.radius.radius_search = patched = lambda *a, **k: None
+print(json.dumps([hmap.radius_search is patched, "radius_search" in vars(hmap), original is not patched]))
+""")
+    assert same == [True, False, True]

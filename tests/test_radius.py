@@ -32,15 +32,15 @@ from hmap.defaults import CIRCLE_MIN_TOL
 from hmap.radius import (
     CircleTest,
     _bracketed_root,
+    _q_interior_min_location,
+    _starlike_margin,
     convex_test_at_radius,
     identity_check_tangent,
     p_root_in_radius,
     polynomial_p,
     polynomial_q,
-    q_interior_min_location,
     radius_search,
     solve_special_radii,
-    starlike_margin,
     starlike_test_at_radius,
 )
 
@@ -701,7 +701,7 @@ class TestPolynomials:
 
     def test_q_interior_minimum_is_critical(self):
         r = 0.7
-        u = q_interior_min_location(r)
+        u = _q_interior_min_location(r)
         dq = -2 * r * (1 + r * r) + 16 * r * r * u - 6 * r * (1 + r * r) * u * u
         assert abs(dq) < 1e-10
         # second derivative positive: a genuine local minimum
@@ -709,7 +709,7 @@ class TestPolynomials:
 
     def test_q_min_location_needs_radicand(self):
         with pytest.raises(ValueError):
-            q_interior_min_location(0.3)
+            _q_interior_min_location(0.3)
 
     def test_p_sign_flip_at_convexity_radius(self):
         u = np.linspace(-1, 1, 2001)
@@ -722,7 +722,7 @@ class TestPolynomials:
         assert np.min(polynomial_q(R_STAR + 1e-3, u)) < 0
 
     def test_starlike_margin_root_matches_closed_form(self):
-        assert starlike_margin(R_STAR) == pytest.approx(0.0, abs=1e-12)
+        assert _starlike_margin(R_STAR) == pytest.approx(0.0, abs=1e-12)
 
     def test_p_roots_increase_with_u(self):
         # sampled, not certified: the first vanishing radius of p grows with
