@@ -177,7 +177,8 @@ def _cmd_radius(args, order: int) -> int:
         sums, start = "the coefficient sums certify no circle", "the first scan radius"
     if not result.upper_limit_hit:
         print(f"{kind} radius of {args.function}: bracket [{result.r_lo:.9f}, {result.r_hi:.9f}]")
-        print(f"{sums}; the circle tests start at {start}")
+        print(f"{sums}; the circle tests start at {start}, and the finest grid "
+              f"they needed has {result.grid_theta} angles")
     elif cert >= result.r_lo:
         print(f"{kind} of {args.function}: {sums}, past the search cap; one circle was tested, at r = {result.r_lo}")
     else:

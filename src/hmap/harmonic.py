@@ -357,7 +357,7 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray | fl
     :func:`_unit_circle`, or a prefix of it (j < theta.size <= n, n read off
     the spacing theta[1] = 2 pi / n): half-circle tests pass j <= n/2.  Off
     the grid ``theta`` is an array of angles or one angle, a float, which
-    gives complex scalars back (the circle tests' refinement point).  A
+    gives complex scalars back (the circle tests' refinement points).  A
     map with closed forms calls them at z = r e^{i theta}, taking
     e^{i theta} from the cache on the grid, after
     one |z| < 1 guard: f and d1 for m = 0, d1 and d2 of :func:`_angular` for

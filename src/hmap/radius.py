@@ -8,28 +8,39 @@ quotients of theta-derivatives of f,
     d/dtheta arg(df/dtheta) = Im( d2f / d1f ),
     d/dtheta arg f          = Im( d1f / f ),
 
-sampled on a uniform theta grid (default 4096 points), and sharpened with
-one parabolic refinement step around the grid minimum so that transitions
-are resolved well below the search tolerance.  The total turning guards
-against irregular curves: a simple closed regular curve must turn by exactly
-2 pi.  It is read as the winding of the samples the test already holds (df
-for convexity, f for starlikeness), the sum of the arguments of consecutive
-sample ratios, so it is an integer multiple of 2 pi up to rounding.  A
-branch guard (``harmonic._phase_steps``) checks every step against the
-trapezoid of the rate and fails the circle if one may have slipped a branch.
+sampled on a uniform theta grid that each test chooses for itself, and
+sharpened by up to three parabolic steps from the grid minimum through exact
+values of the rate, so that transitions are resolved well below the search
+tolerance.  A test starts from 128 angles and doubles the grid until the
+Fourier coefficients of the sampled rate chop (the largest at k >= 3n/8 is
+at most 1e-10 of the largest) and the branch guard below passes, up to 65536
+angles (after Wright, Javed, Montanelli & Trefethen, "Extension of Chebfun
+to periodic functions", SISC 2015, and Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 2014).  Near the
+boundary a rate may stay unresolved even there: at r = 0.9979 the
+starlikeness rate of f_alpha(-0.75) keeps a tail of 1.3e-2 on 65536 angles.
+The margin is then still an exact rate value, but a dip narrower than the
+grid may go unseen.  The total turning guards against irregular curves: a
+simple closed regular curve must turn by exactly 2 pi.  It is read as the
+winding of the samples the test already holds (df for convexity, f for
+starlikeness), the sum of the arguments of consecutive sample ratios, so it
+is an integer multiple of 2 pi up to rounding.  A branch guard
+(``harmonic._phase_steps``) checks every step against the trapezoid of the
+rate and fails the circle if one may have slipped a branch.
 
-Each circle test samples its map once, on its own path
+Each circle test samples its map once per grid, on its own path
 (``harmonic._circle_derivatives``), and tests of every radius share one
-cached grid of angles and of e^{i theta}.  Kaplan's arc integrals in
-``hmap.classifiers`` read the convexity rate of h + epsilon g from the same
-sampler and sum the steps of the same guard.  A map with closed forms is
-sampled at z = r e^{i theta} by calling them directly, h, g and their first
-two derivatives, after one |z| < 1 guard per circle.  A series-only map is a
-trigonometric polynomial in theta on the circle: each derivative on the grid
-is one inverse FFT of its two-sided coefficients, and the refinement point
-is their direct sum.  A map with f(conj z) = conj f(z) has circle images
-that mirror in the real axis, and on an even grid its tests sample only the
-nodes 0 <= theta <= pi (series-only maps cut their full-size FFT there).
+cached grid of angles and of e^{i theta} per grid size.  Kaplan's arc
+integrals in ``hmap.classifiers`` read the convexity rate of h + epsilon g
+from the same sampler and sum the steps of the same guard.  A map with
+closed forms is sampled at z = r e^{i theta} by calling them directly, h, g
+and their first two derivatives, after one |z| < 1 guard per circle.  A
+series-only map is a trigonometric polynomial in theta on the circle: each
+derivative on the grid is one inverse FFT of its two-sided coefficients, and
+each refinement point is their direct sum.  A map with f(conj z) = conj f(z)
+has circle images that mirror in the real axis, and on an even grid its
+tests sample only the nodes 0 <= theta <= pi (series-only maps cut their
+full-size FFT there).
 
 The radius of convexity (or starlikeness) is the first r where the test
 fails.  ``radius_search`` scans r upward to the first failing circle,
@@ -37,9 +48,9 @@ starting where the coefficient sums of the dilation f(rz)/r, those of
 ``hmap.classifiers``, stop certifying every circle, and
 roots the margin, the refined minimum of the rate, which is continuous in r,
 between the last pass and that failure.  Margins that dip between scan
-points are searched for a failing band narrower than the scan step.  A
-first loss that fails only on the branch guard is searched again on a
-finer grid.
+points are searched for a failing band narrower than the scan step.  Each
+circle test starts on the finest grid a test of the search reached before
+it.
 
 For the horizontally sheared half-plane map F = f_alpha(1) the transition
 radii admit exact descriptions through two polynomials in u = cos(theta).
@@ -72,7 +83,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .defaults import CIRCLE_MIN_TOL, CIRCLE_THETA_POINTS, TURNING_TOL
+from .defaults import CIRCLE_MIN_TOL, TURNING_TOL
 from .catalog import _f_alpha_exact
 from .classifiers import _weighted_terms
 from .harmonic import HarmonicMap, _angular, _any, _circle_derivatives, _phase_steps, _unit_circle
@@ -80,9 +91,21 @@ from .report import Report
 
 
 class CircleTest(NamedTuple):
+    """One circle test: the verdict, the margin, the winding and the grid that decided them.
+
+    ``min_derivative`` is the margin, the least sampled value of the rate;
+    ``total_turning`` is the winding of the sampled curve (nan where the
+    branch guard failed).  ``grid_theta`` is the full-circle grid the test
+    ended on and ``tail`` the largest Fourier coefficient of the rate on it
+    at k >= 3n/8, relative to the largest; tests that do not report them
+    leave 0 and nan.
+    """
+
     passed: bool
     min_derivative: float
     total_turning: float
+    grid_theta: int = 0
+    tail: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -95,9 +118,9 @@ class RadiusResult(Report):
     loss the search found.  ``r_certified`` is the radius up to which the
     coefficient sums certify every circle (:func:`_certified_radius`, 0 when
     they certify none); scan circles below it are not tested.  ``grid_theta``
-    is the full-circle grid of the last search: the requested one, or a
-    finer one where a first loss failed only on the branch guard.
-    ``circle_tests`` counts the circle tests of every search on every grid.
+    is the finest full-circle grid the search used: each circle test doubles
+    its grid until the rate is resolved, and the next test starts on the
+    largest grid reached so far.  ``circle_tests`` counts the circle tests.
     """
 
     kind: str
@@ -110,44 +133,67 @@ class RadiusResult(Report):
     upper_limit_hit: bool = False
 
 
-def _refined_min(values: np.ndarray, thetas: np.ndarray, fn: Callable[[float], float]) -> float:
-    """Grid minimum improved by one parabolic step through the argmin node.
+_START_THETA_POINTS = 128  # the grid a circle test starts from unless given another
+_MAX_THETA_POINTS = 65536  # the finest grid a circle test doubles to
+_CHOP_TAIL = 1e-10  # a grid resolves the rate once its Fourier tail is this small
+_REFINE_STEPS = 3  # parabolic steps from the grid minimum
+_REFINE_GAIN = 1e-13  # a parabolic step that predicts less, relative to the margin, is not taken
 
-    ``fn`` evaluates the rate at the one off-grid angle, a scalar.
+
+def _refined_min(values: np.ndarray, step: float, fn: Callable[[float], float]) -> float:
+    """Grid minimum improved by up to three successive parabolic steps.
+
+    ``values`` holds the rate on the whole grid, ``step`` is its spacing and
+    ``fn`` evaluates the rate at one off-grid angle, a scalar.  The first
+    parabola runs through the grid minimum and its two neighbours; each step
+    samples the rate at the vertex and keeps the three least values for the
+    next.  It stops early where the parabola is not convex, where its vertex
+    leaves the two grid steps around the grid minimum, or where the gain it
+    predicts is below rounding, 1e-13 of the least value or of 1.  The
+    result is the least rate value sampled, an actual value at an actual
+    angle.
     """
     k = int(np.argmin(values))
     m = values.size
-    tm, t0, tp = thetas[(k - 1) % m], thetas[k], thetas[(k + 1) % m]
-    step = thetas[1] - thetas[0]
-    vm, v0, vp = values[(k - 1) % m], values[k], values[(k + 1) % m]
-    denom = vm - 2 * v0 + vp
-    if denom <= 0:
-        return float(v0)
-    offset = 0.5 * (vm - vp) / denom * step
-    if abs(offset) >= step:
-        return float(v0)
-    return float(min(v0, fn(t0 + offset)))
+    t0 = k * step
+    points = [(0.0, float(values[k])), (-step, float(values[(k - 1) % m])), (step, float(values[(k + 1) % m]))]
+    for _ in range(_REFINE_STEPS):
+        (a, fa), (b, fb), (c, fc) = sorted(points)
+        slope = (fb - fa) / (b - a)
+        curvature = ((fc - fb) / (c - b) - slope) / (c - a)
+        if not curvature > 0:
+            break
+        x = 0.5 * (a + b - slope / curvature)
+        best, least = points[0]
+        if not -step < x < step or curvature * (x - best) ** 2 <= _REFINE_GAIN * max(1.0, abs(least)):
+            break
+        points = sorted(points + [(x, float(fn(t0 + x)))], key=lambda p: p[1])[:3]
+    return points[0][1]
 
 
 def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str) -> CircleTest:
     """Shared body of the circle tests: the rate Im(d^{m+1} f / d^m f) of arg d^m f.
 
     Samples the rate and the curve d^m f on the uniform grid of ``n_theta``
-    angles, and raises ValueError where the curve vanishes.  Passes iff the
-    refined minimum of the rate stays above -CIRCLE_MIN_TOL and the winding
-    of the curve equals 2 pi within TURNING_TOL.
+    angles, and raises ValueError where the curve vanishes.  The rate is a
+    smooth periodic function, so its Fourier coefficients (``np.fft.rfft``
+    of the rate on the whole circle) decay once the grid resolves it, as in
+    Chebfun's periodic chopping rule: the grid doubles until the largest
+    coefficient at k >= 3n/8 is at most 1e-10 of the largest and the branch
+    guard passes on every step, or until 65536 angles, where the test is
+    judged as it stands.  Passes iff the refined minimum of the rate
+    (:func:`_refined_min`) stays above -CIRCLE_MIN_TOL and the winding of
+    the curve equals 2 pi within TURNING_TOL.
 
     On a map with f(conj z) = conj f(z) and an even grid it samples only the
     nodes 0 <= theta <= pi.  The curve at -theta is the conjugate of that at
     theta, up to sign, and the rate is even in theta: the vanishing check
     holds by symmetry, every step of the second half repeats one of the
-    first, so the winding is twice the half, and the refinement reads the
-    rate mirrored back onto the whole grid.
+    first, so the winding is twice the half, and the spectrum and the
+    refinement read the rate mirrored back onto the whole grid.
     """
     if not 0 < r < 1:
         raise ValueError("need 0 < r < 1")
-    thetas = _unit_circle(n_theta)[0]
-    half = n_theta % 2 == 0 and f._conjugate_symmetric
 
     def sample(th, on_grid: bool):
         upper, curve = _circle_derivatives(f, r, m, th, on_grid)
@@ -155,31 +201,42 @@ def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str
             raise ValueError(f"{curve_name} vanishes on |z| = {r}")
         return (upper / curve).imag, curve
 
-    if half:
-        rate, curve = sample(thetas[: n_theta // 2 + 1], True)
-        path, full_rate = (curve, rate), np.concatenate([rate, rate[-2:0:-1]])
-    else:
-        rate, curve = sample(thetas, True)
-        path, full_rate = (np.append(curve, curve[:1]), np.append(rate, rate[:1])), rate
-    mn = _refined_min(full_rate, thetas, lambda th: sample(th, False)[0])
-    try:
-        turning = (2 if half else 1) * float(np.sum(_phase_steps(*path, thetas[1])))
-    except ValueError:  # a step may have slipped a branch: the circle fails
-        turning = math.nan
+    n = n_theta
+    while True:
+        thetas = _unit_circle(n)[0]
+        half = n % 2 == 0 and f._conjugate_symmetric
+        if half:
+            rate, curve = sample(thetas[: n // 2 + 1], True)
+            path, full_rate = (curve, rate), np.concatenate([rate, rate[-2:0:-1]])
+        else:
+            rate, curve = sample(thetas, True)
+            path, full_rate = (np.append(curve, curve[:1]), np.append(rate, rate[:1])), rate
+        spectrum = np.abs(np.fft.rfft(full_rate))
+        tail = float(spectrum[-(-3 * n // 8):].max() / spectrum.max())
+        try:
+            steps = _phase_steps(*path, thetas[1])
+        except ValueError:  # a step may have slipped a branch
+            steps = None
+        if (tail <= _CHOP_TAIL and steps is not None) or 2 * n > _MAX_THETA_POINTS:
+            break
+        n *= 2
+    mn = _refined_min(full_rate, thetas[1], lambda th: sample(th, False)[0])
+    turning = math.nan if steps is None else (2 if half else 1) * float(np.sum(steps))
     ok = mn >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
-    return CircleTest(ok, mn, turning)
+    return CircleTest(ok, mn, turning, n, tail)
 
 
 def convex_test_at_radius(
     f: HarmonicMap,
     r: float,
-    n_theta: int = CIRCLE_THETA_POINTS,
+    n_theta: int = _START_THETA_POINTS,
 ) -> CircleTest:
     """Is the image of |z| = r convex?  Tests min d/dtheta arg(df/dtheta) >= 0.
 
     Fails fast if d1f vanishes on the circle (the curve would not be
     regular).  Passes iff the sampled minimum stays above -1e-9 and the
-    tangent d1f winds once, by 2 pi within 1e-3.
+    tangent d1f winds once, by 2 pi within 1e-3.  ``n_theta`` is the grid
+    the test starts from; it doubles as the rate needs (:func:`_circle_test`).
     """
     return _circle_test(f, r, 1, n_theta, "tangent vector")
 
@@ -187,13 +244,15 @@ def convex_test_at_radius(
 def starlike_test_at_radius(
     f: HarmonicMap,
     r: float,
-    n_theta: int = CIRCLE_THETA_POINTS,
+    n_theta: int = _START_THETA_POINTS,
 ) -> CircleTest:
     """Is the image of |z| = r starlike about 0?  Tests min d/dtheta arg f >= 0.
 
     Reads only f and d1f on the circle: four evaluations per set of angles
     on a map with closed forms.  Passes iff the sampled minimum stays above
     -1e-9 and f winds once about the origin, by 2 pi within 1e-3.
+    ``n_theta`` is the grid the test starts from, as for
+    :func:`convex_test_at_radius`.
     """
     return _circle_test(f, r, 0, n_theta, "map")
 
@@ -220,7 +279,6 @@ def _dip_fails(test: Callable[[float], CircleTest], a: float, b: float, tol: flo
     return True
 
 
-_MAX_THETA_POINTS = 65536  # largest grid a guard-only first loss is searched again on
 _TRUSTED_LAST_TERM = 1e-16  # a map with closed forms certifies no radius where its last stored term is larger
 
 
@@ -271,7 +329,7 @@ def radius_search(
     f: HarmonicMap,
     kind: str,
     tol: float = 1e-6,
-    n_theta: int = CIRCLE_THETA_POINTS,
+    n_theta: int = _START_THETA_POINTS,
     r_min: float = 0.01,
     r_cap: float = 0.999,
     scan_points: int = 50,
@@ -304,11 +362,13 @@ def radius_search(
     bracket degenerates to [r_cap, 1); a map the sums certify up to
     ``r_cap`` gets there after one circle test.
 
-    A first loss that fails only on the branch guard (turning nan, margin
-    above threshold) says that the grid is too coarse for the curve there,
-    not that the property is lost.  The search then runs again on 4 times
-    as many angles, up to 65536, and raises ValueError past that.  The
-    result reports the grid of the last run and the circle tests of all.
+    Each circle test chooses its own grid (:func:`_circle_test`).  The
+    first starts on ``n_theta`` angles and each later one on the largest
+    grid any test reached so far; the result reports that finest grid.  A
+    first loss that still fails only on the branch guard (turning nan,
+    margin above threshold) on the 65536-angle cap says that the grid is
+    too coarse for the curve there, not that the property is lost, and
+    raises ValueError.
     """
     if kind == "convexity":
         circle = lambda r, n: convex_test_at_radius(f, r, n)
@@ -318,19 +378,22 @@ def radius_search(
         raise ValueError("kind must be 'convexity' or 'starlikeness'")
 
     r_cert = _certified_radius(f, kind)
-    tests = 0
-    while True:
-        lo, hi, seen = _search_grid(lambda r: circle(r, n_theta), kind, tol, r_min, r_cap, scan_points, r_cert)
-        tests += len(seen)
-        if hi == 1.0:
-            return RadiusResult(kind, lo, hi, n_theta, tol, tests, r_cert, upper_limit_hit=True)
-        loss = seen[hi]
-        if not (math.isnan(loss.total_turning) and loss.min_derivative >= -CIRCLE_MIN_TOL):
-            return RadiusResult(kind, lo, hi, n_theta, tol, tests, r_cert)
-        if 4 * n_theta > _MAX_THETA_POINTS:
-            raise ValueError(f"{kind} circle at r = {hi} fails only on the branch guard on "
-                             f"{n_theta} angles; the curve needs a finer grid than the cap")
-        n_theta *= 4
+    grid = n_theta
+
+    def test(r: float) -> CircleTest:
+        nonlocal grid
+        result = circle(r, grid)
+        grid = max(grid, result.grid_theta)
+        return result
+
+    lo, hi, seen = _search_grid(test, kind, tol, r_min, r_cap, scan_points, r_cert)
+    if hi == 1.0:
+        return RadiusResult(kind, lo, hi, grid, tol, len(seen), r_cert, upper_limit_hit=True)
+    loss = seen[hi]
+    if math.isnan(loss.total_turning) and loss.min_derivative >= -CIRCLE_MIN_TOL:
+        raise ValueError(f"{kind} circle at r = {hi} fails only on the branch guard on "
+                         f"{grid} angles; the curve needs a finer grid than the cap")
+    return RadiusResult(kind, lo, hi, grid, tol, len(seen), r_cert)
 
 
 def _search_grid(
@@ -342,7 +405,7 @@ def _search_grid(
     scan_points: int,
     r_cert: float,
 ) -> tuple[float, float, dict[float, CircleTest]]:
-    """One run of :func:`radius_search` on one grid: r_lo, r_hi and every circle tested.
+    """The search of :func:`radius_search`: r_lo, r_hi and every circle tested.
 
     The scan starts at the largest scan radius <= ``r_cert``, or at
     ``r_min``.  r_hi is 1.0 when the property still holds at ``r_cap`` (then

@@ -108,9 +108,20 @@ class TestCircleTests:
         res = convex_test_at_radius(f, 0.9)
         assert res.min_derivative > 0 and not res.passed
         assert res.total_turning == pytest.approx(26 * math.pi, abs=1e-9)
-        # on 8 nodes a step may slip a branch: the guard fails the circle
+        # on 8 nodes a step may slip a branch: the test doubles its grid
+        # until the guard passes and the rate is resolved
         coarse = convex_test_at_radius(f, 0.9, n_theta=8)
-        assert not coarse.passed and math.isnan(coarse.total_turning)
+        assert (coarse.grid_theta, coarse.passed) == (res.grid_theta, False)
+        assert coarse.total_turning == pytest.approx(26 * math.pi, abs=1e-9)
+
+    def test_guard_fails_the_circle_at_the_cap(self, monkeypatch):
+        # judged on 8 nodes as it stands, a slipped branch fails the circle
+        c = np.zeros(14, dtype=complex)
+        c[1], c[13] = 1.0, 4 / 13
+        f = HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(14, dtype=complex)))
+        monkeypatch.setattr(radius, "_MAX_THETA_POINTS", 8)
+        coarse = convex_test_at_radius(f, 0.9, n_theta=8)
+        assert not coarse.passed and math.isnan(coarse.total_turning) and coarse.grid_theta == 8
 
     def test_starlike_test_reads_no_second_derivatives(self, monkeypatch):
         def refuse(self, z):
@@ -161,8 +172,10 @@ class TestSeriesOnlyCircles:
                 for a, b in zip(got, want):
                     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
                 new, old = test(f, r), test(ref, r)
-                assert new.passed == old.passed
-                assert new.total_turning == pytest.approx(old.total_turning, abs=1e-12, nan_ok=True)
+                assert (new.passed, new.grid_theta) == (old.passed, old.grid_theta)
+                # at r = 0.99 the shear's tangent winds 64 times on 65536
+                # angles: the rounding of the two routes adds up over the steps
+                assert new.total_turning == pytest.approx(old.total_turning, rel=1e-14, abs=1e-12, nan_ok=True)
                 assert abs(new.min_derivative - old.min_derivative) <= 1e-10 * max(1.0, abs(old.min_derivative))
 
     @pytest.mark.parametrize("n_theta", [64, 256])
@@ -338,14 +351,18 @@ class TestHalfCircle:
 
     @pytest.mark.parametrize("name", sorted(MIRRORED))
     def test_near_the_boundary(self, name, monkeypatch):
-        # the refinement point of the full circle lies near 2 pi - t when the
-        # half circle's lies at t; reduced into (-pi, pi] before the direct
-        # sum, the two are the same sum up to rounding
+        # the refinement points of the full circle lie near 2 pi - t when the
+        # half circle's lie at t; reduced into (-pi, pi] before the direct
+        # sum, the two are the same sum up to rounding.  Where even 65536
+        # angles leave the rate unresolved (the degree-64 twin's rates dip
+        # to -5.8e4 here), the parabolic steps are far from converged and
+        # carry that rounding further
         f = MIRRORED[name]()
         for test in (convex_test_at_radius, starlike_test_at_radius):
             half, full = test(f, 0.95), test(full_circle(MIRRORED[name](), monkeypatch), 0.95)
-            assert half.passed == full.passed
-            assert abs(half.min_derivative - full.min_derivative) <= 5e-12 * max(1.0, abs(full.min_derivative))
+            assert (half.passed, half.grid_theta) == (full.passed, full.grid_theta)
+            bound = 5e-12 if full.tail <= radius._CHOP_TAIL else 1e-9
+            assert abs(half.min_derivative - full.min_derivative) <= bound * max(1.0, abs(full.min_derivative))
 
     def test_argmin_at_zero_and_pi(self, monkeypatch):
         theta = _unit_circle(4096)[0]
@@ -373,17 +390,28 @@ class TestHalfCircle:
 
     def test_branch_guard_trips_on_both_paths(self, monkeypatch):
         # h' = 1 + 4 z^12 on 8 nodes, and f_alpha(-0.75) past r = 0.9964 on
-        # 4096: a step may slip a branch on either path
+        # 4096: a step may slip a branch on either path.  Judged there as it
+        # stands (the cap patched down to the starting grid), the guard fails
+        # the circle on both paths; left to double, both pass the guard on
+        # the same finer grid
         c = np.zeros(14, dtype=complex)
         c[1], c[13] = 1.0, 4 / 13
         wound = HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(14, dtype=complex)))
-        for f, test, r, n in ((wound, convex_test_at_radius, 0.9, 8),
-                              (f_alpha(-0.75), starlike_test_at_radius, 0.997, 4096)):
-            half = test(f, r, n)
-            full = test(full_circle(f, monkeypatch), r, n)
+        for make, test, r, n in ((lambda: wound, convex_test_at_radius, 0.9, 8),
+                                 (lambda: f_alpha(-0.75), starlike_test_at_radius, 0.997, 4096)):
+            with monkeypatch.context() as patch:
+                patch.setattr(radius, "_MAX_THETA_POINTS", n)
+                half = test(make(), r, n)
+                full = test(full_circle(make(), patch), r, n)
             assert math.isnan(half.total_turning) and math.isnan(full.total_turning)
             assert not half.passed and not full.passed
+            assert half.grid_theta == full.grid_theta == n
             assert half.min_derivative == pytest.approx(full.min_derivative, abs=1e-12)
+            with monkeypatch.context() as patch:
+                half = test(make(), r, n)
+                full = test(full_circle(make(), patch), r, n)
+            assert not math.isnan(half.total_turning) and not math.isnan(full.total_turning)
+            assert half.grid_theta == full.grid_theta > n
 
     def test_closed_forms_see_half_the_grid(self):
         for f, n, want in ((map_F(), 4096, 2049), (example22(), 4096, 2049), (map_F(), 4095, 4095),
@@ -413,7 +441,8 @@ class TestHalfCircle:
                   HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(5)), broken)):
             sizes.clear()
             convex_test_at_radius(f, 0.5)
-            assert not f._conjugate_symmetric and sizes[0] == 4096
+            # the first sample set is the whole starting grid of 128 angles
+            assert not f._conjugate_symmetric and sizes[0] == 128
 
 
 class TestRadiusSearch:
@@ -545,41 +574,134 @@ class TestRadiusSearch:
 
     def test_guard_only_first_loss_is_searched_on_a_finer_grid(self):
         # on 4096 angles the starlike circles of f_alpha(-0.75) trip the branch
-        # guard from r = 0.9964 on, with a margin of +0.0676; 0.997900 is the
+        # guard from r = 0.9964 on, with a margin of +0.0676; the circle tests
+        # there double their grids to the 65536-angle cap, and 0.997900 is the
         # root of the margin on 65536 angles
         res = radius_search(f_alpha(-0.75), "starlikeness")
-        assert res.grid_theta == 16384
+        assert res.grid_theta == 65536
         assert res.r_hi - res.r_lo <= 1e-6
         assert res.r_lo <= 0.997900 <= res.r_hi
 
-    def test_guard_rerun_counts_every_circle(self, monkeypatch):
-        # the guard trips above 0.5 on 4096 angles only; finer grids lose the
-        # property at 0.6 on the margin
-        grids = []
+    def test_each_test_starts_on_the_finest_grid_so_far(self, monkeypatch):
+        # the grid each circle test needs rises and falls with r; every test
+        # starts on the largest grid reached before it, and the result
+        # reports the largest of all
+        starts, ends = [], []
 
-        def coarse(f, r, n_theta=0):
-            grids.append(n_theta)
-            if n_theta == 4096 and r >= 0.5:
-                return CircleTest(False, 1.0, math.nan)
-            return CircleTest(r <= 0.6, 0.6 - r, 2 * math.pi)
+        def grids(f, r, n_theta=0):
+            need = 4096 if 0.3 < r < 0.4 else 512 if r > 0.5 else 128
+            starts.append(n_theta)
+            ends.append(need)
+            return CircleTest(r <= 0.6, 0.6 - r, 2 * math.pi, need)
 
-        monkeypatch.setattr(radius, "convex_test_at_radius", coarse)
+        monkeypatch.setattr(radius, "convex_test_at_radius", grids)
         res = radius_search(map_F(), "convexity", tol=1e-6)
-        assert res.grid_theta == 16384 and set(grids) == {4096, 16384}
-        assert res.circle_tests == len(grids)
+        assert starts == [max([128] + ends[:i]) for i in range(len(ends))]
+        assert 512 in ends[ends.index(4096):] and starts[-1] == 4096
+        assert res.grid_theta == 4096 and res.circle_tests == len(starts)
         assert res.r_lo <= 0.6 <= res.r_hi and res.r_hi - res.r_lo <= 1e-6
 
     def test_guard_only_past_the_cap_raises(self, monkeypatch):
-        grids = []
+        # a circle test returns a guard-only failure only on the cap: the
+        # search brackets it once, tests no radius twice, and raises
+        calls = []
 
         def guard_only(f, r, n_theta=0):
-            grids.append(n_theta)
-            return CircleTest(r < 0.5, 1.0, 2 * math.pi if r < 0.5 else math.nan)
+            calls.append((r, n_theta))
+            if r < 0.5:
+                return CircleTest(True, 1.0, 2 * math.pi, 128)
+            return CircleTest(False, 1.0, math.nan, 65536)
 
         monkeypatch.setattr(radius, "starlike_test_at_radius", guard_only)
         with pytest.raises(ValueError, match="only on the branch guard on 65536 angles"):
             radius_search(map_F(), "starlikeness", tol=1e-3)
-        assert sorted(set(grids)) == [4096, 16384, 65536]
+        radii = [r for r, _ in calls]
+        assert len(set(radii)) == len(radii)
+        first_fail = next(i for i, r in enumerate(radii) if r >= 0.5)
+        assert {n for _, n in calls[: first_fail + 1]} == {128}
+        assert {n for _, n in calls[first_fail + 1 :]} == {65536}
+
+
+def rate_tail(f, r, m, n):
+    """Largest Fourier coefficient of the rate on n angles at k >= 3n/8, over the largest."""
+    upper, curve = _circle_derivatives(f, r, m, _unit_circle(n)[0], True)
+    spectrum = np.abs(np.fft.rfft((upper / curve).imag))
+    return spectrum[-(-3 * n // 8):].max() / spectrum.max()
+
+
+def dense_margin(f, r, m):
+    """Least rate on 65536 angles, refined on 2001 angles across the two steps around it."""
+    theta = _unit_circle(65536)[0]
+    upper, curve = _circle_derivatives(f, r, m, theta, True)
+    k = int(np.argmin((upper / curve).imag))
+    local = theta[k] + np.linspace(-theta[1], theta[1], 2001)
+    upper, curve = _circle_derivatives(f, r, m, local, False)
+    return float(np.min((upper / curve).imag))
+
+
+SPECTRAL = {
+    "map_F": map_F,
+    "map_L": map_L,
+    "conv(L,L)": SERIES_ONLY["conv(L,L)"],
+    "example22": example22,
+    "f_alpha(0.5+0.5j)": lambda: f_alpha(0.5 + 0.5j),
+}
+
+
+class TestSpectralGrid:
+    """Each circle test doubles its grid until the Fourier tail of its rate chops."""
+
+    @pytest.mark.parametrize("name", sorted(SPECTRAL))
+    def test_returned_grid_meets_the_chop_rule(self, name):
+        f = SPECTRAL[name]()
+        for r in (0.3, 0.6, 0.8):
+            for m, test in ((0, starlike_test_at_radius), (1, convex_test_at_radius)):
+                res = test(f, r)
+                n = res.grid_theta
+                assert res.tail <= radius._CHOP_TAIL
+                assert rate_tail(f, r, m, n) <= radius._CHOP_TAIL
+                # the grid is the first that chops: half of it does not
+                assert n == 128 or rate_tail(f, r, m, n // 2) > radius._CHOP_TAIL, (r, m, n)
+
+    @pytest.mark.parametrize("r", [0.25, 0.6])
+    def test_starting_grid_does_not_move_the_margin(self, r):
+        f = map_F()
+        for test in (convex_test_at_radius, starlike_test_at_radius):
+            small, large = test(f, r), test(f, r, 4096)
+            assert small.grid_theta < large.grid_theta == 4096
+            assert small.passed == large.passed
+            assert abs(small.min_derivative - large.min_derivative) <= 1e-12
+
+    def test_L_margin_at_its_root(self):
+        # the 4096-angle grid with one parabolic step read this margin 5e-10
+        # too high; the rate needs 8192 angles here
+        r = 0.871854109771851
+        res = starlike_test_at_radius(map_L(), r)
+        assert res.grid_theta == 8192
+        assert abs(res.min_derivative - dense_margin(map_L(), r, 0)) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
+    def test_grids_never_shrink_along_the_scan(self, kind, monkeypatch):
+        name = "convex_test_at_radius" if kind == "convexity" else "starlike_test_at_radius"
+        inner, grids = getattr(radius, name), []
+
+        def spy(f, r, n_theta):
+            res = inner(f, r, n_theta)
+            grids.append((n_theta, res.grid_theta))
+            return res
+
+        monkeypatch.setattr(radius, name, spy)
+        res = radius_search(map_F(), kind)
+        starts, ends = zip(*grids)
+        assert starts[0] == 128 and all(a <= b for a, b in zip(ends, ends[1:]))
+        assert starts[1:] == ends[:-1] and res.grid_theta == ends[-1] > 128
+
+    @pytest.mark.parametrize("name", ["map_L", "conv(L,L)"])
+    def test_half_and_full_circle_searches_agree(self, name, monkeypatch):
+        half = radius_search(MIRRORED[name](), "starlikeness")
+        full = radius_search(full_circle(MIRRORED[name](), monkeypatch), "starlikeness")
+        assert (half.grid_theta, half.circle_tests) == (full.grid_theta, full.circle_tests)
+        assert abs(half.r_lo - full.r_lo) <= 1e-12 and abs(half.r_hi - full.r_hi) <= 1e-12
 
 
 class TestRefinementPoint:
