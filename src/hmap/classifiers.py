@@ -203,9 +203,9 @@ def m_alpha_check(
     relation_ok = residual <= RELATION_ABS_TOL
 
     z = _polar_grid(r_max, *grid)
-    hp = f.dh_at(z)
+    hp, hpp = f._eval_routes(("dh", "d2h"), z)
     _require_nonzero(hp, z)
-    curv = np.real(1 + z * f.d2h_at(z) / hp)
+    curv = np.real(1 + z * hpp / hp)
     cmin = float(np.min(curv))
     curv_ok = cmin > -0.5
     return MAlphaReport(

@@ -68,11 +68,21 @@ def convex_combination_convolve(
 
 
 def tilde_dilatation(z, n: int, theta: float):
-    """Closed-form dilatation of the product map for w(z) = e^{i theta} z^n."""
+    """Closed-form dilatation of the product map for w(z) = e^{i theta} z^n, n >= 1.
+
+    z^(n-1) and z^n are formed by repeated products, which numpy computes
+    several times faster than its generic complex power.  A scalar z gives
+    a Python complex, an array z an array of its shape.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
     eps = np.exp(1j * theta)
     zc = np.asarray(z, dtype=complex)
-    w = eps * zc ** n
-    wp = n * eps * zc ** (n - 1)
+    zn1 = zc if n > 1 else 1.0  # z^(n-1)
+    for _ in range(n - 2):
+        zn1 = zn1 * zc
+    w = eps * (zn1 * zc)
+    wp = n * eps * zn1
     mid = w - 0.5 * wp * zc
     num = w * w + mid + 0.5 * wp
     den = 1 + mid + 0.5 * wp * zc * zc

@@ -14,7 +14,11 @@ COEFF_ABS_TOL = 1e-12
 RELATION_ABS_TOL = 1e-10
 
 # Agreement required between closed-form and series evaluation, checked on
-# fixed sunflower points with |z| <= 0.5 when a map is built with both.
+# fixed sunflower points with |z| <= 0.5 when a map is built with both: the
+# six closed forms (h, g and their first two derivatives) against one matrix
+# product of the points' powers with the six series' coefficients
+# (hmap.harmonic._check_exact_agreement).  Below the default degree the
+# check allows for the series tail on top of this tolerance.
 EXACT_AGREEMENT_TOL = 1e-8
 EXACT_AGREEMENT_POINTS = 20
 

@@ -8,7 +8,12 @@ first two derivatives.  Each map has exactly one evaluation route: a map with
 closed forms evaluates them on every point, so scans near the boundary stay
 accurate; a map without them evaluates its truncated series.  The two
 meet only once, when a map with closed forms is built and checked against its
-series.
+series: all six closed forms at 20 fixed points in |z| <= 1/2 against one
+matrix product of the powers of those points with the coefficients of the
+six series (:func:`_check_exact_agreement`).  Pointwise operations that need
+several of h, g and their derivatives at the same points (f itself, the
+Jacobian, the dilatation) evaluate them together after one |z| < 1 guard
+(``HarmonicMap._eval_routes``).
 
 Circle tests and Kaplan arc integrals (of Fe = h + epsilon g, all epsilon at
 once) sample a map on one path (see :func:`_circle_derivatives`), not
@@ -62,6 +67,11 @@ class ExactEvaluators:
 
 _ROUTES = ("h", "g", "dh", "dg", "d2h", "d2g")
 
+# Every power z^n of the agreement points (|z| <= 1/2) past this degree
+# underflows to zero, so the agreement check's power table stops here
+# however large the truncation degree.
+_AGREEMENT_DEGREE = 1100
+
 
 def _disk_samples(r_max: float, n: int) -> np.ndarray:
     # sunflower layout: quasi-uniform, deterministic
@@ -79,15 +89,49 @@ def _agreement_points() -> np.ndarray:
     return z
 
 
-def _check_exact_agreement(hmap: "HarmonicMap") -> None:
+@lru_cache(maxsize=1)
+def _agreement_powers() -> np.ndarray:
+    """z^0 .. z^_AGREEMENT_DEGREE at the agreement points, one row per point, read-only."""
     z = _agreement_points()
+    table = np.ones((z.size, _AGREEMENT_DEGREE + 1), dtype=complex)
+    table[:, 1:] = z[:, None]
+    table = np.cumprod(table, axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def _check_exact_agreement(hmap: "HarmonicMap") -> None:
+    """Compare each of the six closed forms with its series at the agreement points.
+
+    All six series are evaluated by one matrix product: the powers
+    z^0 .. z^N at the points times an (N+1) x 6 matrix whose columns hold
+    the coefficients of h, g, h', g', h'', g'' (a_n, b_n, n a_n, n b_n,
+    n(n-1) a_n, n(n-1) b_n, shifted down to the power they multiply).  N is
+    the larger degree of h and g, cut at _AGREEMENT_DEGREE.
+    """
+    z = _agreement_points()
+    deg = min(max(hmap.h.order, hmap.g.order), _AGREEMENT_DEGREE)
+    n = np.arange(deg + 3, dtype=float)
+    cols = np.zeros((deg + 1, 6), dtype=complex)
+    for j, s in enumerate((hmap.h, hmap.g)):
+        c = np.zeros(deg + 3, dtype=complex)
+        c[: s.coeffs.size] = s.coeffs[: deg + 3]
+        cols[:, j] = c[: deg + 1]
+        cols[:, 2 + j] = (n[1:] * c[1:])[: deg + 1]
+        cols[:, 4 + j] = n[2:] * n[1:-1] * c[2:]
+    exact = np.empty((z.size, 6), dtype=complex)
+    for j, name in enumerate(_ROUTES):
+        exact[:, j] = getattr(hmap.exact, name)(z)
+    gaps = np.max(np.abs(exact - _agreement_powers()[:, : deg + 1] @ cols), axis=0)
     # second derivatives of maps with quadratically growing coefficients leave
     # a tail ~ n^4 (1/2)^n at the check radius; the allowance keeps the check
     # strict at the default truncation degree but not vacuous below it
     order = min(hmap.h.order, hmap.g.order)
     tol = EXACT_AGREEMENT_TOL + 8.0 * (order + 2) ** 4 * 0.5 ** (order + 1)
-    for name in _ROUTES:
-        gap = np.max(np.abs(getattr(hmap.exact, name)(z) - hmap._series(name).evaluate(z)))
+    for name, gap in zip(_ROUTES, gaps):
+        series = hmap.h if name.endswith("h") else hmap.g
+        if name.startswith("d2") and series.order < 2:
+            raise ValueError(f"degree {series.order} too small for 2 derivatives")
         if gap > tol:
             raise ValueError(
                 f"closed-form {name} disagrees with its series by {gap:.3e} "
@@ -195,11 +239,16 @@ class HarmonicMap:
     # -- evaluation plumbing -------------------------------------------------
 
     def _eval(self, which: str, z):
-        """Evaluate one of h, g, h', g', h'', g'' on the map's one route.
+        """Evaluate one of h, g, h', g', h'', g'' on the map's one route (see :meth:`_eval_routes`)."""
+        return self._eval_routes((which,), z)[0]
 
-        A map with closed forms evaluates them on every point, scalar or
-        array; a map without them evaluates its truncated series
-        (:meth:`TruncatedSeries.evaluate`, blocked in sqrt(N) blocks).
+    def _eval_routes(self, routes: tuple[str, ...], z) -> tuple:
+        """Evaluate several of h, g, h', g', h'', g'' at the same points z, in that order.
+
+        The points pass one |z| < 1 guard for all of them.  A map with closed
+        forms evaluates them on every point, scalar or array; a map without
+        them evaluates its truncated series (:meth:`TruncatedSeries.evaluate`,
+        blocked in sqrt(N) blocks).  A scalar z gives Python complex values.
         Circle tests on either route do not come here: they call the closed
         forms directly or read the coefficients by inverse FFT
         (:func:`_circle_derivatives`).
@@ -207,9 +256,12 @@ class HarmonicMap:
         zarr = np.asarray(z, dtype=complex)
         _require_inside(zarr)
         if self.exact is None:
-            return self._series(which).evaluate(zarr if zarr.ndim else z)
-        exact_fn = getattr(self.exact, which)
-        return exact_fn(zarr) if zarr.ndim else complex(exact_fn(complex(z)))
+            zz = zarr if zarr.ndim else z
+            return tuple(self._series(which).evaluate(zz) for which in routes)
+        if zarr.ndim:
+            return tuple(getattr(self.exact, which)(zarr) for which in routes)
+        zc = complex(z)
+        return tuple(complex(getattr(self.exact, which)(zc)) for which in routes)
 
     def h_at(self, z):
         return self._eval("h", z)
@@ -280,7 +332,8 @@ class CollisionReport(Report):
 
 def evaluate_f(f: HarmonicMap, z):
     """Value of the harmonic map: h(z) + conj(g(z))."""
-    return f.h_at(z) + np.conj(f.g_at(z))
+    h, g = f._eval_routes(("h", "g"), z)
+    return h + np.conj(g)
 
 
 def dilatation(f: HarmonicMap, z):
@@ -288,15 +341,14 @@ def dilatation(f: HarmonicMap, z):
 
     Raises :class:`SingularPointError` where h' vanishes.
     """
-    hp = f.dh_at(z)
+    hp, gp = f._eval_routes(("dh", "dg"), z)
     _require_nonzero(hp, z)
-    return f.dg_at(z) / hp
+    return gp / hp
 
 
 def jacobian(f: HarmonicMap, z):
     """Jacobian determinant |h'|^2 - |g'|^2; positive iff sense-preserving at z."""
-    hp = f.dh_at(z)
-    gp = f.dg_at(z)
+    hp, gp = f._eval_routes(("dh", "dg"), z)
     return np.abs(hp) ** 2 - np.abs(gp) ** 2
 
 

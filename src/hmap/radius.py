@@ -466,31 +466,46 @@ def _search_grid(
 # -- sign polynomials of the horizontally sheared half-plane map F --------------
 
 
-def polynomial_p(r: float, u) -> float | np.ndarray:
+def _float_or_array(u):
+    """A scalar u as a Python float, anything else as a float array.
+
+    The sign polynomials on a scalar (r, u) then run in Python float
+    arithmetic, several times faster than on 0-d arrays.  They write every
+    power as a product, so the two give the same bits.
+    """
+    return float(u) if np.isscalar(u) else np.asarray(u, dtype=float)
+
+
+def polynomial_p(r, u) -> float | np.ndarray:
     """Convexity sign polynomial; nonnegative on u in [-1, 1] iff r <= 2 - sqrt(3).
 
     p(r, -1) factors as (1+r)^6 (1 - 4r + r^2), which is where the sign is
-    lost first.
+    lost first.  r and u may each be a float or an array, and broadcast
+    against each other; a float r and a scalar u give a float.
     """
-    uu = np.asarray(u, dtype=float)
+    u = _float_or_array(u)
     r2 = r * r
     r4 = r2 * r2
-    val = (
+    s = 1 + r2
+    return (
         1 + 4 * r2 - 26 * r4 + 4 * r4 * r2 + r4 * r4
-        - 6 * uu * r * (1 + r2) * (1 + r4 - 6 * r2)
-        - 12 * r2 * uu * uu * (1 + r2) ** 2
-        + 4 * r * uu ** 3 * (1 + r2) * (1 + r4)
+        - 6 * u * r * s * (1 + r4 - 6 * r2)
+        - 12 * r2 * u * u * (s * s)
+        + 4 * r * (u * u * u) * s * (1 + r4)
     )
-    return float(val) if np.isscalar(u) else val
 
 
-def polynomial_q(r: float, u) -> float | np.ndarray:
+def polynomial_q(r, u) -> float | np.ndarray:
     """Starlikeness sign polynomial; q(r, +-1) = (1 -+ r)^4 > 0, the interior
-    minimum decides the sign."""
-    uu = np.asarray(u, dtype=float)
+    minimum decides the sign.
+
+    r and u may each be a float or an array, and broadcast against each
+    other; a float r and a scalar u give a float.
+    """
+    u = _float_or_array(u)
     r2 = r * r
-    val = (1 - r2) ** 2 - 2 * r * uu * (1 + r2) + 8 * r2 * uu * uu - 2 * r * (1 + r2) * uu ** 3
-    return float(val) if np.isscalar(u) else val
+    d = 1 - r2
+    return d * d - 2 * r * u * (1 + r2) + 8 * r2 * u * u - 2 * r * (1 + r2) * (u * u * u)
 
 
 def _bracketed_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:

@@ -142,6 +142,27 @@ class TestTildeDilatation:
         assert abs(tilde_dilatation(0.9 + 0j, 2, 0.0)) == pytest.approx(0.81, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("theta", [0.0, 1.1, math.pi])
+    def test_products_match_complex_powers(self, n, theta):
+        # the closed form as written with numpy's complex power
+        z = harmonic._polar_grid(0.999, 64, 256)
+        eps = np.exp(1j * theta)
+        w = eps * z ** n
+        wp = n * eps * z ** (n - 1)
+        mid = w - 0.5 * wp * z
+        ref = z * (w * w + mid + 0.5 * wp) / (1 + mid + 0.5 * wp * z * z)
+        out = tilde_dilatation(z, n, theta)
+        assert out.shape == z.shape
+        assert np.all(np.abs(out - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+        scalar = tilde_dilatation(complex(z[40, 17]), n, theta)
+        assert type(scalar) is complex
+        assert abs(scalar - out[40, 17]) <= 1e-15 * max(1.0, abs(out[40, 17]))
+
+    def test_n_must_be_positive(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            tilde_dilatation(0.5j, 0, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("theta", [0.0, math.pi / 3, math.pi])
     def test_grid_max_below_one(self, n, theta):
         rep = tilde_dilatation_check(n, theta)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from hmap.catalog import (
     parse_function,
     shear_horizontal,
 )
-from hmap.defaults import EXACT_AGREEMENT_POINTS
+from hmap import harmonic
+from hmap.defaults import EXACT_AGREEMENT_POINTS, EXACT_AGREEMENT_TOL
 from hmap.harmonic import (
     ExactEvaluators,
     HarmonicMap,
@@ -94,6 +97,96 @@ class TestConstruction:
         for f in (map_F(), map_L(), f_alpha(0.3 + 0.4j), example21(), g_alpha(1j)):
             assert f.exact is not None
 
+    @pytest.mark.parametrize("build", [map_F, lambda: f_alpha(0.5j), example21, l_hadamard_l],
+                             ids=["map_F", "f_alpha", "example21", "l_hadamard_l"])
+    def test_check_builds_no_derivative_series_or_tables(self, build):
+        f = build()
+        assert not {"_dh", "_dg", "_d2h", "_d2g"} & set(vars(f))
+        assert "_table" not in vars(f.h) and "_table" not in vars(f.g)
+
+    @pytest.mark.parametrize("h_order,g_order", [(64, 32), (32, 64), (9, 40), (40, 9)])
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 2.0])
+    def test_unequal_degrees_accepted_and_rejected_as_before(self, h_order, g_order, scale):
+        # each closed form in turn is moved by ``scale`` times the allowance
+        h, g = map_F(h_order).h, map_F(g_order).g
+        tol = _allowance(min(h_order, g_order))
+        for route in ROUTES:
+            routes = {w: getattr(map_F().exact, w) for w in ROUTES}
+            right = routes[route]
+            routes[route] = lambda z, right=right: right(z) + scale * tol
+            first = _first_gap_past(h, g, routes, tol)
+            _assert_check_verdict(h, g, routes, first, tol)
+            assert (first is None) == (scale < 1)
+
+    @pytest.mark.parametrize("longer", ["h", "g"])
+    def test_coefficients_past_the_shorter_degree_are_checked(self, longer):
+        # a coefficient of the longer part that its closed form lacks is seen
+        # even though the allowance follows the shorter degree
+        parts = {"h": map_F(32).h, "g": map_F(32).g}
+        c = map_F(64)._series(longer).coeffs.copy()
+        c[40] += 1e13
+        parts[longer] = TruncatedSeries(c)
+        routes = {w: getattr(map_F().exact, w) for w in ROUTES}
+        tol = _allowance(32)
+        first = _first_gap_past(parts["h"], parts["g"], routes, tol)
+        assert first == longer
+        _assert_check_verdict(parts["h"], parts["g"], routes, first, tol)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_twice_a_large_allowance_is_rejected(self, route):
+        # at degree 16 the allowance for the series tail is about 6.4
+        f = map_F(16)
+        tol = _allowance(16)
+        assert tol > 1
+        routes = {w: getattr(f.exact, w) for w in ROUTES}
+        right = routes[route]
+        routes[route] = lambda z: right(z) + 2 * tol
+        with pytest.raises(ValueError, match=_rejection(route, tol)):
+            HarmonicMap(f.h, f.g, ExactEvaluators(**routes))
+
+    def test_check_needs_two_derivatives(self):
+        h = TruncatedSeries([0, 1])
+        exact = ExactEvaluators(h=lambda z: z, g=lambda z: 0 * z, dh=lambda z: 1 + 0 * z,
+                                dg=lambda z: 0 * z, d2h=lambda z: 0 * z, d2g=lambda z: 0 * z)
+        with pytest.raises(ValueError, match="degree 1 too small for 2 derivatives"):
+            HarmonicMap(h, TruncatedSeries([0, 0, 0]), exact)
+
+    def test_power_table_reaches_underflow(self):
+        # terms past the table's last power would add exactly nothing
+        powers = harmonic._agreement_powers()
+        assert powers.shape == (EXACT_AGREEMENT_POINTS, harmonic._AGREEMENT_DEGREE + 1)
+        assert np.all(powers[:, -1] == 0)
+        assert not powers.flags.writeable
+        assert map_F(4096).exact is not None
+
+
+def _allowance(order):
+    return EXACT_AGREEMENT_TOL + 8.0 * (order + 2) ** 4 * 0.5 ** (order + 1)
+
+
+def _first_gap_past(h, g, routes, tol):
+    """The first route whose closed form strays from its series by more than tol, or None.
+
+    The reference evaluates each route from its own differentiated series,
+    as the agreement check did before it became one matrix product.
+    """
+    z = _agreement_points()
+    series = {"h": h, "g": g, "dh": h.differentiate(), "dg": g.differentiate(),
+              "d2h": h.differentiate(2), "d2g": g.differentiate(2)}
+    return next((w for w in ROUTES if np.max(np.abs(routes[w](z) - series[w].evaluate(z))) > tol), None)
+
+
+def _assert_check_verdict(h, g, routes, first, tol):
+    if first is None:
+        HarmonicMap(h, g, ExactEvaluators(**routes))
+    else:
+        with pytest.raises(ValueError, match=_rejection(first, tol)):
+            HarmonicMap(h, g, ExactEvaluators(**routes))
+
+
+def _rejection(route, tol):
+    return rf"closed-form {route} disagrees with its series by .* inside \|z\| <= 0\.5 " + re.escape(f"(allowed {tol:.3e})")
+
 
 class TestEvaluate:
     def test_identity_map(self):
@@ -165,6 +258,37 @@ class TestEvaluationRoute:
         for which, series in zip(ROUTES, (f.h, f.g, f.h.differentiate(), f.g.differentiate(),
                                           f.h.differentiate(2), f.g.differentiate(2))):
             assert np.array_equal(getattr(f, which + "_at")(z), series.evaluate(z))
+
+
+class TestOneGuardPerPointSet:
+    @pytest.mark.parametrize("op", [evaluate_f, jacobian, dilatation], ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("build", [map_F, lambda: make_M_alpha_member(make_generator("koebe_k", 32), 0.5)],
+                             ids=["closed", "series"])
+    def test_one_guard_per_call(self, monkeypatch, op, build):
+        f = build()
+        calls = []
+        guard = harmonic._require_inside
+        monkeypatch.setattr(harmonic, "_require_inside", lambda z: calls.append(np.shape(z)) or guard(z))
+        z = np.array([[0.1 + 0.2j, -0.3j], [0.5, 0.7 - 0.1j]])
+        out = op(f, z)
+        assert calls == [z.shape] and out.shape == z.shape
+        scalar = op(f, 0.3 - 0.2j)
+        assert len(calls) == 2
+        assert isinstance(scalar, float if op is jacobian else complex)
+        assert scalar == pytest.approx(op(f, np.array([0.3 - 0.2j]))[0], rel=1e-14)
+        for bad in (1.0, np.array([0.2, 0.6 + 0.8j])):
+            with pytest.raises(ValueError, match="requires"):
+                op(f, bad)
+
+    def test_routes_match_the_single_route_methods(self):
+        for f in (map_L(), make_M_alpha_member(make_generator("half_plane_l", 32), -0.5)):
+            z = np.array([0.2 + 0.1j, -0.6j, 0.85])
+            values = f._eval_routes(ROUTES, z)
+            for w, v in zip(ROUTES, values):
+                assert np.array_equal(v, getattr(f, f"{w}_at")(z))
+            scalars = f._eval_routes(("dh", "d2g"), 0.4j)
+            assert all(type(v) is complex for v in scalars)
+            assert scalars == (f.dh_at(0.4j), f.d2g_at(0.4j))
 
 
 class TestDilatation:

@@ -821,6 +821,21 @@ class TestPolynomials:
             assert polynomial_q(r, -1.0) == pytest.approx((1 + r) ** 4, abs=1e-12)
             assert polynomial_q(r, 1.0) == pytest.approx((1 - r) ** 4, abs=1e-12)
 
+    @pytest.mark.parametrize("poly", [polynomial_p, polynomial_q], ids=["p", "q"])
+    def test_scalar_path_is_the_array_path(self, poly):
+        rng = np.random.default_rng(14)
+        rs = rng.uniform(0.001, 0.999, 200)
+        us = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1, 1, 197)])
+        grid = poly(rs, us)
+        assert grid.shape == rs.shape
+        for r, u, value in zip(rs.tolist(), us.tolist(), grid):
+            scalar = poly(r, u)
+            assert type(scalar) is float
+            assert scalar == value
+            assert scalar == poly(r, np.array([u]))[0]
+        # an array r against a scalar u broadcasts as well
+        assert np.array_equal(poly(rs, 0.25), poly(rs, np.full(rs.shape, 0.25)))
+
     def test_q_interior_minimum_is_critical(self):
         r = 0.7
         u = _q_interior_min_location(r)
