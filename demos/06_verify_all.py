@@ -8,6 +8,7 @@ line as `hmap verify --suite all`.  The JSON report goes to the directory
 named by the first argument, by default demos/output.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -20,5 +21,5 @@ for line in report.summary_lines():
 out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "output"
 out.mkdir(parents=True, exist_ok=True)
 path = out / "verification_report.json"
-path.write_text(report.to_json())
+path.write_text(json.dumps(report.to_dict(), indent=2))
 print("\nfull report:", path)

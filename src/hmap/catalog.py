@@ -322,7 +322,6 @@ def shear_vertical(phi: TruncatedSeries, w: TruncatedSeries, label: str = "shear
 def make_M_alpha_member(
     h: TruncatedSeries,
     alpha: complex,
-    exact: ExactEvaluators | None = None,
     label: str = "",
 ) -> HarmonicMap:
     """Build g termwise from h through (n+1) b_{n+1} = n alpha a_n, b_1 = 0.
@@ -335,4 +334,4 @@ def make_M_alpha_member(
     n = np.arange(h.order + 1, dtype=float)
     b = np.zeros(h.order + 1, dtype=complex)
     b[2:] = alpha * (n[1:-1] / n[2:]) * h.coeffs[1:-1]
-    return HarmonicMap(h, TruncatedSeries(b), exact, label=label or f"M({alpha}) member")
+    return HarmonicMap(h, TruncatedSeries(b), label=label or f"M({alpha}) member")

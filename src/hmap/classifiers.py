@@ -7,7 +7,8 @@ Two kinds of result live here:
   small enough, and
 * sampled verifiers for the one-parameter family with dilatation alpha*z
   (coefficient recurrence, curvature-type grid condition, coefficient and
-  growth bounds, image area, arc integrals of Kaplan type).
+  growth bounds, image area, Kaplan arc integrals on the circle tests' grid
+  rule, down to the worst sub-arc).
 
 Coefficient sums run over the stored truncation; every report records the
 truncation degree so callers can reason about the neglected tail.
@@ -20,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import CIRCLE_THETA_POINTS, RELATION_ABS_TOL
-from .harmonic import (HarmonicMap, _circle_derivatives, _phase_steps, _polar_grid, _require_nonzero,
-                       _unit_circle, evaluate_f)
+from .defaults import RELATION_ABS_TOL
+from .harmonic import (_START_THETA_POINTS, HarmonicMap, _chop_and_double, _circle_derivatives, _phase_steps,
+                       _polar_grid, _require_nonzero, _unit_circle, evaluate_f)
 from .report import Report
 from .series import TruncatedSeries
 
@@ -249,13 +250,12 @@ def family_bounds_check(
     alpha: complex,
     samples: int = 1000,
     r_max: float = 0.9,
-    seed: int = 7,
 ) -> BoundsReport:
     """Verify |a_n| <= (n+1)/2, |b_n| <= (n-1)|alpha|/2 and the growth bound.
 
     Coefficient slack is reported as bound - |coefficient| (minimum over n,
     allowed down to -1e-12); the growth bound is sampled at random points
-    with |z| <= r_max (slack allowed down to -1e-9).
+    with |z| <= r_max, drawn from seed 7 (slack allowed down to -1e-9).
     """
     if coefficient_relation_residual(f, alpha) > RELATION_ABS_TOL:
         raise ValueError("coefficient recurrence fails; bounds only apply to family members")
@@ -265,7 +265,7 @@ def family_bounds_check(
     slack_b = float(np.min((n - 1) / 2 * abs(alpha) - np.abs(f.g.coeffs[2 : order + 1])))
     coeff_ok = slack_a >= -1e-12 and slack_b >= -1e-12
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     z = rng.uniform(0, r_max, samples) * np.exp(1j * rng.uniform(0, 2 * np.pi, samples))
     slack = growth_bound(alpha, z) - np.abs(evaluate_f(f, z))
     gmin = float(np.min(slack))
@@ -343,8 +343,8 @@ def kaplan_integral_check(
 
     The integrand is the theta-derivative of arg(z Fe'(z)) on |z| = r, so the
     integral is the increase of that argument along the arc: the sum of its
-    steps between nodes at the circle-test density, CIRCLE_THETA_POINTS steps
-    per period and at least 64.  The circle tests' branch guard checks every
+    steps between nodes at the density the circles' grid rule picks for Fe
+    (:func:`_kaplan_steps`).  The circle tests' branch guard checks every
     step against the trapezoid of the integrand and raises ``ValueError``
     instead of returning a value that may sit on the wrong branch.  The
     close-to-convexity criterion asks for every such integral to stay above
@@ -355,36 +355,56 @@ def kaplan_integral_check(
         raise ValueError("need 0 < theta2 - theta1 <= 2 pi")
     if abs(abs(epsilon) - 1) > 1e-12:
         raise ValueError("epsilon must be unimodular")
-    steps = max(64, math.ceil(CIRCLE_THETA_POINTS * (theta2 - theta1) / (2 * np.pi)))
-    theta = np.linspace(theta1, theta2, steps + 1)
+    n = _kaplan_steps(f, np.atleast_1d(epsilon), r)[0]
+    theta = np.linspace(theta1, theta2, math.ceil(n * (theta2 - theta1) / (2 * np.pi)) + 1)
     rate, curve = _fe_circle(f, epsilon, r, theta)
     return float(np.sum(_phase_steps(curve, rate, theta[1] - theta[0])))
 
 
-def _kaplan_sweep(f: HarmonicMap, epsilons: np.ndarray, r: float, n_theta: int = CIRCLE_THETA_POINTS):
-    """Full-period integral and worst grid sub-arc for each epsilon, one sampling of |z| = r.
+def _kaplan_steps(f: HarmonicMap, epsilons: np.ndarray, r: float) -> tuple[int, np.ndarray]:
+    """The grid of the circles' rule (``harmonic._chop_and_double``) for all Fe = h + epsilon g on |z| = r.
 
-    Samples every Fe = h + epsilon g once on the cached circle-test grid,
-    closes each curve at theta = 2 pi and takes the cumulative sum of its
-    guarded phase steps.  Returns (full-period integral, minimal sub-arc
-    integral, that arc) per epsilon; at grid nodes the phase differences are
-    the exact arc integrals, so :func:`kaplan_integral_check` on the arc
-    gives the same value.
+    Returns it and the guarded phase steps of each z Fe', closed at 2 pi, one
+    row per epsilon; raises ValueError where the guard still fails at the cap.
     """
-    theta = _unit_circle(n_theta)[0]
-    rate, curve = _fe_circle(f, epsilons, r, theta, on_grid=True)
-    rate, curve = (np.concatenate([a, a[:, :1]], axis=1) for a in (rate, curve))
-    steps = _phase_steps(curve, rate, theta[1])
+    def sample(n: int):
+        rate, curve = _fe_circle(f, epsilons, r, _unit_circle(n)[0], on_grid=True)
+        return rate, tuple(np.concatenate([a, a[:, :1]], axis=1) for a in (curve, rate))
+
+    n, _, steps, _ = _chop_and_double(sample, _START_THETA_POINTS)
+    if steps is None:
+        raise ValueError(f"phase of z Fe' is ambiguous on |z| = {r} even on {n} angles")
+    return n, steps
+
+
+def _kaplan_sweep(f: HarmonicMap, epsilons: np.ndarray, r: float):
+    """(full-period integral, least sub-arc integral, that arc) per epsilon, from :func:`_kaplan_steps`.
+
+    At grid nodes the phase differences are the exact arc integrals, so
+    :func:`kaplan_integral_check` on the arc gives the same value.
+    """
+    n, steps = _kaplan_steps(f, epsilons, r)
     phase = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
-    nodes = np.append(theta, 2 * np.pi)
+    nodes = np.append(_unit_circle(n)[0], 2 * np.pi)
     return [(float(p[-1]), *_worst_subarc(nodes, p)) for p in phase]
 
 
 def _worst_subarc(theta: np.ndarray, phase: np.ndarray) -> tuple[float, tuple[float, float]]:
-    """Minimal phase increase over all node-to-node sub-arcs, and that arc."""
-    run_min = np.minimum.accumulate(phase)
-    diffs = phase[1:] - run_min[:-1]
-    j = int(np.argmin(diffs))
-    worst = float(diffs[j])
-    i = int(np.argmin(phase[: j + 1]))
-    return worst, (float(theta[i]), float(theta[j + 1]))
+    """Least phase increase over node-to-node arcs shorter than a full turn, and that arc.
+
+    ``phase`` holds the phase at the nodes ``theta`` = 0 .. 2 pi.  The least
+    arc from node i to a later node j starts at the running maximum of the
+    phase before j (past node 0 for j = n: 0 to 2 pi is the full turn).  An
+    arc from node i on through theta = 0 to node j, 0 < j < i < n, gains
+    phase[n] - phase[i] + phase[j], least at the backward running maximum
+    after j.  The arc is (theta1, theta2), theta1 < theta2 <= theta1 + 2 pi.
+    """
+    inside = phase[1:] - np.maximum.accumulate(phase[:-1])  # the least gains ending at j = 1 .. n
+    inside[-1] = phase[-1] - phase[1:-1].max()
+    through = phase[-1] + phase[1:-2] - np.maximum.accumulate(phase[-2:1:-1])[::-1]  # past 0, j = 1 .. n-2
+    j, k = int(np.argmin(inside)) + 1, int(np.argmin(through)) + 1
+    if through[k - 1] < inside[j - 1]:
+        i = k + 1 + int(np.argmax(phase[k + 1 : -1]))
+        return float(through[k - 1]), (float(theta[i]), float(theta[k] + 2 * np.pi))
+    i = int(np.argmax(phase[:j])) if j < len(theta) - 1 else 1 + int(np.argmax(phase[1:-1]))
+    return float(inside[j - 1]), (float(theta[i]), float(theta[j]))

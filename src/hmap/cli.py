@@ -88,6 +88,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(path: str | None, payload) -> None:
+    """Write ``payload`` as JSON to ``path``, or print it without one; only this loads json."""
+    import json
+
+    text = json.dumps(payload, indent=2)
+    if path is None:
+        print(text)
+    else:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+
+
 def _cmd_plot(args, order: int) -> int:
     from .catalog import parse_function
     from .plotting import PlotSpec, plot_command
@@ -151,10 +163,7 @@ def _cmd_classify(args, order: int) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] bounds: coeff slack ({rep.coeff_slack_a:.3e}, "
               f"{rep.coeff_slack_b:.3e}), growth min slack {rep.growth_min_slack:.3e}")
     if args.out:
-        import json
-
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2)
+        _write_json(args.out, payload)
     return 0 if ok else 1
 
 
@@ -185,10 +194,7 @@ def _cmd_radius(args, order: int) -> int:
         print(f"{kind} of {args.function}: holds at every tested radius up to {result.r_lo}; "
               f"{sums}, and circles were tested from {start} to {result.r_lo}")
     if args.out:
-        import json
-
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(result.to_dict(), fh, indent=2)
+        _write_json(args.out, result.to_dict())
     return 0
 
 
@@ -212,8 +218,6 @@ def _cmd_convolve(args, order: int) -> int:
         else:
             print(text, end="")
         return 0
-    import json
-
     from .harmonic import sense_preserving_check
 
     # products are series-backed; 0.7 is the largest radius where the default
@@ -225,12 +229,7 @@ def _cmd_convolve(args, order: int) -> int:
         "order": prod.order,
         "sense_preserving": sp.to_dict(),
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        print(text)
+    _write_json(args.out, payload)
     return 0 if sp.passed else 1
 
 
@@ -240,8 +239,7 @@ def _cmd_verify(args, order: int) -> int:
     report = verify.run_suite(args.suite, order)
     for line in report.summary_lines():
         print(line)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(report.to_json())
+    _write_json(args.out, report.to_dict())
     return 0 if report.passed else 1
 
 

@@ -99,10 +99,10 @@ class TildeDilatationReport(Report):
     theta: float
     max_abs: float
     passed: bool
-    r_max: float
+    r_max: float = field(default=0.999, init=False)
     grid: tuple[int, int]
     cross_check_max_err: float
-    cross_check_r_max: float
+    cross_check_r_max: float = field(default=0.9, init=False)
     cross_check_passed: bool
 
 
@@ -110,26 +110,23 @@ def tilde_dilatation_check(
     n: int,
     theta: float,
     grid: tuple[int, int] = (64, 256),
-    r_max: float = 0.999,
     cross_order: int = 512,
-    cross_r_max: float = 0.9,
-    cross_tol: float = 1e-6,
 ) -> TildeDilatationReport:
     """Local univalence check for the product of the sheared maps.
 
-    Evaluates |wtil| on an (n_r x n_theta) polar grid up to ``r_max`` (pass
+    Evaluates |wtil| on an (n_r x n_theta) polar grid up to r = 0.999 (pass
     iff the maximum stays below 1), then rebuilds the same dilatation from
     scratch: the right factor is obtained by shearing z/(1-z) vertically with
     dilatation e^{i theta} z^n, the product with F's coefficient table is
     formed coefficientwise, and its dilatation g'/h' is compared against the
-    closed form on a coarser grid up to ``cross_r_max``.  The product reads
-    only coefficients, so F is built without its closed forms.
+    closed form on a coarser grid up to r = 0.9, within 1e-6.  The product
+    reads only coefficients, so F is built without its closed forms.
     """
     if n not in (1, 2):
         raise ValueError("closed form applies to n = 1 or 2")
     from .catalog import _f_alpha_series, shear_vertical
 
-    zg = _polar_grid(r_max, *grid)
+    zg = _polar_grid(TildeDilatationReport.r_max, *grid)
     wt = tilde_dilatation(zg, n, theta)
     if not np.all(np.isfinite(wt)):
         raise ZeroDivisionError("product-dilatation denominator vanishes on the grid")
@@ -139,16 +136,14 @@ def tilde_dilatation_check(
     w[n] = np.exp(1j * theta)
     right = shear_vertical(make_generator("half_plane_l", cross_order), TruncatedSeries(w))
     prod = hadamard(HarmonicMap(*_f_alpha_series(1, cross_order), label="F"), right)
-    zc = _polar_grid(cross_r_max, 16, 64)
+    zc = _polar_grid(TildeDilatationReport.cross_check_r_max, 16, 64)
     err = float(np.max(np.abs(dilatation(prod, zc) - tilde_dilatation(zc, n, theta))))
     return TildeDilatationReport(
         n=n,
         theta=theta,
         max_abs=max_abs,
         passed=max_abs < 1.0,
-        r_max=r_max,
         grid=grid,
         cross_check_max_err=err,
-        cross_check_r_max=cross_r_max,
-        cross_check_passed=err < cross_tol,
+        cross_check_passed=err < 1e-6,
     )

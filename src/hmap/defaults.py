@@ -24,9 +24,8 @@ EXACT_AGREEMENT_POINTS = 20
 
 # Circle tests: pass threshold for the minimum angular derivative, and the
 # allowed defect in the total turning (the winding of the sampled curve, 2 pi
-# for a simple closed regular curve).  Circle tests choose their own angle
-# grid (hmap.radius); Kaplan arcs sample CIRCLE_THETA_POINTS angles.
-CIRCLE_THETA_POINTS = 4096
+# for a simple closed regular curve).  Circle tests and Kaplan arcs choose
+# their own angle grid by one rule (hmap.harmonic._chop_and_double).
 CIRCLE_MIN_TOL = 1e-9
 TURNING_TOL = 1e-3
 

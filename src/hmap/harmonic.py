@@ -16,17 +16,12 @@ Jacobian, the dilatation) evaluate them together after one |z| < 1 guard
 (``HarmonicMap._eval_routes``).
 
 Circle tests and Kaplan arc integrals (of Fe = h + epsilon g, all epsilon at
-once) sample a map on one path (see :func:`_circle_derivatives`), not
-through the ``*_at`` methods, and read the argument of the sampled curve
-through one per-step branch guard (:func:`_phase_steps`).  Both routes share
-one cached uniform grid of angles per grid size.  A map with closed forms is
-sampled at z = r e^{i theta}, scaled from the cached e^{i theta}, with one
-|z| < 1 guard per set of points.  A series-only map is read from its
-coefficients: on |z| = r it is a trigonometric polynomial in theta, so on the
-grid f and its theta-derivatives are each one inverse FFT of the coefficients.
-A map with f(conj z) = conj f(z) (``HarmonicMap._conjugate_symmetric``) has
-circle images that mirror in the real axis, and its circle tests sample only
-the prefix theta <= pi of the grid.
+once) sample a map on one path (:func:`_circle_derivatives`: closed forms at
+z = r e^{i theta}, or one inverse FFT of the coefficients per derivative),
+not through the ``*_at`` methods.  They read the argument of the sampled
+curve through one per-step branch guard (:func:`_phase_steps`) on a uniform
+grid that one rule doubles until the rate is resolved
+(:func:`_chop_and_double`).
 """
 
 from __future__ import annotations
@@ -311,7 +306,7 @@ class CollisionReport(Report):
     """Outcome of the sampled injectivity check.
 
     ``collision`` is True when two sample points at domain distance at least
-    ``min_separation`` land (numerically) on the same image point.  Absence
+    ``min_separation`` land within ``collision_tol`` of each other.  Absence
     of a collision proves nothing; presence falsifies injectivity on the
     sampled disk.
     """
@@ -322,8 +317,8 @@ class CollisionReport(Report):
     witness: tuple[complex, complex] | None
     n_samples: int
     r_max: float
-    min_separation: float
-    collision_tol: float
+    min_separation: float = field(default=0.05, init=False)
+    collision_tol: float = field(default=1e-8, init=False)
     check_kind: str = field(default="necessary", init=False)
 
 
@@ -485,6 +480,37 @@ def _phase_steps(curve: np.ndarray, rate: np.ndarray, step: float) -> np.ndarray
     return steps
 
 
+_START_THETA_POINTS = 128  # the grid a circle starts from unless given another
+_MAX_THETA_POINTS = 65536  # the finest grid a circle doubles to
+_CHOP_TAIL = 1e-10  # a grid resolves the rate once its Fourier tail is this small
+
+
+def _chop_and_double(sample: Callable, n: int):
+    """Double the grid from n angles until the rate chops and every phase step passes the guard.
+
+    ``sample(n)`` returns the rate on the whole grid of :func:`_unit_circle`,
+    one row per curve, and the (curve, rate) pair along the summed path.  The
+    rate chops when the largest ``rfft`` coefficient of each row at k >= 3n/8
+    is at most 1e-10 of its largest (Wright, Javed, Montanelli & Trefethen,
+    SISC 2015; Trefethen & Weideman, SIAM Review 2014).  At the cap of 65536
+    angles, where a larger n also starts, the circle is taken as it stands.
+    Returns the grid, the rate, the guarded steps (None if the guard failed)
+    and the tail, the maximum over rows.
+    """
+    n = min(n, _MAX_THETA_POINTS)
+    while True:
+        rate, path = sample(n)
+        spectrum = np.abs(np.fft.rfft(rate))
+        tail = float(np.maximum.reduce(spectrum[..., -(-3 * n // 8):] / spectrum.max(-1, keepdims=True), None))
+        try:
+            steps = _phase_steps(*path, _unit_circle(n)[0][1])
+        except ValueError:  # a step may have slipped a branch
+            steps = None
+        if (tail <= _CHOP_TAIL and steps is not None) or 2 * n > _MAX_THETA_POINTS:
+            return n, rate, steps, tail
+        n *= 2
+
+
 def _polar_grid(r_max: float, n_r: int, n_t: int) -> np.ndarray:
     """The (n_r x n_t) polar grid: radii r_max/n_r .. r_max, angles 2 pi j / n_t."""
     radii = np.linspace(r_max / n_r, r_max, n_r)
@@ -520,16 +546,14 @@ def injectivity_sample_check(
     f: HarmonicMap,
     r_max: float,
     n_samples: int = 1000,
-    min_separation: float = 0.05,
-    collision_tol: float = 1e-8,
     include: tuple[complex, ...] = (),
 ) -> CollisionReport:
     """Scan image distances of well-separated sample pairs.
 
-    Two samples at domain distance >= ``min_separation`` whose images differ
-    by less than ``collision_tol`` falsify injectivity on |z| <= r_max.  The
-    quadratic pair scan caps ``n_samples`` at 2000; ``include`` lets callers
-    pin specific points (suspected collision pairs) into the sample set.
+    Two samples at domain distance >= 0.05 whose images differ by less than
+    1e-8 falsify injectivity on |z| <= r_max.  The quadratic pair scan caps
+    ``n_samples`` at 2000; ``include`` lets callers pin specific points
+    (suspected collision pairs) into the sample set.
     """
     if n_samples > 2000:
         raise ValueError("n_samples capped at 2000 (quadratic pair scan)")
@@ -545,14 +569,14 @@ def injectivity_sample_check(
         wi = w[i0 : i0 + block]
         dz = np.abs(zi[:, None] - z[None, :])
         dw = np.abs(wi[:, None] - w[None, :])
-        dw[dz < min_separation] = np.inf
+        dw[dz < CollisionReport.min_separation] = np.inf
         j = int(np.argmin(dw))
         val = float(dw.ravel()[j])
         if val < best:
             best = val
             a, b = np.unravel_index(j, dw.shape)
             witness = (complex(zi[a]), complex(z[b]))
-    collision = best < collision_tol
+    collision = best < CollisionReport.collision_tol
     return CollisionReport(
         passed=not collision,
         collision=collision,
@@ -560,6 +584,4 @@ def injectivity_sample_check(
         witness=witness if collision else None,
         n_samples=int(z.size),
         r_max=r_max,
-        min_separation=min_separation,
-        collision_tol=collision_tol,
     )

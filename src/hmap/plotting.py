@@ -83,7 +83,8 @@ def curves_to_csv(curves: list[Curve]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curves_to_svg(curves: list[Curve], width: int = 640) -> str:
+def curves_to_svg(curves: list[Curve]) -> str:
+    width = 640  # pixels; the stroke is 1/640 of the drawing's width
     us = np.concatenate([c.w.real for c in curves])
     vs = np.concatenate([c.w.imag for c in curves])
     u0, u1 = float(us.min()), float(us.max())
@@ -97,7 +98,7 @@ def curves_to_svg(curves: list[Curve], width: int = 640) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="{_fmt(u0)} {_fmt(-v1)} {_fmt(u1 - u0)} {_fmt(v1 - v0)}">',
-        f'<g fill="none" stroke-width="{_fmt((u1 - u0) / 640)}">',
+        f'<g fill="none" stroke-width="{_fmt((u1 - u0) / width)}">',
     ]
     for c in curves:
         color = "#1f77b4" if c.kind == "circle" else "#bbbbbb"

@@ -8,39 +8,28 @@ quotients of theta-derivatives of f,
     d/dtheta arg(df/dtheta) = Im( d2f / d1f ),
     d/dtheta arg f          = Im( d1f / f ),
 
-sampled on a uniform theta grid that each test chooses for itself, and
+sampled on a uniform theta grid that each test chooses by the circles' rule
+(``harmonic._chop_and_double``: from 128 angles, doubled until the rate's
+Fourier tail chops and the branch guard below passes, up to 65536), and
 sharpened by up to three parabolic steps from the grid minimum through exact
 values of the rate, so that transitions are resolved well below the search
-tolerance.  A test starts from 128 angles and doubles the grid until the
-Fourier coefficients of the sampled rate chop (the largest at k >= 3n/8 is
-at most 1e-10 of the largest) and the branch guard below passes, up to 65536
-angles (after Wright, Javed, Montanelli & Trefethen, "Extension of Chebfun
-to periodic functions", SISC 2015, and Trefethen & Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Review 2014).  Near the
-boundary a rate may stay unresolved even there: at r = 0.9979 the
-starlikeness rate of f_alpha(-0.75) keeps a tail of 1.3e-2 on 65536 angles.
-The margin is then still an exact rate value, but a dip narrower than the
-grid may go unseen.  The total turning guards against irregular curves: a
-simple closed regular curve must turn by exactly 2 pi.  It is read as the
-winding of the samples the test already holds (df for convexity, f for
-starlikeness), the sum of the arguments of consecutive sample ratios, so it
-is an integer multiple of 2 pi up to rounding.  A branch guard
-(``harmonic._phase_steps``) checks every step against the trapezoid of the
-rate and fails the circle if one may have slipped a branch.
+tolerance.  Near the boundary a rate may stay unresolved even at the cap:
+at r = 0.9979 the starlikeness rate of f_alpha(-0.75) keeps a tail of
+1.3e-2 on 65536 angles.  The margin is then still an exact rate value, but
+a dip narrower than the grid may go unseen.  The total turning guards
+against irregular curves: a simple closed regular curve must turn by
+exactly 2 pi.  It is read as the winding of the samples the test already
+holds (df for convexity, f for starlikeness), the sum of the arguments of
+consecutive sample ratios, so it is an integer multiple of 2 pi up to
+rounding.  A branch guard (``harmonic._phase_steps``) checks every step
+against the trapezoid of the rate and fails the circle if one may have
+slipped a branch.
 
 Each circle test samples its map once per grid, on its own path
-(``harmonic._circle_derivatives``), and tests of every radius share one
-cached grid of angles and of e^{i theta} per grid size.  Kaplan's arc
-integrals in ``hmap.classifiers`` read the convexity rate of h + epsilon g
-from the same sampler and sum the steps of the same guard.  A map with
-closed forms is sampled at z = r e^{i theta} by calling them directly, h, g
-and their first two derivatives, after one |z| < 1 guard per circle.  A
-series-only map is a trigonometric polynomial in theta on the circle: each
-derivative on the grid is one inverse FFT of its two-sided coefficients, and
-each refinement point is their direct sum.  A map with f(conj z) = conj f(z)
-has circle images that mirror in the real axis, and on an even grid its
-tests sample only the nodes 0 <= theta <= pi (series-only maps cut their
-full-size FFT there).
+(``harmonic._circle_derivatives``).  A map with f(conj z) = conj f(z) has
+circle images that mirror in the real axis, and on an even grid its tests
+sample only the nodes 0 <= theta <= pi.  Kaplan's arc integrals in
+``hmap.classifiers`` share the sampler, the grid rule and the guard.
 
 The radius of convexity (or starlikeness) is the first r where the test
 fails.  ``radius_search`` scans r upward to the first failing circle,
@@ -86,7 +75,8 @@ import numpy as np
 from .defaults import CIRCLE_MIN_TOL, TURNING_TOL
 from .catalog import _f_alpha_exact
 from .classifiers import _weighted_terms
-from .harmonic import HarmonicMap, _angular, _any, _circle_derivatives, _phase_steps, _unit_circle
+from .harmonic import (_START_THETA_POINTS, HarmonicMap, _angular, _any, _chop_and_double, _circle_derivatives,
+                       _unit_circle)
 from .report import Report
 
 
@@ -133,9 +123,6 @@ class RadiusResult(Report):
     upper_limit_hit: bool = False
 
 
-_START_THETA_POINTS = 128  # the grid a circle test starts from unless given another
-_MAX_THETA_POINTS = 65536  # the finest grid a circle test doubles to
-_CHOP_TAIL = 1e-10  # a grid resolves the rate once its Fourier tail is this small
 _REFINE_STEPS = 3  # parabolic steps from the grid minimum
 _REFINE_GAIN = 1e-13  # a parabolic step that predicts less, relative to the margin, is not taken
 
@@ -174,16 +161,11 @@ def _refined_min(values: np.ndarray, step: float, fn: Callable[[float], float]) 
 def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str) -> CircleTest:
     """Shared body of the circle tests: the rate Im(d^{m+1} f / d^m f) of arg d^m f.
 
-    Samples the rate and the curve d^m f on the uniform grid of ``n_theta``
-    angles, and raises ValueError where the curve vanishes.  The rate is a
-    smooth periodic function, so its Fourier coefficients (``np.fft.rfft``
-    of the rate on the whole circle) decay once the grid resolves it, as in
-    Chebfun's periodic chopping rule: the grid doubles until the largest
-    coefficient at k >= 3n/8 is at most 1e-10 of the largest and the branch
-    guard passes on every step, or until 65536 angles, where the test is
-    judged as it stands.  Passes iff the refined minimum of the rate
-    (:func:`_refined_min`) stays above -CIRCLE_MIN_TOL and the winding of
-    the curve equals 2 pi within TURNING_TOL.
+    Samples the rate and the curve d^m f on the grid that
+    ``harmonic._chop_and_double`` picks from ``n_theta`` angles, and raises
+    ValueError where the curve vanishes.  Passes iff the refined minimum of
+    the rate (:func:`_refined_min`) stays above -CIRCLE_MIN_TOL and the
+    winding of the curve equals 2 pi within TURNING_TOL.
 
     On a map with f(conj z) = conj f(z) and an even grid it samples only the
     nodes 0 <= theta <= pi.  The curve at -theta is the conjugate of that at
@@ -201,26 +183,17 @@ def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str
             raise ValueError(f"{curve_name} vanishes on |z| = {r}")
         return (upper / curve).imag, curve
 
-    n = n_theta
-    while True:
+    def sample_grid(n: int):
         thetas = _unit_circle(n)[0]
-        half = n % 2 == 0 and f._conjugate_symmetric
-        if half:
+        if n % 2 == 0 and f._conjugate_symmetric:
             rate, curve = sample(thetas[: n // 2 + 1], True)
-            path, full_rate = (curve, rate), np.concatenate([rate, rate[-2:0:-1]])
-        else:
-            rate, curve = sample(thetas, True)
-            path, full_rate = (np.append(curve, curve[:1]), np.append(rate, rate[:1])), rate
-        spectrum = np.abs(np.fft.rfft(full_rate))
-        tail = float(spectrum[-(-3 * n // 8):].max() / spectrum.max())
-        try:
-            steps = _phase_steps(*path, thetas[1])
-        except ValueError:  # a step may have slipped a branch
-            steps = None
-        if (tail <= _CHOP_TAIL and steps is not None) or 2 * n > _MAX_THETA_POINTS:
-            break
-        n *= 2
-    mn = _refined_min(full_rate, thetas[1], lambda th: sample(th, False)[0])
+            return np.concatenate([rate, rate[-2:0:-1]]), (curve, rate)
+        rate, curve = sample(thetas, True)
+        return rate, (np.append(curve, curve[:1]), np.append(rate, rate[:1]))
+
+    n, full_rate, steps, tail = _chop_and_double(sample_grid, n_theta)
+    half = n % 2 == 0 and f._conjugate_symmetric
+    mn = _refined_min(full_rate, _unit_circle(n)[0][1], lambda th: sample(th, False)[0])
     turning = math.nan if steps is None else (2 if half else 1) * float(np.sum(steps))
     ok = mn >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
     return CircleTest(ok, mn, turning, n, tail)
@@ -331,14 +304,12 @@ def radius_search(
     tol: float = 1e-6,
     n_theta: int = _START_THETA_POINTS,
     r_min: float = 0.01,
-    r_cap: float = 0.999,
-    scan_points: int = 50,
 ) -> RadiusResult:
     """Bracket the first radius where the circle-image property is lost.
 
     The property must hold at ``r_min`` (otherwise there is no inner radius
-    to report).  The scan grid is ``scan_points`` radii from ``r_min`` to
-    ``r_cap``.  The coefficient sums of the dilation f(rz)/r certify every
+    to report).  The scan grid is 50 radii from ``r_min`` to the cap
+    0.999.  The coefficient sums of the dilation f(rz)/r certify every
     circle up to a radius r_cert (:func:`_certified_radius`, 0 for maps with
     b_1 != 0), so the scan tests the largest grid radius <= r_cert once, or
     ``r_min`` where there is none, and goes on upward from there; it stops
@@ -358,9 +329,9 @@ def radius_search(
     tests.  A winding failure (margin above threshold) or an unconfirmed
     bracket falls back to bisection on pass/fail.  Radii above the first
     loss where the property holds again are not searched.  If the property
-    still holds at ``r_cap`` the result carries ``upper_limit_hit`` and the
-    bracket degenerates to [r_cap, 1); a map the sums certify up to
-    ``r_cap`` gets there after one circle test.
+    still holds at the cap the result carries ``upper_limit_hit`` and the
+    bracket degenerates to [0.999, 1); a map the sums certify up to the cap
+    gets there after one circle test.
 
     Each circle test chooses its own grid (:func:`_circle_test`).  The
     first starts on ``n_theta`` angles and each later one on the largest
@@ -386,7 +357,7 @@ def radius_search(
         grid = max(grid, result.grid_theta)
         return result
 
-    lo, hi, seen = _search_grid(test, kind, tol, r_min, r_cap, scan_points, r_cert)
+    lo, hi, seen = _search_grid(test, kind, tol, np.linspace(r_min, 0.999, 50), r_cert)
     if hi == 1.0:
         return RadiusResult(kind, lo, hi, grid, tol, len(seen), r_cert, upper_limit_hit=True)
     loss = seen[hi]
@@ -400,16 +371,14 @@ def _search_grid(
     circle: Callable[[float], CircleTest],
     kind: str,
     tol: float,
-    r_min: float,
-    r_cap: float,
-    scan_points: int,
+    grid: np.ndarray,
     r_cert: float,
 ) -> tuple[float, float, dict[float, CircleTest]]:
     """The search of :func:`radius_search`: r_lo, r_hi and every circle tested.
 
-    The scan starts at the largest scan radius <= ``r_cert``, or at
-    ``r_min``.  r_hi is 1.0 when the property still holds at ``r_cap`` (then
-    r_lo = r_cap).
+    The scan of the radii ``grid`` starts at the largest one <= ``r_cert``,
+    or at the first.  r_hi is 1.0 when the property still holds at the last
+    (then r_lo is the last).
     """
     seen: dict[float, CircleTest] = {}
 
@@ -423,13 +392,12 @@ def _search_grid(
         hi = min(r for r, t in seen.items() if not t.passed)
         return max(r for r, t in seen.items() if t.passed and r < hi), hi
 
-    grid = np.linspace(r_min, r_cap, scan_points)
     start = max(int(np.searchsorted(grid, r_cert, side="right")) - 1, 0)
     if not test(grid[start]).passed:
         if grid[start] <= r_cert:
             raise ValueError(f"{kind} fails at r = {grid[start]}, below the radius {r_cert} "
                              "that the coefficient sums certify")
-        raise ValueError(f"{kind} already fails at r = {r_min}; nothing to bracket")
+        raise ValueError(f"{kind} already fails at r = {grid[0]}; nothing to bracket")
 
     # the scan starts exactly at grid[start], which is not tested again
     for r in grid[start:]:
@@ -444,7 +412,7 @@ def _search_grid(
             if _dip_fails(test, passing[i - 1], passing[i + 1], tol):
                 break
     if all(t.passed for t in seen.values()):
-        return r_cap, 1.0, seen
+        return float(grid[-1]), 1.0, seen
 
     lo, hi = first_loss()
     margin = lambda r: test(r).min_derivative + CIRCLE_MIN_TOL

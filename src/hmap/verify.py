@@ -8,7 +8,6 @@ fail.  The CLI surfaces these through ``hmap verify``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -40,9 +39,6 @@ class VerificationReport(Report):
 
     def __post_init__(self):
         object.__setattr__(self, "passed", all(r.passed for r in self.records))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def summary_lines(self) -> list[str]:
         lines = []
@@ -118,7 +114,7 @@ def suite_coefficients(order: int = DEFAULT_ORDER) -> list[ClaimRecord]:
     return recs
 
 
-def suite_bounds(order: int = DEFAULT_ORDER, growth_samples: int = 2000) -> list[ClaimRecord]:
+def suite_bounds(order: int = DEFAULT_ORDER) -> list[ClaimRecord]:
     recs: list[ClaimRecord] = []
     big = 2048
     l_series = make_generator("half_plane_l", big)
@@ -138,7 +134,7 @@ def suite_bounds(order: int = DEFAULT_ORDER, growth_samples: int = 2000) -> list
     ]
     for h, a, label in members:
         m = catalog.make_M_alpha_member(h, a, label=label)
-        rep = classifiers.family_bounds_check(m, a, samples=growth_samples)
+        rep = classifiers.family_bounds_check(m, a, samples=2000)
         recs.append(_at_least(
             f"bounds.growth[{label}]",
             "modulus stays below |z|/(1-|z|)^2 [1 - (1-|alpha|)|z|/2]",

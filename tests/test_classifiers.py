@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad  # reference quadrature; hmap itself must not import it
 
+from hmap import harmonic
 from hmap.catalog import example21, f_alpha, g_alpha, make_M_alpha_member, map_F
 from hmap.classifiers import (
+    _kaplan_steps,
     _kaplan_sweep,
+    _worst_subarc,
     area_series,
     coefficient_relation_residual,
     growth_bound,
@@ -23,7 +26,7 @@ from hmap.classifiers import (
     analytic_part_classify,
     family_bounds_check,
 )
-from hmap.harmonic import HarmonicMap, SingularPointError, jacobian
+from hmap.harmonic import HarmonicMap, SingularPointError, _unit_circle, jacobian
 from hmap.series import TruncatedSeries, make_generator
 
 
@@ -273,14 +276,99 @@ class TestKaplan:
         val = kaplan_integral_check(f, 1.0, r, 0.0, 2 * math.pi)
         assert val == pytest.approx(2 * math.pi * windings, abs=1e-12)
 
-    def test_branch_guard_refuses_coarse_grid(self):
+    def test_branch_guard_refuses_coarse_grid(self, monkeypatch):
         # h' = 1 + 4 z^12 has twelve zeros at |z| = 4^(-1/12) < 0.9, so the
-        # phase of z Fe' turns 13 times: 4096 steps resolve it, 8 cannot
+        # phase of z Fe' turns 13 times: the grid rule resolves it, 8 nodes
+        # cannot, and with the cap patched down to 8 the sweep refuses
         f = HarmonicMap(padded([0, 1] + [0] * 11 + [4 / 13]), padded([0]))
         val = kaplan_integral_check(f, 1.0, 0.9, 0.0, 2 * math.pi)
         assert val == pytest.approx(26 * math.pi, abs=1e-10)
-        with pytest.raises(ValueError):
-            _kaplan_sweep(f, np.array([1.0]), 0.9, n_theta=8)
+        monkeypatch.setattr(harmonic, "_MAX_THETA_POINTS", 8)
+        with pytest.raises(ValueError, match="ambiguous"):
+            _kaplan_sweep(f, np.array([1.0]), 0.9)
+
+    @staticmethod
+    def brute_worst(phase):
+        """Least phase increase over all arcs from node i to node j != i, forward, O(n^2)."""
+        n = phase.size - 1
+        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        gain = np.where(j > i, phase[j] - phase[i], phase[n] - phase[i] + phase[j])
+        gain[i == j] = np.inf
+        return float(gain.min())
+
+    @pytest.mark.parametrize("case", [*range(6), (0,), (63,), (127,), (0, 127), (0, 1, 126, 127), -0.01])
+    def test_worst_subarc_matches_brute_force(self, case):
+        # phase steps on 128 nodes: random with a mean gain of 2 pi per turn
+        # (an int case is the seed); +0.1 but for drops of -1 at the given
+        # steps, whose worst arc starts at node 0, ends at node n = 2 pi, or
+        # runs on through theta = 0 when the drops sit at both ends; or all
+        # equal and negative, where the full turn, left out, would gain least
+        n = 128
+        theta = np.append(_unit_circle(n)[0], 2 * np.pi)
+        if isinstance(case, int):
+            steps = np.random.default_rng(case).normal(2 * np.pi / n, 0.3, n)
+        elif isinstance(case, float):
+            steps = np.full(n, case)
+        else:
+            steps = np.full(n, 0.1)
+            steps[list(case)] = -1.0
+        phase = np.concatenate([[0.0], np.cumsum(steps)])
+        worst, (t1, t2) = _worst_subarc(theta, phase)
+        assert worst == pytest.approx(self.brute_worst(phase), abs=1e-12)
+        assert 0 <= t1 < t2 <= t1 + 2 * np.pi
+        # the gain of the returned arc, read off the phase, is the least
+        i, j = round(t1 / theta[1]), round(t2 / theta[1])
+        gain = phase[j] - phase[i] if j <= n else phase[n] - phase[i] + phase[j - n]
+        assert gain == pytest.approx(worst, abs=1e-12)
+
+    def test_worst_subarc_through_zero(self):
+        # F rotated by pi, -F(-z), has coefficients a_n (-1)^(n-1) and
+        # b_n (-1)^(n-1): its worst arcs straddle theta = 0
+        F = map_F(512)
+        sign = (-1.0) ** (np.arange(513) - 1)
+        f = HarmonicMap(TruncatedSeries(F.h.coeffs * sign), TruncatedSeries(F.g.coeffs * sign))
+        assert f.exact is None
+        epsilons = np.exp(2j * np.pi * np.arange(16) / 16)
+        r = 0.5
+        n = _kaplan_steps(f, epsilons, r)[0]
+        theta = np.append(_unit_circle(n)[0], 2 * np.pi)
+        z = r * np.exp(1j * theta)
+        sweep = _kaplan_sweep(f, epsilons, r)
+        for eps, (_, worst, (t1, t2)) in zip(epsilons, sweep):
+            # the phase of z Fe' at the nodes, from the series evaluation route
+            curve = z * (f.dh_at(z) + eps * f.dg_at(z))
+            phase = np.concatenate([[0.0], np.cumsum(np.angle(curve[1:] / curve[:-1]))])
+            assert worst == pytest.approx(self.brute_worst(phase), abs=1e-12)
+            assert kaplan_integral_check(f, eps, r, t1, t2) == pytest.approx(worst, abs=1e-12)
+        # F's worst arc, about theta = pi, moves onto theta = 0
+        _, worst, (t1, t2) = min(sweep, key=lambda rec: rec[1])
+        assert t1 < 2 * np.pi < t2
+        assert worst == pytest.approx(-0.9755, abs=1e-4)
+
+    @pytest.mark.parametrize("r,grid", [(0.5, 128), (0.9, 1024)])
+    def test_sweep_grid_is_the_first_that_chops(self, r, grid):
+        # the circles' rule: the first power of two >= 128 on which the
+        # integrand of every epsilon row chops and every phase step passes
+        # the branch guard
+        F = map_F()
+        epsilons = np.exp(2j * np.pi * np.arange(16) / 16)
+
+        def resolved(n):
+            # z Fe' and Re(1 + z Fe''/Fe') from the *_at methods, at the nodes and back at 2 pi
+            theta = _unit_circle(n)[0]
+            z = r * np.exp(1j * np.append(theta, 2 * np.pi))
+            dfe = np.stack([F.dh_at(z) + eps * F.dg_at(z) for eps in epsilons])
+            rate = np.real(1 + z * np.stack([F.d2h_at(z) + eps * F.d2g_at(z) for eps in epsilons]) / dfe)
+            spectrum = np.abs(np.fft.rfft(rate[:, :-1]))
+            tail = np.max(spectrum[:, -(-3 * n // 8):].max(axis=1) / spectrum.max(axis=1))
+            steps = np.angle((z * dfe)[:, 1:] / (z * dfe)[:, :-1])
+            trap = 0.5 * (rate[:, 1:] + rate[:, :-1]) * theta[1]
+            return tail <= harmonic._CHOP_TAIL and np.max(np.abs(steps - trap)) <= math.pi / 2
+
+        n = _kaplan_steps(F, epsilons, r)[0]
+        assert n == grid
+        assert resolved(n)
+        assert n == 128 or not resolved(n // 2)
 
     def test_scan_matches_quadrature_on_fixed_arc(self):
         F = map_F()

@@ -119,7 +119,7 @@ class TestCircleTests:
         c = np.zeros(14, dtype=complex)
         c[1], c[13] = 1.0, 4 / 13
         f = HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(14, dtype=complex)))
-        monkeypatch.setattr(radius, "_MAX_THETA_POINTS", 8)
+        monkeypatch.setattr(harmonic, "_MAX_THETA_POINTS", 8)
         coarse = convex_test_at_radius(f, 0.9, n_theta=8)
         assert not coarse.passed and math.isnan(coarse.total_turning) and coarse.grid_theta == 8
 
@@ -361,7 +361,7 @@ class TestHalfCircle:
         for test in (convex_test_at_radius, starlike_test_at_radius):
             half, full = test(f, 0.95), test(full_circle(MIRRORED[name](), monkeypatch), 0.95)
             assert (half.passed, half.grid_theta) == (full.passed, full.grid_theta)
-            bound = 5e-12 if full.tail <= radius._CHOP_TAIL else 1e-9
+            bound = 5e-12 if full.tail <= harmonic._CHOP_TAIL else 1e-9
             assert abs(half.min_derivative - full.min_derivative) <= bound * max(1.0, abs(full.min_derivative))
 
     def test_argmin_at_zero_and_pi(self, monkeypatch):
@@ -400,7 +400,7 @@ class TestHalfCircle:
         for make, test, r, n in ((lambda: wound, convex_test_at_radius, 0.9, 8),
                                  (lambda: f_alpha(-0.75), starlike_test_at_radius, 0.997, 4096)):
             with monkeypatch.context() as patch:
-                patch.setattr(radius, "_MAX_THETA_POINTS", n)
+                patch.setattr(harmonic, "_MAX_THETA_POINTS", n)
                 half = test(make(), r, n)
                 full = test(full_circle(make(), patch), r, n)
             assert math.isnan(half.total_turning) and math.isnan(full.total_turning)
@@ -658,10 +658,10 @@ class TestSpectralGrid:
             for m, test in ((0, starlike_test_at_radius), (1, convex_test_at_radius)):
                 res = test(f, r)
                 n = res.grid_theta
-                assert res.tail <= radius._CHOP_TAIL
-                assert rate_tail(f, r, m, n) <= radius._CHOP_TAIL
+                assert res.tail <= harmonic._CHOP_TAIL
+                assert rate_tail(f, r, m, n) <= harmonic._CHOP_TAIL
                 # the grid is the first that chops: half of it does not
-                assert n == 128 or rate_tail(f, r, m, n // 2) > radius._CHOP_TAIL, (r, m, n)
+                assert n == 128 or rate_tail(f, r, m, n // 2) > harmonic._CHOP_TAIL, (r, m, n)
 
     @pytest.mark.parametrize("r", [0.25, 0.6])
     def test_starting_grid_does_not_move_the_margin(self, r):
