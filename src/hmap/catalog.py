@@ -1,7 +1,9 @@
 """Constructors for the named harmonic mappings studied by the package.
 
-Every entry returns a :class:`~hmap.harmonic.HarmonicMap` populated with both
-truncated series coefficients and closed-form evaluators.  The closed forms
+Each part, h or g, of every entry (and of ``l_hadamard_l``) is written once,
+as one closed form N(z)/(1-z)^k + c log(1-z) (:class:`~hmap.series.ClosedForm`,
+the table ``_FORMS``); the map's truncated series and its evaluators of h, g
+and their first two derivatives are all derived from it.  The closed forms
 evaluate every point, so radius scans close to the unit circle stay accurate;
 the coefficients serve the coefficient classifiers and Hadamard products, and
 meet the closed forms once, in the agreement check at construction.  Shears
@@ -31,7 +33,7 @@ import numpy as np
 
 from .defaults import DEFAULT_ORDER
 from .harmonic import ExactEvaluators, HarmonicMap
-from .series import TruncatedSeries, make_generator
+from .series import _GENERATORS, ClosedForm, TruncatedSeries
 
 CATALOG_NAMES = ("f_alpha", "L", "F", "g_alpha", "example21", "example22")
 
@@ -53,43 +55,30 @@ class CatalogEntry:
                 raise ValueError(f"{self.name} requires |alpha| <= 1, got {abs(self.alpha)}")
 
 
-# -- coefficient tables ---------------------------------------------------------
+# -- closed forms ----------------------------------------------------------------
+
+# (h, g) of each map; f_alpha and g_alpha scale g by alpha.  f_alpha's are
+# (l + k)/2 = (z - z^2/2)/(1-z)^2 and (k - l)/2 = (z^2/2)/(1-z)^2.
+_FORMS = {
+    "f_alpha": (ClosedForm((0, 1, -0.5), 2), ClosedForm((0, 0, 0.5), 2)),
+    "g_alpha": (_GENERATORS["identity"], ClosedForm((0, 0, 0.5))),
+    "example21": (ClosedForm((0, 1, -0.5)), ClosedForm((0, 0, 0.5, -1 / 3))),
+    "example22": (_GENERATORS["half_plane_l"], ClosedForm((0, 1), 1, 1)),
+    "L*L": (ClosedForm((0, 1, -0.75, 0.25), 3), ClosedForm((0, 0, 0.25, 0.25), 3)),
+}
 
 
-def _f_alpha_series(alpha: complex, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    n = np.arange(order + 1, dtype=float)
-    a = (n + 1) / 2
-    a[0] = 0.0
-    b = alpha * (n - 1) / 2
-    b[0] = 0.0
-    b[1] = 0.0
-    return TruncatedSeries(a.astype(complex)), TruncatedSeries(b.astype(complex))
+def _evaluators(h: ClosedForm, g: ClosedForm, alpha: complex = 1.0) -> ExactEvaluators:
+    """The six closed forms of h + conj(alpha g): the forms and their derivatives."""
+    dh, dg = h.derivative, g.derivative
+    return ExactEvaluators(h.evaluator(), g.evaluator(alpha), dh.evaluator(), dg.evaluator(alpha),
+                           dh.derivative.evaluator(), dg.derivative.evaluator(alpha))
 
 
-def _with_w(fn):
-    """The evaluator z -> fn(z, 1 - z).
-
-    Closed forms write their powers of w = 1 - z as products, which numpy
-    computes several times faster than its generic complex power.
-    """
-    return lambda z: fn(z, 1 - z)
-
-
-def _f_alpha_exact(alpha: complex) -> ExactEvaluators:
-    """Closed forms of f_alpha: h = (l + k)/2 and g = alpha (k - l)/2, l = z/(1-z), k = z/(1-z)^2."""
-    return ExactEvaluators(
-        h=_with_w(lambda z, w: 0.5 * (z / w + z / (w * w))),
-        g=_with_w(lambda z, w, a=alpha: 0.5 * a * (z / (w * w) - z / w)),
-        dh=_with_w(lambda z, w: 1 / (w * w * w)),
-        dg=_with_w(lambda z, w, a=alpha: a * z / (w * w * w)),
-        d2h=_with_w(lambda z, w: 3 / (w * w * w * w)),
-        d2g=_with_w(lambda z, w, a=alpha: a * (1 + 2 * z) / (w * w * w * w)),
-    )
-
-
-def _f_alpha_map(alpha: complex, order: int, label: str) -> HarmonicMap:
-    h, g = _f_alpha_series(alpha, order)
-    return HarmonicMap(h, g, _f_alpha_exact(alpha), label=label)
+def _closed_map(name: str, order: int, label: str, alpha: complex = 1.0) -> HarmonicMap:
+    """h + conj(alpha g) from the forms of ``name``: its series and its closed forms."""
+    h, g = _FORMS[name]
+    return HarmonicMap(h.series(order), g.series(order, alpha), _evaluators(h, g, alpha), label=label)
 
 
 def f_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -99,12 +88,12 @@ def f_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:
     """
     if abs(alpha) > 1 + 1e-12:
         raise ValueError("need |alpha| <= 1")
-    return _f_alpha_map(alpha, order, f"f_alpha({alpha})")
+    return _closed_map("f_alpha", order, f"f_alpha({alpha})", alpha)
 
 
 def map_L(order: int = DEFAULT_ORDER) -> HarmonicMap:
     """Harmonic half-plane map Re(z/(1-z)) + i Im(z/(1-z)^2); dilatation -z."""
-    return _f_alpha_map(-1, order, "L")
+    return _closed_map("f_alpha", order, "L", -1)
 
 
 def map_F(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -113,26 +102,14 @@ def map_F(order: int = DEFAULT_ORDER) -> HarmonicMap:
     The flagship example for the radius computations: its circle images stop
     being convex above 2 - sqrt(3) and stop being starlike above ~0.658331.
     """
-    return _f_alpha_map(1, order, "F")
+    return _closed_map("f_alpha", order, "F")
 
 
 def g_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:
     """Minimal-area map: h = z, g = alpha z^2 / 2."""
     if abs(alpha) > 1 + 1e-12:
         raise ValueError("need |alpha| <= 1")
-    h = make_generator("identity", order)
-    c = np.zeros(order + 1, dtype=complex)
-    c[2] = alpha / 2
-    g = TruncatedSeries(c)
-    exact = ExactEvaluators(
-        h=lambda z: z + 0 * z,
-        g=lambda z, a=alpha: 0.5 * a * z * z,
-        dh=lambda z: 1 + 0 * z,
-        dg=lambda z, a=alpha: a * z,
-        d2h=lambda z: 0 * z,
-        d2g=lambda z, a=alpha: a + 0 * z,
-    )
-    return HarmonicMap(h, g, exact, label=f"g_alpha({alpha})")
+    return _closed_map("g_alpha", order, f"g_alpha({alpha})", alpha)
 
 
 def example21(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -141,19 +118,7 @@ def example21(order: int = DEFAULT_ORDER) -> HarmonicMap:
     Its analytic part is starlike yet non-convex, and the map identifies the
     conjugate pair (3 +- sqrt(3) i)/4, both of which land on 3/4.
     """
-    h = np.zeros(order + 1, dtype=complex)
-    h[1], h[2] = 1.0, -0.5
-    g = np.zeros(order + 1, dtype=complex)
-    g[2], g[3] = 0.5, -1 / 3
-    exact = ExactEvaluators(
-        h=lambda z: z - z * z / 2,
-        g=lambda z: z * z / 2 - z ** 3 / 3,
-        dh=lambda z: 1 - z,
-        dg=lambda z: z * (1 - z),
-        d2h=lambda z: -1 + 0 * z,
-        d2g=lambda z: 1 - 2 * z,
-    )
-    return HarmonicMap(TruncatedSeries(h), TruncatedSeries(g), exact, label="example21")
+    return _closed_map("example21", order, "example21")
 
 
 def example22(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -162,17 +127,7 @@ def example22(order: int = DEFAULT_ORDER) -> HarmonicMap:
     Close-to-convex, but the image of the disk is not starlike; the large
     non-starlike lobe shows up in circle scans already at r = 0.9.
     """
-    h = make_generator("half_plane_l", order)
-    g = make_generator("half_plane_l", order) + make_generator("log_one_minus_z", order)
-    exact = ExactEvaluators(
-        h=lambda z: z / (1 - z),
-        g=lambda z: z / (1 - z) + np.log(1 - z),  # principal branch, analytic on the disk
-        dh=_with_w(lambda z, w: 1 / (w * w)),
-        dg=_with_w(lambda z, w: z / (w * w)),
-        d2h=_with_w(lambda z, w: 2 / (w * w * w)),
-        d2g=_with_w(lambda z, w: (1 + z) / (w * w * w)),
-    )
-    return HarmonicMap(h, g, exact, label="example22")
+    return _closed_map("example22", order, "example22")
 
 
 def l_hadamard_l(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -181,24 +136,7 @@ def l_hadamard_l(order: int = DEFAULT_ORDER) -> HarmonicMap:
     This is the Hadamard product L*L (equivalently F*F) with closed-form
     evaluators attached, so it can be scanned near the boundary.
     """
-    n = np.arange(order + 1, dtype=float)
-    a = ((n + 1) / 2) ** 2
-    a[0] = 0.0
-    b = ((n - 1) / 2) ** 2
-    b[0] = 0.0
-    b[1] = 0.0
-    exact = ExactEvaluators(
-        h=_with_w(lambda z, w: (z * (1 + z) / (w * w * w) + 2 * z / (w * w) + z / w) / 4),
-        g=_with_w(lambda z, w: z * z * (1 + z) / (4 * (w * w * w))),
-        dh=_with_w(lambda z, w: ((1 + 4 * z + z * z) / (w * w * w * w) + 2 * (1 + z) / (w * w * w) + 1 / (w * w)) / 4),
-        dg=_with_w(lambda z, w: z * (1 + 2 * z) / (2 * (w * w * w * w))),
-        d2h=_with_w(lambda z, w: ((8 + 14 * z + 2 * z * z) / (w * w * w * w * w) + (8 + 4 * z) / (w * w * w * w)
-                                  + 2 / (w * w * w)) / 4),
-        d2g=_with_w(lambda z, w: (1 + 7 * z + 4 * z * z) / (2 * (w * w * w * w * w))),
-    )
-    return HarmonicMap(
-        TruncatedSeries(a.astype(complex)), TruncatedSeries(b.astype(complex)), exact, label="L*L"
-    )
+    return _closed_map("L*L", order, "L*L")
 
 
 def make_named(entry: CatalogEntry, order: int = DEFAULT_ORDER) -> HarmonicMap:

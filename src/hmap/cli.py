@@ -171,6 +171,7 @@ def _cmd_radius(args, order: int) -> int:
     from . import radius
     from .catalog import parse_function
 
+    radius._require_tol(args.tol)  # a usage error (exit 2), not a failed search (exit 1)
     f = parse_function(args.function, order)
     kind = "convexity" if args.kind == "convex" else "starlikeness"
     try:

@@ -117,14 +117,15 @@ def tilde_dilatation_check(
     Evaluates |wtil| on an (n_r x n_theta) polar grid up to r = 0.999 (pass
     iff the maximum stays below 1), then rebuilds the same dilatation from
     scratch: the right factor is obtained by shearing z/(1-z) vertically with
-    dilatation e^{i theta} z^n, the product with F's coefficient table is
-    formed coefficientwise, and its dilatation g'/h' is compared against the
-    closed form on a coarser grid up to r = 0.9, within 1e-6.  The product
-    reads only coefficients, so F is built without its closed forms.
+    dilatation e^{i theta} z^n, the product with F's coefficients is formed
+    coefficientwise, and its dilatation g'/h' is compared against the closed
+    form on a coarser grid up to r = 0.9, within 1e-6.  The product reads
+    only coefficients, so F is built from the series of the catalog's closed
+    forms, without their evaluators.
     """
     if n not in (1, 2):
         raise ValueError("closed form applies to n = 1 or 2")
-    from .catalog import _f_alpha_series, shear_vertical
+    from .catalog import _FORMS, shear_vertical
 
     zg = _polar_grid(TildeDilatationReport.r_max, *grid)
     wt = tilde_dilatation(zg, n, theta)
@@ -135,7 +136,7 @@ def tilde_dilatation_check(
     w = np.zeros(cross_order + 1, dtype=complex)
     w[n] = np.exp(1j * theta)
     right = shear_vertical(make_generator("half_plane_l", cross_order), TruncatedSeries(w))
-    prod = hadamard(HarmonicMap(*_f_alpha_series(1, cross_order), label="F"), right)
+    prod = hadamard(HarmonicMap(*(p.series(cross_order) for p in _FORMS["f_alpha"]), label="F"), right)
     zc = _polar_grid(TildeDilatationReport.cross_check_r_max, 16, 64)
     err = float(np.max(np.abs(dilatation(prod, zc) - tilde_dilatation(zc, n, theta))))
     return TildeDilatationReport(

@@ -4,9 +4,11 @@ The analytic part ``h`` and the co-analytic part ``g`` are both stored as
 analytic power series (the conjugation is applied only at evaluation time),
 because every coefficient relation used elsewhere in the package acts on the
 analytic ``g``.  A map may carry closed-form evaluators for (h, g) and their
-first two derivatives.  Each map has exactly one evaluation route: a map with
-closed forms evaluates them on every point, so scans near the boundary stay
-accurate; a map without them evaluates its truncated series.  The two
+first two derivatives; the catalog derives all six, and the series, from one
+closed form per part (:class:`~hmap.series.ClosedForm`).  Each map has
+exactly one evaluation route: a map with closed forms evaluates them on
+every point, so scans near the boundary stay accurate; a map without them
+evaluates its truncated series.  The two
 meet only once, when a map with closed forms is built and checked against its
 series: all six closed forms at 20 fixed points in |z| <= 1/2 against one
 matrix product of the powers of those points with the coefficients of the

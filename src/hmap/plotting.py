@@ -36,6 +36,10 @@ class PlotSpec:
     def __post_init__(self):
         if any(not 0 < r < 1 for r in self.radii):
             raise ValueError("all radii must lie in (0, 1)")
+        if self.n_circles < 1:
+            raise ValueError("need at least one circle")
+        if self.n_rays < 0:
+            raise ValueError("the number of rays cannot be negative")
         if self.samples_per_curve < 64:
             raise ValueError("need at least 64 samples per curve")
         if self.output_format not in ("svg", "csv"):

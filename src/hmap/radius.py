@@ -73,7 +73,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .defaults import CIRCLE_MIN_TOL, TURNING_TOL
-from .catalog import _f_alpha_exact
+from .catalog import _FORMS, _evaluators
 from .classifiers import _weighted_terms
 from .harmonic import (_START_THETA_POINTS, HarmonicMap, _angular, _any, _chop_and_double, _circle_derivatives,
                        _unit_circle)
@@ -331,7 +331,8 @@ def radius_search(
     loss where the property holds again are not searched.  If the property
     still holds at the cap the result carries ``upper_limit_hit`` and the
     bracket degenerates to [0.999, 1); a map the sums certify up to the cap
-    gets there after one circle test.
+    gets there after one circle test.  ``tol`` must be finite and at least
+    1e-12, or ValueError is raised.
 
     Each circle test chooses its own grid (:func:`_circle_test`).  The
     first starts on ``n_theta`` angles and each later one on the largest
@@ -341,6 +342,7 @@ def radius_search(
     too coarse for the curve there, not that the property is lost, and
     raises ValueError.
     """
+    _require_tol(tol)
     if kind == "convexity":
         circle = lambda r, n: convex_test_at_radius(f, r, n)
     elif kind == "starlikeness":
@@ -365,6 +367,16 @@ def radius_search(
         raise ValueError(f"{kind} circle at r = {hi} fails only on the branch guard on "
                          f"{grid} angles; the curve needs a finer grid than the cap")
     return RadiusResult(kind, lo, hi, grid, tol, len(seen), r_cert)
+
+
+def _require_tol(tol: float) -> None:
+    """ValueError unless ``tol`` is finite and at least 1e-12.
+
+    A smaller one would keep the bisection of :func:`_search_grid` halving a
+    bracket that adjacent floats cannot shrink, forever.
+    """
+    if not (math.isfinite(tol) and tol >= 1e-12):
+        raise ValueError(f"tol must be finite and at least 1e-12, got {tol}")
 
 
 def _search_grid(
@@ -562,9 +574,9 @@ def identity_check_tangent(r, u) -> TangentIdentityResiduals:
     """Largest residuals of the two pole-free tangent identities over the points (r, u).
 
     r and u broadcast against each other.  At z = r (u + i sqrt(1 - u^2))
-    the closed forms of F = f_alpha(1) give F and, through the formulas the
-    circle tests sample (``harmonic._angular``), its theta-derivatives d1
-    and d2.  With |1 - z|^2 = 1 - 2ru + r^2 the residuals, in units of p and
+    the catalog's closed forms of F = f_alpha(1) give F and, through the
+    formulas the circle tests sample (``harmonic._angular``), its
+    theta-derivatives d1 and d2.  With |1 - z|^2 = 1 - 2ru + r^2 the residuals, in units of p and
     q, are
 
         convex   = max | |1 - z|^12 Im(conj(d1) d2) / r^2 - p(r, u) |
@@ -576,7 +588,7 @@ def identity_check_tangent(r, u) -> TangentIdentityResiduals:
     r, u = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(u, dtype=float))
     if not (np.all((0 < r) & (r < 1)) and np.all(np.abs(u) <= 1)):
         raise ValueError("need 0 < r < 1 and -1 <= u <= 1")
-    ex = _f_alpha_exact(1)
+    ex = _evaluators(*_FORMS["f_alpha"])
     z = r * (u + 1j * np.sqrt(1 - u * u))
     d1, d2 = _angular(z, ex.dh, ex.dg, ex.d2h, ex.d2g)
     f = ex.h(z) + np.conj(ex.g(z))

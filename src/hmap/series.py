@@ -12,17 +12,21 @@ b = ceil(sqrt(M + 1)), real when every coefficient is real.  One matrix
 product gives every row's value at a slice of points, and Horner in z^b
 combines the row values.  It is restricted to the open unit disk, which is
 the only domain the rest of the package cares about.
+
+A :class:`ClosedForm` is the function N(z)/(1 - z)^k + c log(1 - z), N a
+polynomial: the shape of every stock generator and of each part of every
+catalog map.  It yields its Taylor coefficients at any degree, its
+derivative (again such a form) and one compiled evaluator per scale factor,
+so a map written as forms carries no hand-written series or derivative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-
-GENERATOR_KINDS = ("half_plane_l", "koebe_k", "log_one_minus_z", "identity")
 
 # points per matrix product in ``evaluate``: bounds its temporaries to a few MB
 _EVAL_SLICE = 4096
@@ -235,6 +239,86 @@ def _evaluate_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc[: z.size]
 
 
+@dataclass(frozen=True)
+class ClosedForm:
+    """N(z)/(1 - z)^k + log * log(1 - z), ``num`` the coefficients of N as Python numbers, constant first.
+
+    Closed under d/dz, so one literal per part of a map gives its series and all its closed forms.
+    """
+
+    num: tuple[float, ...]
+    k: int = 0
+    log: float = 0.0
+
+    @cached_property
+    def derivative(self) -> "ClosedForm":
+        """d/dz, with w = 1 - z: (N/w^k)' = (N' w + k N)/w^(k+1) and (c log w)' = -c/w."""
+        num, k, c = self.num, self.k, self.log
+        if k or c:
+            out = [0.0] * max(len(num), k + 1)
+            for j, a in enumerate(num):  # N' w + k N
+                out[j] += (k - j) * a
+                if j:
+                    out[j - 1] += j * a
+            for j in range(k + 1):
+                out[j] -= c * (-1) ** j * math.comb(k, j)
+            k += 1
+        else:
+            out = [j * a for j, a in enumerate(num)][1:]
+        while out and out[-1] == 0:
+            out.pop()
+        return ClosedForm(tuple(out), k)
+
+    @lru_cache(maxsize=256)
+    def coefficients(self, order: int) -> np.ndarray:
+        """Taylor coefficients c[0] .. c[order], read-only: N's, summed cumulatively k times, less log/n."""
+        c = np.zeros(order + 1)
+        m = min(len(self.num), order + 1)
+        c[:m] = self.num[:m]
+        for _ in range(self.k):
+            c = np.cumsum(c)
+        if self.log:
+            c[1:] -= self.log / np.arange(1, order + 1)
+        c.setflags(write=False)
+        return c
+
+    def series(self, order: int, scale: complex = 1.0) -> TruncatedSeries:
+        """The form times ``scale``, truncated at degree ``order``."""
+        c = self.coefficients(order)
+        return TruncatedSeries(c if scale == 1 else scale * c + 0.0)  # + 0.0: no -0.0 from scale * 0.0
+
+    @lru_cache(maxsize=256)
+    def evaluator(self, scale: complex = 1.0):
+        """The form times ``scale`` at complex scalars and ndarrays, as one Python expression in z.
+
+        Horner's rule on N, times ``scale``, over w^k as the product w * ... * w
+        (w = 1 - z), which numpy computes several times faster than its complex power.
+        Compiled once per scale, it costs what the same form written by hand costs.
+        """
+        num = self.num or (0.0,)
+        expr = repr(float(num[-1]))
+        for j, a in enumerate(num[-2::-1]):
+            expr = ("z" if j == 0 and num[-1] == 1 else f"({expr}) * z") + (f" + {float(a)!r}" if a else "")
+        if scale != 1:
+            expr = f"s * ({expr})"
+        if self.k:
+            expr = f"({expr}) / ({' * '.join(['(w := 1 - z)'] + ['w'] * (self.k - 1))})"
+        if self.log:  # principal branch, analytic on the disk
+            log = "log(w)" if self.k else "log(1 - z)"
+            expr += f" + {log}" if scale * self.log == 1 else f" + c * {log}"
+        elif not self.k and len(num) < 2:
+            expr += " + 0 * z"  # a constant takes the shape of z
+        return eval(f"lambda z: {expr}", {"s": scale, "c": scale * self.log, "log": np.log})
+
+
+_GENERATORS = {
+    "half_plane_l": ClosedForm((0, 1), 1),
+    "koebe_k": ClosedForm((0, 1), 2),
+    "log_one_minus_z": ClosedForm((), 0, 1),
+    "identity": ClosedForm((0, 1)),
+}
+
+
 def make_generator(kind: str, order: int) -> TruncatedSeries:
     """Build one of the stock expansions truncated at ``order``.
 
@@ -243,20 +327,6 @@ def make_generator(kind: str, order: int) -> TruncatedSeries:
     log_one_minus_z  log(1-z)      c_n = -1/n for n >= 1
     identity         z             c_1 = 1
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    n = np.arange(order + 1, dtype=float)
-    if kind == "half_plane_l":
-        c = np.ones(order + 1, dtype=complex)
-        c[0] = 0
-    elif kind == "koebe_k":
-        c = n.astype(complex)
-    elif kind == "log_one_minus_z":
-        c = np.zeros(order + 1, dtype=complex)
-        c[1:] = -1.0 / n[1:]
-    elif kind == "identity":
-        c = np.zeros(order + 1, dtype=complex)
-        c[1] = 1
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
-    return TruncatedSeries(c)
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown generator kind {kind!r}; expected one of {tuple(_GENERATORS)}")
+    return _GENERATORS[kind].series(order)

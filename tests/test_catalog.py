@@ -18,7 +18,7 @@ from hmap.catalog import (
     shear_vertical,
 )
 from hmap.harmonic import dilatation, evaluate_f
-from hmap import series
+from hmap import catalog, series
 from hmap.series import TruncatedSeries, make_generator
 
 
@@ -323,3 +323,68 @@ def test_powers_of_one_minus_z_match_textbook_forms(name):
             want = textbook(z)
             got = getattr(f.exact, which)(z)
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (which, r)
+
+
+# every part of every catalog map and every stock generator, as its closed form
+FORMS = {**{f"{name}.{part}": form for name, pair in catalog._FORMS.items() for part, form in zip("hg", pair)},
+         **series._GENERATORS}
+
+
+def _rule(order, start, fn):
+    """c[0] .. c[order] with c[n] = fn(n) from n = start on, zero below."""
+    c = np.zeros(order + 1)
+    c[start:] = fn(np.arange(start, order + 1, dtype=float))
+    return c
+
+
+def _polynomial(*p):
+    return lambda order: np.pad(np.array(p, dtype=float), (0, order + 1 - len(p)))
+
+
+RULES = {
+    "f_alpha.h": lambda order: _rule(order, 1, lambda n: (n + 1) / 2),
+    "f_alpha.g": lambda order: _rule(order, 2, lambda n: (n - 1) / 2),
+    "L*L.h": lambda order: _rule(order, 1, lambda n: ((n + 1) / 2) ** 2),
+    "L*L.g": lambda order: _rule(order, 2, lambda n: ((n - 1) / 2) ** 2),
+    "example22.h": lambda order: _rule(order, 1, lambda n: 1 + 0 * n),
+    "example22.g": lambda order: _rule(order, 1, lambda n: 1 - 1 / n),
+    "half_plane_l": lambda order: _rule(order, 1, lambda n: 1 + 0 * n),
+    "koebe_k": lambda order: _rule(order, 0, lambda n: n),
+    "log_one_minus_z": lambda order: _rule(order, 1, lambda n: -1 / n),
+    "identity": _polynomial(0, 1),
+    "g_alpha.h": _polynomial(0, 1),
+    "g_alpha.g": _polynomial(0, 0, 0.5),
+    "example21.h": _polynomial(0, 1, -0.5),
+    "example21.g": _polynomial(0, 0, 0.5, -1 / 3),
+}
+
+
+def test_every_form_has_a_coefficient_rule():
+    assert sorted(RULES) == sorted(FORMS)
+
+
+@pytest.mark.parametrize("order", [8, 64, 2048])
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_form_coefficients_follow_the_rule(name, order):
+    assert np.array_equal(FORMS[name].series(order).coeffs, RULES[name](order))
+
+
+@pytest.mark.parametrize("order", [8, 64, 2048])
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_form_derivatives_have_the_series_derivative_coefficients(name, order):
+    form = FORMS[name]
+    s = form.series(order)
+    for times, d in ((1, form.derivative), (2, form.derivative.derivative)):
+        got, want = d.coefficients(order - times), s.differentiate(times).coeffs.real
+        if form.log:  # the series side rounds: n * (-1/n) is not -1 at n = 49, 98, ...
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        else:
+            assert np.array_equal(got, want), times
+
+
+@pytest.mark.parametrize("order", [8, 64, 2048])
+def test_f_alpha_scales_g_by_alpha(order):
+    alpha = 0.3 - 0.4j
+    f = f_alpha(alpha, order)
+    assert np.array_equal(f.h.coeffs, RULES["f_alpha.h"](order))
+    assert np.array_equal(f.g.coeffs, alpha * RULES["f_alpha.g"](order))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,27 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             dispatch(["radius", "--function", "F", "--kind", "wobbly"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "1e-20", "nan", "inf"])
+    def test_radius_tol_out_of_reach_is_usage_error(self, tmp_path, tol):
+        # a fresh process with a timeout, so that a bisection that cannot end fails the test
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "hmap.cli", "radius", "--function", "F", "--kind", "convex",
+                               "--tol", tol], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+        assert proc.returncode == 2
+        assert "tol must be finite and at least 1e-12" in proc.stderr
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--circles", "0", "at least one circle"),
+        ("--circles", "-2", "at least one circle"),
+        ("--rays", "-3", "rays cannot be negative"),
+    ])
+    def test_plot_counts_out_of_range_are_usage_errors(self, tmp_path, capsys, option, value, message):
+        out = tmp_path / "x.svg"
+        assert dispatch(["plot", "--function", "F", option, value, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_function_is_check_failure(self, tmp_path):
         rc = dispatch(["plot", "--function", "nonsense", "--out", str(tmp_path / "x.svg")])

@@ -488,6 +488,13 @@ class TestRadiusSearch:
         # r_lo may pass the root by 1e-9 / |margin'|, about 2.5e-10 here
         assert res.r_lo - 5e-10 <= r_true <= res.r_hi
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1e-20, math.nan, math.inf])
+    def test_tol_must_be_finite_and_at_least_1e_12(self, monkeypatch, tol):
+        # no search runs, so a missing check fails here instead of bisecting forever
+        monkeypatch.setattr(radius, "_search_grid", lambda *args: pytest.fail("searched with that tol"))
+        with pytest.raises(ValueError, match="tol must be finite and at least 1e-12"):
+            radius_search(map_F(), "convexity", tol=tol)
+
     def test_endpoints_certify(self):
         res = radius_search(map_F(), "convexity", tol=1e-5)
         assert convex_test_at_radius(map_F(), res.r_lo).passed
