@@ -1,15 +1,19 @@
 """Constructors for the named harmonic mappings studied by the package.
 
-Each part, h or g, of every entry (and of ``l_hadamard_l``) is written once,
-as one closed form N(z)/(1-z)^k + c log(1-z) (:class:`~hmap.series.ClosedForm`,
-the table ``_FORMS``); the map's truncated series and its evaluators of h, g
-and their first two derivatives are all derived from it.  The closed forms
-evaluate every point, so radius scans close to the unit circle stay accurate;
-the coefficients serve the coefficient classifiers and Hadamard products, and
-meet the closed forms once, in the agreement check at construction.  Shears
-and ``make_M_alpha_member`` build series-only maps, evaluated from their
-truncated series (and sampled on circle-test grids by inverse FFT of their
-coefficients).
+Every entry is in M(alpha), g' = alpha z h', and is written as its h and
+alpha: h is one closed form N(z)/(1-z)^k + c log(1-z)
+(:class:`~hmap.series.ClosedForm`, the table ``_FORMS``), and g is alpha
+times h's partner G, the form with G' = z h' and G(0) = 0
+(``ClosedForm.partner``).  ``l_hadamard_l``, which is not in M(alpha), is
+written as its two forms.  The map's truncated series and its evaluators of
+h, g and their first two derivatives are all derived from the forms.  The
+closed forms evaluate every point, so radius scans close to the unit circle
+stay accurate; the coefficients serve the coefficient classifiers and
+Hadamard products, and meet the closed forms once, in the agreement check at
+construction.  Only shears, Hadamard products and ``make_M_alpha_member``
+(the series recurrence, for an h given by its coefficients alone) build
+series-only maps, evaluated from their truncated series (and sampled on
+circle-test grids by inverse FFT of their coefficients).
 
 Catalog vocabulary (also the CLI ``--function`` grammar):
 
@@ -57,13 +61,14 @@ class CatalogEntry:
 
 # -- closed forms ----------------------------------------------------------------
 
-# (h, g) of each map; f_alpha and g_alpha scale g by alpha.  f_alpha's are
-# (l + k)/2 = (z - z^2/2)/(1-z)^2 and (k - l)/2 = (z^2/2)/(1-z)^2.
+# h of each map in M(alpha); its g is alpha h.partner.  f_alpha's h is
+# (l + k)/2 = (z - z^2/2)/(1-z)^2, with partner (k - l)/2 = (z^2/2)/(1-z)^2.
+# L*L is not in M(alpha): its entry is (h, g).
 _FORMS = {
-    "f_alpha": (ClosedForm((0, 1, -0.5), 2), ClosedForm((0, 0, 0.5), 2)),
-    "g_alpha": (_GENERATORS["identity"], ClosedForm((0, 0, 0.5))),
-    "example21": (ClosedForm((0, 1, -0.5)), ClosedForm((0, 0, 0.5, -1 / 3))),
-    "example22": (_GENERATORS["half_plane_l"], ClosedForm((0, 1), 1, 1)),
+    "f_alpha": ClosedForm((0, 1, -0.5), 2),
+    "g_alpha": _GENERATORS["identity"],
+    "example21": ClosedForm((0, 1, -0.5)),
+    "example22": _GENERATORS["half_plane_l"],
     "L*L": (ClosedForm((0, 1, -0.75, 0.25), 3), ClosedForm((0, 0, 0.25, 0.25), 3)),
 }
 
@@ -75,9 +80,13 @@ def _evaluators(h: ClosedForm, g: ClosedForm, alpha: complex = 1.0) -> ExactEval
                            dh.derivative.evaluator(), dg.derivative.evaluator(alpha))
 
 
-def _closed_map(name: str, order: int, label: str, alpha: complex = 1.0) -> HarmonicMap:
-    """h + conj(alpha g) from the forms of ``name``: its series and its closed forms."""
-    h, g = _FORMS[name]
+def _closed_map(h: ClosedForm, order: int, label: str, alpha: complex = 1.0,
+                g: ClosedForm | None = None) -> HarmonicMap:
+    """h + conj(alpha g) from closed forms: its series and its closed forms.
+
+    g defaults to h's partner, so that g' = alpha z h': the M(alpha) member of h.
+    """
+    g = h.partner if g is None else g
     return HarmonicMap(h.series(order), g.series(order, alpha), _evaluators(h, g, alpha), label=label)
 
 
@@ -88,12 +97,12 @@ def f_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:
     """
     if abs(alpha) > 1 + 1e-12:
         raise ValueError("need |alpha| <= 1")
-    return _closed_map("f_alpha", order, f"f_alpha({alpha})", alpha)
+    return _closed_map(_FORMS["f_alpha"], order, f"f_alpha({alpha})", alpha)
 
 
 def map_L(order: int = DEFAULT_ORDER) -> HarmonicMap:
     """Harmonic half-plane map Re(z/(1-z)) + i Im(z/(1-z)^2); dilatation -z."""
-    return _closed_map("f_alpha", order, "L", -1)
+    return _closed_map(_FORMS["f_alpha"], order, "L", -1)
 
 
 def map_F(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -102,14 +111,14 @@ def map_F(order: int = DEFAULT_ORDER) -> HarmonicMap:
     The flagship example for the radius computations: its circle images stop
     being convex above 2 - sqrt(3) and stop being starlike above ~0.658331.
     """
-    return _closed_map("f_alpha", order, "F")
+    return _closed_map(_FORMS["f_alpha"], order, "F")
 
 
 def g_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:
     """Minimal-area map: h = z, g = alpha z^2 / 2."""
     if abs(alpha) > 1 + 1e-12:
         raise ValueError("need |alpha| <= 1")
-    return _closed_map("g_alpha", order, f"g_alpha({alpha})", alpha)
+    return _closed_map(_FORMS["g_alpha"], order, f"g_alpha({alpha})", alpha)
 
 
 def example21(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -118,7 +127,7 @@ def example21(order: int = DEFAULT_ORDER) -> HarmonicMap:
     Its analytic part is starlike yet non-convex, and the map identifies the
     conjugate pair (3 +- sqrt(3) i)/4, both of which land on 3/4.
     """
-    return _closed_map("example21", order, "example21")
+    return _closed_map(_FORMS["example21"], order, "example21")
 
 
 def example22(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -127,7 +136,7 @@ def example22(order: int = DEFAULT_ORDER) -> HarmonicMap:
     Close-to-convex, but the image of the disk is not starlike; the large
     non-starlike lobe shows up in circle scans already at r = 0.9.
     """
-    return _closed_map("example22", order, "example22")
+    return _closed_map(_FORMS["example22"], order, "example22")
 
 
 def l_hadamard_l(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -136,7 +145,8 @@ def l_hadamard_l(order: int = DEFAULT_ORDER) -> HarmonicMap:
     This is the Hadamard product L*L (equivalently F*F) with closed-form
     evaluators attached, so it can be scanned near the boundary.
     """
-    return _closed_map("L*L", order, "L*L")
+    h, g = _FORMS["L*L"]
+    return _closed_map(h, order, "L*L", g=g)
 
 
 def make_named(entry: CatalogEntry, order: int = DEFAULT_ORDER) -> HarmonicMap:

@@ -136,7 +136,8 @@ def tilde_dilatation_check(
     w = np.zeros(cross_order + 1, dtype=complex)
     w[n] = np.exp(1j * theta)
     right = shear_vertical(make_generator("half_plane_l", cross_order), TruncatedSeries(w))
-    prod = hadamard(HarmonicMap(*(p.series(cross_order) for p in _FORMS["f_alpha"]), label="F"), right)
+    h = _FORMS["f_alpha"]
+    prod = hadamard(HarmonicMap(h.series(cross_order), h.partner.series(cross_order), label="F"), right)
     zc = _polar_grid(TildeDilatationReport.cross_check_r_max, 16, 64)
     err = float(np.max(np.abs(dilatation(prod, zc) - tilde_dilatation(zc, n, theta))))
     return TildeDilatationReport(

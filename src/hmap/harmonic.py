@@ -497,8 +497,11 @@ def _chop_and_double(sample: Callable, n: int):
     SISC 2015; Trefethen & Weideman, SIAM Review 2014).  At the cap of 65536
     angles, where a larger n also starts, the circle is taken as it stands.
     Returns the grid, the rate, the guarded steps (None if the guard failed)
-    and the tail, the maximum over rows.
+    and the tail, the maximum over rows.  A start n that is no integer or is
+    below 8 raises ValueError.
     """
+    if not isinstance(n, (int, np.integer)) or n < 8:
+        raise ValueError(f"n_theta must be an integer of at least 8, got {n!r}")
     n = min(n, _MAX_THETA_POINTS)
     while True:
         rate, path = sample(n)

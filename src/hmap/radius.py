@@ -209,7 +209,8 @@ def convex_test_at_radius(
     Fails fast if d1f vanishes on the circle (the curve would not be
     regular).  Passes iff the sampled minimum stays above -1e-9 and the
     tangent d1f winds once, by 2 pi within 1e-3.  ``n_theta`` is the grid
-    the test starts from; it doubles as the rate needs (:func:`_circle_test`).
+    the test starts from, an integer of at least 8 (ValueError otherwise); it
+    doubles as the rate needs (:func:`_circle_test`).
     """
     return _circle_test(f, r, 1, n_theta, "tangent vector")
 
@@ -588,7 +589,8 @@ def identity_check_tangent(r, u) -> TangentIdentityResiduals:
     r, u = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(u, dtype=float))
     if not (np.all((0 < r) & (r < 1)) and np.all(np.abs(u) <= 1)):
         raise ValueError("need 0 < r < 1 and -1 <= u <= 1")
-    ex = _evaluators(*_FORMS["f_alpha"])
+    h = _FORMS["f_alpha"]
+    ex = _evaluators(h, h.partner)
     z = r * (u + 1j * np.sqrt(1 - u * u))
     d1, d2 = _angular(z, ex.dh, ex.dg, ex.d2h, ex.d2g)
     f = ex.h(z) + np.conj(ex.g(z))

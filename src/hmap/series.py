@@ -16,8 +16,9 @@ the only domain the rest of the package cares about.
 A :class:`ClosedForm` is the function N(z)/(1 - z)^k + c log(1 - z), N a
 polynomial: the shape of every stock generator and of each part of every
 catalog map.  It yields its Taylor coefficients at any degree, its
-derivative (again such a form) and one compiled evaluator per scale factor,
-so a map written as forms carries no hand-written series or derivative.
+derivative and its M(alpha) partner G, with G' = z h' (both again such
+forms), and one compiled evaluator per scale factor, so a map written as
+forms carries no hand-written series, derivative or co-analytic part.
 """
 
 from __future__ import annotations
@@ -265,9 +266,33 @@ class ClosedForm:
             k += 1
         else:
             out = [j * a for j, a in enumerate(num)][1:]
-        while out and out[-1] == 0:
-            out.pop()
-        return ClosedForm(tuple(out), k)
+        return ClosedForm(_trimmed(out), k)
+
+    @cached_property
+    def partner(self) -> "ClosedForm":
+        """The M(alpha) partner of h = self: G with G' = z h' and G(0) = 0, so g = alpha G.
+
+        Its coefficients are b_n = (n - 1) a_(n-1) / n.  With h' = D/w^K (w = 1 - z,
+        K = 0 for a polynomial h) and e the coefficients of z D, a polynomial h gives
+        M_(i+1) = e_i/(i + 1).  Otherwise G = M/w^(K-1) + c log w, where G' = z h'
+        reads (i + 1) M_(i+1) + (K - 1 - i) M_i = e_i + c [w^(K-1)]_i for every i:
+        solved downwards from the top for i >= K, at i = K - 1 for c (the w^-1 term
+        of z h' in powers of w), then upwards from M_0 = 0, which is G(0) = 0.
+        """
+        d = self.derivative
+        if not d.k:
+            return ClosedForm(_trimmed([0.0, 0.0] + [a / (i + 2) for i, a in enumerate(d.num)]))
+        k = d.k - 1  # G's power of w
+        size = max(len(d.num) + 1, k + 1) + 1  # M_0 .. M_(size-1), the last one 0
+        e = ([0.0, *d.num] + [0.0] * size)[:size]
+        m = [0.0] * size
+        for i in range(size - 2, k, -1):
+            m[i] = (e[i] - (i + 1) * m[i + 1]) / (k - i)
+        w_k = [(-1) ** i * math.comb(k, i) for i in range(k + 1)]
+        c = ((k + 1) * m[k + 1] - e[k]) / w_k[k]
+        for i in range(k):
+            m[i + 1] = (e[i] + c * w_k[i] - (k - i) * m[i]) / (i + 1)
+        return ClosedForm(_trimmed(m), k, c or 0.0)  # no -0.0
 
     @lru_cache(maxsize=256)
     def coefficients(self, order: int) -> np.ndarray:
@@ -309,6 +334,13 @@ class ClosedForm:
         elif not self.k and len(num) < 2:
             expr += " + 0 * z"  # a constant takes the shape of z
         return eval(f"lambda z: {expr}", {"s": scale, "c": scale * self.log, "log": np.log})
+
+
+def _trimmed(num: list) -> tuple:
+    """The coefficients ``num`` without trailing zeros, as a tuple."""
+    while num and num[-1] == 0:
+        num.pop()
+    return tuple(num)
 
 
 _GENERATORS = {

@@ -325,8 +325,13 @@ def test_powers_of_one_minus_z_match_textbook_forms(name):
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (which, r)
 
 
+def _parts(entry):
+    """(h, g) of a catalog entry: an M(alpha) map is written as its h, and its g is h's partner."""
+    return entry if isinstance(entry, tuple) else (entry, entry.partner)
+
+
 # every part of every catalog map and every stock generator, as its closed form
-FORMS = {**{f"{name}.{part}": form for name, pair in catalog._FORMS.items() for part, form in zip("hg", pair)},
+FORMS = {**{f"{name}.{part}": form for name, entry in catalog._FORMS.items() for part, form in zip("hg", _parts(entry))},
          **series._GENERATORS}
 
 
@@ -380,6 +385,26 @@ def test_form_derivatives_have_the_series_derivative_coefficients(name, order):
             np.testing.assert_array_max_ulp(got, want, maxulp=4)
         else:
             assert np.array_equal(got, want), times
+
+
+@pytest.mark.parametrize("order", [8, 64, 2048])
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_partner_follows_the_recurrence(name, order):
+    # G' = z h' and G(0) = 0: b_n = (n - 1) a_(n-1) / n, and G's derivative is z h' as a series
+    form = FORMS[name]
+    n = np.arange(1.0, order + 1)
+    a, b = form.coefficients(order), form.partner.coefficients(order)
+    np.testing.assert_array_max_ulp(b, np.concatenate([[0.0], (n - 1) / n * a[:-1]]), maxulp=4)
+    z_dh = np.concatenate([[0.0], form.derivative.coefficients(order - 2)])
+    assert np.array_equal(form.partner.derivative.coefficients(order - 1), z_dh)
+
+
+def test_partners_are_the_hand_written_co_analytic_parts():
+    # g of each M(alpha) catalog map, as the forms wrote it before it was derived
+    assert catalog._FORMS["f_alpha"].partner == series.ClosedForm((0, 0, 0.5), 2)
+    assert catalog._FORMS["g_alpha"].partner == series.ClosedForm((0, 0, 0.5))
+    assert catalog._FORMS["example21"].partner == series.ClosedForm((0, 0, 0.5, -1 / 3))
+    assert catalog._FORMS["example22"].partner == series.ClosedForm((0, 1), 1, 1)
 
 
 @pytest.mark.parametrize("order", [8, 64, 2048])

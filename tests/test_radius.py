@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -494,6 +495,15 @@ class TestRadiusSearch:
         monkeypatch.setattr(radius, "_search_grid", lambda *args: pytest.fail("searched with that tol"))
         with pytest.raises(ValueError, match="tol must be finite and at least 1e-12"):
             radius_search(map_F(), "convexity", tol=tol)
+
+    @pytest.mark.parametrize("n_theta", [0, 1, 3, -4, 2.5])
+    def test_n_theta_must_be_an_integer_of_at_least_8(self, n_theta):
+        msg = f"n_theta must be an integer of at least 8, got {n_theta}"
+        for run in (lambda: radius_search(map_F(), "convexity", n_theta=n_theta),
+                    lambda: convex_test_at_radius(map_F(), 0.5, n_theta),
+                    lambda: starlike_test_at_radius(map_F(), 0.5, n_theta)):
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                run()
 
     def test_endpoints_certify(self):
         res = radius_search(map_F(), "convexity", tol=1e-5)

@@ -5,7 +5,18 @@ the suite claims; a change to any of them moves a bound, so it must show up
 here as an edit to this table.
 """
 
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hmap import catalog, classifiers, verify
+from hmap.harmonic import _ROUTES
 from hmap.verify import run_suite
+
+REPORT = Path(__file__).resolve().parents[1] / "verification_report.json"
 
 # (claim_id, comparison, tolerance, expected), in suite order
 CLAIMS = [
@@ -94,3 +105,38 @@ def test_tangent_identities_hold_to_rounding():
     # the pole-free identities are checked on every point of the claim grid
     rec = next(r for r in run_suite("radii").records if r.claim_id == "radii.tangent_identities")
     assert rec.computed <= 1e-12
+
+
+def test_report_in_the_tree_matches_a_fresh_run():
+    # read only: the tracked report is what `hmap verify --suite all` writes
+    saved = json.loads(REPORT.read_text(encoding="ascii"))
+    fresh = run_suite("all").to_dict()
+    assert saved["suite"] == fresh["suite"] and saved["passed"] == fresh["passed"]
+    assert len(saved["records"]) == len(fresh["records"])
+    for old, new in zip(saved["records"], fresh["records"]):
+        for key in ("claim_id", "claim", "expected", "tolerance", "comparison", "passed"):
+            assert old[key] == new[key], (new["claim_id"], key)
+        allowed = max(new["tolerance"], 1e-9 * abs(new["computed"]))
+        assert abs(old["computed"] - new["computed"]) <= allowed, new["claim_id"]
+
+
+@pytest.mark.parametrize("h, alpha, label", verify._BOUNDS_MEMBERS, ids=[m[2] for m in verify._BOUNDS_MEMBERS])
+def test_bounds_members_match_their_series_twins(h, alpha, label):
+    # the growth claims' members, from closed forms, against the series recurrence
+    closed = catalog._closed_map(h, 2048, label, alpha)
+    twin = catalog.make_M_alpha_member(h.series(2048), alpha)
+    assert closed.exact is not None and twin.exact is None
+    rng = np.random.default_rng(23)
+    z = 0.9 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+    z[:8] = 0.9 * np.exp(2j * np.pi * np.arange(8) / 8)
+    for route in _ROUTES:
+        got, want = closed._eval(route, z), twin._eval(route, z)
+        assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1, np.abs(want))), route
+
+
+def test_area_rule_integrates_a_polynomial_jacobian_exactly():
+    # example21 is in M(1): g' = z - z^2 = z h'; its area by coefficients is 2 pi / 3
+    f = catalog.example21()
+    area = classifiers.area_series(f, 1)
+    assert area == pytest.approx(2 * math.pi / 3, abs=1e-15)
+    assert abs(verify._area_quadrature(f) - area) <= 1e-12
