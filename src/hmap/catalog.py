@@ -1,19 +1,21 @@
 """Constructors for the named harmonic mappings studied by the package.
 
-Every entry is in M(alpha), g' = alpha z h', and is written as its h and
-alpha: h is one closed form N(z)/(1-z)^k + c log(1-z)
-(:class:`~hmap.series.ClosedForm`, the table ``_FORMS``), and g is alpha
-times h's partner G, the form with G' = z h' and G(0) = 0
-(``ClosedForm.partner``).  ``l_hadamard_l``, which is not in M(alpha), is
-written as its two forms.  The map's truncated series and its evaluators of
-h, g and their first two derivatives are all derived from the forms.  The
-closed forms evaluate every point, so radius scans close to the unit circle
-stay accurate; the coefficients serve the coefficient classifiers and
-Hadamard products, and meet the closed forms once, in the agreement check at
-construction.  Only shears, Hadamard products and ``make_M_alpha_member``
-(the series recurrence, for an h given by its coefficients alone) build
-series-only maps, evaluated from their truncated series (and sampled on
-circle-test grids by inverse FFT of their coefficients).
+Every entry is in M(alpha), g' = alpha z h', and is one row of ``_TABLE``:
+its h, a key of ``_FORMS``, and its alpha, fixed (``L`` is f_alpha's h at
+alpha = -1) or None for a name that takes alpha as its parameter.
+``CATALOG_NAMES``, :class:`CatalogEntry`, :func:`make_named` and the six named
+constructors all read the table through one builder.  h is one closed form
+N(z)/(1-z)^k + c log(1-z) (:class:`~hmap.series.ClosedForm`), and g is alpha
+times h's partner G, with G' = z h' and G(0) = 0 (``ClosedForm.partner``).
+``l_hadamard_l``, not in M(alpha), is written as its two forms.  The map's
+series and the evaluators of h, g and their first two derivatives all derive
+from the forms.  The closed forms evaluate every point, so radius scans close
+to the unit circle stay accurate; the coefficients serve the coefficient
+classifiers and Hadamard products, and meet the closed forms once, in the
+agreement check at construction.  Only shears, Hadamard products and
+``make_M_alpha_member`` (the series recurrence, for an h given by its
+coefficients alone) build series-only maps, evaluated from their truncated
+series (and sampled on circle-test grids by inverse FFT of their coefficients).
 
 Catalog vocabulary (also the CLI ``--function`` grammar):
 
@@ -36,28 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULT_ORDER
-from .harmonic import ExactEvaluators, HarmonicMap
+from .harmonic import ExactEvaluators, HarmonicMap, _check_alpha
 from .series import _GENERATORS, ClosedForm, TruncatedSeries
-
-CATALOG_NAMES = ("f_alpha", "L", "F", "g_alpha", "example21", "example22")
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A named map plus its parameter (only f_alpha / g_alpha take one)."""
-
-    name: str
-    alpha: complex | None = None
-
-    def __post_init__(self):
-        if self.name not in CATALOG_NAMES:
-            raise ValueError(f"unknown catalog name {self.name!r}")
-        if self.name in ("f_alpha", "g_alpha"):
-            if self.alpha is None:
-                raise ValueError(f"{self.name} requires a parameter alpha")
-            if abs(self.alpha) > 1 + 1e-12:
-                raise ValueError(f"{self.name} requires |alpha| <= 1, got {abs(self.alpha)}")
-
 
 # -- closed forms ----------------------------------------------------------------
 
@@ -73,21 +55,53 @@ _FORMS = {
 }
 
 
-def _evaluators(h: ClosedForm, g: ClosedForm, alpha: complex = 1.0) -> ExactEvaluators:
-    """The six closed forms of h + conj(alpha g): the forms and their derivatives."""
-    dh, dg = h.derivative, g.derivative
-    return ExactEvaluators(h.evaluator(), g.evaluator(alpha), dh.evaluator(), dg.evaluator(alpha),
-                           dh.derivative.evaluator(), dg.derivative.evaluator(alpha))
-
-
 def _closed_map(h: ClosedForm, order: int, label: str, alpha: complex = 1.0,
                 g: ClosedForm | None = None) -> HarmonicMap:
-    """h + conj(alpha g) from closed forms: its series and its closed forms.
+    """h + conj(alpha g) from closed forms: its series and its six closed forms (:class:`ExactEvaluators`).
 
     g defaults to h's partner, so that g' = alpha z h': the M(alpha) member of h.
     """
     g = h.partner if g is None else g
-    return HarmonicMap(h.series(order), g.series(order, alpha), _evaluators(h, g, alpha), label=label)
+    dh, dg = h.derivative, g.derivative
+    exact = ExactEvaluators(h.evaluator(), g.evaluator(alpha), dh.evaluator(), dg.evaluator(alpha),
+                            dh.derivative.evaluator(), dg.derivative.evaluator(alpha))
+    return HarmonicMap(h.series(order), g.series(order, alpha), exact, label=label)
+
+
+_TABLE = {
+    "f_alpha": ("f_alpha", None),
+    "L": ("f_alpha", -1),
+    "F": ("f_alpha", 1.0),
+    "g_alpha": ("g_alpha", None),
+    "example21": ("example21", 1.0),
+    "example22": ("example22", 1.0),
+}
+CATALOG_NAMES = tuple(_TABLE)
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """A named map plus its parameter (only f_alpha / g_alpha take one)."""
+
+    name: str
+    alpha: complex | None = None
+
+    def __post_init__(self):
+        if self.name not in _TABLE:
+            raise ValueError(f"unknown catalog name {self.name!r}")
+        if _TABLE[self.name][1] is None:
+            if self.alpha is None:
+                raise ValueError(f"{self.name} requires a parameter alpha")
+            _check_alpha(self.alpha, self.name)
+
+
+def _named(name: str, order: int, alpha: complex | None = None) -> HarmonicMap:
+    """The named map at degree ``order``: its form, and its fixed alpha or the parameter ``alpha``."""
+    key, fixed = _TABLE[name]
+    if fixed is not None:
+        return _closed_map(_FORMS[key], order, name, fixed)
+    _check_alpha(alpha, name)
+    return _closed_map(_FORMS[key], order, f"{name}({alpha})", alpha)
 
 
 def f_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -95,14 +109,12 @@ def f_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:
 
     Dilatation alpha*z; h = (l + k)/2 where l = z/(1-z), k = z/(1-z)^2.
     """
-    if abs(alpha) > 1 + 1e-12:
-        raise ValueError("need |alpha| <= 1")
-    return _closed_map(_FORMS["f_alpha"], order, f"f_alpha({alpha})", alpha)
+    return _named("f_alpha", order, alpha)
 
 
 def map_L(order: int = DEFAULT_ORDER) -> HarmonicMap:
     """Harmonic half-plane map Re(z/(1-z)) + i Im(z/(1-z)^2); dilatation -z."""
-    return _closed_map(_FORMS["f_alpha"], order, "L", -1)
+    return _named("L", order)
 
 
 def map_F(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -111,14 +123,12 @@ def map_F(order: int = DEFAULT_ORDER) -> HarmonicMap:
     The flagship example for the radius computations: its circle images stop
     being convex above 2 - sqrt(3) and stop being starlike above ~0.658331.
     """
-    return _closed_map(_FORMS["f_alpha"], order, "F")
+    return _named("F", order)
 
 
 def g_alpha(alpha: complex, order: int = DEFAULT_ORDER) -> HarmonicMap:
     """Minimal-area map: h = z, g = alpha z^2 / 2."""
-    if abs(alpha) > 1 + 1e-12:
-        raise ValueError("need |alpha| <= 1")
-    return _closed_map(_FORMS["g_alpha"], order, f"g_alpha({alpha})", alpha)
+    return _named("g_alpha", order, alpha)
 
 
 def example21(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -127,7 +137,7 @@ def example21(order: int = DEFAULT_ORDER) -> HarmonicMap:
     Its analytic part is starlike yet non-convex, and the map identifies the
     conjugate pair (3 +- sqrt(3) i)/4, both of which land on 3/4.
     """
-    return _closed_map(_FORMS["example21"], order, "example21")
+    return _named("example21", order)
 
 
 def example22(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -136,7 +146,7 @@ def example22(order: int = DEFAULT_ORDER) -> HarmonicMap:
     Close-to-convex, but the image of the disk is not starlike; the large
     non-starlike lobe shows up in circle scans already at r = 0.9.
     """
-    return _closed_map(_FORMS["example22"], order, "example22")
+    return _named("example22", order)
 
 
 def l_hadamard_l(order: int = DEFAULT_ORDER) -> HarmonicMap:
@@ -150,22 +160,10 @@ def l_hadamard_l(order: int = DEFAULT_ORDER) -> HarmonicMap:
 
 
 def make_named(entry: CatalogEntry, order: int = DEFAULT_ORDER) -> HarmonicMap:
-    """Dispatch on a :class:`CatalogEntry`."""
+    """The map a :class:`CatalogEntry` names, at degree ``order`` >= 8."""
     if order < 8:
         raise ValueError("catalog maps need order >= 8")
-    if entry.name == "f_alpha":
-        return f_alpha(entry.alpha, order)
-    if entry.name == "L":
-        return map_L(order)
-    if entry.name == "F":
-        return map_F(order)
-    if entry.name == "g_alpha":
-        return g_alpha(entry.alpha, order)
-    if entry.name == "example21":
-        return example21(order)
-    if entry.name == "example22":
-        return example22(order)
-    raise ValueError(f"{entry.name!r} has no direct constructor")
+    return _named(entry.name, order, entry.alpha)
 
 
 def parse_function(text: str, order: int = DEFAULT_ORDER):
@@ -277,8 +275,7 @@ def make_M_alpha_member(
     Membership additionally requires Re(1 + z h''/h') > -1/2, which this
     constructor does not verify; use the classifier check for that.
     """
-    if abs(alpha) > 1 + 1e-12:
-        raise ValueError("need |alpha| <= 1")
+    _check_alpha(alpha, "an M(alpha) member")
     n = np.arange(h.order + 1, dtype=float)
     b = np.zeros(h.order + 1, dtype=complex)
     b[2:] = alpha * (n[1:-1] / n[2:]) * h.coeffs[1:-1]

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import RELATION_ABS_TOL
-from .harmonic import (_START_THETA_POINTS, HarmonicMap, _chop_and_double, _circle_derivatives, _phase_steps,
-                       _polar_grid, _require_nonzero, _unit_circle, evaluate_f)
+from .harmonic import (_START_THETA_POINTS, HarmonicMap, _check_alpha, _chop_and_double, _circle_derivatives,
+                       _phase_steps, _polar_grid, _require_nonzero, _unit_circle, evaluate_f)
 from .report import Report
 from .series import TruncatedSeries
 
@@ -196,8 +196,7 @@ def m_alpha_check(
     being an open condition it can only be falsified, never certified, by
     sampling.
     """
-    if abs(alpha) > 1 + 1e-12:
-        raise ValueError("need |alpha| <= 1")
+    _check_alpha(alpha, "m_alpha_check")
     if not 0 < r_max < 1:
         raise ValueError("need 0 < r_max < 1")
     residual = coefficient_relation_residual(f, alpha)

@@ -82,9 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--emit", choices=("coeffs", "report"), default="coeffs")
     p_conv.add_argument("--out", default=None)
 
-    p_ver = sub.add_parser("verify", help="run a verification suite and write its report")
+    p_ver = sub.add_parser("verify", help="run a verification suite and print its summary")
     p_ver.add_argument("--suite", choices=SUITES, default="all")
-    p_ver.add_argument("--out", default="verification_report.json")
+    p_ver.add_argument("--out", default=None, help="optional JSON report path")
     return parser
 
 
@@ -240,7 +240,8 @@ def _cmd_verify(args, order: int) -> int:
     report = verify.run_suite(args.suite, order)
     for line in report.summary_lines():
         print(line)
-    _write_json(args.out, report.to_dict())
+    if args.out is not None:
+        _write_json(args.out, report.to_dict())
     return 0 if report.passed else 1
 
 

@@ -54,17 +54,16 @@ def convex_combination_convolve(
 ) -> HarmonicMap:
     """Product of beta*conj(phi) + phi with f: H = phi*h, G = conj(beta)(phi*g).
 
-    For |beta| <= 1 and convex analytic phi this sends members of the
-    dilatation-alpha*z family to close-to-convex maps; here only the
-    coefficient arithmetic is performed.
+    This is :func:`hadamard` of phi + conj(conj(beta) phi), labelled ``combination``,
+    with f; phi must be normalized within 1e-14.  For |beta| <= 1 and convex analytic
+    phi this sends members of the dilatation-alpha*z family to close-to-convex maps;
+    here only the coefficient arithmetic is performed.
     """
     if abs(beta) > 1 + 1e-12:
         raise ValueError("need |beta| <= 1")
     if abs(phi.coefficient(0)) > 1e-14 or abs(phi.coefficient(1) - 1) > 1e-14:
         raise ValueError("phi must be normalized")
-    H = hadamard_series(phi, f.h)
-    G = np.conj(beta) * hadamard_series(phi, f.g)
-    return HarmonicMap(H, G, None, label=f"combination*({f.label or 'f'})")
+    return hadamard(HarmonicMap(phi, complex(beta).conjugate() * phi, label="combination"), f)
 
 
 def tilde_dilatation(z, n: int, theta: float):
@@ -127,11 +126,16 @@ def tilde_dilatation_check(
         raise ValueError("closed form applies to n = 1 or 2")
     from .catalog import _FORMS, shear_vertical
 
+    # eight rows at a time, and the grid freed before the cross-check: a whole-grid temporary (over
+    # glibc's 128 KiB mmap threshold) or a grid live under the cross-check faults in new pages each call
     zg = _polar_grid(TildeDilatationReport.r_max, *grid)
-    wt = tilde_dilatation(zg, n, theta)
-    if not np.all(np.isfinite(wt)):
-        raise ZeroDivisionError("product-dilatation denominator vanishes on the grid")
-    max_abs = float(np.max(np.abs(wt)))
+    max_abs = 0.0
+    for i in range(0, grid[0], 8):
+        wt = tilde_dilatation(zg[i : i + 8], n, theta)
+        if not np.all(np.isfinite(wt)):
+            raise ZeroDivisionError("product-dilatation denominator vanishes on the grid")
+        max_abs = max(max_abs, float(np.max(np.abs(wt))))
+    del zg
 
     w = np.zeros(cross_order + 1, dtype=complex)
     w[n] = np.exp(1j * theta)

@@ -146,6 +146,12 @@ def _require_inside(z) -> None:
         raise ValueError("harmonic map evaluation requires |z| < 1")
 
 
+def _check_alpha(alpha: complex, name: str) -> None:
+    """ValueError unless |alpha| <= 1 (to 1e-12), the dilatation bound of every alpha family."""
+    if abs(alpha) > 1 + 1e-12:
+        raise ValueError(f"{name} requires |alpha| <= 1, got {abs(alpha)}")
+
+
 def _require_nonzero(values, z, tol: float = 0.0) -> None:
     """Raise :class:`SingularPointError` at the first z where |values| <= tol."""
     small = np.abs(np.asarray(values)) <= tol
@@ -179,24 +185,16 @@ class HarmonicMap:
         return min(self.h.order, self.g.order)
 
     @cached_property
-    def _dh(self) -> TruncatedSeries:
-        return self.h.differentiate()
-
-    @cached_property
-    def _dg(self) -> TruncatedSeries:
-        return self.g.differentiate()
-
-    @cached_property
-    def _d2h(self) -> TruncatedSeries:
-        return self.h.differentiate(2)
-
-    @cached_property
-    def _d2g(self) -> TruncatedSeries:
-        return self.g.differentiate(2)
+    def _series_built(self) -> dict[str, TruncatedSeries]:
+        """The series of h, g and of each derivative built so far, by route name."""
+        return {"h": self.h, "g": self.g}
 
     def _series(self, which: str) -> TruncatedSeries:
-        """The truncated series of one of h, g, h', g', h'', g''."""
-        return getattr(self, which if which in ("h", "g") else "_" + which)
+        """The truncated series of one of h, g, h', g', h'', g''; each derivative is built once per map."""
+        if which not in self._series_built:
+            part = self.h if which.endswith("h") else self.g
+            self._series_built[which] = part.differentiate(2 if which.startswith("d2") else 1)
+        return self._series_built[which]
 
     @cached_property
     def _conjugate_symmetric(self) -> bool:

@@ -73,7 +73,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .defaults import CIRCLE_MIN_TOL, TURNING_TOL
-from .catalog import _FORMS, _evaluators
+from .catalog import map_F
 from .classifiers import _weighted_terms
 from .harmonic import (_START_THETA_POINTS, HarmonicMap, _angular, _any, _chop_and_double, _circle_derivatives,
                        _unit_circle)
@@ -589,8 +589,7 @@ def identity_check_tangent(r, u) -> TangentIdentityResiduals:
     r, u = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(u, dtype=float))
     if not (np.all((0 < r) & (r < 1)) and np.all(np.abs(u) <= 1)):
         raise ValueError("need 0 < r < 1 and -1 <= u <= 1")
-    h = _FORMS["f_alpha"]
-    ex = _evaluators(h, h.partner)
+    ex = map_F().exact
     z = r * (u + 1j * np.sqrt(1 - u * u))
     d1, d2 = _angular(z, ex.dh, ex.dg, ex.d2h, ex.d2g)
     f = ex.h(z) + np.conj(ex.g(z))

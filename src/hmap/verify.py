@@ -114,7 +114,7 @@ def suite_coefficients(order: int = DEFAULT_ORDER) -> list[ClaimRecord]:
                           "termwise recurrence from h = z/(1-z) rebuilds b_n = 1 - 1/n",
                           dev, 0.0, 1e-12))
 
-    quarter = TruncatedSeries(np.array([0, 1, 0.25] + [0] * (order - 2), dtype=complex))
+    quarter = _QUARTER.series(order)
     qmap = catalog.make_M_alpha_member(quarter, 0.0)
     rep1, _ = classifiers.coefficient_sum_orders(qmap)
     recs.append(_abs_diff("coeff.order_linear", "h = z + z^2/4 classifies fully starlike of order 2/5",
@@ -134,14 +134,15 @@ def suite_coefficients(order: int = DEFAULT_ORDER) -> list[ClaimRecord]:
 
 
 # (h, alpha, label): the M(alpha) members of the growth claims, built at degree
-# 2048; mix = (l + k)/2 is f_alpha's h
+# 2048; mix = (l + k)/2 is f_alpha's h, and quarter is also the coefficient suite's h
+_QUARTER = ClosedForm((0, 1, 0.25))
 _BOUNDS_MEMBERS = [
     (_GENERATORS["half_plane_l"], 1.0, "half-plane, alpha=1"),
     (_GENERATORS["half_plane_l"], -0.3, "half-plane, alpha=-0.3"),
     (catalog._FORMS["f_alpha"], 1j, "mix, alpha=i"),
     (catalog._FORMS["f_alpha"], 0.5, "mix, alpha=0.5"),
-    (ClosedForm((0, 1, 0.25)), 0.8, "quarter, alpha=0.8"),
-    (ClosedForm((0, 1, 0.25)), -1j, "quarter, alpha=-i"),
+    (_QUARTER, 0.8, "quarter, alpha=0.8"),
+    (_QUARTER, -1j, "quarter, alpha=-i"),
     (_GENERATORS["identity"], 1.0, "identity, alpha=1"),
     (_GENERATORS["identity"], 0.6j, "identity, alpha=0.6i"),
 ]

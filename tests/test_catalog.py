@@ -17,6 +17,7 @@ from hmap.catalog import (
     shear_horizontal,
     shear_vertical,
 )
+from hmap.classifiers import m_alpha_check
 from hmap.harmonic import dilatation, evaluate_f
 from hmap import catalog, series
 from hmap.series import TruncatedSeries, make_generator
@@ -43,16 +44,34 @@ class TestNamedMaps:
             assert f_alpha(alpha).g.coefficient(1) == 0
 
     def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            f_alpha(1.5)
-        with pytest.raises(ValueError):
-            CatalogEntry("g_alpha", 2j)
+        for build in (lambda: f_alpha(1.5), lambda: catalog.g_alpha(-1.1j), lambda: CatalogEntry("g_alpha", 2j),
+                      lambda: m_alpha_check(map_F(16), 1.5)):
+            with pytest.raises(ValueError, match=r"\|alpha\| <= 1"):
+                build()
         with pytest.raises(ValueError):
             CatalogEntry("f_alpha")  # missing parameter
 
     def test_min_order(self):
         with pytest.raises(ValueError):
             make_named(CatalogEntry("F"), 4)
+        # only make_named asks for order >= 8; the constructors build any order
+        assert map_F(4).h.order == 4 and f_alpha(0.5, 4).label == "f_alpha(0.5)"
+
+    @pytest.mark.parametrize("order", [8, 64, 2048])
+    @pytest.mark.parametrize("name", catalog.CATALOG_NAMES)
+    def test_constructor_make_named_and_parser_agree(self, name, order):
+        alpha = 0.3 - 0.4j
+        takes_alpha = name in ("f_alpha", "g_alpha")
+        ctor = {"L": map_L, "F": map_F}.get(name) or getattr(catalog, name)
+        maps = [
+            ctor(alpha, order) if takes_alpha else ctor(order),
+            make_named(CatalogEntry(name, alpha if takes_alpha else None), order),
+            parse_function(f"{name}:{alpha.real},{alpha.imag}" if takes_alpha else name, order),
+        ]
+        for m in maps:
+            assert m.label == (f"{name}({alpha})" if takes_alpha else name)
+            assert m.h.coeffs.tobytes() == maps[0].h.coeffs.tobytes()
+            assert m.g.coeffs.tobytes() == maps[0].g.coeffs.tobytes()
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -196,7 +215,7 @@ class TestMAlphaMember:
             assert abs(lhs - rhs) < 1e-12
 
     def test_alpha_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\|alpha\| <= 1"):
             make_M_alpha_member(make_generator("identity", 8), 1.2)
 
 

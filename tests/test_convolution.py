@@ -114,16 +114,23 @@ class TestConvexCombination:
                 assert abs(out.g.coefficient(1)) < abs(out.h.coefficient(1))
 
     def test_beta_conjugation(self):
-        phi = make_generator("half_plane_l", 16)
+        phi = TruncatedSeries(np.r_[0, 1 / np.sqrt(np.arange(1.0, 17))])  # a_n = 1/sqrt(n)
         beta = 0.3 + 0.4j
-        f = f_alpha(1, 16)
+        f = f_alpha(0.6 - 0.7j, 16)
         out = convex_combination_convolve(phi, beta, f)
-        assert out.g.coefficient(2) == pytest.approx(np.conj(beta) * f.g.coefficient(2))
+        assert out.g.coefficient(2) == pytest.approx(np.conj(beta) * phi.coefficient(2) * f.g.coefficient(2))
+        # H = phi*h and G = conj(beta)(phi*g), formed by hand, within a few ulp
+        assert np.array_equal(out.h.coeffs, phi.coeffs * f.h.coeffs)
+        G = np.conj(beta) * (phi.coeffs * f.g.coeffs)
+        assert np.all(np.abs(out.g.coeffs - G) <= 4 * np.spacing(np.abs(G)))
+        assert out.label == f"(combination)*({f.label})"
 
     def test_phi_must_be_normalized(self):
         bad = TruncatedSeries(np.array([0, 2, 0], dtype=complex))
-        with pytest.raises(ValueError):
-            convex_combination_convolve(bad, 0.5, map_F(16))
+        almost = TruncatedSeries(np.array([0, 1 + 1e-13, 0.5], dtype=complex))  # within HarmonicMap's 1e-12
+        for phi in (bad, almost):
+            with pytest.raises(ValueError, match="phi must be normalized"):
+                convex_combination_convolve(phi, 0.5, map_F(16))
 
 
 class TestTildeDilatation:

@@ -277,6 +277,12 @@ class TestCli:
         assert data["passed"] is True
         assert all(rec["passed"] for rec in data["records"])
 
+    def test_verify_writes_a_report_only_when_asked(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["verify", "--suite", "coefficients"]) == 0
+        assert "suite coefficients: PASS" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             dispatch(["radius", "--function", "F", "--kind", "wobbly"])
