@@ -357,7 +357,11 @@ def kaplan_integral_check(
     n = _kaplan_steps(f, np.atleast_1d(epsilon), r)[0]
     theta = np.linspace(theta1, theta2, math.ceil(n * (theta2 - theta1) / (2 * np.pi)) + 1)
     rate, curve = _fe_circle(f, epsilon, r, theta)
-    return float(np.sum(_phase_steps(curve, rate, theta[1] - theta[0])))
+    steps, ok = _phase_steps(curve, rate, theta[1] - theta[0])
+    if not ok.all():
+        raise ValueError(f"phase is ambiguous on {theta.size - 1} steps: a step of the "
+                         "argument strays more than pi/2 from the trapezoid of its rate")
+    return float(np.sum(steps))
 
 
 def _kaplan_steps(f: HarmonicMap, epsilons: np.ndarray, r: float) -> tuple[int, np.ndarray]:
@@ -366,14 +370,15 @@ def _kaplan_steps(f: HarmonicMap, epsilons: np.ndarray, r: float) -> tuple[int, 
     Returns it and the guarded phase steps of each z Fe', closed at 2 pi, one
     row per epsilon; raises ValueError where the guard still fails at the cap.
     """
-    def sample(n: int):
+    def sample(n: int, first: int):
+        # every epsilon in one row: the grid must resolve them all
         rate, curve = _fe_circle(f, epsilons, r, _unit_circle(n)[0], on_grid=True)
-        return rate, tuple(np.concatenate([a, a[:, :1]], axis=1) for a in (curve, rate))
+        return rate[None], tuple(np.concatenate([a, a[:, :1]], axis=1)[None] for a in (curve, rate))
 
-    n, _, steps, _ = _chop_and_double(sample, _START_THETA_POINTS)
-    if steps is None:
+    n, _, _, steps, ok, _ = next(_chop_and_double(sample, _START_THETA_POINTS))
+    if not ok[0]:
         raise ValueError(f"phase of z Fe' is ambiguous on |z| = {r} even on {n} angles")
-    return n, steps
+    return n, steps[0]
 
 
 def _kaplan_sweep(f: HarmonicMap, epsilons: np.ndarray, r: float):

@@ -17,13 +17,13 @@ several of h, g and their derivatives at the same points (f itself, the
 Jacobian, the dilatation) evaluate them together after one |z| < 1 guard
 (``HarmonicMap._eval_routes``).
 
-Circle tests and Kaplan arc integrals (of Fe = h + epsilon g, all epsilon at
-once) sample a map on one path (:func:`_circle_derivatives`: closed forms at
-z = r e^{i theta}, or one inverse FFT of the coefficients per derivative),
-not through the ``*_at`` methods.  They read the argument of the sampled
-curve through one per-step branch guard (:func:`_phase_steps`) on a uniform
-grid that one rule doubles until the rate is resolved
-(:func:`_chop_and_double`).
+Circle tests (one radius, or the radii of a scan at once) and Kaplan arc
+integrals (of Fe = h + epsilon g, all epsilon at once) sample a map on one
+path (:func:`_circle_derivatives`: closed forms at z = r e^{i theta}, or one
+inverse FFT of the coefficients per derivative), not through the ``*_at``
+methods.  They read the argument of the sampled curve through one per-step
+branch guard (:func:`_phase_steps`) on a uniform grid that one rule doubles,
+row by row, until the rate is resolved (:func:`_chop_and_double`).
 """
 
 from __future__ import annotations
@@ -397,37 +397,42 @@ def _unit_circle(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, unit
 
 
-def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray | float, on_grid: bool, eps=None):
+def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on_grid: bool, eps=None):
     """theta-derivatives (d^{m+1} f, d^m f) of f(r e^{i theta}), for m = 0 or 1.
 
-    ``on_grid`` says that ``theta`` is the uniform grid 2 pi j / n of
-    :func:`_unit_circle`, or a prefix of it (j < theta.size <= n, n read off
-    the spacing theta[1] = 2 pi / n): half-circle tests pass j <= n/2.  Off
-    the grid ``theta`` is an array of angles or one angle, a float, which
-    gives complex scalars back (the circle tests' refinement points).  A
-    map with closed forms calls them at z = r e^{i theta}, taking
-    e^{i theta} from the cache on the grid, after
+    ``r`` is one radius, a float, or a column of radii (an (R, 1) array),
+    which gives one row per radius: the circles of a radius scan, sampled in
+    one array.  ``on_grid`` says that ``theta`` is the uniform grid
+    2 pi j / n of :func:`_unit_circle`, or a prefix of it (j < theta.size <=
+    n, n read off the spacing theta[1] = 2 pi / n): half-circle tests pass
+    j <= n/2.  Off the grid ``theta`` is an array of angles or one angle, a
+    float, which with a float r gives complex scalars back (the circle tests'
+    refinement points).  A map with closed forms calls them at
+    z = r e^{i theta}, taking e^{i theta} from the cache on the grid, after
     one |z| < 1 guard: f and d1 for m = 0, d1 and d2 of :func:`_angular` for
-    m = 1.  At one angle z is a Python complex, on which the closed forms
-    cost a fraction of what they cost on a one-element array.  On a
-    series-only map the circle image is the trigonometric polynomial
+    m = 1.  A column of radii makes z the 2-D array of all rows, one call of
+    each closed form for all of them.  At one angle z is a Python complex, on
+    which the closed forms cost a fraction of what they cost on a
+    one-element array.  On a series-only map the circle image is the
+    trigonometric polynomial
 
         sum_{n>=0} a_n r^n e^{i n theta} + sum_{n>=0} conj(b_n) r^n e^{-i n theta},
 
     whose theta-derivative multiplies the coefficient at frequency k by ik.
     The frequencies, coefficients and weights (ik)^p are built once per map
-    (``HarmonicMap._circle_terms``), so a call only scales them by r^|k|.
-    On the grid each derivative is one inverse FFT of the coefficients
-    folded modulo n, exact at any degree, cut to the prefix.  Other angles
-    take the direct sum, after they are reduced into (-pi, pi]: a phase
-    k theta near 2 pi k would lose digits at high frequencies, and the
-    mirror images theta and 2 pi - theta would be rounded differently.
+    (``HarmonicMap._circle_terms``), so a call only scales them by r^|k|,
+    one row per radius.  On the grid each derivative is one inverse FFT of
+    the coefficients folded modulo n, exact at any degree, cut to the
+    prefix: one transform of all rows.  Other angles take the direct sum,
+    after they are reduced into (-pi, pi]: a phase k theta near 2 pi k would
+    lose digits at high frequencies, and the mirror images theta and
+    2 pi - theta would be rounded differently.
 
-    With a 1-D array ``eps`` (m = 1 only) it samples the analytic maps
-    Fe = h + eps g of Kaplan's arc integrals instead, one row per eps:
-    d1 = i z Fe' and d2 = -(z Fe' + z^2 Fe'').  Closed forms are called once
-    for all rows; a series-only map folds a_n + eps b_n into one-sided rows
-    of the same inverse FFT.
+    With a 1-D array ``eps`` (m = 1 and a float r only) it samples the
+    analytic maps Fe = h + eps g of Kaplan's arc integrals instead, one row
+    per eps: d1 = i z Fe' and d2 = -(z Fe' + z^2 Fe'').  Closed forms are
+    called once for all rows; a series-only map folds a_n + eps b_n into
+    one-sided rows of the same inverse FFT.
     """
     n = round(2 * np.pi / theta[1]) if on_grid else None
     if f.exact is not None:
@@ -445,8 +450,9 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray | fl
         return _angular(z, ex.dh, ex.dg)[0], ex.h(z) + ex.g(z).conjugate()
     if eps is None:
         k, abs_k, c, weights = f._circle_terms
-        # rows (ik)^m c_k r^|k| and (ik)^(m+1) c_k r^|k|: lower, then upper
-        rows = weights[m : m + 2] * (c * r ** abs_k)
+        # rows (ik)^m c_k r^|k| and (ik)^(m+1) c_k r^|k|: the lower ones, one
+        # per radius, then the upper ones
+        rows = (weights[m : m + 2, None] * (c * r ** abs_k)).reshape(-1, k.size)
     else:
         k = np.arange(max(f.h.order, f.g.order) + 1)
         a, b = (np.pad(s.coeffs, (0, k.size - s.coeffs.size)) for s in (f.h, f.g))
@@ -459,25 +465,25 @@ def _circle_derivatives(f: HarmonicMap, r: float, m: int, theta: np.ndarray | fl
     else:
         out = rows @ np.exp(1j * np.multiply.outer(k, np.angle(np.exp(1j * theta))))
     half = len(out) // 2
-    return (out[half:], out[:half]) if eps is not None else (out[1], out[0])
+    if eps is None and np.ndim(r) == 0:
+        return out[1], out[0]
+    return out[half:], out[:half]
 
 
-def _phase_steps(curve: np.ndarray, rate: np.ndarray, step: float) -> np.ndarray:
-    """Increments of arg(curve) between consecutive samples along the last axis.
+def _phase_steps(curve: np.ndarray, rate: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Increments of arg(curve) between consecutive samples along the last axis, and the guard's verdicts.
 
     Each increment is the argument of the ratio of consecutive samples, in
     (-pi, pi].  The trapezoid of ``rate``, the theta-derivative of that
     argument, over the same step must agree with it within pi/2; otherwise
-    the argument may have slipped a branch between two nodes and ValueError
-    is raised.  Circle tests sum the increments of a closed curve into its
-    winding; Kaplan arcs sum them into arc integrals.
+    the argument may have slipped a branch between two nodes.  The verdict
+    is one bool per curve (the last axis reduced): False where a step of
+    that curve strays.  Circle tests sum the increments of a closed curve
+    into its winding; Kaplan arcs sum them into arc integrals.
     """
     steps = np.angle(curve[..., 1:] / curve[..., :-1])
     trap = 0.5 * (rate[..., 1:] + rate[..., :-1]) * step
-    if np.max(np.abs(steps - trap)) > np.pi / 2:
-        raise ValueError(f"phase is ambiguous on {curve.shape[-1] - 1} steps: a step of the "
-                         "argument strays more than pi/2 from the trapezoid of its rate")
-    return steps
+    return steps, ~(np.abs(steps - trap).max(-1) > np.pi / 2)
 
 
 _START_THETA_POINTS = 128  # the grid a circle starts from unless given another
@@ -485,33 +491,54 @@ _MAX_THETA_POINTS = 65536  # the finest grid a circle doubles to
 _CHOP_TAIL = 1e-10  # a grid resolves the rate once its Fourier tail is this small
 
 
-def _chop_and_double(sample: Callable, n: int):
-    """Double the grid from n angles until the rate chops and every phase step passes the guard.
+def _chop_and_double(sample: Callable, n: int, rows: int = 1):
+    """Double the grid from n angles until each row's rate chops and its phase steps pass the guard.
 
-    ``sample(n)`` returns the rate on the whole grid of :func:`_unit_circle`,
-    one row per curve, and the (curve, rate) pair along the summed path.  The
-    rate chops when the largest ``rfft`` coefficient of each row at k >= 3n/8
-    is at most 1e-10 of its largest (Wright, Javed, Montanelli & Trefethen,
-    SISC 2015; Trefethen & Weideman, SIAM Review 2014).  At the cap of 65536
-    angles, where a larger n also starts, the circle is taken as it stands.
-    Returns the grid, the rate, the guarded steps (None if the guard failed)
-    and the tail, the maximum over rows.  A start n that is no integer or is
-    below 8 raises ValueError.
+    The rows are curves that one array samples together, in order: the
+    circles of a radius scan, one per radius, or one row for a single
+    circle.  A row may hold several curves along further axes that settle
+    together (Kaplan's epsilons).  ``sample(n, first)`` samples rows
+    ``first``, ``first + 1``, ... (as many as it chooses, at least one, up to
+    ``rows``) on the whole grid of :func:`_unit_circle`, and returns their
+    rates and the (curve, rate) pair along the summed path.  A row's rate
+    chops when, for each of its curves, the largest ``rfft`` coefficient at
+    k >= 3n/8 is at most 1e-10 of the largest (Wright, Javed, Montanelli &
+    Trefethen, SISC 2015; Trefethen & Weideman, SIAM Review 2014); its tail
+    is the largest such ratio.  Its guard passes when every phase step of
+    every curve passes (:func:`_phase_steps`).
+
+    On n angles the leading sampled rows that chop and pass the guard settle
+    there.  The first row that does not, and every row after it, are
+    sampled again on 2n angles; if every sampled row settled, the next rows
+    are sampled on n.  So each row starts on the largest grid reached before
+    it, as if the rows were tested one at a time.  At the cap of 65536
+    angles, where a larger n also starts, every sampled row settles as it
+    stands.
+
+    A generator: for each grid on which rows settle it yields (n, first,
+    rate, steps, ok, tails) of those rows, ``ok`` False where the guard
+    failed.  The caller stops where it has what it needs.  A start n that
+    is no integer or is below 8 raises ValueError.
     """
     if not isinstance(n, (int, np.integer)) or n < 8:
         raise ValueError(f"n_theta must be an integer of at least 8, got {n!r}")
-    n = min(n, _MAX_THETA_POINTS)
-    while True:
-        rate, path = sample(n)
+    n, first = min(n, _MAX_THETA_POINTS), 0
+    while first < rows:
+        rate, path = sample(n, first)
         spectrum = np.abs(np.fft.rfft(rate))
-        tail = float(np.maximum.reduce(spectrum[..., -(-3 * n // 8):] / spectrum.max(-1, keepdims=True), None))
-        try:
-            steps = _phase_steps(*path, _unit_circle(n)[0][1])
-        except ValueError:  # a step may have slipped a branch
-            steps = None
-        if (tail <= _CHOP_TAIL and steps is not None) or 2 * n > _MAX_THETA_POINTS:
-            return n, rate, steps, tail
-        n *= 2
+        tails = (spectrum[..., -(-3 * n // 8):] / spectrum.max(-1, keepdims=True)).max(-1)
+        steps, ok = _phase_steps(*path, _unit_circle(n)[0][1])
+        if tails.ndim > 1:  # the curves of a row settle together
+            tails, ok = tails.reshape(len(rate), -1).max(1), ok.reshape(len(rate), -1).all(1)
+        tails, ok = tails.tolist(), ok.tolist()
+        k = 0
+        while k < len(rate) and ((tails[k] <= _CHOP_TAIL and ok[k]) or 2 * n > _MAX_THETA_POINTS):
+            k += 1
+        if k:
+            yield n, first, rate[:k], steps[:k], ok[:k], tails[:k]
+            first += k
+        if k < len(rate):
+            n *= 2
 
 
 def _polar_grid(r_max: float, n_r: int, n_t: int) -> np.ndarray:

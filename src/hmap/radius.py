@@ -31,15 +31,25 @@ circle images that mirror in the real axis, and on an even grid its tests
 sample only the nodes 0 <= theta <= pi.  Kaplan's arc integrals in
 ``hmap.classifiers`` share the sampler, the grid rule and the guard.
 
+Circle tests at many radii run together (:func:`_circle_tests`): the curves
+of the radii are the rows of one sampled array per grid, and the grid rule
+and the branch guard judge each row.  On n angles the leading rows that chop
+and pass the guard settle; the first row that does not, and every row after
+it, are sampled again on 2n angles.  Each row thus ends on the grid, with
+the margin and the winding, that a test of that radius alone would give,
+started on the largest grid reached before it.  The rows are judged in
+order up to the first that fails; the rows sampled past it are dropped.  A
+single circle test is the one-row case.
+
 The radius of convexity (or starlikeness) is the first r where the test
-fails.  ``radius_search`` scans r upward to the first failing circle,
-starting where the coefficient sums of the dilation f(rz)/r, those of
-``hmap.classifiers``, stop certifying every circle, and
-roots the margin, the refined minimum of the rate, which is continuous in r,
-between the last pass and that failure.  Margins that dip between scan
-points are searched for a failing band narrower than the scan step.  Each
-circle test starts on the finest grid a test of the search reached before
-it.
+fails.  ``radius_search`` scans r upward to the first failing circle, in
+one batched call of the circle tests, starting where the coefficient sums
+of the dilation f(rz)/r, those of ``hmap.classifiers``, stop certifying
+every circle, and roots the margin, the refined minimum of the rate, which
+is continuous in r, between the last pass and that failure, one radius per
+test.  Margins that dip between scan points are searched for a failing band
+narrower than the scan step.  Each circle test starts on the finest grid a
+test of the search reached before it.
 
 For the horizontally sheared half-plane map F = f_alpha(1) the transition
 radii admit exact descriptions through two polynomials in u = cos(theta).
@@ -75,7 +85,7 @@ import numpy as np
 from .defaults import CIRCLE_MIN_TOL, TURNING_TOL
 from .catalog import map_F
 from .classifiers import _weighted_terms
-from .harmonic import (_START_THETA_POINTS, HarmonicMap, _angular, _any, _chop_and_double, _circle_derivatives,
+from .harmonic import (_START_THETA_POINTS, HarmonicMap, _angular, _chop_and_double, _circle_derivatives,
                        _unit_circle)
 from .report import Report
 
@@ -125,6 +135,12 @@ class RadiusResult(Report):
 
 _REFINE_STEPS = 3  # parabolic steps from the grid minimum
 _REFINE_GAIN = 1e-13  # a parabolic step that predicts less, relative to the margin, is not taken
+# points of one batched sampling call (more only when one circle is larger).
+# Fewer calls save numpy's per-call cost, but rows sampled past the first
+# loss are wasted; 2048 measured best on the radius-scan solves, and keeps
+# every complex temporary of a call at or below 128 KiB, glibc's mmap
+# threshold, past which each allocation faults in fresh pages
+_BATCH_POINTS = 2048
 
 
 def _refined_min(values: np.ndarray, step: float, fn: Callable[[float], float]) -> float:
@@ -140,9 +156,10 @@ def _refined_min(values: np.ndarray, step: float, fn: Callable[[float], float]) 
     result is the least rate value sampled, an actual value at an actual
     angle.
     """
-    k = int(np.argmin(values))
+    k = int(values.argmin())
     m = values.size
     t0 = k * step
+    step = float(step)  # the parabolas in Python floats: the same arithmetic, without numpy's per-scalar cost
     points = [(0.0, float(values[k])), (-step, float(values[(k - 1) % m])), (step, float(values[(k + 1) % m]))]
     for _ in range(_REFINE_STEPS):
         (a, fa), (b, fb), (c, fc) = sorted(points)
@@ -158,14 +175,23 @@ def _refined_min(values: np.ndarray, step: float, fn: Callable[[float], float]) 
     return points[0][1]
 
 
-def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str) -> CircleTest:
-    """Shared body of the circle tests: the rate Im(d^{m+1} f / d^m f) of arg d^m f.
+def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) -> list[CircleTest]:
+    """Circle tests at the increasing radii ``radii`` in scan order, up to the first that fails.
 
-    Samples the rate and the curve d^m f on the grid that
-    ``harmonic._chop_and_double`` picks from ``n_theta`` angles, and raises
-    ValueError where the curve vanishes.  Passes iff the refined minimum of
-    the rate (:func:`_refined_min`) stays above -CIRCLE_MIN_TOL and the
-    winding of the curve equals 2 pi within TURNING_TOL.
+    The rate Im(d^{m+1} f / d^m f) of arg d^m f and the curve d^m f are
+    sampled for many radii at once, one row per radius of one array per
+    grid (``harmonic._circle_derivatives`` on a column of radii), on the
+    grids that ``harmonic._chop_and_double`` picks row by row: the first row
+    starts on ``n_theta`` angles and each later one on the largest grid
+    reached before it, as if the radii were tested one at a time.  One
+    sampling call covers at most _BATCH_POINTS (2048) points, and more only
+    when one row is larger, so never more than one circle at the cap.  Each
+    row that settles is judged in scan order: it passes iff the refined
+    minimum of its rate (:func:`_refined_min`) stays above -CIRCLE_MIN_TOL
+    and the winding of its curve equals 2 pi within TURNING_TOL.  The first
+    failing row ends the list; the rows sampled past it are dropped
+    unjudged.  ValueError is raised where the curve of a row that the list
+    reaches vanishes, and not for a row past the first failure.
 
     On a map with f(conj z) = conj f(z) and an even grid it samples only the
     nodes 0 <= theta <= pi.  The curve at -theta is the conjugate of that at
@@ -174,29 +200,54 @@ def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str
     first, so the winding is twice the half, and the spectrum and the
     refinement read the rate mirrored back onto the whole grid.
     """
-    if not 0 < r < 1:
+    radii = [float(r) for r in radii]
+    if not all(0 < r < 1 for r in radii):
         raise ValueError("need 0 < r < 1")
+    column = np.array(radii)[:, None]
 
-    def sample(th, on_grid: bool):
-        upper, curve = _circle_derivatives(f, r, m, th, on_grid)
-        if _any(abs(curve) < 1e-13):
+    def rate_at(r: float, th: float) -> float:
+        upper, curve = _circle_derivatives(f, r, m, th, False)
+        if abs(curve) < 1e-13:
             raise ValueError(f"{curve_name} vanishes on |z| = {r}")
-        return (upper / curve).imag, curve
+        return (upper / curve).imag
 
-    def sample_grid(n: int):
+    def half(n: int) -> bool:
+        return n % 2 == 0 and f._conjugate_symmetric
+
+    def sample(n: int, first: int):
         thetas = _unit_circle(n)[0]
-        if n % 2 == 0 and f._conjugate_symmetric:
-            rate, curve = sample(thetas[: n // 2 + 1], True)
-            return np.concatenate([rate, rate[-2:0:-1]]), (curve, rate)
-        rate, curve = sample(thetas, True)
-        return rate, (np.append(curve, curve[:1]), np.append(rate, rate[:1]))
+        th = thetas[: n // 2 + 1] if half(n) else thetas
+        upper, curve = _circle_derivatives(f, column[first : first + max(1, _BATCH_POINTS // th.size)], m, th, True)
+        small = abs(curve) < 1e-13
+        if small.any():
+            # the first row is reached and raises; a later one ends this call's
+            # rows and comes back as the first row of a later call, if any
+            j = int(np.argmax(small.any(axis=1)))
+            if j == 0:
+                raise ValueError(f"{curve_name} vanishes on |z| = {radii[first]}")
+            upper, curve = upper[:j], curve[:j]
+        rate = (upper / curve).imag
+        if half(n):
+            return np.concatenate([rate, rate[:, -2:0:-1]], axis=1), (curve, rate)
+        return rate, (np.append(curve, curve[:, :1], axis=1), np.append(rate, rate[:, :1], axis=1))
 
-    n, full_rate, steps, tail = _chop_and_double(sample_grid, n_theta)
-    half = n % 2 == 0 and f._conjugate_symmetric
-    mn = _refined_min(full_rate, _unit_circle(n)[0][1], lambda th: sample(th, False)[0])
-    turning = math.nan if steps is None else (2 if half else 1) * float(np.sum(steps))
-    ok = mn >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
-    return CircleTest(ok, mn, turning, n, tail)
+    tests = []
+    for n, first, rates, steps, oks, tails in _chop_and_double(sample, n_theta, len(radii)):
+        windings = ((2 if half(n) else 1) * steps.sum(-1)).tolist()
+        step = _unit_circle(n)[0][1]
+        for rate, r, winding, ok, tail in zip(rates, radii[first:], windings, oks, tails):
+            mn = _refined_min(rate, step, lambda th: rate_at(r, th))
+            turning = winding if ok else math.nan
+            passed = mn >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
+            tests.append(CircleTest(passed, mn, turning, n, tail))
+            if not passed:
+                return tests
+    return tests
+
+
+def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str) -> CircleTest:
+    """One circle test: the one-row case of :func:`_circle_tests`."""
+    return _circle_tests(f, [r], m, n_theta, curve_name)[0]
 
 
 def convex_test_at_radius(
@@ -309,7 +360,8 @@ def radius_search(
     """Bracket the first radius where the circle-image property is lost.
 
     The property must hold at ``r_min`` (otherwise there is no inner radius
-    to report).  The scan grid is 50 radii from ``r_min`` to the cap
+    to report), which must be finite with 0 < r_min < 0.999 (ValueError
+    otherwise).  The scan grid is 50 radii from ``r_min`` to the cap
     0.999.  The coefficient sums of the dilation f(rz)/r certify every
     circle up to a radius r_cert (:func:`_certified_radius`, 0 for maps with
     b_1 != 0), so the scan tests the largest grid radius <= r_cert once, or
@@ -335,32 +387,41 @@ def radius_search(
     gets there after one circle test.  ``tol`` must be finite and at least
     1e-12, or ValueError is raised.
 
-    Each circle test chooses its own grid (:func:`_circle_test`).  The
-    first starts on ``n_theta`` angles and each later one on the largest
-    grid any test reached so far; the result reports that finest grid.  A
+    The upward scan is one call of :func:`_circle_tests`: its circles are
+    sampled together, as rows of one array per grid, judged in order up to
+    the first failure, and a row past it is neither counted nor raises.
+    The dip search, the Brent root, the confirming tests and the bisection
+    test one radius per call (:func:`convex_test_at_radius`,
+    :func:`starlike_test_at_radius`).  Each circle test chooses its own grid
+    (:func:`_circle_tests`): the first starts on ``n_theta`` angles and each
+    later one on the largest grid any test reached so far, in the batch as
+    in a test of its own; the result reports that finest grid.  A
     first loss that still fails only on the branch guard (turning nan,
     margin above threshold) on the 65536-angle cap says that the grid is
     too coarse for the curve there, not that the property is lost, and
     raises ValueError.
     """
     _require_tol(tol)
+    if not 0 < r_min < 0.999:
+        raise ValueError(f"r_min must be finite with 0 < r_min < 0.999, got {r_min}")
     if kind == "convexity":
-        circle = lambda r, n: convex_test_at_radius(f, r, n)
+        m, name, circle = 1, "tangent vector", convex_test_at_radius
     elif kind == "starlikeness":
-        circle = lambda r, n: starlike_test_at_radius(f, r, n)
+        m, name, circle = 0, "map", starlike_test_at_radius
     else:
         raise ValueError("kind must be 'convexity' or 'starlikeness'")
 
     r_cert = _certified_radius(f, kind)
     grid = n_theta
 
-    def test(r: float) -> CircleTest:
+    def tests(radii) -> list[CircleTest]:
+        # a single radius goes through the public test, the scan through the batch
         nonlocal grid
-        result = circle(r, grid)
-        grid = max(grid, result.grid_theta)
-        return result
+        results = _circle_tests(f, radii, m, grid, name) if len(radii) > 1 else [circle(f, radii[0], grid)]
+        grid = max([grid] + [t.grid_theta for t in results])
+        return results
 
-    lo, hi, seen = _search_grid(test, kind, tol, np.linspace(r_min, 0.999, 50), r_cert)
+    lo, hi, seen = _search_grid(tests, kind, tol, np.linspace(r_min, 0.999, 50), r_cert)
     if hi == 1.0:
         return RadiusResult(kind, lo, hi, grid, tol, len(seen), r_cert, upper_limit_hit=True)
     loss = seen[hi]
@@ -381,7 +442,7 @@ def _require_tol(tol: float) -> None:
 
 
 def _search_grid(
-    circle: Callable[[float], CircleTest],
+    circles: Callable[[list[float]], list[CircleTest]],
     kind: str,
     tol: float,
     grid: np.ndarray,
@@ -389,16 +450,18 @@ def _search_grid(
 ) -> tuple[float, float, dict[float, CircleTest]]:
     """The search of :func:`radius_search`: r_lo, r_hi and every circle tested.
 
-    The scan of the radii ``grid`` starts at the largest one <= ``r_cert``,
-    or at the first.  r_hi is 1.0 when the property still holds at the last
-    (then r_lo is the last).
+    ``circles(radii)`` tests increasing radii in order, up to the first that
+    fails.  The scan of the radii ``grid`` starts at the largest one <=
+    ``r_cert``, or at the first, and is one such call; every later test is
+    one radius.  r_hi is 1.0 when the property still holds at the last (then
+    r_lo is the last).
     """
     seen: dict[float, CircleTest] = {}
 
     def test(r: float) -> CircleTest:
         r = float(r)
         if r not in seen:
-            seen[r] = circle(r)
+            seen[r] = circles([r])[0]
         return seen[r]
 
     def first_loss() -> tuple[float, float]:
@@ -406,16 +469,14 @@ def _search_grid(
         return max(r for r, t in seen.items() if t.passed and r < hi), hi
 
     start = max(int(np.searchsorted(grid, r_cert, side="right")) - 1, 0)
-    if not test(grid[start]).passed:
-        if grid[start] <= r_cert:
+    scan = [float(r) for r in grid[start:]]
+    seen.update(zip(scan, circles(scan)))
+    if not seen[scan[0]].passed:
+        if scan[0] <= r_cert:
             raise ValueError(f"{kind} fails at r = {grid[start]}, below the radius {r_cert} "
                              "that the coefficient sums certify")
         raise ValueError(f"{kind} already fails at r = {grid[0]}; nothing to bracket")
 
-    # the scan starts exactly at grid[start], which is not tested again
-    for r in grid[start:]:
-        if not test(r).passed:
-            break
     # a failing band narrower than the scan step can hide where the margin
     # dips between passing scan points; rounding noise is no dip
     passing = [r for r in sorted(seen) if seen[r].passed]

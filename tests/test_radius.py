@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -446,11 +447,29 @@ class TestHalfCircle:
             assert not f._conjugate_symmetric and sizes[0] == 128
 
 
+def one_at_a_time(test):
+    """The batched scan seam, ``radius._circle_tests``, built from a one-radius circle test.
+
+    It returns what the batched scan returns: the radii in order, each tested
+    from the largest grid reached before it, up to the first that fails.
+    """
+    def tests(f, radii, m, n_theta, curve_name):
+        done = []
+        for r in radii:
+            done.append(test(f, float(r), max([n_theta] + [t.grid_theta for t in done])))
+            if not done[-1].passed:
+                break
+        return done
+
+    return tests
+
+
 class TestRadiusSearch:
     def test_circle_test_budget(self, monkeypatch):
         radii = []
-        inner = radius.convex_test_at_radius
-        monkeypatch.setattr(radius, "convex_test_at_radius", lambda f, r, *rest: radii.append(r) or inner(f, r, *rest))
+        inner = radius._circle_tests  # every circle test of the search passes here, one radius or a scan
+        monkeypatch.setattr(radius, "_circle_tests",
+                            lambda f, rs, *rest: [radii.append(r) or t for r, t in zip(rs, inner(f, rs, *rest))])
         # the coefficient sums certify every circle up to r = 0.0903, so the
         # scan points 0.01, 0.0302 and 0.0504 below it are skipped; 11 scan
         # points from 0.0706 (tested once) up to the first failure, 3 Brent
@@ -495,6 +514,13 @@ class TestRadiusSearch:
         monkeypatch.setattr(radius, "_search_grid", lambda *args: pytest.fail("searched with that tol"))
         with pytest.raises(ValueError, match="tol must be finite and at least 1e-12"):
             radius_search(map_F(), "convexity", tol=tol)
+
+    @pytest.mark.parametrize("r_min", [-0.5, 0.0, 0.999, 0.9995, math.nan, math.inf])
+    def test_r_min_must_lie_below_the_cap(self, monkeypatch, r_min):
+        # a scan grid from r_min to 0.999 must increase and stay inside the disk
+        monkeypatch.setattr(radius, "_search_grid", lambda *args: pytest.fail("searched with that r_min"))
+        with pytest.raises(ValueError, match="r_min must be finite with 0 < r_min < 0.999"):
+            radius_search(map_F(), "convexity", r_min=r_min)
 
     @pytest.mark.parametrize("n_theta", [0, 1, 3, -4, 2.5])
     def test_n_theta_must_be_an_integer_of_at_least_8(self, n_theta):
@@ -546,6 +572,7 @@ class TestRadiusSearch:
             return CircleTest(passed, 1.0 if passed else -1.0, 2 * math.pi)
 
         monkeypatch.setattr(radius, "convex_test_at_radius", band)
+        monkeypatch.setattr(radius, "_circle_tests", one_at_a_time(band))
         res = radius_search(map_F(), "convexity", tol=1e-3)
         assert res.r_hi - res.r_lo <= 1e-3
         assert res.r_lo <= 0.3 < res.r_hi
@@ -561,6 +588,7 @@ class TestRadiusSearch:
             return CircleTest(m >= -CIRCLE_MIN_TOL, m, 2 * math.pi)
 
         monkeypatch.setattr(radius, "convex_test_at_radius", dip)
+        monkeypatch.setattr(radius, "_circle_tests", one_at_a_time(dip))
         res = radius_search(map_F(), "convexity", tol=1e-6)
         edge = 0.405 - math.sqrt((depth - CIRCLE_MIN_TOL) / curvature)
         assert not res.upper_limit_hit
@@ -612,6 +640,7 @@ class TestRadiusSearch:
             return CircleTest(r <= 0.6, 0.6 - r, 2 * math.pi, need)
 
         monkeypatch.setattr(radius, "convex_test_at_radius", grids)
+        monkeypatch.setattr(radius, "_circle_tests", one_at_a_time(grids))
         res = radius_search(map_F(), "convexity", tol=1e-6)
         assert starts == [max([128] + ends[:i]) for i in range(len(ends))]
         assert 512 in ends[ends.index(4096):] and starts[-1] == 4096
@@ -630,6 +659,7 @@ class TestRadiusSearch:
             return CircleTest(False, 1.0, math.nan, 65536)
 
         monkeypatch.setattr(radius, "starlike_test_at_radius", guard_only)
+        monkeypatch.setattr(radius, "_circle_tests", one_at_a_time(guard_only))
         with pytest.raises(ValueError, match="only on the branch guard on 65536 angles"):
             radius_search(map_F(), "starlikeness", tol=1e-3)
         radii = [r for r, _ in calls]
@@ -699,15 +729,15 @@ class TestSpectralGrid:
 
     @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
     def test_grids_never_shrink_along_the_scan(self, kind, monkeypatch):
-        name = "convex_test_at_radius" if kind == "convexity" else "starlike_test_at_radius"
-        inner, grids = getattr(radius, name), []
+        inner, grids = radius._circle_tests, []  # every circle test of the search passes here
 
-        def spy(f, r, n_theta):
-            res = inner(f, r, n_theta)
-            grids.append((n_theta, res.grid_theta))
-            return res
+        def spy(f, radii, m, n_theta, curve_name):
+            # a row of the batched scan starts on the grid the row before it ended on
+            rows = inner(f, radii, m, n_theta, curve_name)
+            grids.extend(zip([n_theta] + [t.grid_theta for t in rows[:-1]], [t.grid_theta for t in rows]))
+            return rows
 
-        monkeypatch.setattr(radius, name, spy)
+        monkeypatch.setattr(radius, "_circle_tests", spy)
         res = radius_search(map_F(), kind)
         starts, ends = zip(*grids)
         assert starts[0] == 128 and all(a <= b for a, b in zip(ends, ends[1:]))
@@ -719,6 +749,92 @@ class TestSpectralGrid:
         full = radius_search(full_circle(MIRRORED[name](), monkeypatch), "starlikeness")
         assert (half.grid_theta, half.circle_tests) == (full.grid_theta, full.circle_tests)
         assert abs(half.r_lo - full.r_lo) <= 1e-12 and abs(half.r_hi - full.r_hi) <= 1e-12
+
+
+BATCHED = {
+    # conjugate-symmetric closed forms, the half circle
+    "map_F": map_F,
+    "map_L": map_L,
+    "example21": example21,
+    "example22": example22,
+    "l_hadamard_l": l_hadamard_l,
+    # closed forms on the full circle
+    "f_alpha(0.424284-0.212434j)": lambda: f_alpha(0.424284 - 0.212434j),
+    # series-only: one inverse FFT of all rows
+    "conv(L,L)": SERIES_ONLY["conv(L,L)"],
+    "M_alpha twin": SERIES_ONLY["M_alpha twin"],
+}
+# maps whose closed forms may round a row of a batch apart from the same
+# radius alone by a few ulp: complex scale factors take numpy's complex
+# products, whose SIMD and scalar paths can differ in the last bit
+ULP_ROWS = {"f_alpha(0.424284-0.212434j)"}
+
+
+def scan_of(f, kind, monkeypatch):
+    """The batched scan of ``radius_search(f, kind)``: its radii, m, start grid, curve name and rows."""
+    calls, inner = [], radius._circle_tests
+    monkeypatch.setattr(radius, "_circle_tests",
+                        lambda f, radii, *rest: calls.append((radii, *rest, inner(f, radii, *rest))) or calls[-1][-1])
+    radius_search(f, kind)
+    monkeypatch.undo()
+    (scan,) = [c for c in calls if len(c[0]) > 1]
+    return scan
+
+
+class TestBatchedScan:
+    """The upward scan samples its circles as rows of one array per grid."""
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
+    def test_rows_equal_one_circle_at_a_time(self, name, kind, monkeypatch):
+        f = BATCHED[name]()
+        radii, m, start, curve_name, rows = scan_of(f, kind, monkeypatch)
+        assert len(rows) >= 10 and not rows[-1].passed
+        for r, row in zip(radii, rows):
+            one = radius._circle_test(f, r, m, start, curve_name)
+            assert (row.passed, row.grid_theta) == (one.passed, one.grid_theta), r
+            for a, b in zip(row[1:3] + row[4:], one[1:3] + one[4:]):
+                slack = 4 * np.spacing(abs(b)) if name in ULP_ROWS else 0.0
+                assert a == b or abs(a - b) <= slack or (math.isnan(a) and math.isnan(b)), (r, a, b)
+            start = max(start, row.grid_theta)
+
+    @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
+    def test_sampling_calls_of_F(self, kind, monkeypatch):
+        # one test per radius sampled F's grids 17 / 35 times; no call may
+        # cover more points than one circle at the 65536-angle cap
+        points, inner = [], radius._circle_derivatives
+        monkeypatch.setattr(radius, "_circle_derivatives", lambda f, r, m, th, on_grid: (
+            on_grid and points.append(np.size(r) * th.size)) or inner(f, r, m, th, on_grid))
+        res = radius_search(map_F(), kind)
+        assert len(points) <= {"convexity": 7, "starlikeness": 10}[kind] < res.circle_tests // 2
+        assert max(points) <= harmonic._MAX_THETA_POINTS
+
+    def test_rows_past_the_first_loss_raise_nothing(self):
+        # the tangent i z (1 + z / r_k) vanishes at r_k, theta = pi, a scan
+        # radius far above the first loss at r_k / 2
+        r_k = np.linspace(0.01, 0.999, 50)[40]
+        f = HarmonicMap(TruncatedSeries(np.array([0, 1, 1 / (2 * r_k)], dtype=complex)), TruncatedSeries(np.zeros(3)))
+        with pytest.raises(ValueError, match="tangent vector vanishes"):
+            convex_test_at_radius(f, r_k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = radius_search(f, "convexity")
+        assert (round(res.r_lo, 6), round(res.r_hi, 6), res.circle_tests) == (0.408673, 0.408674, 8)
+
+    @pytest.mark.parametrize("row,raises", [(8, True), (30, False)])
+    def test_a_vanishing_curve_raises_only_where_the_scan_gets(self, row, raises, monkeypatch):
+        # F's convexity scan runs from row 3 to its first loss at row 13; the
+        # tangent is made to vanish on one scan circle
+        r_0 = float(np.linspace(0.01, 0.999, 50)[row])
+        inner = radius._circle_derivatives
+        monkeypatch.setattr(radius, "_circle_derivatives", lambda f, r, m, th, on_grid: (
+            lambda upper, curve: (upper, np.where(np.asarray(r) == r_0, 0 * curve, curve)))(*inner(f, r, m, th, on_grid)))
+        if raises:
+            with pytest.raises(ValueError, match=re.escape(f"tangent vector vanishes on |z| = {r_0}")):
+                radius_search(map_F(), "convexity")
+        else:
+            got, want = radius_search(map_F(), "convexity"), (monkeypatch.undo(), radius_search(map_F(), "convexity"))[1]
+            assert got == want
 
 
 class TestRefinementPoint:
@@ -821,6 +937,7 @@ class TestCertifiedStart:
             return CircleTest(r > 0.3, 1.0 if r > 0.3 else -1.0, 2 * math.pi)
 
         monkeypatch.setattr(radius, "convex_test_at_radius", fails_below)
+        monkeypatch.setattr(radius, "_circle_tests", one_at_a_time(fails_below))
         with pytest.raises(ValueError, match="below the radius .* that the coefficient sums certify"):
             radius_search(example21(), "convexity")
 
