@@ -434,7 +434,7 @@ def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on
     called once for all rows; a series-only map folds a_n + eps b_n into
     one-sided rows of the same inverse FFT.
     """
-    n = round(2 * np.pi / theta[1]) if on_grid else None
+    n = round(2 * np.pi / float(theta[1])) if on_grid else None
     if f.exact is not None:
         ex = f.exact
         z = r * (_unit_circle(n)[1][: theta.size] if on_grid else np.exp(1j * theta))
@@ -481,7 +481,8 @@ def _phase_steps(curve: np.ndarray, rate: np.ndarray, step: float) -> tuple[np.n
     that curve strays.  Circle tests sum the increments of a closed curve
     into its winding; Kaplan arcs sum them into arc integrals.
     """
-    steps = np.angle(curve[..., 1:] / curve[..., :-1])
+    ratio = curve[..., 1:] / curve[..., :-1]
+    steps = np.arctan2(ratio.imag, ratio.real)  # np.angle, without its Python-level checks
     trap = 0.5 * (rate[..., 1:] + rate[..., :-1]) * step
     return steps, ~(np.abs(steps - trap).max(-1) > np.pi / 2)
 

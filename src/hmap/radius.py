@@ -215,8 +215,8 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
         return n % 2 == 0 and f._conjugate_symmetric
 
     def sample(n: int, first: int):
-        thetas = _unit_circle(n)[0]
-        th = thetas[: n // 2 + 1] if half(n) else thetas
+        thetas, mirrored = _unit_circle(n)[0], half(n)
+        th = thetas[: n // 2 + 1] if mirrored else thetas
         upper, curve = _circle_derivatives(f, column[first : first + max(1, _BATCH_POINTS // th.size)], m, th, True)
         small = abs(curve) < 1e-13
         if small.any():
@@ -227,7 +227,7 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
                 raise ValueError(f"{curve_name} vanishes on |z| = {radii[first]}")
             upper, curve = upper[:j], curve[:j]
         rate = (upper / curve).imag
-        if half(n):
+        if mirrored:
             return np.concatenate([rate, rate[:, -2:0:-1]], axis=1), (curve, rate)
         return rate, (np.append(curve, curve[:, :1], axis=1), np.append(rate, rate[:, :1], axis=1))
 
