@@ -38,11 +38,15 @@ for r in (0.15, 0.25, 0.267949, 0.30, 0.5, 0.65, 0.658330, 0.66, 0.8):
     print(f"{r:.6f}  {str(c.passed):5}   {str(s.passed):5}"
           f"   ({c.min_derivative:+.2e}, {s.min_derivative:+.2e})")
 
-# root the margin of both transitions to a bracket of width 1e-6
+# root the margin of both transitions to a bracket of width 1e-6: whole
+# circle tests up to the first loss, then single values of the rate that
+# follow the failing circle's minimum, and one pair of circle tests to confirm
 conv = radius_search(F, "convexity", tol=1e-6)
 star = radius_search(F, "starlikeness", tol=1e-6)
-print(f"\nconvexity bracket  [{conv.r_lo:.9f}, {conv.r_hi:.9f}]  ({conv.circle_tests} circle tests)")
-print(f"starlikeness bracket [{star.r_lo:.9f}, {star.r_hi:.9f}]  ({star.circle_tests} circle tests)")
+print()
+for name, res in (("convexity", conv), ("starlikeness", star)):
+    print(f"{name:12} bracket [{res.r_lo:.9f}, {res.r_hi:.9f}]  "
+          f"({res.circle_tests} circle tests, {res.point_evals} point values)")
 
 # the same constants from the sign polynomials
 sp = solve_special_radii()

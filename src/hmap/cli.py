@@ -189,6 +189,8 @@ def _cmd_radius(args, order: int) -> int:
         print(f"{kind} radius of {args.function}: bracket [{result.r_lo:.9f}, {result.r_hi:.9f}]")
         print(f"{sums}; the circle tests start at {start}, and the finest grid "
               f"they needed has {result.grid_theta} angles")
+        print(f"the search took {result.circle_tests} circle tests and {result.point_evals} "
+              "single values of the rate")
     elif cert >= result.r_lo:
         print(f"{kind} of {args.function}: {sums}, past the search cap; one circle was tested, at r = {result.r_lo}")
     else:

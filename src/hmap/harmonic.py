@@ -220,16 +220,31 @@ class HarmonicMap:
         """The circle image sum_k c_k r^|k| e^{i k theta} of a series-only map, as arrays over k.
 
         Returns the frequencies k = 0 .. deg h, then -1 .. -deg g, each once;
-        |k| as floats; c_k = a_k for k >= 0 and conj(b_{-k}) for k < 0, with
-        c_0 = a_0 + conj(b_0); and the weights W[p] = (ik)^p for p = 0, 1, 2,
-        which a theta-derivative of order p multiplies in.  Built at the first
+        the same k as complex numbers, the exponents of e^{i theta} off the
+        grid (numpy's complex power takes them without a cast); c_k = a_k
+        for k >= 0 and conj(b_{-k}) for k < 0, with c_0 = a_0 + conj(b_0);
+        and the weights W[p] = (ik)^p for p = 0, 1, 2, which a
+        theta-derivative of order p multiplies in.  Built at the first
         circle test that samples the map from its coefficients.
         """
         k = np.concatenate([np.arange(self.h.order + 1), -np.arange(1, self.g.order + 1)])
         c = np.concatenate([self.h.coeffs, np.conj(self.g.coeffs[1:])])
         c[0] += np.conj(self.g.coeffs[0])
         ik = 1j * k
-        return k, np.abs(k).astype(float), c, np.stack([np.ones_like(ik), ik, ik * ik])
+        return k, k.astype(complex), c, np.stack([np.ones_like(ik), ik, ik * ik])
+
+    def _scaled_rows(self, r: float) -> np.ndarray:
+        """The rows W[p] c_k r^|k|, p = 0, 1, 2, of :attr:`_circle_terms` at one radius, a float.
+
+        The rows of the last radius asked for are kept: the refinement
+        points of a circle test, and the tracked margin of a radius search,
+        sample several angles at one radius.
+        """
+        last = vars(self).get("_last_rows")
+        if last is None or last[0] != r:
+            k, powers, c, weights = self._circle_terms
+            last = vars(self)["_last_rows"] = (r, weights * (c * r ** np.abs(powers)))
+        return last[1]
 
     # -- evaluation plumbing -------------------------------------------------
 
@@ -421,12 +436,18 @@ def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on
     whose theta-derivative multiplies the coefficient at frequency k by ik.
     The frequencies, coefficients and weights (ik)^p are built once per map
     (``HarmonicMap._circle_terms``), so a call only scales them by r^|k|,
-    one row per radius.  On the grid each derivative is one inverse FFT of
-    the coefficients folded modulo n, exact at any degree, cut to the
-    prefix: one transform of all rows.  Other angles take the direct sum,
-    after they are reduced into (-pi, pi]: a phase k theta near 2 pi k would
-    lose digits at high frequencies, and the mirror images theta and
-    2 pi - theta would be rounded differently.
+    one row per radius; a float r reuses the scaled rows of the last radius
+    (``HarmonicMap._scaled_rows``), as the refinement points of a circle
+    and the tracked margin of a radius search sample several angles at one
+    radius.  On the grid each derivative is one inverse FFT of the
+    coefficients folded modulo n, exact at any degree, cut to the prefix:
+    one transform of all rows.  Other angles, an array or one float on the
+    same code, take the direct sum with the phases e^{ik theta} as integer
+    powers of e^{i theta} (numpy's complex power multiplies them out by
+    squaring up to k = 99): no phase k theta is rounded, which lost digits
+    at high frequencies.  The angle is not reduced first: e^{i theta} is as
+    accurate at theta near 2 pi as near 0, and a reduced angle is another
+    rounding.
 
     With a 1-D array ``eps`` (m = 1 and a float r only) it samples the
     analytic maps Fe = h + eps g of Kaplan's arc integrals instead, one row
@@ -449,12 +470,15 @@ def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on
             return d2, d1
         return _angular(z, ex.dh, ex.dg)[0], ex.h(z) + ex.g(z).conjugate()
     if eps is None:
-        k, abs_k, c, weights = f._circle_terms
-        # rows (ik)^m c_k r^|k| and (ik)^(m+1) c_k r^|k|: the lower ones, one
-        # per radius, then the upper ones
-        rows = (weights[m : m + 2, None] * (c * r ** abs_k)).reshape(-1, k.size)
+        k, powers, c, weights = f._circle_terms
+        if isinstance(r, np.ndarray):
+            # rows (ik)^m c_k r^|k| and (ik)^(m+1) c_k r^|k|: the lower ones, one
+            # per radius, then the upper ones
+            rows = (weights[m : m + 2, None] * (c * r ** np.abs(powers))).reshape(-1, k.size)
+        else:
+            rows = f._scaled_rows(r)[m : m + 2]
     else:
-        k = np.arange(max(f.h.order, f.g.order) + 1)
+        k = powers = np.arange(max(f.h.order, f.g.order) + 1)
         a, b = (np.pad(s.coeffs, (0, k.size - s.coeffs.size)) for s in (f.h, f.g))
         c = (a + eps[:, None] * b) * r ** k
         rows = np.concatenate([(1j * k) ** m * c, (1j * k) ** (m + 1) * c])
@@ -463,9 +487,9 @@ def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on
         np.add.at(spec, (slice(None), k % n), rows)
         out = np.fft.ifft(spec, norm="forward")[:, : theta.size]
     else:
-        out = rows @ np.exp(1j * np.multiply.outer(k, np.angle(np.exp(1j * theta))))
+        out = rows.dot(np.power.outer(np.exp(1j * theta), powers).T)
     half = len(out) // 2
-    if eps is None and np.ndim(r) == 0:
+    if eps is None and not isinstance(r, np.ndarray):
         return out[1], out[0]
     return out[half:], out[:half]
 
@@ -527,7 +551,7 @@ def _chop_and_double(sample: Callable, n: int, rows: int = 1):
     while first < rows:
         rate, path = sample(n, first)
         spectrum = np.abs(np.fft.rfft(rate))
-        tails = (spectrum[..., -(-3 * n // 8):] / spectrum.max(-1, keepdims=True)).max(-1)
+        tails = spectrum[..., -(-3 * n // 8):].max(-1) / spectrum.max(-1)  # division keeps the order: max of the ratios
         steps, ok = _phase_steps(*path, _unit_circle(n)[0][1])
         if tails.ndim > 1:  # the curves of a row settle together
             tails, ok = tails.reshape(len(rate), -1).max(1), ok.reshape(len(rate), -1).all(1)
@@ -540,6 +564,7 @@ def _chop_and_double(sample: Callable, n: int, rows: int = 1):
             first += k
         if k < len(rate):
             n *= 2
+        del rate, path, spectrum, steps  # freed before the next rows are sampled: one grid's arrays at a time
 
 
 def _polar_grid(r_max: float, n_r: int, n_t: int) -> np.ndarray:

@@ -45,11 +45,16 @@ The radius of convexity (or starlikeness) is the first r where the test
 fails.  ``radius_search`` scans r upward to the first failing circle, in
 one batched call of the circle tests, starting where the coefficient sums
 of the dilation f(rz)/r, those of ``hmap.classifiers``, stop certifying
-every circle, and roots the margin, the refined minimum of the rate, which
-is continuous in r, between the last pass and that failure, one radius per
-test.  Margins that dip between scan points are searched for a failing band
-narrower than the scan step.  Each circle test starts on the finest grid a
-test of the search reached before it.
+every circle.  It then roots the margin, the refined minimum of the rate,
+which is continuous in r, between the last pass and that failure.  Near
+the root only the minimum that the failing circle found matters, and its
+angle moves continuously with r, so the root is taken on that minimum
+tracked in single values of the rate, a few per radius instead of a whole
+circle, and confirmed by one batched pair of circle tests; where the
+tracker gives up or the pair disagrees, on the margins of whole circle
+tests, one radius per test.  Margins that dip between scan points are
+searched for a failing band narrower than the scan step.  Each circle test
+starts on the finest grid a test of the search reached before it.
 
 For the horizontally sheared half-plane map F = f_alpha(1) the transition
 radii admit exact descriptions through two polynomials in u = cos(theta).
@@ -93,12 +98,12 @@ from .report import Report
 class CircleTest(NamedTuple):
     """One circle test: the verdict, the margin, the winding and the grid that decided them.
 
-    ``min_derivative`` is the margin, the least sampled value of the rate;
-    ``total_turning`` is the winding of the sampled curve (nan where the
-    branch guard failed).  ``grid_theta`` is the full-circle grid the test
-    ended on and ``tail`` the largest Fourier coefficient of the rate on it
-    at k >= 3n/8, relative to the largest; tests that do not report them
-    leave 0 and nan.
+    ``min_derivative`` is the margin, the least sampled value of the rate,
+    and ``theta_min`` the angle it was sampled at; ``total_turning`` is the
+    winding of the sampled curve (nan where the branch guard failed).
+    ``grid_theta`` is the full-circle grid the test ended on and ``tail``
+    the largest Fourier coefficient of the rate on it at k >= 3n/8, relative
+    to the largest; tests that do not report them leave 0, nan and nan.
     """
 
     passed: bool
@@ -106,6 +111,7 @@ class CircleTest(NamedTuple):
     total_turning: float
     grid_theta: int = 0
     tail: float = math.nan
+    theta_min: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,11 @@ class RadiusResult(Report):
     they certify none); scan circles below it are not tested.  ``grid_theta``
     is the finest full-circle grid the search used: each circle test doubles
     its grid until the rate is resolved, and the next test starts on the
-    largest grid reached so far.  ``circle_tests`` counts the circle tests.
+    largest grid reached so far.  ``circle_tests`` counts the circle tests,
+    each a whole sampled circle; ``point_evals`` counts the single values of
+    the rate at one radius and one angle that the tracked margin of the root
+    search took (:func:`_search_grid`).  The few such values inside each
+    circle test, its parabolic steps, are part of that test.
     """
 
     kind: str
@@ -129,6 +139,7 @@ class RadiusResult(Report):
     grid_theta: int
     tol: float
     circle_tests: int
+    point_evals: int
     r_certified: float
     upper_limit_hit: bool = False
 
@@ -143,24 +154,28 @@ _REFINE_GAIN = 1e-13  # a parabolic step that predicts less, relative to the mar
 _BATCH_POINTS = 2048
 
 
-def _refined_min(values: np.ndarray, step: float, fn: Callable[[float], float]) -> float:
-    """Grid minimum improved by up to three successive parabolic steps.
+def _refined_min(
+    t0: float,
+    left: tuple[float, float],
+    mid: tuple[float, float],
+    right: tuple[float, float],
+    fn: Callable[[float], float],
+) -> tuple[float, float]:
+    """The least of three rate values, improved by up to three successive parabolic steps.
 
-    ``values`` holds the rate on the whole grid, ``step`` is its spacing and
-    ``fn`` evaluates the rate at one off-grid angle, a scalar.  The first
-    parabola runs through the grid minimum and its two neighbours; each step
-    samples the rate at the vertex and keeps the three least values for the
-    next.  It stops early where the parabola is not convex, where its vertex
-    leaves the two grid steps around the grid minimum, or where the gain it
-    predicts is below rounding, 1e-13 of the least value or of 1.  The
-    result is the least rate value sampled, an actual value at an actual
-    angle.
+    ``left``, ``mid`` and ``right`` are (offset from the angle ``t0``, rate
+    value) pairs in increasing offset, ``mid`` the least, and ``fn``
+    evaluates the rate at one angle, a scalar.  The first parabola runs
+    through the three; each step samples the rate at the vertex and keeps
+    the three least values for the next.  It stops early where the parabola
+    is not convex, where its vertex leaves (left, right), or where the gain
+    it predicts is below rounding, 1e-13 of the least value or of 1.
+    Returns the least rate value sampled and its angle, an actual value at
+    an actual angle.  Circle tests start it from the grid minimum and its
+    two neighbours, the tracked margin of :func:`_search_grid` from the end
+    of a downhill walk (:func:`_tracked_min`).
     """
-    k = int(values.argmin())
-    m = values.size
-    t0 = k * step
-    step = float(step)  # the parabolas in Python floats: the same arithmetic, without numpy's per-scalar cost
-    points = [(0.0, float(values[k])), (-step, float(values[(k - 1) % m])), (step, float(values[(k + 1) % m]))]
+    points = [mid, left, right]
     for _ in range(_REFINE_STEPS):
         (a, fa), (b, fb), (c, fc) = sorted(points)
         slope = (fb - fa) / (b - a)
@@ -169,10 +184,19 @@ def _refined_min(values: np.ndarray, step: float, fn: Callable[[float], float]) 
             break
         x = 0.5 * (a + b - slope / curvature)
         best, least = points[0]
-        if not -step < x < step or curvature * (x - best) ** 2 <= _REFINE_GAIN * max(1.0, abs(least)):
+        if not left[0] < x < right[0] or curvature * (x - best) ** 2 <= _REFINE_GAIN * max(1.0, abs(least)):
             break
         points = sorted(points + [(x, float(fn(t0 + x)))], key=lambda p: p[1])[:3]
-    return points[0][1]
+    best, least = points[0]
+    return least, t0 + best
+
+
+def _rate_at(f: HarmonicMap, r: float, m: int, theta: float, curve_name: str) -> float:
+    """The rate Im(d^{m+1} f / d^m f) at one radius and one angle; ValueError where the curve vanishes."""
+    upper, curve = _circle_derivatives(f, r, m, theta, False)
+    if abs(curve) < 1e-13:
+        raise ValueError(f"{curve_name} vanishes on |z| = {r}")
+    return (upper / curve).imag
 
 
 def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) -> list[CircleTest]:
@@ -204,13 +228,6 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
     if not all(0 < r < 1 for r in radii):
         raise ValueError("need 0 < r < 1")
     column = np.array(radii)[:, None]
-
-    def rate_at(r: float, th: float) -> float:
-        upper, curve = _circle_derivatives(f, r, m, th, False)
-        if abs(curve) < 1e-13:
-            raise ValueError(f"{curve_name} vanishes on |z| = {r}")
-        return (upper / curve).imag
-
     def half(n: int) -> bool:
         return n % 2 == 0 and f._conjugate_symmetric
 
@@ -229,19 +246,22 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
         rate = (upper / curve).imag
         if mirrored:
             return np.concatenate([rate, rate[:, -2:0:-1]], axis=1), (curve, rate)
-        return rate, (np.append(curve, curve[:, :1], axis=1), np.append(rate, rate[:, :1], axis=1))
+        return rate, (np.concatenate([curve, curve[:, :1]], axis=1), np.concatenate([rate, rate[:, :1]], axis=1))
 
     tests = []
     for n, first, rates, steps, oks, tails in _chop_and_double(sample, n_theta, len(radii)):
         windings = ((2 if half(n) else 1) * steps.sum(-1)).tolist()
-        step = _unit_circle(n)[0][1]
+        step = float(_unit_circle(n)[0][1])  # parabolas in Python floats: numpy's arithmetic, not its scalar cost
         for rate, r, winding, ok, tail in zip(rates, radii[first:], windings, oks, tails):
-            mn = _refined_min(rate, step, lambda th: rate_at(r, th))
+            k = int(rate.argmin())
+            mn, at = _refined_min(k * step, (-step, float(rate[k - 1])), (0.0, float(rate[k])),
+                                  (step, float(rate[(k + 1) % n])), lambda th: _rate_at(f, r, m, th, curve_name))
             turning = winding if ok else math.nan
             passed = mn >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
-            tests.append(CircleTest(passed, mn, turning, n, tail))
+            tests.append(CircleTest(passed, mn, turning, n, tail, at))
             if not passed:
                 return tests
+        del rates, steps, rate  # as in _chop_and_double: freed before the next rows are sampled
     return tests
 
 
@@ -370,7 +390,7 @@ def radius_search(
     certificate and raises ValueError.  The skipped circles cannot fail, so
     the first loss and the bracket are those of a scan of the whole grid.
     For F the sums certify convexity up to 0.0903 and starlikeness up to
-    0.1649, which spares 3 and 7 scan circles (16 and 32 tests remain).
+    0.1649, which spares 3 and 7 scan circles.
     Where the margins scanned below the first loss dip to a local minimum, a
     golden-section search of the two neighbouring steps looks for a failing
     band narrower than the step; a failure found there is the first loss.
@@ -379,8 +399,15 @@ def radius_search(
     plus CIRCLE_MIN_TOL, which is continuous in r and changes sign exactly
     where the circle test does, is rooted by Brent-Dekker, and the bracket
     [x - 0.45 tol, x + 0.45 tol] around the root x is confirmed by two more
-    tests.  A winding failure (margin above threshold) or an unconfirmed
-    bracket falls back to bisection on pass/fail.  Radii above the first
+    tests, one batched pair.  The root is first taken on the tracked
+    margin: the minimum of the rate that the two circles found, followed in
+    r through single values of the rate (:func:`_tracked_root`), counted in
+    ``point_evals``.  A lost walk, a tracked margin without a sign change or
+    a pair that disagrees falls back to Brent-Dekker on the margins of whole
+    circle tests, and a winding failure (margin above threshold) or a
+    bracket that still does not confirm to bisection on pass/fail.  For F
+    the tracker brings the tests to 13 and 29, with 15 and 27 rate values;
+    without it the search took 16 and 32 tests.  Radii above the first
     loss where the property holds again are not searched.  If the property
     still holds at the cap the result carries ``upper_limit_hit`` and the
     bracket degenerates to [0.999, 1); a map the sums certify up to the cap
@@ -390,9 +417,10 @@ def radius_search(
     The upward scan is one call of :func:`_circle_tests`: its circles are
     sampled together, as rows of one array per grid, judged in order up to
     the first failure, and a row past it is neither counted nor raises.
-    The dip search, the Brent root, the confirming tests and the bisection
-    test one radius per call (:func:`convex_test_at_radius`,
-    :func:`starlike_test_at_radius`).  Each circle test chooses its own grid
+    The confirming pair is a second such call.  The dip search, the Brent
+    root on whole circles and the bisection test one radius per call
+    (:func:`convex_test_at_radius`, :func:`starlike_test_at_radius`).  Each
+    circle test chooses its own grid
     (:func:`_circle_tests`): the first starts on ``n_theta`` angles and each
     later one on the largest grid any test reached so far, in the batch as
     in a test of its own; the result reports that finest grid.  A
@@ -412,7 +440,7 @@ def radius_search(
         raise ValueError("kind must be 'convexity' or 'starlikeness'")
 
     r_cert = _certified_radius(f, kind)
-    grid = n_theta
+    grid, points = n_theta, 0
 
     def tests(radii) -> list[CircleTest]:
         # a single radius goes through the public test, the scan through the batch
@@ -421,14 +449,19 @@ def radius_search(
         grid = max([grid] + [t.grid_theta for t in results])
         return results
 
-    lo, hi, seen = _search_grid(tests, kind, tol, np.linspace(r_min, 0.999, 50), r_cert)
+    def rate(r: float, theta: float) -> float:
+        nonlocal points
+        points += 1
+        return _rate_at(f, r, m, theta, name)
+
+    lo, hi, seen = _search_grid(tests, rate, kind, tol, np.linspace(r_min, 0.999, 50), r_cert)
     if hi == 1.0:
-        return RadiusResult(kind, lo, hi, grid, tol, len(seen), r_cert, upper_limit_hit=True)
+        return RadiusResult(kind, lo, hi, grid, tol, len(seen), points, r_cert, upper_limit_hit=True)
     loss = seen[hi]
     if math.isnan(loss.total_turning) and loss.min_derivative >= -CIRCLE_MIN_TOL:
         raise ValueError(f"{kind} circle at r = {hi} fails only on the branch guard on "
                          f"{grid} angles; the curve needs a finer grid than the cap")
-    return RadiusResult(kind, lo, hi, grid, tol, len(seen), r_cert)
+    return RadiusResult(kind, lo, hi, grid, tol, len(seen), points, r_cert)
 
 
 def _require_tol(tol: float) -> None:
@@ -443,6 +476,7 @@ def _require_tol(tol: float) -> None:
 
 def _search_grid(
     circles: Callable[[list[float]], list[CircleTest]],
+    rate: Callable[[float, float], float],
     kind: str,
     tol: float,
     grid: np.ndarray,
@@ -451,10 +485,16 @@ def _search_grid(
     """The search of :func:`radius_search`: r_lo, r_hi and every circle tested.
 
     ``circles(radii)`` tests increasing radii in order, up to the first that
-    fails.  The scan of the radii ``grid`` starts at the largest one <=
-    ``r_cert``, or at the first, and is one such call; every later test is
-    one radius.  r_hi is 1.0 when the property still holds at the last (then
-    r_lo is the last).
+    fails, and ``rate(r, theta)`` is one value of the rate.  The scan of the
+    radii ``grid`` starts at the largest one <= ``r_cert``, or at the first,
+    and is one such call.  After the dip search, a margin failure is rooted
+    on the tracked margin (:func:`_tracked_root`, single ``rate`` values),
+    and the bracket around its root is confirmed by one call on the pair of
+    its ends.  Where the tracker gives up or the pair disagrees, the root is
+    taken on the margins of whole circle tests, and then bisection on
+    pass/fail takes over, as it does after a winding failure; those tests
+    are one radius per call.  r_hi is 1.0 when the property still holds at
+    the last (then r_lo is the last).
     """
     seen: dict[float, CircleTest] = {}
 
@@ -488,14 +528,28 @@ def _search_grid(
     if all(t.passed for t in seen.values()):
         return float(grid[-1]), 1.0, seen
 
+    def confirmed(x: float, lo: float, hi: float) -> tuple[float, float] | None:
+        # [x - 0.45 tol, x + 0.45 tol], tested as one batched pair, if it holds the first loss
+        lo_x, hi_x = max(lo, x - 0.45 * tol), min(hi, x + 0.45 * tol)
+        pending = [r for r in (lo_x, hi_x) if r not in seen]
+        if pending:
+            seen.update(zip(pending, circles(pending)))
+        if seen[lo_x].passed and hi_x in seen and not seen[hi_x].passed and first_loss()[1] > lo_x:
+            return lo_x, hi_x
+        return None
+
     lo, hi = first_loss()
     margin = lambda r: test(r).min_derivative + CIRCLE_MIN_TOL
     if margin(hi) < 0:  # a margin failure, not a winding one: root the margin
-        x = _bracketed_root(margin, lo, hi, xtol=0.4 * tol)
-        lo_x, hi_x = max(lo, x - 0.45 * tol), min(hi, x + 0.45 * tol)
-        if test(lo_x).passed and not test(hi_x).passed and first_loss()[1] > lo_x:
-            return lo_x, hi_x, seen
+        x = _tracked_root(rate, lo, hi, seen, xtol=0.4 * tol)
+        if x is not None and (found := confirmed(x, lo, hi)):
+            return (*found, seen)
         lo, hi = first_loss()
+        if margin(hi) < 0:  # the tracker gave up or its pair disagreed: root whole circles' margins
+            found = confirmed(_bracketed_root(margin, lo, hi, xtol=0.4 * tol), lo, hi)
+            if found:
+                return (*found, seen)
+            lo, hi = first_loss()
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if test(mid).passed:
@@ -503,6 +557,79 @@ def _search_grid(
         else:
             hi = mid
     return lo, hi, seen
+
+
+def _tracked_min(fn: Callable[[float], float], theta: float, step: float) -> tuple[float, float] | None:
+    """The least value of the rate ``fn`` near the angle ``theta``, and its angle; None where the walk is lost.
+
+    From theta - step, theta and theta + step the walk goes downhill, each
+    stride twice the last, until the least of its last three points lies
+    between the other two; :func:`_refined_min` then takes its parabolic
+    steps from those three.  A walk whose next stride would pass half a
+    turn is lost, as is one that meets a nan.
+    """
+    left, mid, right = ((x, float(fn(theta + x))) for x in (-step, 0.0, step))
+    stride = step
+    while not mid[1] <= min(left[1], right[1]):
+        stride *= 2
+        if stride > math.pi:
+            return None
+        if left[1] < right[1]:
+            mid, right = left, mid
+            left = (mid[0] - stride, float(fn(theta + mid[0] - stride)))
+        else:
+            left, mid = mid, right
+            right = (mid[0] + stride, float(fn(theta + mid[0] + stride)))
+    return _refined_min(theta, left, mid, right, fn)
+
+
+class _LostBranch(Exception):
+    """A tracked minimum walked off (:func:`_tracked_min`)."""
+
+
+def _tracked_root(
+    rate: Callable[[float, float], float],
+    lo: float,
+    hi: float,
+    seen: dict[float, CircleTest],
+    xtol: float,
+) -> float | None:
+    """Root of the tracked margin between the last pass ``lo`` and the first fail ``hi``; None where it gives up.
+
+    The margin m(r) = min_theta rate(r, theta) needs, near the root, only
+    the minimum that the failing circle found, followed in r: its angle
+    theta*(r) moves continuously.  At a new radius the tracker starts from
+    the angle of the nearest radius already evaluated, first the two
+    circles' ``theta_min``, and finds the least rate near it from single
+    values ``rate(r, theta)`` (:func:`_tracked_min`), on the spacing of the
+    finest grid any circle test of the search reached.  Brent-Dekker
+    (:func:`_bracketed_root`) roots that minimum plus CIRCLE_MIN_TOL to
+    ``xtol``.  It gives up, returning None, where a circle reports no
+    angle, where a walk is lost, or where the tracked margin does not pass
+    at ``lo`` and fail at ``hi``.  A root of the tracked margin is only a
+    candidate: the caller confirms it with whole circle tests.
+    """
+    angles = {lo: seen[lo].theta_min, hi: seen[hi].theta_min}
+    if not all(math.isfinite(a) for a in angles.values()):
+        return None
+    step = 2 * math.pi / max(t.grid_theta for t in seen.values())
+    values: dict[float, float] = {}
+
+    def margin(r: float) -> float:
+        if r not in values:
+            start = angles[min(angles, key=lambda s: abs(s - r))]
+            found = _tracked_min(lambda th: rate(r, th), start, step)
+            if found is None:
+                raise _LostBranch
+            values[r], angles[r] = found[0] + CIRCLE_MIN_TOL, found[1]
+        return values[r]
+
+    try:
+        if not margin(hi) < 0 <= margin(lo):
+            return None
+        return _bracketed_root(margin, lo, hi, xtol)
+    except _LostBranch:
+        return None
 
 
 # -- sign polynomials of the horizontally sheared half-plane map F --------------

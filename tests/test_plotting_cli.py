@@ -124,10 +124,11 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "0.267949" in printed
         assert "certify every circle up to r = 0.090333074" in printed
+        assert "the search took 13 circle tests and 15 single values of the rate" in printed
         data = json.loads(out.read_text())
         assert data["r_lo"] <= 2 - math.sqrt(3) <= data["r_hi"]
         # three scan circles below the certified radius are not tested
-        assert data["circle_tests"] == 16
+        assert (data["circle_tests"], data["point_evals"]) == (13, 15)
         assert data["r_certified"] == pytest.approx(0.0903330742578, abs=1e-12)
 
     def test_radius_of_a_product_with_a_parameterized_operand(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 
+import mpmath  # 40-digit reference sums
 import numpy as np
 import pytest
 from scipy.optimize import brentq  # reference solver; hmap itself must not import scipy
@@ -215,6 +216,20 @@ class TestSeriesOnlyCircles:
             for a, b in zip(_circle_derivatives(f, 0.8, m, thetas, False),
                             _circle_derivatives(horner_twin(f), 0.8, m, thetas, False)):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_off_grid_d1_against_a_40_digit_sum(self):
+        # the phases are powers of e^{i theta}: a phase k theta rounded at
+        # high k cost the direct sum about ten times this bound
+        f = SERIES_ONLY["conv(L,L)"]()
+        thetas = np.random.default_rng(26).uniform(-np.pi, np.pi, 50)
+        d1 = _circle_derivatives(f, 0.9, 0, thetas, False)[0]
+        a, b = ([mpmath.mpc(c.real, c.imag) for c in s.coeffs] for s in (f.h, f.g))
+        with mpmath.workdps(40):
+            for got, theta in zip(d1, thetas):
+                z = mpmath.mpf(0.9) * mpmath.expj(mpmath.mpf(theta))
+                zhp, zgp = (sum(n * c[n] * z ** n for n in range(1, len(c))) for c in (a, b))
+                want = complex(1j * (zhp - mpmath.conj(zgp)))
+                assert abs(got - want) <= 2e-13 * abs(want), theta
 
     @pytest.mark.parametrize("name", sorted(SERIES_ONLY))
     def test_no_pointwise_evaluation(self, name, monkeypatch):
@@ -430,7 +445,7 @@ class TestHalfCircle:
     def test_full_circle_without_the_symmetry(self, monkeypatch):
         sizes = []
         sample = radius._circle_derivatives
-        monkeypatch.setattr(radius, "_circle_derivatives", lambda f, r, m, th, on_grid: sizes.append(th.size)
+        monkeypatch.setattr(radius, "_circle_derivatives", lambda f, r, m, th, on_grid: sizes.append(np.size(th))
                             or sample(f, r, m, th, on_grid))
         c = np.array([0, 1, 0, 0, 0], dtype=complex)
         one_imaginary = np.array([0, 0, 0.1, 0.01j, 0], dtype=complex)
@@ -472,11 +487,12 @@ class TestRadiusSearch:
                             lambda f, rs, *rest: [radii.append(r) or t for r, t in zip(rs, inner(f, rs, *rest))])
         # the coefficient sums certify every circle up to r = 0.0903, so the
         # scan points 0.01, 0.0302 and 0.0504 below it are skipped; 11 scan
-        # points from 0.0706 (tested once) up to the first failure, 3 Brent
-        # steps on the margin, 2 tests that confirm the final bracket
+        # points from 0.0706 (tested once) up to the first failure, and 2
+        # tests that confirm the final bracket.  The Brent steps on the
+        # margin take 15 single values of the rate, no circle test
         res = radius_search(map_F(), "convexity")
-        assert res.circle_tests == 16
-        assert len(radii) == 16 and len(set(radii)) == 16
+        assert (res.circle_tests, res.point_evals) == (13, 15)
+        assert len(radii) == 13 and len(set(radii)) == 13
         assert min(radii) == np.linspace(0.01, 0.999, 50)[3]
         assert res.r_lo <= R_CONVEX <= res.r_hi
         radii.clear()
@@ -770,15 +786,30 @@ BATCHED = {
 ULP_ROWS = {"f_alpha(0.424284-0.212434j)"}
 
 
-def scan_of(f, kind, monkeypatch):
-    """The batched scan of ``radius_search(f, kind)``: its radii, m, start grid, curve name and rows."""
+def batched_calls(f, kind, monkeypatch):
+    """``radius_search(f, kind)`` and its batched circle tests: each call's radii, m, start, curve name and rows."""
     calls, inner = [], radius._circle_tests
     monkeypatch.setattr(radius, "_circle_tests",
                         lambda f, radii, *rest: calls.append((radii, *rest, inner(f, radii, *rest))) or calls[-1][-1])
-    radius_search(f, kind)
+    res = radius_search(f, kind)
     monkeypatch.undo()
-    (scan,) = [c for c in calls if len(c[0]) > 1]
-    return scan
+    return res, [c for c in calls if len(c[0]) > 1]
+
+
+def scan_of(f, kind, monkeypatch):
+    """The batched scan of ``radius_search(f, kind)``: the first batched call (the confirming pair is batched too)."""
+    return batched_calls(f, kind, monkeypatch)[1][0]
+
+
+def assert_rows_are_single_tests(name, f, radii, m, start, curve_name, rows):
+    """Each row equals ``_circle_test`` of its radius alone, started on the largest grid reached before it."""
+    for r, row in zip(radii, rows):
+        one = radius._circle_test(f, r, m, start, curve_name)
+        assert (row.passed, row.grid_theta) == (one.passed, one.grid_theta), r
+        for a, b in zip(row[1:3] + row[4:], one[1:3] + one[4:]):
+            slack = 4 * np.spacing(abs(b)) if name in ULP_ROWS else 0.0
+            assert a == b or abs(a - b) <= slack or (math.isnan(a) and math.isnan(b)), (r, a, b)
+        start = max(start, row.grid_theta)
 
 
 class TestBatchedScan:
@@ -790,23 +821,18 @@ class TestBatchedScan:
         f = BATCHED[name]()
         radii, m, start, curve_name, rows = scan_of(f, kind, monkeypatch)
         assert len(rows) >= 10 and not rows[-1].passed
-        for r, row in zip(radii, rows):
-            one = radius._circle_test(f, r, m, start, curve_name)
-            assert (row.passed, row.grid_theta) == (one.passed, one.grid_theta), r
-            for a, b in zip(row[1:3] + row[4:], one[1:3] + one[4:]):
-                slack = 4 * np.spacing(abs(b)) if name in ULP_ROWS else 0.0
-                assert a == b or abs(a - b) <= slack or (math.isnan(a) and math.isnan(b)), (r, a, b)
-            start = max(start, row.grid_theta)
+        assert_rows_are_single_tests(name, f, radii, m, start, curve_name, rows)
 
     @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
     def test_sampling_calls_of_F(self, kind, monkeypatch):
-        # one test per radius sampled F's grids 17 / 35 times; no call may
-        # cover more points than one circle at the 65536-angle cap
+        # one test per radius sampled F's grids 17 / 35 times, and the batched
+        # scan with one-radius tests after it 7 / 10 times; no call may cover
+        # more points than one circle at the 65536-angle cap
         points, inner = [], radius._circle_derivatives
         monkeypatch.setattr(radius, "_circle_derivatives", lambda f, r, m, th, on_grid: (
             on_grid and points.append(np.size(r) * th.size)) or inner(f, r, m, th, on_grid))
         res = radius_search(map_F(), kind)
-        assert len(points) <= {"convexity": 7, "starlikeness": 10}[kind] < res.circle_tests // 2
+        assert len(points) <= {"convexity": 3, "starlikeness": 6}[kind] < res.circle_tests // 2
         assert max(points) <= harmonic._MAX_THETA_POINTS
 
     def test_rows_past_the_first_loss_raise_nothing(self):
@@ -819,7 +845,7 @@ class TestBatchedScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = radius_search(f, "convexity")
-        assert (round(res.r_lo, 6), round(res.r_hi, 6), res.circle_tests) == (0.408673, 0.408674, 8)
+        assert (round(res.r_lo, 6), round(res.r_hi, 6), res.circle_tests) == (0.408673, 0.408674, 4)
 
     @pytest.mark.parametrize("row,raises", [(8, True), (30, False)])
     def test_a_vanishing_curve_raises_only_where_the_scan_gets(self, row, raises, monkeypatch):
@@ -835,6 +861,74 @@ class TestBatchedScan:
         else:
             got, want = radius_search(map_F(), "convexity"), (monkeypatch.undo(), radius_search(map_F(), "convexity"))[1]
             assert got == want
+
+
+def full_circle_root(monkeypatch):
+    """Searches with the tracker giving up at once: the root of whole circle tests."""
+    monkeypatch.setattr(radius, "_tracked_root", lambda *args, **kwargs: None)
+
+
+class TestTrackedMargin:
+    """The root of the margin follows its minimum in single rate values, confirmed by one batched pair."""
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
+    def test_bracket_within_tol_of_the_full_circle_root(self, name, kind, monkeypatch):
+        got = radius_search(BATCHED[name](), kind)
+        full_circle_root(monkeypatch)
+        full = radius_search(BATCHED[name](), kind)
+        assert got.point_evals > 0 and full.point_evals == 0
+        assert got.circle_tests < full.circle_tests
+        assert abs(got.r_lo - full.r_lo) <= got.tol and abs(got.r_hi - full.r_hi) <= got.tol
+
+    @pytest.mark.parametrize("kind,tests", [("convexity", 16), ("starlikeness", 32)])
+    def test_a_lost_walk_falls_back_to_the_full_circle_root(self, kind, tests, monkeypatch):
+        # the walk finds the two ends and is lost at the first Brent step;
+        # the search then runs as it did before the tracker, with its 16 / 32
+        # circle tests for F, and lands on the same bracket
+        walks, inner = [], radius._tracked_min
+        monkeypatch.setattr(radius, "_tracked_min", lambda *args: walks.append(args) or (
+            inner(*args) if len(walks) <= 2 else None))
+        lost = radius_search(map_F(), kind)
+        assert len(walks) == 3 and lost.point_evals > 0
+        monkeypatch.undo()
+        full_circle_root(monkeypatch)
+        full = radius_search(map_F(), kind)
+        assert (lost.r_lo, lost.r_hi, lost.grid_theta) == (full.r_lo, full.r_hi, full.grid_theta)
+        assert lost.circle_tests == full.circle_tests == tests
+
+    def test_a_walk_goes_downhill_to_an_interior_minimum(self):
+        # rate 1 - cos(theta - 0.05) from theta = 0 on steps of 0.01: strides
+        # of 0.02 and 0.04 reach 0.03 and 0.07, which hold the minimum between
+        # them, and the parabolic steps land on it
+        calls = []
+        value, angle = radius._tracked_min(lambda th: calls.append(th) or 1 - math.cos(th - 0.05), 0.0, 0.01)
+        assert calls[:5] == pytest.approx([-0.01, 0.0, 0.01, 0.03, 0.07], abs=1e-15)
+        assert angle == pytest.approx(0.05, abs=1e-7) and value <= 1e-14
+        assert len(calls) <= 5 + radius._REFINE_STEPS
+        # no interior minimum within half a turn, or a nan: lost
+        assert radius._tracked_min(lambda th: -th, 0.0, 0.01) is None
+        assert radius._tracked_min(lambda th: math.nan, 0.0, 0.01) is None
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    def test_rate_at_theta_min_reproduces_the_margin(self, name):
+        f = BATCHED[name]()
+        for m, test, what in ((0, starlike_test_at_radius, "map"), (1, convex_test_at_radius, "tangent vector")):
+            for r in (0.3, 0.6, 0.9):
+                t = test(f, r)
+                rate = radius._rate_at(f, r, m, t.theta_min, what)
+                # a refined minimum is that value; a grid minimum came from the
+                # grid's sampler, which rounds apart from one point's
+                assert abs(rate - t.min_derivative) <= 1e-12 * max(1.0, abs(t.min_derivative)), (r, m)
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
+    def test_confirming_pair_equals_two_single_tests(self, name, kind, monkeypatch):
+        f = BATCHED[name]()
+        res, (scan, pair) = batched_calls(f, kind, monkeypatch)
+        radii, m, start, curve_name, rows = pair
+        assert radii == [res.r_lo, res.r_hi] and [t.passed for t in rows] == [True, False]
+        assert_rows_are_single_tests(name, f, *pair)
 
 
 class TestRefinementPoint:
