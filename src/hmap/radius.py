@@ -51,8 +51,8 @@ the root only the minimum that the failing circle found matters, and its
 angle moves continuously with r, so the root is taken on that minimum
 tracked in single values of the rate, a few per radius instead of a whole
 circle, and confirmed by one batched pair of circle tests; where the
-tracker gives up or the pair disagrees, on the margins of whole circle
-tests, one radius per test.  Margins that dip between scan points are
+tracker gives up or the pair disagrees, bisection on pass/fail takes over,
+one circle test per radius.  Margins that dip between scan points are
 searched for a failing band narrower than the scan step.  Each circle test
 starts on the finest grid a test of the search reached before it.
 
@@ -129,7 +129,7 @@ class RadiusResult(Report):
     largest grid reached so far.  ``circle_tests`` counts the circle tests,
     each a whole sampled circle; ``point_evals`` counts the single values of
     the rate at one radius and one angle that the tracked margin of the root
-    search took (:func:`_search_grid`).  The few such values inside each
+    search took (:func:`_tracked_root`).  The few such values inside each
     circle test, its parabolic steps, are part of that test.
     """
 
@@ -172,8 +172,8 @@ def _refined_min(
     it predicts is below rounding, 1e-13 of the least value or of 1.
     Returns the least rate value sampled and its angle, an actual value at
     an actual angle.  Circle tests start it from the grid minimum and its
-    two neighbours, the tracked margin of :func:`_search_grid` from the end
-    of a downhill walk (:func:`_tracked_min`).
+    two neighbours, the tracked margin of :func:`radius_search` from the
+    end of a downhill walk (:func:`_tracked_min`).
     """
     points = [mid, left, right]
     for _ in range(_REFINE_STEPS):
@@ -265,11 +265,6 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
     return tests
 
 
-def _circle_test(f: HarmonicMap, r: float, m: int, n_theta: int, curve_name: str) -> CircleTest:
-    """One circle test: the one-row case of :func:`_circle_tests`."""
-    return _circle_tests(f, [r], m, n_theta, curve_name)[0]
-
-
 def convex_test_at_radius(
     f: HarmonicMap,
     r: float,
@@ -281,9 +276,9 @@ def convex_test_at_radius(
     regular).  Passes iff the sampled minimum stays above -1e-9 and the
     tangent d1f winds once, by 2 pi within 1e-3.  ``n_theta`` is the grid
     the test starts from, an integer of at least 8 (ValueError otherwise); it
-    doubles as the rate needs (:func:`_circle_test`).
+    doubles as the rate needs (:func:`_circle_tests`, the one-row case).
     """
-    return _circle_test(f, r, 1, n_theta, "tangent vector")
+    return _circle_tests(f, [r], 1, n_theta, "tangent vector")[0]
 
 
 def starlike_test_at_radius(
@@ -299,7 +294,7 @@ def starlike_test_at_radius(
     ``n_theta`` is the grid the test starts from, as for
     :func:`convex_test_at_radius`.
     """
-    return _circle_test(f, r, 0, n_theta, "map")
+    return _circle_tests(f, [r], 0, n_theta, "map")[0]
 
 
 def _dip_fails(test: Callable[[float], CircleTest], a: float, b: float, tol: float) -> bool:
@@ -370,68 +365,55 @@ def _certified_radius(f: HarmonicMap, kind: str) -> float:
     return x if excess(x) <= 0 else x - 2e-12
 
 
-def radius_search(
-    f: HarmonicMap,
-    kind: str,
-    tol: float = 1e-6,
-    n_theta: int = _START_THETA_POINTS,
-    r_min: float = 0.01,
-) -> RadiusResult:
+def radius_search(f: HarmonicMap, kind: str, tol: float = 1e-6) -> RadiusResult:
     """Bracket the first radius where the circle-image property is lost.
 
-    The property must hold at ``r_min`` (otherwise there is no inner radius
-    to report), which must be finite with 0 < r_min < 0.999 (ValueError
-    otherwise).  The scan grid is 50 radii from ``r_min`` to the cap
-    0.999.  The coefficient sums of the dilation f(rz)/r certify every
-    circle up to a radius r_cert (:func:`_certified_radius`, 0 for maps with
-    b_1 != 0), so the scan tests the largest grid radius <= r_cert once, or
-    ``r_min`` where there is none, and goes on upward from there; it stops
-    at the first failing circle.  A failing certified circle contradicts the
-    certificate and raises ValueError.  The skipped circles cannot fail, so
-    the first loss and the bracket are those of a scan of the whole grid.
-    For F the sums certify convexity up to 0.0903 and starlikeness up to
-    0.1649, which spares 3 and 7 scan circles.
+    The scan grid is 50 radii from 0.01 to the cap 0.999, and the property
+    must hold at the lowest radius it tests (otherwise there is no inner
+    radius to report).  The coefficient sums of the dilation f(rz)/r certify
+    every circle up to a radius r_cert (:func:`_certified_radius`, 0 for maps
+    with b_1 != 0), so the scan tests the largest grid radius <= r_cert
+    once, or 0.01 where there is none, and goes on upward from there; it
+    stops at the first failing circle.  A failing certified circle
+    contradicts the certificate and raises ValueError.  The skipped circles
+    cannot fail, so the first loss and the bracket are those of a scan of
+    the whole grid.  For F the sums certify convexity up to 0.0903 and
+    starlikeness up to 0.1649, which spares 3 and 7 scan circles.
     Where the margins scanned below the first loss dip to a local minimum, a
     golden-section search of the two neighbouring steps looks for a failing
     band narrower than the step; a failure found there is the first loss.
     The lowest circle tested has no scanned neighbour below it, so a dip
-    there is not searched.  Between the last pass and the first fail the margin
-    plus CIRCLE_MIN_TOL, which is continuous in r and changes sign exactly
-    where the circle test does, is rooted by Brent-Dekker, and the bracket
-    [x - 0.45 tol, x + 0.45 tol] around the root x is confirmed by two more
-    tests, one batched pair.  The root is first taken on the tracked
-    margin: the minimum of the rate that the two circles found, followed in
-    r through single values of the rate (:func:`_tracked_root`), counted in
-    ``point_evals``.  A lost walk, a tracked margin without a sign change or
-    a pair that disagrees falls back to Brent-Dekker on the margins of whole
-    circle tests, and a winding failure (margin above threshold) or a
-    bracket that still does not confirm to bisection on pass/fail.  For F
-    the tracker brings the tests to 13 and 29, with 15 and 27 rate values;
-    without it the search took 16 and 32 tests.  Radii above the first
-    loss where the property holds again are not searched.  If the property
-    still holds at the cap the result carries ``upper_limit_hit`` and the
-    bracket degenerates to [0.999, 1); a map the sums certify up to the cap
-    gets there after one circle test.  ``tol`` must be finite and at least
-    1e-12, or ValueError is raised.
+    there is not searched.  Between the last pass and the first fail the
+    margin plus CIRCLE_MIN_TOL, which is continuous in r and changes sign
+    exactly where the circle test does, is rooted on the tracked margin:
+    the minimum of the rate that the two circles found, followed in r
+    through single values of the rate (:func:`_tracked_root`), counted in
+    ``point_evals``.  The bracket [x - 0.45 tol, x + 0.45 tol] around its
+    root x is confirmed by one batched pair of circle tests.  A lost walk,
+    a tracked margin without a sign change, a pair that disagrees and a
+    winding failure (margin above threshold) fall back to bisection on
+    pass/fail.  For F the tracker takes 13 and 29 tests, with 15 and 27
+    rate values; where it gives up at once, bisection takes 26 and 42.
+    Radii above the first loss where the property holds again are not
+    searched.  If the property still holds at the cap the result carries
+    ``upper_limit_hit`` and the bracket degenerates to [0.999, 1); a map the
+    sums certify up to the cap gets there after one circle test.  ``tol``
+    must be finite and at least 1e-12, or ValueError is raised.
 
     The upward scan is one call of :func:`_circle_tests`: its circles are
     sampled together, as rows of one array per grid, judged in order up to
     the first failure, and a row past it is neither counted nor raises.
-    The confirming pair is a second such call.  The dip search, the Brent
-    root on whole circles and the bisection test one radius per call
-    (:func:`convex_test_at_radius`, :func:`starlike_test_at_radius`).  Each
-    circle test chooses its own grid
-    (:func:`_circle_tests`): the first starts on ``n_theta`` angles and each
-    later one on the largest grid any test reached so far, in the batch as
-    in a test of its own; the result reports that finest grid.  A
-    first loss that still fails only on the branch guard (turning nan,
-    margin above threshold) on the 65536-angle cap says that the grid is
-    too coarse for the curve there, not that the property is lost, and
-    raises ValueError.
+    The confirming pair is a second such call.  The dip search and the
+    bisection test one radius per call (:func:`convex_test_at_radius`,
+    :func:`starlike_test_at_radius`).  Each circle test chooses its own grid
+    (:func:`_circle_tests`): the first starts on 128 angles and each later
+    one on the largest grid any test reached so far, in the batch as in a
+    test of its own; the result reports that finest grid.  A first loss
+    that still fails only on the branch guard (turning nan, margin above
+    threshold) on the 65536-angle cap says that the grid is too coarse for
+    the curve there, not that the property is lost, and raises ValueError.
     """
     _require_tol(tol)
-    if not 0 < r_min < 0.999:
-        raise ValueError(f"r_min must be finite with 0 < r_min < 0.999, got {r_min}")
     if kind == "convexity":
         m, name, circle = 1, "tangent vector", convex_test_at_radius
     elif kind == "starlikeness":
@@ -440,82 +422,45 @@ def radius_search(
         raise ValueError("kind must be 'convexity' or 'starlikeness'")
 
     r_cert = _certified_radius(f, kind)
-    grid, points = n_theta, 0
+    seen: dict[float, CircleTest] = {}
+    grid, points = _START_THETA_POINTS, 0
 
-    def tests(radii) -> list[CircleTest]:
-        # a single radius goes through the public test, the scan through the batch
+    def tests(radii: list[float]) -> None:
+        # a single radius goes through the public test, the scan and the pair through the batch
         nonlocal grid
         results = _circle_tests(f, radii, m, grid, name) if len(radii) > 1 else [circle(f, radii[0], grid)]
         grid = max([grid] + [t.grid_theta for t in results])
-        return results
+        seen.update(zip(radii, results))
+
+    def test(r: float) -> CircleTest:
+        if r not in seen:
+            tests([r])
+        return seen[r]
 
     def rate(r: float, theta: float) -> float:
         nonlocal points
         points += 1
         return _rate_at(f, r, m, theta, name)
 
-    lo, hi, seen = _search_grid(tests, rate, kind, tol, np.linspace(r_min, 0.999, 50), r_cert)
-    if hi == 1.0:
-        return RadiusResult(kind, lo, hi, grid, tol, len(seen), points, r_cert, upper_limit_hit=True)
-    loss = seen[hi]
-    if math.isnan(loss.total_turning) and loss.min_derivative >= -CIRCLE_MIN_TOL:
-        raise ValueError(f"{kind} circle at r = {hi} fails only on the branch guard on "
-                         f"{grid} angles; the curve needs a finer grid than the cap")
-    return RadiusResult(kind, lo, hi, grid, tol, len(seen), points, r_cert)
-
-
-def _require_tol(tol: float) -> None:
-    """ValueError unless ``tol`` is finite and at least 1e-12.
-
-    A smaller one would keep the bisection of :func:`_search_grid` halving a
-    bracket that adjacent floats cannot shrink, forever.
-    """
-    if not (math.isfinite(tol) and tol >= 1e-12):
-        raise ValueError(f"tol must be finite and at least 1e-12, got {tol}")
-
-
-def _search_grid(
-    circles: Callable[[list[float]], list[CircleTest]],
-    rate: Callable[[float, float], float],
-    kind: str,
-    tol: float,
-    grid: np.ndarray,
-    r_cert: float,
-) -> tuple[float, float, dict[float, CircleTest]]:
-    """The search of :func:`radius_search`: r_lo, r_hi and every circle tested.
-
-    ``circles(radii)`` tests increasing radii in order, up to the first that
-    fails, and ``rate(r, theta)`` is one value of the rate.  The scan of the
-    radii ``grid`` starts at the largest one <= ``r_cert``, or at the first,
-    and is one such call.  After the dip search, a margin failure is rooted
-    on the tracked margin (:func:`_tracked_root`, single ``rate`` values),
-    and the bracket around its root is confirmed by one call on the pair of
-    its ends.  Where the tracker gives up or the pair disagrees, the root is
-    taken on the margins of whole circle tests, and then bisection on
-    pass/fail takes over, as it does after a winding failure; those tests
-    are one radius per call.  r_hi is 1.0 when the property still holds at
-    the last (then r_lo is the last).
-    """
-    seen: dict[float, CircleTest] = {}
-
-    def test(r: float) -> CircleTest:
-        r = float(r)
-        if r not in seen:
-            seen[r] = circles([r])[0]
-        return seen[r]
-
     def first_loss() -> tuple[float, float]:
         hi = min(r for r, t in seen.items() if not t.passed)
         return max(r for r, t in seen.items() if t.passed and r < hi), hi
 
-    start = max(int(np.searchsorted(grid, r_cert, side="right")) - 1, 0)
-    scan = [float(r) for r in grid[start:]]
-    seen.update(zip(scan, circles(scan)))
+    def result(lo: float, hi: float) -> RadiusResult:
+        loss = seen.get(hi)  # none above the cap
+        if loss and math.isnan(loss.total_turning) and loss.min_derivative >= -CIRCLE_MIN_TOL:
+            raise ValueError(f"{kind} circle at r = {hi} fails only on the branch guard on "
+                             f"{grid} angles; the curve needs a finer grid than the cap")
+        return RadiusResult(kind, lo, hi, grid, tol, len(seen), points, r_cert, upper_limit_hit=hi == 1.0)
+
+    radii = np.linspace(0.01, 0.999, 50)
+    scan = [float(r) for r in radii[max(int(np.searchsorted(radii, r_cert, side="right")) - 1, 0):]]
+    tests(scan)
     if not seen[scan[0]].passed:
         if scan[0] <= r_cert:
-            raise ValueError(f"{kind} fails at r = {grid[start]}, below the radius {r_cert} "
+            raise ValueError(f"{kind} fails at r = {scan[0]}, below the radius {r_cert} "
                              "that the coefficient sums certify")
-        raise ValueError(f"{kind} already fails at r = {grid[0]}; nothing to bracket")
+        raise ValueError(f"{kind} already fails at r = {scan[0]}; nothing to bracket")
 
     # a failing band narrower than the scan step can hide where the margin
     # dips between passing scan points; rounding noise is no dip
@@ -526,29 +471,18 @@ def _search_grid(
             if _dip_fails(test, passing[i - 1], passing[i + 1], tol):
                 break
     if all(t.passed for t in seen.values()):
-        return float(grid[-1]), 1.0, seen
-
-    def confirmed(x: float, lo: float, hi: float) -> tuple[float, float] | None:
-        # [x - 0.45 tol, x + 0.45 tol], tested as one batched pair, if it holds the first loss
-        lo_x, hi_x = max(lo, x - 0.45 * tol), min(hi, x + 0.45 * tol)
-        pending = [r for r in (lo_x, hi_x) if r not in seen]
-        if pending:
-            seen.update(zip(pending, circles(pending)))
-        if seen[lo_x].passed and hi_x in seen and not seen[hi_x].passed and first_loss()[1] > lo_x:
-            return lo_x, hi_x
-        return None
+        return result(scan[-1], 1.0)
 
     lo, hi = first_loss()
-    margin = lambda r: test(r).min_derivative + CIRCLE_MIN_TOL
-    if margin(hi) < 0:  # a margin failure, not a winding one: root the margin
+    if seen[hi].min_derivative + CIRCLE_MIN_TOL < 0:  # a margin failure, not a winding one: root the margin
         x = _tracked_root(rate, lo, hi, seen, xtol=0.4 * tol)
-        if x is not None and (found := confirmed(x, lo, hi)):
-            return (*found, seen)
-        lo, hi = first_loss()
-        if margin(hi) < 0:  # the tracker gave up or its pair disagreed: root whole circles' margins
-            found = confirmed(_bracketed_root(margin, lo, hi, xtol=0.4 * tol), lo, hi)
-            if found:
-                return (*found, seen)
+        if x is not None:
+            # [x - 0.45 tol, x + 0.45 tol], tested as one batched pair, if it holds the first loss
+            lo_x, hi_x = max(lo, x - 0.45 * tol), min(hi, x + 0.45 * tol)
+            if pending := [r for r in (lo_x, hi_x) if r not in seen]:
+                tests(pending)
+            if seen[lo_x].passed and hi_x in seen and not seen[hi_x].passed and first_loss()[1] > lo_x:
+                return result(lo_x, hi_x)
             lo, hi = first_loss()
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -556,7 +490,17 @@ def _search_grid(
             lo = mid
         else:
             hi = mid
-    return lo, hi, seen
+    return result(lo, hi)
+
+
+def _require_tol(tol: float) -> None:
+    """ValueError unless ``tol`` is finite and at least 1e-12.
+
+    A smaller one would keep the bisection of :func:`radius_search` halving
+    a bracket that adjacent floats cannot shrink, forever.
+    """
+    if not (math.isfinite(tol) and tol >= 1e-12):
+        raise ValueError(f"tol must be finite and at least 1e-12, got {tol}")
 
 
 def _tracked_min(fn: Callable[[float], float], theta: float, step: float) -> tuple[float, float] | None:
@@ -607,7 +551,11 @@ def _tracked_root(
     ``xtol``.  It gives up, returning None, where a circle reports no
     angle, where a walk is lost, or where the tracked margin does not pass
     at ``lo`` and fail at ``hi``.  A root of the tracked margin is only a
-    candidate: the caller confirms it with whole circle tests.
+    candidate: :func:`radius_search` confirms it with one batched pair of
+    circle tests, and bisects on pass/fail where it gives up or the pair
+    disagrees.  The pair catches a root on the wrong branch: where the last
+    pass and the first fail have their least rates on different minima, the
+    nearest evaluated angle may start a radius on the other one.
     """
     angles = {lo: seen[lo].theta_min, hi: seen[hi].theta_min}
     if not all(math.isfinite(a) for a in angles.values()):
@@ -635,24 +583,13 @@ def _tracked_root(
 # -- sign polynomials of the horizontally sheared half-plane map F --------------
 
 
-def _float_or_array(u):
-    """A scalar u as a Python float, anything else as a float array.
-
-    The sign polynomials on a scalar (r, u) then run in Python float
-    arithmetic, several times faster than on 0-d arrays.  They write every
-    power as a product, so the two give the same bits.
-    """
-    return float(u) if np.isscalar(u) else np.asarray(u, dtype=float)
-
-
 def polynomial_p(r, u) -> float | np.ndarray:
     """Convexity sign polynomial; nonnegative on u in [-1, 1] iff r <= 2 - sqrt(3).
 
     p(r, -1) factors as (1+r)^6 (1 - 4r + r^2), which is where the sign is
     lost first.  r and u may each be a float or an array, and broadcast
-    against each other; a float r and a scalar u give a float.
+    against each other; Python floats r and u give a Python float.
     """
-    u = _float_or_array(u)
     r2 = r * r
     r4 = r2 * r2
     s = 1 + r2
@@ -669,9 +606,8 @@ def polynomial_q(r, u) -> float | np.ndarray:
     minimum decides the sign.
 
     r and u may each be a float or an array, and broadcast against each
-    other; a float r and a scalar u give a float.
+    other; Python floats r and u give a Python float.
     """
-    u = _float_or_array(u)
     r2 = r * r
     d = 1 - r2
     return d * d - 2 * r * u * (1 + r2) + 8 * r2 * u * u - 2 * r * (1 + r2) * (u * u * u)
@@ -731,6 +667,7 @@ def p_root_in_radius(u: float) -> float:
     here): this root increases with u, which is why the u = -1 endpoint
     alone decides where p stays nonnegative.
     """
+    u = float(u)  # the polynomial then runs on Python floats, not numpy scalars
     if not -1 <= u < 1:
         raise ValueError("need -1 <= u < 1 (at u = 1 the polynomial has no root below 1)")
     return float(_bracketed_root(lambda r: polynomial_p(r, u), 0.0, 1.0, xtol=1e-14))

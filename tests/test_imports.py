@@ -4,6 +4,8 @@ Every case runs in a fresh interpreter, since the test process itself has
 imported everything long before.
 """
 
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -130,3 +132,47 @@ hmap.radius.radius_search = patched = lambda *a, **k: None
 print(json.dumps([hmap.radius_search is patched, "radius_search" in vars(hmap), original is not patched]))
 """)
     assert same == [True, False, True]
+
+
+
+# every defaulted parameter of the public API, as ``name(param)`` for a
+# function, ``Class.method(param)`` for a public method and ``Class.field``
+# for a defaulted init field of a dataclass: a new option is added here on
+# purpose, or the census below fails
+PUBLIC_OPTIONS = set("""
+    CatalogEntry.alpha f_alpha(order) g_alpha(order) example21(order) example22(order) l_hadamard_l(order)
+    make_M_alpha_member(label) make_named(order) map_F(order) map_L(order) parse_function(order)
+    shear_horizontal(label) shear_vertical(label) ClassificationReport.order_starlike
+    ClassificationReport.order_convex ClassificationReport.close_to_convex ClassificationReport.degenerate
+    ClassificationReport.truncation_order m_alpha_check(r_max) m_alpha_check(grid) family_bounds_check(samples)
+    family_bounds_check(r_max) tilde_dilatation_check(grid) tilde_dilatation_check(cross_order)
+    GridCheckReport.first_failure HarmonicMap.exact HarmonicMap.label injectivity_sample_check(n_samples)
+    injectivity_sample_check(include) sense_preserving_check(grid) PlotSpec.radii PlotSpec.n_rays
+    PlotSpec.n_circles PlotSpec.samples_per_curve PlotSpec.output_format RadiusResult.upper_limit_hit
+    convex_test_at_radius(n_theta) radius_search(tol) starlike_test_at_radius(n_theta)
+    TruncatedSeries.differentiate(times) run_suite(order)
+""".split())
+
+
+def _defaulted(name: str, obj) -> list[str]:
+    """The defaulted parameters of one public name, in the notation of PUBLIC_OPTIONS."""
+    def params(label, fn):
+        return [f"{label}({p.name})" for p in inspect.signature(fn).parameters.values() if p.default is not p.empty]
+
+    if not inspect.isclass(obj):
+        return params(name, obj) if callable(obj) else []
+    is_data = dataclasses.is_dataclass(obj)
+    found = [f"{name}.{f.name}" for f in dataclasses.fields(obj) if f.init and (
+        f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)] if is_data else []
+    for attr, member in vars(obj).items():
+        fn = getattr(member, "__func__", member)  # a classmethod or staticmethod's function
+        if inspect.isfunction(fn) and (not attr.startswith("_") or attr == "__init__" and not is_data):
+            found += params(f"{name}.{attr}", fn)
+    return found
+
+
+def test_public_options_are_the_listed_ones():
+    import hmap
+
+    found = [option for name in hmap.__all__ for option in _defaulted(name, getattr(hmap, name))]
+    assert sorted(found) == sorted(PUBLIC_OPTIONS) and len(found) == 41

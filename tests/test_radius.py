@@ -55,6 +55,12 @@ def identity_map():
     return g_alpha(0.0, 16)
 
 
+def b1_map():
+    """h = z + 0.1 z^2, g = 0.2 z: b_1 != 0, so the coefficient sums certify no radius."""
+    return HarmonicMap(TruncatedSeries(np.array([0, 1, 0.1], dtype=complex)),
+                       TruncatedSeries(np.array([0, 0.2, 0], dtype=complex)))
+
+
 class TestCircleTests:
     def test_identity_convex_everywhere(self):
         for r in (0.1, 0.5, 0.9, 0.99):
@@ -495,10 +501,6 @@ class TestRadiusSearch:
         assert len(radii) == 13 and len(set(radii)) == 13
         assert min(radii) == np.linspace(0.01, 0.999, 50)[3]
         assert res.r_lo <= R_CONVEX <= res.r_hi
-        radii.clear()
-        with pytest.raises(ValueError, match="already fails"):
-            radius_search(map_F(), "convexity", r_min=0.5)
-        assert radii == [0.5]
 
     def test_convexity_bracket_contains_constant(self):
         res = radius_search(map_F(), "convexity", tol=1e-6)
@@ -527,22 +529,14 @@ class TestRadiusSearch:
     @pytest.mark.parametrize("tol", [0.0, -1.0, 1e-20, math.nan, math.inf])
     def test_tol_must_be_finite_and_at_least_1e_12(self, monkeypatch, tol):
         # no search runs, so a missing check fails here instead of bisecting forever
-        monkeypatch.setattr(radius, "_search_grid", lambda *args: pytest.fail("searched with that tol"))
+        monkeypatch.setattr(radius, "_certified_radius", lambda *args: pytest.fail("searched with that tol"))
         with pytest.raises(ValueError, match="tol must be finite and at least 1e-12"):
             radius_search(map_F(), "convexity", tol=tol)
-
-    @pytest.mark.parametrize("r_min", [-0.5, 0.0, 0.999, 0.9995, math.nan, math.inf])
-    def test_r_min_must_lie_below_the_cap(self, monkeypatch, r_min):
-        # a scan grid from r_min to 0.999 must increase and stay inside the disk
-        monkeypatch.setattr(radius, "_search_grid", lambda *args: pytest.fail("searched with that r_min"))
-        with pytest.raises(ValueError, match="r_min must be finite with 0 < r_min < 0.999"):
-            radius_search(map_F(), "convexity", r_min=r_min)
 
     @pytest.mark.parametrize("n_theta", [0, 1, 3, -4, 2.5])
     def test_n_theta_must_be_an_integer_of_at_least_8(self, n_theta):
         msg = f"n_theta must be an integer of at least 8, got {n_theta}"
-        for run in (lambda: radius_search(map_F(), "convexity", n_theta=n_theta),
-                    lambda: convex_test_at_radius(map_F(), 0.5, n_theta),
+        for run in (lambda: convex_test_at_radius(map_F(), 0.5, n_theta),
                     lambda: starlike_test_at_radius(map_F(), 0.5, n_theta)):
             with pytest.raises(ValueError, match=re.escape(msg)):
                 run()
@@ -553,15 +547,20 @@ class TestRadiusSearch:
         assert not convex_test_at_radius(map_F(), res.r_hi).passed
 
     def test_identity_hits_upper_limit(self):
-        res = radius_search(identity_map(), "starlikeness", tol=1e-6, n_theta=512)
+        res = radius_search(identity_map(), "starlikeness", tol=1e-6)
         assert res.upper_limit_hit
         assert res.r_lo == pytest.approx(0.999)
 
-    def test_no_inner_radius_rejected(self):
-        # convexity already fails at r = 0.5 > 2 - sqrt(3), so a search floored
-        # there has no passing inner radius to anchor the bracket
-        with pytest.raises(ValueError):
-            radius_search(map_F(), "convexity", r_min=0.5)
+    def test_no_inner_radius_rejected(self, monkeypatch):
+        # circles that fail everywhere, on a map the sums certify nowhere: the
+        # scan stops at its first radius, with no pass to anchor the bracket
+        radii = []
+        fails = lambda f, r, n_theta=0: radii.append(r) or CircleTest(False, -1.0, 2 * math.pi)
+        monkeypatch.setattr(radius, "convex_test_at_radius", fails)
+        monkeypatch.setattr(radius, "_circle_tests", one_at_a_time(fails))
+        with pytest.raises(ValueError, match="already fails at r = 0.01; nothing to bracket"):
+            radius_search(b1_map(), "convexity")
+        assert radii == [0.01]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -802,9 +801,9 @@ def scan_of(f, kind, monkeypatch):
 
 
 def assert_rows_are_single_tests(name, f, radii, m, start, curve_name, rows):
-    """Each row equals ``_circle_test`` of its radius alone, started on the largest grid reached before it."""
+    """Each row equals ``_circle_tests`` of its radius alone, started on the largest grid reached before it."""
     for r, row in zip(radii, rows):
-        one = radius._circle_test(f, r, m, start, curve_name)
+        one = radius._circle_tests(f, [r], m, start, curve_name)[0]
         assert (row.passed, row.grid_theta) == (one.passed, one.grid_theta), r
         for a, b in zip(row[1:3] + row[4:], one[1:3] + one[4:]):
             slack = 4 * np.spacing(abs(b)) if name in ULP_ROWS else 0.0
@@ -864,7 +863,7 @@ class TestBatchedScan:
 
 
 def full_circle_root(monkeypatch):
-    """Searches with the tracker giving up at once: the root of whole circle tests."""
+    """Searches with the tracker giving up at once: bisection on whole circle tests."""
     monkeypatch.setattr(radius, "_tracked_root", lambda *args, **kwargs: None)
 
 
@@ -881,11 +880,13 @@ class TestTrackedMargin:
         assert got.circle_tests < full.circle_tests
         assert abs(got.r_lo - full.r_lo) <= got.tol and abs(got.r_hi - full.r_hi) <= got.tol
 
-    @pytest.mark.parametrize("kind,tests", [("convexity", 16), ("starlikeness", 32)])
-    def test_a_lost_walk_falls_back_to_the_full_circle_root(self, kind, tests, monkeypatch):
+    @pytest.mark.parametrize("kind,tests", [("convexity", 26), ("starlikeness", 42)])
+    def test_a_lost_walk_falls_back_to_bisection(self, kind, tests, monkeypatch):
         # the walk finds the two ends and is lost at the first Brent step;
-        # the search then runs as it did before the tracker, with its 16 / 32
-        # circle tests for F, and lands on the same bracket
+        # the search then bisects on pass/fail, with 26 / 42 circle tests for
+        # F, and lands on the bracket of a tracker that gives up at once,
+        # within tol of the tracked one
+        tracked = radius_search(map_F(), kind)
         walks, inner = [], radius._tracked_min
         monkeypatch.setattr(radius, "_tracked_min", lambda *args: walks.append(args) or (
             inner(*args) if len(walks) <= 2 else None))
@@ -896,6 +897,22 @@ class TestTrackedMargin:
         full = radius_search(map_F(), kind)
         assert (lost.r_lo, lost.r_hi, lost.grid_theta) == (full.r_lo, full.r_hi, full.grid_theta)
         assert lost.circle_tests == full.circle_tests == tests
+        assert abs(lost.r_lo - tracked.r_lo) <= tracked.tol and abs(lost.r_hi - tracked.r_hi) <= tracked.tol
+
+    def test_a_pair_that_disagrees_falls_back_to_bisection(self, monkeypatch):
+        # the last scan pass, r = 0.7972, has its least starlike rate at
+        # theta = 1.06 and the first fail, r = 0.8173, at theta = 5.55: the
+        # tracker roots the branch it starts on, 0.800593, the pair does not
+        # confirm it, and bisection finds the first loss at 0.8004678
+        f = f_alpha(0.452683 - 0.336233j)
+        roots, inner = [], radius._tracked_root
+        monkeypatch.setattr(radius, "_tracked_root", lambda *args, **kwargs: roots.append(inner(*args, **kwargs))
+                            or roots[-1])
+        res = radius_search(f, "starlikeness")
+        assert len(roots) == 1 and not res.r_lo <= roots[0] <= res.r_hi
+        assert res.circle_tests == 46 and res.r_hi - res.r_lo <= res.tol
+        assert starlike_test_at_radius(f, res.r_lo, 8192).passed
+        assert not starlike_test_at_radius(f, res.r_hi, 8192).passed
 
     def test_a_walk_goes_downhill_to_an_interior_minimum(self):
         # rate 1 - cos(theta - 0.05) from theta = 0 on steps of 0.01: strides
@@ -1014,10 +1031,9 @@ class TestCertifiedStart:
         assert res.r_certified == 1.0 and res.r_lo == 0.999
 
     def test_b1_certifies_nothing(self):
-        f = HarmonicMap(TruncatedSeries(np.array([0, 1, 0.1], dtype=complex)),
-                        TruncatedSeries(np.array([0, 0.2, 0], dtype=complex)))
+        f = b1_map()
         assert radius._certified_radius(f, "starlikeness") == 0.0
-        assert radius_search(f, "starlikeness", n_theta=512).r_certified == 0.0
+        assert radius_search(f, "starlikeness").r_certified == 0.0
 
     def test_tail_beyond_the_trusted_term_certifies_nothing_there(self):
         # at degree 16 the last stored term 16^3 r^15 of F reaches 1e-16 at r = 0.0653,
