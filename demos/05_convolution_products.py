@@ -58,11 +58,10 @@ def im_h_plus_g(th, r=0.9):
 
 theta = brentq(im_h_plus_g, 1.5, 1.6, xtol=1e-15)
 z_star = 0.9 * np.exp(1j * theta)
-rep = injectivity_sample_check(hadamard(map_L(512), map_F(512)), 0.95,
-                               n_samples=400, include=(z_star, np.conj(z_star)))
+rep = injectivity_sample_check(hadamard(map_L(512), map_F(512)), 0.95, include=(z_star, np.conj(z_star)))
 print(f"L*F collision at conjugate pair around theta = {theta:.6f}: {rep.collision}")
 print("L*F sense-preserving on the sampled disk:",
-      sense_preserving_check(LF, 0.7, grid=(16, 32)).passed)
+      sense_preserving_check(LF, 0.7).passed)
 
 # -- dilatation of products with sheared right factors ---------------------------
 # for right factors with dilatation e^{i t} z^n (n = 1, 2) the product with F

@@ -3,8 +3,8 @@
 Every entry is in M(alpha), g' = alpha z h', and is one row of ``_TABLE``:
 its h, a key of ``_FORMS``, and its alpha, fixed (``L`` is f_alpha's h at
 alpha = -1) or None for a name that takes alpha as its parameter.
-``CATALOG_NAMES``, :class:`CatalogEntry`, :func:`make_named` and the six named
-constructors all read the table through one builder.  h is one closed form
+:class:`CatalogEntry`, :func:`make_named` and the six named constructors all
+read the table through one builder.  h is one closed form
 N(z)/(1-z)^k + c log(1-z) (:class:`~hmap.series.ClosedForm`), and g is alpha
 times h's partner G, with G' = z h' and G(0) = 0 (``ClosedForm.partner``).
 ``l_hadamard_l``, not in M(alpha), is written as its two forms.  The map's
@@ -76,12 +76,11 @@ _TABLE = {
     "example21": ("example21", 1.0),
     "example22": ("example22", 1.0),
 }
-CATALOG_NAMES = tuple(_TABLE)
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named map plus its parameter (only f_alpha / g_alpha take one)."""
+    """A named map plus its parameter: f_alpha and g_alpha need one, the names with a fixed alpha take none."""
 
     name: str
     alpha: complex | None = None
@@ -93,6 +92,8 @@ class CatalogEntry:
             if self.alpha is None:
                 raise ValueError(f"{self.name} requires a parameter alpha")
             _check_alpha(self.alpha, self.name)
+        elif self.alpha is not None:
+            raise ValueError(f"{self.name} takes no parameter alpha, got {self.alpha!r}")
 
 
 def _named(name: str, order: int, alpha: complex | None = None) -> HarmonicMap:
@@ -216,8 +217,10 @@ def _consume(sep: str, rest: str, text: str) -> str:
 # -- shearing construction ------------------------------------------------------
 
 
-def _shear(phi: TruncatedSeries, w: TruncatedSeries, sign: float, label: str) -> HarmonicMap:
+def _shear(phi: TruncatedSeries, w: TruncatedSeries, sign: float) -> HarmonicMap:
     """Shear phi with dilatation w: h' = phi'/(1 + sign*w), g = sign*(phi - h).
+
+    The map is labelled ``shear_h`` for sign -1 (horizontal), ``shear_v`` for +1.
 
     h' is one truncated series quotient.  w is read as the polynomial its
     coefficients give, so a w of lower degree does not cut the shear's.
@@ -244,33 +247,29 @@ def _shear(phi: TruncatedSeries, w: TruncatedSeries, sign: float, label: str) ->
     h[1:] = hp / np.arange(1, order + 1)
     hs = TruncatedSeries(h)
     gs = TruncatedSeries(sign * (phi.coeffs[: order + 1] - h))
-    return HarmonicMap(hs, gs, None, label=label)
+    return HarmonicMap(hs, gs, None, label="shear_h" if sign < 0 else "shear_v")
 
 
-def shear_horizontal(phi: TruncatedSeries, w: TruncatedSeries, label: str = "shear_h") -> HarmonicMap:
+def shear_horizontal(phi: TruncatedSeries, w: TruncatedSeries) -> HarmonicMap:
     """Harmonic map with h - g = phi and g' = w h', i.e. h' = phi'/(1 - w).
 
     h' is computed as one series quotient; w must vanish at the origin.
     Shearing the half-plane map with w(z) = z reproduces the catalog map F.
     """
-    return _shear(phi, w, -1.0, label)
+    return _shear(phi, w, -1.0)
 
 
-def shear_vertical(phi: TruncatedSeries, w: TruncatedSeries, label: str = "shear_v") -> HarmonicMap:
+def shear_vertical(phi: TruncatedSeries, w: TruncatedSeries) -> HarmonicMap:
     """Harmonic map with h + g = phi and g' = w h', i.e. h' = phi'/(1 + w).
 
     h' is computed as one series quotient; w must vanish at the origin.
     Shearing the half-plane map with w(z) = -z reproduces the catalog map L.
     """
-    return _shear(phi, w, 1.0, label)
+    return _shear(phi, w, 1.0)
 
 
-def make_M_alpha_member(
-    h: TruncatedSeries,
-    alpha: complex,
-    label: str = "",
-) -> HarmonicMap:
-    """Build g termwise from h through (n+1) b_{n+1} = n alpha a_n, b_1 = 0.
+def make_M_alpha_member(h: TruncatedSeries, alpha: complex) -> HarmonicMap:
+    """Build g termwise from h through (n+1) b_{n+1} = n alpha a_n, b_1 = 0; labelled ``M(alpha) member``.
 
     Membership additionally requires Re(1 + z h''/h') > -1/2, which this
     constructor does not verify; use the classifier check for that.
@@ -279,4 +278,4 @@ def make_M_alpha_member(
     n = np.arange(h.order + 1, dtype=float)
     b = np.zeros(h.order + 1, dtype=complex)
     b[2:] = alpha * (n[1:-1] / n[2:]) * h.coeffs[1:-1]
-    return HarmonicMap(h, TruncatedSeries(b), label=label or f"M({alpha}) member")
+    return HarmonicMap(h, TruncatedSeries(b), label=f"M({alpha}) member")

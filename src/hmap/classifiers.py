@@ -183,18 +183,16 @@ class MAlphaReport(Report):
     check_kind: str = field(default="necessary", init=False)
 
 
-def m_alpha_check(
-    f: HarmonicMap,
-    alpha: complex,
-    r_max: float = 0.99,
-    grid: tuple[int, int] = (64, 256),
-) -> MAlphaReport:
+_CURVATURE_GRID = (64, 256)  # the polar grid of the curvature condition, radii x angles
+
+
+def m_alpha_check(f: HarmonicMap, alpha: complex, r_max: float = 0.99) -> MAlphaReport:
     """Test membership in the family g' = alpha z h' with bounded curvature term.
 
     Part (a) checks the coefficient recurrence exactly (tolerance 1e-10).
-    Part (b) samples Re(1 + z h''/h') > -1/2 on a polar grid up to r_max;
-    being an open condition it can only be falsified, never certified, by
-    sampling.
+    Part (b) samples Re(1 + z h''/h') > -1/2 on a 64 x 256 polar grid up to
+    r_max; being an open condition it can only be falsified, never
+    certified, by sampling.
     """
     _check_alpha(alpha, "m_alpha_check")
     if not 0 < r_max < 1:
@@ -202,7 +200,7 @@ def m_alpha_check(
     residual = coefficient_relation_residual(f, alpha)
     relation_ok = residual <= RELATION_ABS_TOL
 
-    z = _polar_grid(r_max, *grid)
+    z = _polar_grid(r_max, *_CURVATURE_GRID)
     hp, hpp = f._eval_routes(("dh", "d2h"), z)
     _require_nonzero(hp, z)
     curv = np.real(1 + z * hpp / hp)
@@ -216,7 +214,7 @@ def m_alpha_check(
         curvature_passed=curv_ok,
         passed=relation_ok and curv_ok,
         r_max=r_max,
-        grid=grid,
+        grid=_CURVATURE_GRID,
         truncation_order=f.order,
     )
 

@@ -105,22 +105,21 @@ class TildeDilatationReport(Report):
     cross_check_passed: bool
 
 
-def tilde_dilatation_check(
-    n: int,
-    theta: float,
-    grid: tuple[int, int] = (64, 256),
-    cross_order: int = 512,
-) -> TildeDilatationReport:
+_TILDE_GRID = (64, 256)  # the polar grid of |wtil|, radii x angles
+_CROSS_ORDER = 512  # the degree of the series the cross-check rebuilds wtil from
+
+
+def tilde_dilatation_check(n: int, theta: float) -> TildeDilatationReport:
     """Local univalence check for the product of the sheared maps.
 
-    Evaluates |wtil| on an (n_r x n_theta) polar grid up to r = 0.999 (pass
-    iff the maximum stays below 1), then rebuilds the same dilatation from
-    scratch: the right factor is obtained by shearing z/(1-z) vertically with
-    dilatation e^{i theta} z^n, the product with F's coefficients is formed
-    coefficientwise, and its dilatation g'/h' is compared against the closed
-    form on a coarser grid up to r = 0.9, within 1e-6.  The product reads
-    only coefficients, so F is built from the series of the catalog's closed
-    forms, without their evaluators.
+    Evaluates |wtil| on a 64 x 256 polar grid up to r = 0.999 (pass iff
+    the maximum stays below 1), then rebuilds the same dilatation from
+    scratch at degree 512: the right factor is obtained by shearing z/(1-z)
+    vertically with dilatation e^{i theta} z^n, the product with F's
+    coefficients is formed coefficientwise, and its dilatation g'/h' is
+    compared against the closed form on a coarser grid up to r = 0.9,
+    within 1e-6.  The product reads only coefficients, so F is built from
+    the series of the catalog's closed forms, without their evaluators.
     """
     if n not in (1, 2):
         raise ValueError("closed form applies to n = 1 or 2")
@@ -128,20 +127,20 @@ def tilde_dilatation_check(
 
     # eight rows at a time, and the grid freed before the cross-check: a whole-grid temporary (over
     # glibc's 128 KiB mmap threshold) or a grid live under the cross-check faults in new pages each call
-    zg = _polar_grid(TildeDilatationReport.r_max, *grid)
+    zg = _polar_grid(TildeDilatationReport.r_max, *_TILDE_GRID)
     max_abs = 0.0
-    for i in range(0, grid[0], 8):
+    for i in range(0, _TILDE_GRID[0], 8):
         wt = tilde_dilatation(zg[i : i + 8], n, theta)
         if not np.all(np.isfinite(wt)):
             raise ZeroDivisionError("product-dilatation denominator vanishes on the grid")
         max_abs = max(max_abs, float(np.max(np.abs(wt))))
     del zg
 
-    w = np.zeros(cross_order + 1, dtype=complex)
+    w = np.zeros(_CROSS_ORDER + 1, dtype=complex)
     w[n] = np.exp(1j * theta)
-    right = shear_vertical(make_generator("half_plane_l", cross_order), TruncatedSeries(w))
+    right = shear_vertical(make_generator("half_plane_l", _CROSS_ORDER), TruncatedSeries(w))
     h = _FORMS["f_alpha"]
-    prod = hadamard(HarmonicMap(h.series(cross_order), h.partner.series(cross_order), label="F"), right)
+    prod = hadamard(HarmonicMap(h.series(_CROSS_ORDER), h.partner.series(_CROSS_ORDER), label="F"), right)
     zc = _polar_grid(TildeDilatationReport.cross_check_r_max, 16, 64)
     err = float(np.max(np.abs(dilatation(prod, zc) - tilde_dilatation(zc, n, theta))))
     return TildeDilatationReport(
@@ -149,7 +148,7 @@ def tilde_dilatation_check(
         theta=theta,
         max_abs=max_abs,
         passed=max_abs < 1.0,
-        grid=grid,
+        grid=_TILDE_GRID,
         cross_check_max_err=err,
         cross_check_passed=err < 1e-6,
     )

@@ -574,46 +574,42 @@ def _polar_grid(r_max: float, n_r: int, n_t: int) -> np.ndarray:
     return radii[:, None] * np.exp(1j * thetas[None, :])
 
 
-def sense_preserving_check(
-    f: HarmonicMap,
-    r_max: float,
-    grid: tuple[int, int] = (32, 64),
-) -> GridCheckReport:
-    """Sample the Jacobian on a polar grid and require it to be positive.
+_SENSE_GRID = (32, 64)  # the polar grid of the Jacobian check, radii x angles
+_INJECTIVITY_SAMPLES = 1000  # sunflower points of the injectivity check
+
+
+def sense_preserving_check(f: HarmonicMap, r_max: float) -> GridCheckReport:
+    """Sample the Jacobian on a 32 x 64 polar grid up to r_max and require it to be positive.
 
     Failure reports the first offending node; a pass is only a sampled
     necessary condition for the map being sense-preserving.
     """
     if not 0 < r_max < 1:
         raise ValueError("need 0 < r_max < 1")
-    n_r, n_t = grid
-    if n_r < 8 or n_t < 8:
-        raise ValueError("grid must be at least 8 x 8")
-    zg = _polar_grid(r_max, n_r, n_t)
+    zg = _polar_grid(r_max, *_SENSE_GRID)
     jac = jacobian(f, zg)
     worst = float(np.min(jac))
     if worst > 0:
-        return GridCheckReport(True, r_max, grid, worst)
+        return GridCheckReport(True, r_max, _SENSE_GRID, worst)
     idx = np.unravel_index(int(np.argmin(jac)), jac.shape)
-    return GridCheckReport(False, r_max, grid, worst, complex(zg[idx]))
+    return GridCheckReport(False, r_max, _SENSE_GRID, worst, complex(zg[idx]))
 
 
 def injectivity_sample_check(
     f: HarmonicMap,
     r_max: float,
-    n_samples: int = 1000,
     include: tuple[complex, ...] = (),
 ) -> CollisionReport:
     """Scan image distances of well-separated sample pairs.
 
-    Two samples at domain distance >= 0.05 whose images differ by less than
-    1e-8 falsify injectivity on |z| <= r_max.  The quadratic pair scan caps
-    ``n_samples`` at 2000; ``include`` lets callers pin specific points
-    (suspected collision pairs) into the sample set.
+    The samples are 1000 sunflower points in |z| <= r_max, 0 < r_max < 1,
+    plus the points ``include`` pins (suspected collision pairs).  Two
+    samples at domain distance >= 0.05 whose images differ by less than
+    1e-8 falsify injectivity on the sampled disk.
     """
-    if n_samples > 2000:
-        raise ValueError("n_samples capped at 2000 (quadratic pair scan)")
-    z = _disk_samples(r_max, n_samples)
+    if not 0 < r_max < 1:
+        raise ValueError("need 0 < r_max < 1")
+    z = _disk_samples(r_max, _INJECTIVITY_SAMPLES)
     if include:
         z = np.concatenate([np.asarray(include, dtype=complex), z])
     w = evaluate_f(f, z)

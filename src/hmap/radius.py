@@ -141,7 +141,7 @@ class RadiusResult(Report):
     circle_tests: int
     point_evals: int
     r_certified: float
-    upper_limit_hit: bool = False
+    upper_limit_hit: bool
 
 
 _REFINE_STEPS = 3  # parabolic steps from the grid minimum

@@ -51,6 +51,11 @@ class TestNamedMaps:
         with pytest.raises(ValueError):
             CatalogEntry("f_alpha")  # missing parameter
 
+    @pytest.mark.parametrize("name", ["F", "L", "example21", "example22"])
+    def test_fixed_alpha_takes_no_parameter(self, name):
+        with pytest.raises(ValueError, match=f"{name} takes no parameter alpha"):
+            CatalogEntry(name, 0.5)
+
     def test_min_order(self):
         with pytest.raises(ValueError):
             make_named(CatalogEntry("F"), 4)
@@ -58,7 +63,7 @@ class TestNamedMaps:
         assert map_F(4).h.order == 4 and f_alpha(0.5, 4).label == "f_alpha(0.5)"
 
     @pytest.mark.parametrize("order", [8, 64, 2048])
-    @pytest.mark.parametrize("name", catalog.CATALOG_NAMES)
+    @pytest.mark.parametrize("name", catalog._TABLE)
     def test_constructor_make_named_and_parser_agree(self, name, order):
         alpha = 0.3 - 0.4j
         takes_alpha = name in ("f_alpha", "g_alpha")
@@ -264,6 +269,8 @@ class TestParseFunction:
         ("conv(f_alpha:0.5,0,0)", "unknown catalog name '0'"),
         ("conv(conv(L,F),)", "unknown catalog name ''"),
         ("conv(L,L)F", "unexpected 'F' after the function"),
+        ("conv(L:0.3,0.1,F)", "L takes no parameter alpha, got (0.3+0.1j)"),
+        ("conv(F,example22:0,0)", "example22 takes no parameter alpha, got 0j"),
     ])
     def test_malformed_product_names_what_is_wrong(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -13,7 +13,7 @@ from hmap.convolution import (
     tilde_dilatation,
     tilde_dilatation_check,
 )
-from hmap import harmonic
+from hmap import convolution, harmonic
 from hmap.harmonic import HarmonicMap, dilatation
 from hmap.series import TruncatedSeries, make_generator
 
@@ -184,11 +184,12 @@ class TestTildeDilatation:
             assert rep.cross_check_max_err < 1e-6
 
     @pytest.mark.parametrize("n,theta", [(1, 0.0), (2, math.pi / 3), (1, math.pi)])
-    def test_cross_check_at_degree_2048(self, n, theta):
+    def test_cross_check_at_degree_2048(self, monkeypatch, n, theta):
         # the shear's division takes about sqrt(N) numpy calls for these
         # one-term dilatations; a cubic inverse takes seconds per case at
         # 2048, so a return of it shows in the suite's time
-        rep = tilde_dilatation_check(n, theta, cross_order=2048)
+        monkeypatch.setattr(convolution, "_CROSS_ORDER", 2048)
+        rep = tilde_dilatation_check(n, theta)
         assert rep.cross_check_passed
         assert rep.cross_check_max_err < 1e-6
 
@@ -248,9 +249,8 @@ class TestHalfPlaneCrossProduct:
         th_star = brentq(im_h_plus_g, 1.5, 1.6, xtol=1e-15)
         z_star = 0.9 * np.exp(1j * th_star)
 
-        sp = sense_preserving_check(prod, 0.9, grid=(24, 48))
+        sp = sense_preserving_check(prod, 0.9)
         assert sp.passed
-        rep = injectivity_sample_check(prod, 0.95, n_samples=400,
-                                       include=(z_star, np.conj(z_star)))
+        rep = injectivity_sample_check(prod, 0.95, include=(z_star, np.conj(z_star)))
         assert rep.collision
         assert rep.min_image_distance < 1e-12

@@ -404,13 +404,9 @@ class TestSensePreserving:
         h = make_generator("identity", 8)
         g = TruncatedSeries(np.array([0, 0, 2] + [0] * 6, dtype=complex))
         f = HarmonicMap(h, g)
-        rep = sense_preserving_check(f, 0.5, grid=(16, 16))
+        rep = sense_preserving_check(f, 0.5)
         assert not rep.passed
         assert abs(rep.first_failure) > 0.25
-
-    def test_grid_too_coarse_rejected(self):
-        with pytest.raises(ValueError):
-            sense_preserving_check(map_F(), 0.9, grid=(4, 64))
 
     def test_report_serializes(self):
         d = sense_preserving_check(example21(), 0.9).to_dict()
@@ -422,20 +418,26 @@ class TestInjectivity:
     def test_example21_collision_flagged(self):
         f = example21()
         z0 = (3 + np.sqrt(3) * 1j) / 4
-        rep = injectivity_sample_check(f, 0.9, n_samples=400, include=(z0, np.conj(z0)))
+        rep = injectivity_sample_check(f, 0.9, include=(z0, np.conj(z0)))
         assert rep.collision and not rep.passed
         assert rep.min_image_distance < 1e-12
         a, b = rep.witness
         assert {round(a.imag, 6), round(b.imag, 6)} == {round(z0.imag, 6), round(-z0.imag, 6)}
 
     def test_identity_no_collision(self):
-        rep = injectivity_sample_check(identity_map(), 0.9, n_samples=400)
+        rep = injectivity_sample_check(identity_map(), 0.9)
         assert rep.passed and not rep.collision
 
     def test_F_no_collision(self):
-        rep = injectivity_sample_check(map_F(), 0.9, n_samples=600)
+        rep = injectivity_sample_check(map_F(), 0.9)
         assert rep.passed
 
-    def test_sample_cap(self):
-        with pytest.raises(ValueError):
-            injectivity_sample_check(map_F(), 0.5, n_samples=5000)
+    @pytest.mark.parametrize("r_max", [0.0, -0.5, 1.0, 1.5])
+    def test_radius_outside_the_disk_rejected(self, r_max):
+        # r_max = 0 samples 1000 copies of the origin, and a negative one a mirrored disk
+        with pytest.raises(ValueError, match=r"0 < r_max < 1"):
+            injectivity_sample_check(map_F(), r_max)
+
+    def test_samples_the_fixed_points_plus_the_pinned_ones(self):
+        assert injectivity_sample_check(map_F(), 0.5).n_samples == 1000
+        assert injectivity_sample_check(map_F(), 0.5, include=(0.1, -0.1)).n_samples == 1002

@@ -314,6 +314,13 @@ class TestCli:
         rc = dispatch(["plot", "--function", "nonsense", "--out", str(tmp_path / "x.svg")])
         assert rc == 2
 
+    def test_parameter_on_a_fixed_alpha_is_usage_error(self, capsys):
+        rc = dispatch(["radius", "--function", "F:0.5,0", "--kind", "convex"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "F takes no parameter alpha" in captured.err
+        assert captured.out == ""
+
     def test_truncation_order_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HMAP_TRUNC_ORDER", "16")
         out = tmp_path / "c.csv"

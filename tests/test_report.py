@@ -16,12 +16,12 @@ Z = TruncatedSeries([0, 1])
 
 def _grid_failure():
     # |g'| = 2|z| > |h'| = 1 past |z| = 1/2: the Jacobian check fails
-    return sense_preserving_check(HarmonicMap(Z, TruncatedSeries([0, 0, 1])), 0.9, grid=(8, 8))
+    return sense_preserving_check(HarmonicMap(Z, TruncatedSeries([0, 0, 1])), 0.9)
 
 
 def _collision():
     # f = z + conj(z) = 2 Re z sends the pinned pair +-i/2 to 0
-    return injectivity_sample_check(HarmonicMap(Z, Z), 0.9, n_samples=50, include=(0.5j, -0.5j))
+    return injectivity_sample_check(HarmonicMap(Z, Z), 0.9, include=(0.5j, -0.5j))
 
 
 # one producer per report type, each from the code that builds it
@@ -30,9 +30,9 @@ REPORTS = {
     "CollisionReport": _collision,
     "ClassificationReport": lambda: coefficient_sum_orders(
         HarmonicMap(TruncatedSeries([0, 1, 0.25]), TruncatedSeries([0, 0])))[0],
-    "MAlphaReport": lambda: m_alpha_check(map_F(16), 1.0, grid=(8, 8)),
+    "MAlphaReport": lambda: m_alpha_check(map_F(16), 1.0),
     "BoundsReport": lambda: family_bounds_check(f_alpha(0.5 + 0.2j, 16), 0.5 + 0.2j, samples=50),
-    "TildeDilatationReport": lambda: tilde_dilatation_check(1, 0.3, grid=(8, 16), cross_order=64),
+    "TildeDilatationReport": lambda: tilde_dilatation_check(1, 0.3),
     "RadiusResult": lambda: radius_search(map_F(16), "convexity", tol=1e-3),
     "SpecialRadii": solve_special_radii,
     "ClaimRecord": lambda: run_suite("coefficients", 16).records[0],
