@@ -253,7 +253,13 @@ def family_bounds_check(
     Coefficient slack is reported as bound - |coefficient| (minimum over n,
     allowed down to -1e-12); the growth bound is sampled at random points
     with |z| <= r_max, drawn from seed 7 (slack allowed down to -1e-9).
+    ``r_max`` must lie in (0, 1) and ``samples`` be at least 1 (ValueError
+    otherwise).
     """
+    if not 0 < r_max < 1:
+        raise ValueError("need 0 < r_max < 1")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     if coefficient_relation_residual(f, alpha) > RELATION_ABS_TOL:
         raise ValueError("coefficient recurrence fails; bounds only apply to family members")
     order = f.order

@@ -542,11 +542,8 @@ def _chop_and_double(sample: Callable, n: int, rows: int = 1):
 
     A generator: for each grid on which rows settle it yields (n, first,
     rate, steps, ok, tails) of those rows, ``ok`` False where the guard
-    failed.  The caller stops where it has what it needs.  A start n that
-    is no integer or is below 8 raises ValueError.
+    failed.  The caller stops where it has what it needs.
     """
-    if not isinstance(n, (int, np.integer)) or n < 8:
-        raise ValueError(f"n_theta must be an integer of at least 8, got {n!r}")
     n, first = min(n, _MAX_THETA_POINTS), 0
     while first < rows:
         rate, path = sample(n, first)

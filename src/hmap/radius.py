@@ -39,7 +39,9 @@ it, are sampled again on 2n angles.  Each row thus ends on the grid, with
 the margin and the winding, that a test of that radius alone would give,
 started on the largest grid reached before it.  The rows are judged in
 order up to the first that fails; the rows sampled past it are dropped.  A
-single circle test is the one-row case.
+single circle test is the one-row case, and every circle is tested through
+this one call: the public tests, and each circle of ``radius_search``, its
+scan, its dip search, its confirming pair and its bisection.
 
 The radius of convexity (or starlikeness) is the first r where the test
 fails.  ``radius_search`` scans r upward to the first failing circle, in
@@ -265,36 +267,27 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
     return tests
 
 
-def convex_test_at_radius(
-    f: HarmonicMap,
-    r: float,
-    n_theta: int = _START_THETA_POINTS,
-) -> CircleTest:
+def convex_test_at_radius(f: HarmonicMap, r: float) -> CircleTest:
     """Is the image of |z| = r convex?  Tests min d/dtheta arg(df/dtheta) >= 0.
 
     Fails fast if d1f vanishes on the circle (the curve would not be
     regular).  Passes iff the sampled minimum stays above -1e-9 and the
-    tangent d1f winds once, by 2 pi within 1e-3.  ``n_theta`` is the grid
-    the test starts from, an integer of at least 8 (ValueError otherwise); it
-    doubles as the rate needs (:func:`_circle_tests`, the one-row case).
+    tangent d1f winds once, by 2 pi within 1e-3.  The grid starts on 128
+    angles and doubles as the rate needs (:func:`_circle_tests`, the one-row
+    case).
     """
-    return _circle_tests(f, [r], 1, n_theta, "tangent vector")[0]
+    return _circle_tests(f, [r], 1, _START_THETA_POINTS, "tangent vector")[0]
 
 
-def starlike_test_at_radius(
-    f: HarmonicMap,
-    r: float,
-    n_theta: int = _START_THETA_POINTS,
-) -> CircleTest:
+def starlike_test_at_radius(f: HarmonicMap, r: float) -> CircleTest:
     """Is the image of |z| = r starlike about 0?  Tests min d/dtheta arg f >= 0.
 
     Reads only f and d1f on the circle: four evaluations per set of angles
     on a map with closed forms.  Passes iff the sampled minimum stays above
-    -1e-9 and f winds once about the origin, by 2 pi within 1e-3.
-    ``n_theta`` is the grid the test starts from, as for
-    :func:`convex_test_at_radius`.
+    -1e-9 and f winds once about the origin, by 2 pi within 1e-3.  The grid
+    starts on 128 angles, as for :func:`convex_test_at_radius`.
     """
-    return _circle_tests(f, [r], 0, n_theta, "map")[0]
+    return _circle_tests(f, [r], 0, _START_THETA_POINTS, "map")[0]
 
 
 def _dip_fails(test: Callable[[float], CircleTest], a: float, b: float, tol: float) -> bool:
@@ -400,24 +393,24 @@ def radius_search(f: HarmonicMap, kind: str, tol: float = 1e-6) -> RadiusResult:
     sums certify up to the cap gets there after one circle test.  ``tol``
     must be finite and at least 1e-12, or ValueError is raised.
 
-    The upward scan is one call of :func:`_circle_tests`: its circles are
-    sampled together, as rows of one array per grid, judged in order up to
-    the first failure, and a row past it is neither counted nor raises.
-    The confirming pair is a second such call.  The dip search and the
-    bisection test one radius per call (:func:`convex_test_at_radius`,
-    :func:`starlike_test_at_radius`).  Each circle test chooses its own grid
-    (:func:`_circle_tests`): the first starts on 128 angles and each later
-    one on the largest grid any test reached so far, in the batch as in a
-    test of its own; the result reports that finest grid.  A first loss
-    that still fails only on the branch guard (turning nan, margin above
-    threshold) on the 65536-angle cap says that the grid is too coarse for
-    the curve there, not that the property is lost, and raises ValueError.
+    Every circle is tested through :func:`_circle_tests`.  The upward scan
+    is one call: its circles are sampled together, as rows of one array per
+    grid, judged in order up to the first failure, and a row past it is
+    neither counted nor raises.  The confirming pair is a second such call,
+    and the dip search and the bisection make one call per radius.  Each
+    circle test chooses its own grid: the first starts on 128 angles and
+    each later one on the largest grid any test reached so far, in the batch
+    as in a call of its own; the result reports that finest grid.  A first
+    loss that still fails only on the branch guard (turning nan, margin
+    above threshold) on the 65536-angle cap says that the grid is too coarse
+    for the curve there, not that the property is lost, and raises
+    ValueError.
     """
     _require_tol(tol)
     if kind == "convexity":
-        m, name, circle = 1, "tangent vector", convex_test_at_radius
+        m, name = 1, "tangent vector"
     elif kind == "starlikeness":
-        m, name, circle = 0, "map", starlike_test_at_radius
+        m, name = 0, "map"
     else:
         raise ValueError("kind must be 'convexity' or 'starlikeness'")
 
@@ -426,9 +419,8 @@ def radius_search(f: HarmonicMap, kind: str, tol: float = 1e-6) -> RadiusResult:
     grid, points = _START_THETA_POINTS, 0
 
     def tests(radii: list[float]) -> None:
-        # a single radius goes through the public test, the scan and the pair through the batch
         nonlocal grid
-        results = _circle_tests(f, radii, m, grid, name) if len(radii) > 1 else [circle(f, radii[0], grid)]
+        results = _circle_tests(f, radii, m, grid, name)
         grid = max([grid] + [t.grid_theta for t in results])
         seen.update(zip(radii, results))
 

@@ -133,8 +133,10 @@ def suite_coefficients(order: int = DEFAULT_ORDER) -> list[ClaimRecord]:
     return recs
 
 
-# (h, alpha, label): the M(alpha) members of the growth claims, built at degree
-# 2048; mix = (l + k)/2 is f_alpha's h, and quarter is also the coefficient suite's h
+# (h, alpha, label): the M(alpha) members of the growth claims, built at the
+# suite's degree; they evaluate their closed forms, so the degree reaches no
+# record.  mix = (l + k)/2 is f_alpha's h, and quarter is also the
+# coefficient suite's h
 _QUARTER = ClosedForm((0, 1, 0.25))
 _BOUNDS_MEMBERS = [
     (_GENERATORS["half_plane_l"], 1.0, "half-plane, alpha=1"),
@@ -151,7 +153,7 @@ _BOUNDS_MEMBERS = [
 def suite_bounds(order: int = DEFAULT_ORDER) -> list[ClaimRecord]:
     recs: list[ClaimRecord] = []
     for h, a, label in _BOUNDS_MEMBERS:
-        m = catalog._closed_map(h, 2048, label, a)
+        m = catalog._closed_map(h, order, label, a)
         rep = classifiers.family_bounds_check(m, a, samples=2000)
         recs.append(_at_least(
             f"bounds.growth[{label}]",
@@ -357,8 +359,5 @@ def run_suite(name: str, order: int = DEFAULT_ORDER) -> VerificationReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
     if name == "all":
-        records: list[ClaimRecord] = []
-        for key in ("coefficients", "bounds", "radii", "convolution"):
-            records.extend(_SUITE_FUNCS[key](order))
-        return VerificationReport("all", tuple(records))
+        return VerificationReport("all", tuple(rec for suite in _SUITE_FUNCS.values() for rec in suite(order)))
     return VerificationReport(name, tuple(_SUITE_FUNCS[name](order)))

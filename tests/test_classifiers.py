@@ -181,6 +181,18 @@ class TestBoundsCheck:
         with pytest.raises(ValueError):
             family_bounds_check(f, 1.0)
 
+    @pytest.mark.parametrize("r_max", [0.0, -0.5, 1.0, 1.5])
+    def test_radius_outside_the_disk_rejected(self, r_max):
+        # r_max = 0 sampled copies of the origin and passed; a negative one
+        # reached numpy's "high - low < 0"
+        with pytest.raises(ValueError, match=r"0 < r_max < 1"):
+            family_bounds_check(map_F(), 1.0, r_max=r_max)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match=f"need samples >= 1, got {samples}"):
+            family_bounds_check(map_F(), 1.0, samples=samples)
+
     def test_member_with_small_h_has_positive_slack(self):
         h = padded([0, 1, 0.1])
         m = make_M_alpha_member(h, 0.5)

@@ -146,8 +146,8 @@ PUBLIC_OPTIONS = set("""
     ClassificationReport.truncation_order m_alpha_check(r_max) family_bounds_check(samples)
     family_bounds_check(r_max) GridCheckReport.first_failure HarmonicMap.exact HarmonicMap.label
     injectivity_sample_check(include) PlotSpec.radii PlotSpec.n_rays PlotSpec.n_circles
-    PlotSpec.samples_per_curve PlotSpec.output_format convex_test_at_radius(n_theta) radius_search(tol)
-    starlike_test_at_radius(n_theta) TruncatedSeries.differentiate(times) run_suite(order)
+    PlotSpec.samples_per_curve PlotSpec.output_format radius_search(tol) TruncatedSeries.differentiate(times)
+    run_suite(order)
 """.split())
 
 

@@ -241,6 +241,13 @@ class TestCli:
         rc = dispatch(["classify", "--function", "F", "--check", "bounds", "--r-max", "1.5"])
         assert rc == 2
 
+    def test_classify_bounds_at_the_origin_is_usage_error(self, capsys):
+        # r_max = 0 sampled copies of the origin and printed PASS
+        rc = dispatch(["classify", "--function", "F", "--check", "bounds", "--r-max", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "0 < r_max < 1" in captured.err and captured.out == ""
+
     def test_classify_bounds_samples_up_to_r_max(self, tmp_path):
         default, half = tmp_path / "d.json", tmp_path / "h.json"
         for path, extra in ((default, []), (half, ["--r-max", "0.5"])):

@@ -61,16 +61,21 @@ def b1_map():
                        TruncatedSeries(np.array([0, 0.2, 0], dtype=complex)))
 
 
+def circle_test(f, r, m, n):
+    """The circle test at r of arg d^m f (0 starlikeness, 1 convexity), started on n angles."""
+    return radius._circle_tests(f, [r], m, n, ("map", "tangent vector")[m])[0]
+
+
 class TestCircleTests:
     def test_identity_convex_everywhere(self):
         for r in (0.1, 0.5, 0.9, 0.99):
-            res = convex_test_at_radius(identity_map(), r, n_theta=512)
+            res = circle_test(identity_map(), r, 1, 512)
             assert res.passed
             assert res.min_derivative == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_starlike_everywhere(self):
         for r in (0.1, 0.5, 0.9, 0.99):
-            assert starlike_test_at_radius(identity_map(), r, n_theta=512).passed
+            assert circle_test(identity_map(), r, 0, 512).passed
 
     def test_F_convex_below_transition(self):
         assert convex_test_at_radius(map_F(), 0.25).passed
@@ -119,7 +124,7 @@ class TestCircleTests:
         assert res.total_turning == pytest.approx(26 * math.pi, abs=1e-9)
         # on 8 nodes a step may slip a branch: the test doubles its grid
         # until the guard passes and the rate is resolved
-        coarse = convex_test_at_radius(f, 0.9, n_theta=8)
+        coarse = circle_test(f, 0.9, 1, 8)
         assert (coarse.grid_theta, coarse.passed) == (res.grid_theta, False)
         assert coarse.total_turning == pytest.approx(26 * math.pi, abs=1e-9)
 
@@ -129,7 +134,7 @@ class TestCircleTests:
         c[1], c[13] = 1.0, 4 / 13
         f = HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(14, dtype=complex)))
         monkeypatch.setattr(harmonic, "_MAX_THETA_POINTS", 8)
-        coarse = convex_test_at_radius(f, 0.9, n_theta=8)
+        coarse = circle_test(f, 0.9, 1, 8)
         assert not coarse.passed and math.isnan(coarse.total_turning) and coarse.grid_theta == 8
 
     def test_starlike_test_reads_no_second_derivatives(self, monkeypatch):
@@ -420,19 +425,18 @@ class TestHalfCircle:
         c = np.zeros(14, dtype=complex)
         c[1], c[13] = 1.0, 4 / 13
         wound = HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(14, dtype=complex)))
-        for make, test, r, n in ((lambda: wound, convex_test_at_radius, 0.9, 8),
-                                 (lambda: f_alpha(-0.75), starlike_test_at_radius, 0.997, 4096)):
+        for make, m, r, n in ((lambda: wound, 1, 0.9, 8), (lambda: f_alpha(-0.75), 0, 0.997, 4096)):
             with monkeypatch.context() as patch:
                 patch.setattr(harmonic, "_MAX_THETA_POINTS", n)
-                half = test(make(), r, n)
-                full = test(full_circle(make(), patch), r, n)
+                half = circle_test(make(), r, m, n)
+                full = circle_test(full_circle(make(), patch), r, m, n)
             assert math.isnan(half.total_turning) and math.isnan(full.total_turning)
             assert not half.passed and not full.passed
             assert half.grid_theta == full.grid_theta == n
             assert half.min_derivative == pytest.approx(full.min_derivative, abs=1e-12)
             with monkeypatch.context() as patch:
-                half = test(make(), r, n)
-                full = test(full_circle(make(), patch), r, n)
+                half = circle_test(make(), r, m, n)
+                full = circle_test(full_circle(make(), patch), r, m, n)
             assert not math.isnan(half.total_turning) and not math.isnan(full.total_turning)
             assert half.grid_theta == full.grid_theta > n
 
@@ -443,8 +447,8 @@ class TestHalfCircle:
             f = recording(f, sizes)
             f._conjugate_symmetric
             sizes.clear()
-            convex_test_at_radius(f, 0.5, n)
-            starlike_test_at_radius(f, 0.5, n)
+            circle_test(f, 0.5, 1, n)
+            circle_test(f, 0.5, 0, n)
             # four closed forms per test on the grid, and one refinement point
             assert set(sizes) <= {want, 1} and sizes.count(want) == 8
 
@@ -469,7 +473,7 @@ class TestHalfCircle:
 
 
 def one_at_a_time(test):
-    """The batched scan seam, ``radius._circle_tests``, built from a one-radius circle test.
+    """The circle-test seam, ``radius._circle_tests``, built from a one-radius circle test.
 
     It returns what the batched scan returns: the radii in order, each tested
     from the largest grid reached before it, up to the first that fails.
@@ -533,14 +537,6 @@ class TestRadiusSearch:
         with pytest.raises(ValueError, match="tol must be finite and at least 1e-12"):
             radius_search(map_F(), "convexity", tol=tol)
 
-    @pytest.mark.parametrize("n_theta", [0, 1, 3, -4, 2.5])
-    def test_n_theta_must_be_an_integer_of_at_least_8(self, n_theta):
-        msg = f"n_theta must be an integer of at least 8, got {n_theta}"
-        for run in (lambda: convex_test_at_radius(map_F(), 0.5, n_theta),
-                    lambda: starlike_test_at_radius(map_F(), 0.5, n_theta)):
-            with pytest.raises(ValueError, match=re.escape(msg)):
-                run()
-
     def test_endpoints_certify(self):
         res = radius_search(map_F(), "convexity", tol=1e-5)
         assert convex_test_at_radius(map_F(), res.r_lo).passed
@@ -555,8 +551,7 @@ class TestRadiusSearch:
         # circles that fail everywhere, on a map the sums certify nowhere: the
         # scan stops at its first radius, with no pass to anchor the bracket
         radii = []
-        fails = lambda f, r, n_theta=0: radii.append(r) or CircleTest(False, -1.0, 2 * math.pi)
-        monkeypatch.setattr(radius, "convex_test_at_radius", fails)
+        fails = lambda f, r, n_theta: radii.append(r) or CircleTest(False, -1.0, 2 * math.pi)
         monkeypatch.setattr(radius, "_circle_tests", one_at_a_time(fails))
         with pytest.raises(ValueError, match="already fails at r = 0.01; nothing to bracket"):
             radius_search(b1_map(), "convexity")
@@ -582,11 +577,10 @@ class TestRadiusSearch:
     def test_first_loss_below_a_band(self, monkeypatch):
         # the circles fail only on a middle band: the search brackets its
         # lower edge and does not look above it
-        def band(f, r, n_theta=0):
+        def band(f, r, n_theta):
             passed = not (0.3 < r < 0.5)
             return CircleTest(passed, 1.0 if passed else -1.0, 2 * math.pi)
 
-        monkeypatch.setattr(radius, "convex_test_at_radius", band)
         monkeypatch.setattr(radius, "_circle_tests", one_at_a_time(band))
         res = radius_search(map_F(), "convexity", tol=1e-3)
         assert res.r_hi - res.r_lo <= 1e-3
@@ -598,11 +592,10 @@ class TestRadiusSearch:
         # passing scan points (0.3935 and 0.4137) and at no scan point
         depth, curvature = 5e-4, 50.0
 
-        def dip(f, r, n_theta=0):
+        def dip(f, r, n_theta):
             m = curvature * (r - 0.405) ** 2 - depth
             return CircleTest(m >= -CIRCLE_MIN_TOL, m, 2 * math.pi)
 
-        monkeypatch.setattr(radius, "convex_test_at_radius", dip)
         monkeypatch.setattr(radius, "_circle_tests", one_at_a_time(dip))
         res = radius_search(map_F(), "convexity", tol=1e-6)
         edge = 0.405 - math.sqrt((depth - CIRCLE_MIN_TOL) / curvature)
@@ -648,13 +641,12 @@ class TestRadiusSearch:
         # reports the largest of all
         starts, ends = [], []
 
-        def grids(f, r, n_theta=0):
+        def grids(f, r, n_theta):
             need = 4096 if 0.3 < r < 0.4 else 512 if r > 0.5 else 128
             starts.append(n_theta)
             ends.append(need)
             return CircleTest(r <= 0.6, 0.6 - r, 2 * math.pi, need)
 
-        monkeypatch.setattr(radius, "convex_test_at_radius", grids)
         monkeypatch.setattr(radius, "_circle_tests", one_at_a_time(grids))
         res = radius_search(map_F(), "convexity", tol=1e-6)
         assert starts == [max([128] + ends[:i]) for i in range(len(ends))]
@@ -667,13 +659,12 @@ class TestRadiusSearch:
         # search brackets it once, tests no radius twice, and raises
         calls = []
 
-        def guard_only(f, r, n_theta=0):
+        def guard_only(f, r, n_theta):
             calls.append((r, n_theta))
             if r < 0.5:
                 return CircleTest(True, 1.0, 2 * math.pi, 128)
             return CircleTest(False, 1.0, math.nan, 65536)
 
-        monkeypatch.setattr(radius, "starlike_test_at_radius", guard_only)
         monkeypatch.setattr(radius, "_circle_tests", one_at_a_time(guard_only))
         with pytest.raises(ValueError, match="only on the branch guard on 65536 angles"):
             radius_search(map_F(), "starlikeness", tol=1e-3)
@@ -728,8 +719,8 @@ class TestSpectralGrid:
     @pytest.mark.parametrize("r", [0.25, 0.6])
     def test_starting_grid_does_not_move_the_margin(self, r):
         f = map_F()
-        for test in (convex_test_at_radius, starlike_test_at_radius):
-            small, large = test(f, r), test(f, r, 4096)
+        for m, test in ((1, convex_test_at_radius), (0, starlike_test_at_radius)):
+            small, large = test(f, r), circle_test(f, r, m, 4096)
             assert small.grid_theta < large.grid_theta == 4096
             assert small.passed == large.passed
             assert abs(small.min_derivative - large.min_derivative) <= 1e-12
@@ -911,8 +902,24 @@ class TestTrackedMargin:
         res = radius_search(f, "starlikeness")
         assert len(roots) == 1 and not res.r_lo <= roots[0] <= res.r_hi
         assert res.circle_tests == 46 and res.r_hi - res.r_lo <= res.tol
-        assert starlike_test_at_radius(f, res.r_lo, 8192).passed
-        assert not starlike_test_at_radius(f, res.r_hi, 8192).passed
+        assert circle_test(f, res.r_lo, 0, 8192).passed
+        assert not circle_test(f, res.r_hi, 0, 8192).passed
+
+    @pytest.mark.parametrize("kind,tests", [("convexity", 26), ("starlikeness", 42)])
+    def test_bisection_tests_through_the_batch_seam(self, kind, tests, monkeypatch):
+        # with the tracker giving up at once, F's search bisects: each radius
+        # is one call of _circle_tests, and no public circle test is reached
+        full_circle_root(monkeypatch)
+        want = radius_search(map_F(), kind)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("radius_search called a public circle test")
+
+        monkeypatch.setattr(radius, "convex_test_at_radius", refuse)
+        monkeypatch.setattr(radius, "starlike_test_at_radius", refuse)
+        got = radius_search(map_F(), kind)
+        assert got == want and (got.circle_tests, got.point_evals) == (tests, 0)
+        assert got.r_lo <= {"convexity": R_CONVEX, "starlikeness": R_STAR}[kind] <= got.r_hi
 
     def test_a_walk_goes_downhill_to_an_interior_minimum(self):
         # rate 1 - cos(theta - 0.05) from theta = 0 on steps of 0.01: strides
@@ -1043,10 +1050,9 @@ class TestCertifiedStart:
 
     def test_failing_certified_circle_raises(self, monkeypatch):
         # the sums certify example21's convexity up to 0.2153; the scan starts at 0.2118
-        def fails_below(f, r, n_theta=0):
+        def fails_below(f, r, n_theta):
             return CircleTest(r > 0.3, 1.0 if r > 0.3 else -1.0, 2 * math.pi)
 
-        monkeypatch.setattr(radius, "convex_test_at_radius", fails_below)
         monkeypatch.setattr(radius, "_circle_tests", one_at_a_time(fails_below))
         with pytest.raises(ValueError, match="below the radius .* that the coefficient sums certify"):
             radius_search(example21(), "convexity")
