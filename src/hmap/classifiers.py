@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import RELATION_ABS_TOL
+from .defaults import CURVE_VANISH_TOL, RELATION_ABS_TOL
 from .harmonic import (_START_THETA_POINTS, HarmonicMap, _check_alpha, _chop_and_double, _circle_derivatives,
-                       _phase_steps, _polar_grid, _require_nonzero, _unit_circle, evaluate_f)
+                       _phase_steps, _polar_grid, _require_nonzero, _require_radius, _unit_circle, evaluate_f)
 from .report import Report
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _require_inside
 
 _ONE_MINUS = float(np.nextafter(1.0, 0.0))
 
@@ -166,6 +166,17 @@ def coefficient_relation_residual(f: HarmonicMap, alpha: complex) -> float:
     return float(np.max(res))
 
 
+def _require_member(f: HarmonicMap, alpha: complex, why: str) -> None:
+    """ValueError unless |alpha| <= 1 and f satisfies g' = alpha z h' to RELATION_ABS_TOL; ``why`` ends the message.
+
+    The family rule every bound on its members needs; :func:`m_alpha_check`
+    reports the residual instead of raising on it.
+    """
+    _check_alpha(alpha, "a family member")
+    if not coefficient_relation_residual(f, alpha) <= RELATION_ABS_TOL:
+        raise ValueError(f"coefficient recurrence fails; {why}")
+
+
 @dataclass(frozen=True)
 class MAlphaReport(Report):
     """Outcome of the membership test for the dilatation-alpha*z family."""
@@ -195,8 +206,7 @@ def m_alpha_check(f: HarmonicMap, alpha: complex, r_max: float = 0.99) -> MAlpha
     certified, by sampling.
     """
     _check_alpha(alpha, "m_alpha_check")
-    if not 0 < r_max < 1:
-        raise ValueError("need 0 < r_max < 1")
+    _require_radius(r_max, "r_max")
     residual = coefficient_relation_residual(f, alpha)
     relation_ok = residual <= RELATION_ABS_TOL
 
@@ -253,15 +263,14 @@ def family_bounds_check(
     Coefficient slack is reported as bound - |coefficient| (minimum over n,
     allowed down to -1e-12); the growth bound is sampled at random points
     with |z| <= r_max, drawn from seed 7 (slack allowed down to -1e-9).
-    ``r_max`` must lie in (0, 1) and ``samples`` be at least 1 (ValueError
-    otherwise).
+    ``r_max`` must lie in (0, 1), ``samples`` be at least 1, and f be a
+    member of the family for ``alpha``: |alpha| <= 1 and the recurrence
+    (n+1) b_{n+1} = n alpha a_n within 1e-10 (ValueError otherwise).
     """
-    if not 0 < r_max < 1:
-        raise ValueError("need 0 < r_max < 1")
+    _require_radius(r_max, "r_max")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    if coefficient_relation_residual(f, alpha) > RELATION_ABS_TOL:
-        raise ValueError("coefficient recurrence fails; bounds only apply to family members")
+    _require_member(f, alpha, "bounds only apply to family members")
     order = f.order
     n = np.arange(2, order + 1, dtype=float)
     slack_a = float(np.min((n + 1) / 2 - np.abs(f.h.coeffs[2 : order + 1])))
@@ -293,10 +302,10 @@ def area_series(f: HarmonicMap, alpha: complex) -> float:
     A = pi (1 - |alpha|^2/2) + pi sum_{n>=2} (n - n^2 |alpha|^2/(n+1)) |a_n|^2.
 
     Every summand is nonnegative for |alpha| <= 1, so the minimum pi(1 -
-    |alpha|^2/2) is attained exactly when h is the identity.
+    |alpha|^2/2) is attained exactly when h is the identity.  ValueError
+    unless f is a member for ``alpha``, |alpha| <= 1 included.
     """
-    if coefficient_relation_residual(f, alpha) > RELATION_ABS_TOL:
-        raise ValueError("coefficient recurrence fails; area formula needs g' = alpha z h'")
+    _require_member(f, alpha, "area formula needs g' = alpha z h'")
     a2 = abs(alpha) ** 2
     order = f.order
     n = np.arange(2, order + 1, dtype=float)
@@ -305,9 +314,8 @@ def area_series(f: HarmonicMap, alpha: complex) -> float:
 
 
 def poisson_kernel(zeta: complex, theta) -> float | np.ndarray:
-    """Harmonic-measure density (1 - |zeta|^2) / |e^{i theta} - zeta|^2."""
-    if abs(zeta) >= 1:
-        raise ValueError("kernel point must satisfy |zeta| < 1")
+    """Harmonic-measure density (1 - |zeta|^2) / |e^{i theta} - zeta|^2; ValueError unless |zeta| < 1."""
+    _require_inside(zeta)
     th = np.asarray(theta, dtype=float)
     val = (1 - abs(zeta) ** 2) / np.abs(np.exp(1j * th) - zeta) ** 2
     return float(val) if np.isscalar(theta) else val
@@ -322,10 +330,9 @@ def _fe_circle(f: HarmonicMap, epsilon, r: float, theta: np.ndarray, on_grid: bo
     (``harmonic._circle_derivatives``), every epsilon in one pass.  Raises
     :class:`SingularPointError` where Fe' vanishes.
     """
-    if not 0 < r < 1:
-        raise ValueError("need 0 < r < 1")
+    _require_radius(r)
     d2, d1 = _circle_derivatives(f, r, 1, theta, on_grid, np.atleast_1d(epsilon))
-    _require_nonzero(d1, r * np.exp(1j * theta), tol=1e-13)
+    _require_nonzero(d1, r * np.exp(1j * theta), tol=CURVE_VANISH_TOL)
     return np.imag(d2 / d1), d1
 
 
@@ -356,7 +363,7 @@ def kaplan_integral_check(
     """
     if not 0 < theta2 - theta1 <= 2 * np.pi + 1e-12:
         raise ValueError("need 0 < theta2 - theta1 <= 2 pi")
-    if abs(abs(epsilon) - 1) > 1e-12:
+    if not abs(abs(epsilon) - 1) <= 1e-12:
         raise ValueError("epsilon must be unimodular")
     n = _kaplan_steps(f, np.atleast_1d(epsilon), r)[0]
     theta = np.linspace(theta1, theta2, math.ceil(n * (theta2 - theta1) / (2 * np.pi)) + 1)

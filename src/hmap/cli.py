@@ -9,7 +9,8 @@ with the relation residual, writes no report and exits 1.
 JSON reports (``--out``) are the reports' ``to_dict`` (see
 :mod:`hmap.report`).  Exit codes: 0 success, 1 check failure, 2 usage error.
 The environment variable ``HMAP_TRUNC_ORDER`` overrides the default
-truncation degree 64.  Each subcommand imports the modules it runs, so a call
+truncation degree 64; a value that is not an integer of at least 8 is a
+usage error.  Each subcommand imports the modules it runs, so a call
 loads no others.
 """
 
@@ -23,15 +24,16 @@ from .defaults import DEFAULT_ORDER, RELATION_ABS_TOL, SUITES
 
 
 def _order_from_env() -> int:
+    """The truncation degree: ``HMAP_TRUNC_ORDER`` if set, else 64; ValueError unless an integer >= 8."""
     raw = os.environ.get("HMAP_TRUNC_ORDER")
     if raw is None:
         return DEFAULT_ORDER
     try:
         order = int(raw)
     except ValueError as exc:
-        raise SystemExit(f"HMAP_TRUNC_ORDER must be an integer, got {raw!r}") from exc
+        raise ValueError(f"HMAP_TRUNC_ORDER must be an integer, got {raw!r}") from exc
     if order < 8:
-        raise SystemExit("HMAP_TRUNC_ORDER must be >= 8")
+        raise ValueError(f"HMAP_TRUNC_ORDER must be >= 8, got {order}")
     return order
 
 
@@ -250,8 +252,8 @@ def _cmd_verify(args, order: int) -> int:
 def dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    order = _order_from_env()
     try:
+        order = _order_from_env()  # a bad value is a usage error, like a bad argument
         if args.command == "plot":
             return _cmd_plot(args, order)
         if args.command == "classify":

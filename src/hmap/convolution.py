@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonic import HarmonicMap, _polar_grid, dilatation
+from .harmonic import HarmonicMap, _check_alpha, _polar_grid, dilatation
 from .report import Report
 from .series import TruncatedSeries, make_generator
 
@@ -59,8 +59,7 @@ def convex_combination_convolve(
     phi this sends members of the dilatation-alpha*z family to close-to-convex maps;
     here only the coefficient arithmetic is performed.
     """
-    if abs(beta) > 1 + 1e-12:
-        raise ValueError("need |beta| <= 1")
+    _check_alpha(beta, "convex_combination_convolve", "beta")
     if abs(phi.coefficient(0)) > 1e-14 or abs(phi.coefficient(1) - 1) > 1e-14:
         raise ValueError("phi must be normalized")
     return hadamard(HarmonicMap(phi, complex(beta).conjugate() * phi, label="combination"), f)

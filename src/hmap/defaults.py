@@ -1,7 +1,16 @@
 """Shared numeric conventions.
 
-All tolerances used across the package are centralized here so that tests
-and library code agree on what "equal" means at each precision tier.
+The tolerances that more than one module or check relies on live here, so
+that tests and library code agree on what "equal" means at each precision
+tier: coefficient and relation checks, closed-form agreement, and the
+circle tests' pass thresholds and vanishing curve.  A tolerance with one
+use sits beside it as a module constant or literal instead: the grid rule's
+Fourier tail (``harmonic._CHOP_TAIL``), the parabolic steps' least gain
+(``radius._REFINE_GAIN``), the last stored term a closed-form map trusts
+(``radius._TRUSTED_LAST_TERM``), the 1e-12 slack of the family parameter's
+bound |alpha| <= 1 (``harmonic._check_alpha``), and the 1e-14 normalization
+and b_1 = 0 checks of the classifiers, the radius search and the
+convolutions.
 """
 
 # Truncation degree used by the catalog constructors unless overridden.
@@ -28,6 +37,11 @@ EXACT_AGREEMENT_POINTS = 20
 # their own angle grid by one rule (hmap.harmonic._chop_and_double).
 CIRCLE_MIN_TOL = 1e-9
 TURNING_TOL = 1e-3
+
+# A sampled curve (the tangent of a convexity test, the map of a
+# starlikeness test, z Fe' of a Kaplan arc) vanishes where its modulus is
+# below this; its argument, and the rate, are then undefined.
+CURVE_VANISH_TOL = 1e-13
 
 # Verification suites: each suite of hmap.verify, or "all" of them in turn.
 SUITES = ("all", "coefficients", "radii", "convolution", "bounds")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .defaults import COEFF_ABS_TOL, EXACT_AGREEMENT_POINTS, EXACT_AGREEMENT_TOL
 from .report import Report
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _require_inside
 
 
 class SingularPointError(ValueError):
@@ -129,27 +129,27 @@ def _check_exact_agreement(hmap: "HarmonicMap") -> None:
         series = hmap.h if name.endswith("h") else hmap.g
         if name.startswith("d2") and series.order < 2:
             raise ValueError(f"degree {series.order} too small for 2 derivatives")
-        if gap > tol:
+        if not gap <= tol:
             raise ValueError(
                 f"closed-form {name} disagrees with its series by {gap:.3e} "
                 f"inside |z| <= 0.5 (allowed {tol:.3e})"
             )
 
 
-def _any(mask) -> bool:
-    """np.any of a boolean array or scalar; a scalar skips the array round trip, which costs microseconds."""
-    return mask.any() if isinstance(mask, np.ndarray) else mask
+def _require_radius(r: float, name: str = "r") -> None:
+    """ValueError unless 0 < r < 1 (nan fails): the radius of every circle and disk a check samples."""
+    if not 0 < r < 1:
+        raise ValueError(f"need 0 < {name} < 1")
 
 
-def _require_inside(z) -> None:
-    if _any(abs(z) >= 1.0):
-        raise ValueError("harmonic map evaluation requires |z| < 1")
+def _check_alpha(alpha: complex, name: str, symbol: str = "alpha") -> None:
+    """ValueError unless |alpha| <= 1 (to 1e-12; nan fails), the dilatation bound of every alpha family.
 
-
-def _check_alpha(alpha: complex, name: str) -> None:
-    """ValueError unless |alpha| <= 1 (to 1e-12), the dilatation bound of every alpha family."""
-    if abs(alpha) > 1 + 1e-12:
-        raise ValueError(f"{name} requires |alpha| <= 1, got {abs(alpha)}")
+    The one check of the family parameter, and of the convolutions' beta
+    (``symbol`` names it in the message).
+    """
+    if not abs(alpha) <= 1 + 1e-12:
+        raise ValueError(f"{name} requires |{symbol}| <= 1, got {abs(alpha)}")
 
 
 def _require_nonzero(values, z, tol: float = 0.0) -> None:
@@ -375,8 +375,7 @@ def angular_derivatives(f: HarmonicMap, r: float, theta):
     circle tests and Kaplan arcs sample the same formulas on their own path
     (:func:`_circle_derivatives`).
     """
-    if not 0 < r < 1:
-        raise ValueError("need 0 < r < 1")
+    _require_radius(r)
     z = r * np.exp(1j * np.asarray(theta, dtype=float))
     if np.isscalar(theta):
         z = complex(z)
@@ -581,8 +580,7 @@ def sense_preserving_check(f: HarmonicMap, r_max: float) -> GridCheckReport:
     Failure reports the first offending node; a pass is only a sampled
     necessary condition for the map being sense-preserving.
     """
-    if not 0 < r_max < 1:
-        raise ValueError("need 0 < r_max < 1")
+    _require_radius(r_max, "r_max")
     zg = _polar_grid(r_max, *_SENSE_GRID)
     jac = jacobian(f, zg)
     worst = float(np.min(jac))
@@ -604,8 +602,7 @@ def injectivity_sample_check(
     samples at domain distance >= 0.05 whose images differ by less than
     1e-8 falsify injectivity on the sampled disk.
     """
-    if not 0 < r_max < 1:
-        raise ValueError("need 0 < r_max < 1")
+    _require_radius(r_max, "r_max")
     z = _disk_samples(r_max, _INJECTIVITY_SAMPLES)
     if include:
         z = np.concatenate([np.asarray(include, dtype=complex), z])

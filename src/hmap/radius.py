@@ -89,11 +89,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .defaults import CIRCLE_MIN_TOL, TURNING_TOL
+from .defaults import CIRCLE_MIN_TOL, CURVE_VANISH_TOL, TURNING_TOL
 from .catalog import map_F
 from .classifiers import _weighted_terms
 from .harmonic import (_START_THETA_POINTS, HarmonicMap, _angular, _chop_and_double, _circle_derivatives,
-                       _unit_circle)
+                       _require_radius, _unit_circle)
 from .report import Report
 
 
@@ -196,7 +196,7 @@ def _refined_min(
 def _rate_at(f: HarmonicMap, r: float, m: int, theta: float, curve_name: str) -> float:
     """The rate Im(d^{m+1} f / d^m f) at one radius and one angle; ValueError where the curve vanishes."""
     upper, curve = _circle_derivatives(f, r, m, theta, False)
-    if abs(curve) < 1e-13:
+    if abs(curve) < CURVE_VANISH_TOL:
         raise ValueError(f"{curve_name} vanishes on |z| = {r}")
     return (upper / curve).imag
 
@@ -227,8 +227,8 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
     refinement read the rate mirrored back onto the whole grid.
     """
     radii = [float(r) for r in radii]
-    if not all(0 < r < 1 for r in radii):
-        raise ValueError("need 0 < r < 1")
+    for r in radii:
+        _require_radius(r)
     column = np.array(radii)[:, None]
     def half(n: int) -> bool:
         return n % 2 == 0 and f._conjugate_symmetric
@@ -237,7 +237,7 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
         thetas, mirrored = _unit_circle(n)[0], half(n)
         th = thetas[: n // 2 + 1] if mirrored else thetas
         upper, curve = _circle_derivatives(f, column[first : first + max(1, _BATCH_POINTS // th.size)], m, th, True)
-        small = abs(curve) < 1e-13
+        small = abs(curve) < CURVE_VANISH_TOL
         if small.any():
             # the first row is reached and raises; a later one ends this call's
             # rows and comes back as the first row of a later call, if any

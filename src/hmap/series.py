@@ -41,12 +41,25 @@ _EVAL_SLICE = 4096
 _EVAL_PAD = 16
 
 
+def _require_inside(z) -> None:
+    """ValueError unless every point z, a complex scalar or an ndarray, lies in |z| < 1; nan fails.
+
+    The one disk check of every evaluation.  A scalar calls no numpy
+    function: the circle tests' refinement points on closed forms come one
+    at a time.
+    """
+    inside = abs(z) < 1.0
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+        raise ValueError("evaluation requires |z| < 1")
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedSeries:
     """Coefficients ``c[0] .. c[N]`` of a power series truncated at degree N.
 
     The coefficient array is copied and frozen at construction; instances are
-    immutable and safe to share between threads.
+    immutable and safe to share between threads.  Every coefficient must be
+    finite (ValueError otherwise), so checks downstream compare numbers.
     """
 
     coeffs: np.ndarray
@@ -55,6 +68,8 @@ class TruncatedSeries:
         arr = np.array(self.coeffs, dtype=complex)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need a 1-D coefficient array with degree >= 1")
+        if not np.isfinite(arr).all():
+            raise ValueError("series coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -187,8 +202,7 @@ class TruncatedSeries:
         the other points of the call.
         """
         zarr = np.asarray(z, dtype=complex)
-        if np.any(np.abs(zarr) >= 1.0):
-            raise ValueError("series evaluation requires |z| < 1")
+        _require_inside(zarr)
         flat = zarr.ravel()
         result = np.empty_like(flat)
         for start in range(0, flat.size, _EVAL_SLICE):

@@ -336,11 +336,16 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 17  # header + coefficients 0..16
 
-    def test_bad_env_value(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("HMAP_TRUNC_ORDER", "banana")
-        with pytest.raises(SystemExit):
-            dispatch(["convolve", "--left", "L", "--right", "L",
-                      "--out", str(tmp_path / "c.csv")])
+    def test_bad_env_value(self, monkeypatch, tmp_path, capsys):
+        # a usage error: "error: ..." on stderr, nothing on stdout, exit 2
+        for raw, message in (("banana", "must be an integer, got 'banana'"), ("4", "must be >= 8, got 4")):
+            monkeypatch.setenv("HMAP_TRUNC_ORDER", raw)
+            rc = dispatch(["convolve", "--left", "L", "--right", "L",
+                           "--out", str(tmp_path / "c.csv")])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: HMAP_TRUNC_ORDER {message}\n" and captured.out == ""
+            assert not (tmp_path / "c.csv").exists()
 
     def test_verify_exit_status_is_and_of_records(self, monkeypatch, tmp_path):
         import hmap.verify as verify_mod
