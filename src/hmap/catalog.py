@@ -7,15 +7,19 @@ alpha = -1) or None for a name that takes alpha as its parameter.
 read the table through one builder.  h is one closed form
 N(z)/(1-z)^k + c log(1-z) (:class:`~hmap.series.ClosedForm`), and g is alpha
 times h's partner G, with G' = z h' and G(0) = 0 (``ClosedForm.partner``).
-``l_hadamard_l``, not in M(alpha), is written as its two forms.  The map's
-series and the evaluators of h, g and their first two derivatives all derive
-from the forms.  The closed forms evaluate every point, so radius scans close
-to the unit circle stay accurate; the coefficients serve the coefficient
-classifiers and Hadamard products, and meet the closed forms once, in the
-agreement check at construction.  Only shears, Hadamard products and
+``l_hadamard_l``, not in M(alpha), is the Hadamard product of L with itself:
+its h and g are the squares of L's forms (``ClosedForm.hadamard``).  The
+map's series and the evaluators of h, g and their first two derivatives all
+derive from the forms, which the map keeps, so that a Hadamard product of two
+catalog maps is built from the products of their forms.  The closed forms
+evaluate every point, so radius scans close to the unit circle stay accurate;
+the coefficients serve the coefficient classifiers, and meet the closed forms
+once, in the agreement check at construction.  Only shears,
 ``make_M_alpha_member`` (the series recurrence, for an h given by its
-coefficients alone) build series-only maps, evaluated from their truncated
-series (and sampled on circle-test grids by inverse FFT of their coefficients).
+coefficients alone) and Hadamard products with an operand without forms, or
+with a log part in both g, build series-only maps, evaluated from their
+truncated series (and sampled on circle-test grids by inverse FFT of their
+coefficients).
 
 Catalog vocabulary (also the CLI ``--function`` grammar):
 
@@ -45,14 +49,19 @@ from .series import _GENERATORS, ClosedForm, TruncatedSeries
 
 # h of each map in M(alpha); its g is alpha h.partner.  f_alpha's h is
 # (l + k)/2 = (z - z^2/2)/(1-z)^2, with partner (k - l)/2 = (z^2/2)/(1-z)^2.
-# L*L is not in M(alpha): its entry is (h, g).
 _FORMS = {
     "f_alpha": ClosedForm((0, 1, -0.5), 2),
     "g_alpha": _GENERATORS["identity"],
     "example21": ClosedForm((0, 1, -0.5)),
     "example22": _GENERATORS["half_plane_l"],
-    "L*L": (ClosedForm((0, 1, -0.75, 0.25), 3), ClosedForm((0, 0, 0.25, 0.25), 3)),
 }
+
+
+@dataclass(frozen=True)
+class _FormEvaluators(ExactEvaluators):
+    """The six closed forms of a map built from forms, and the forms (h, g, alpha) they come from."""
+
+    forms: tuple[ClosedForm, ClosedForm, complex]
 
 
 def _closed_map(h: ClosedForm, order: int, label: str, alpha: complex = 1.0,
@@ -60,11 +69,13 @@ def _closed_map(h: ClosedForm, order: int, label: str, alpha: complex = 1.0,
     """h + conj(alpha g) from closed forms: its series and its six closed forms (:class:`ExactEvaluators`).
 
     g defaults to h's partner, so that g' = alpha z h': the M(alpha) member of h.
+    The forms ride on the evaluators, so that :func:`~hmap.convolution.hadamard`
+    can multiply them.
     """
     g = h.partner if g is None else g
     dh, dg = h.derivative, g.derivative
-    exact = ExactEvaluators(h.evaluator(), g.evaluator(alpha), dh.evaluator(), dg.evaluator(alpha),
-                            dh.derivative.evaluator(), dg.derivative.evaluator(alpha))
+    exact = _FormEvaluators(h.evaluator(), g.evaluator(alpha), dh.evaluator(), dg.evaluator(alpha),
+                            dh.derivative.evaluator(), dg.derivative.evaluator(alpha), (h, g, alpha))
     return HarmonicMap(h.series(order), g.series(order, alpha), exact, label=label)
 
 
@@ -153,11 +164,12 @@ def example22(order: int = DEFAULT_ORDER) -> HarmonicMap:
 def l_hadamard_l(order: int = DEFAULT_ORDER) -> HarmonicMap:
     """Coefficient square of the half-plane map: a_n = ((n+1)/2)^2, b_n = ((n-1)/2)^2.
 
-    This is the Hadamard product L*L (equivalently F*F) with closed-form
-    evaluators attached, so it can be scanned near the boundary.
+    This is the Hadamard product L*L (equivalently F*F): the squares of L's
+    forms (:meth:`ClosedForm.hadamard`), with g's scale (-1)^2 = 1.  Its
+    closed forms let it be scanned near the boundary.
     """
-    h, g = _FORMS["L*L"]
-    return _closed_map(h, order, "L*L", g=g)
+    h = _FORMS["f_alpha"]
+    return _closed_map(h.hadamard(h), order, "L*L", g=h.partner.hadamard(h.partner))
 
 
 def make_named(entry: CatalogEntry, order: int = DEFAULT_ORDER) -> HarmonicMap:

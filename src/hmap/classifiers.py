@@ -122,12 +122,17 @@ def analytic_part_classify(h: TruncatedSeries, alpha: complex, power: int) -> Cl
     power = 3: sum <= 1 and |alpha| <= 2/11 gives full starlikeness of order
     2(6-11|alpha|)/(18+11|alpha|) and full convexity of order
     2(2-11|alpha|)/(10+11|alpha|).
+
+    alpha must be a finite number (ValueError otherwise); a finite |alpha| > 1
+    is no usage error, and reports close_to_convex = False.
     """
     if power not in (2, 3):
         raise ValueError("power must be 2 or 3")
     if abs(h.coefficient(0)) > 1e-14 or abs(h.coefficient(1) - 1) > 1e-14:
         raise ValueError("h must be normalized")
     a = abs(alpha)
+    if not a < math.inf:  # nan fails too
+        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
     order = h.order
     n = np.arange(2, order + 1, dtype=float)
     total = float(np.sum(n ** power * np.abs(h.coeffs[2 : order + 1])))
@@ -247,7 +252,8 @@ class BoundsReport(Report):
 
 
 def growth_bound(alpha: complex, z) -> np.ndarray:
-    """Sharp modulus bound |z|/(1-|z|)^2 [1 - (1-|alpha|)|z|/2] for the family."""
+    """Sharp modulus bound |z|/(1-|z|)^2 [1 - (1-|alpha|)|z|/2] for the family; |alpha| <= 1 (ValueError otherwise)."""
+    _check_alpha(alpha, "growth_bound")
     r = np.abs(z)
     return r / (1 - r) ** 2 * (1 - 0.5 * (1 - abs(alpha)) * r)
 

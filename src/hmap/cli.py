@@ -225,8 +225,9 @@ def _cmd_convolve(args, order: int) -> int:
         return 0
     from .harmonic import sense_preserving_check
 
-    # products are series-backed; 0.7 is the largest radius where the default
-    # truncation degree resolves the Jacobian sign reliably
+    # products of catalog maps keep closed forms, but a product with a log part
+    # in both g is series-only: 0.7 is the largest radius where the default
+    # truncation degree resolves such a product's Jacobian sign reliably
     sp = sense_preserving_check(prod, 0.7)
     payload = {
         "left": args.left,

@@ -5,6 +5,12 @@ analytic-part coefficients and co-analytic with co-analytic:
 
     (f * F) = h * H + conj(g * G),   (h * H)_n = a_n A_n.
 
+When both maps were built from closed forms, as every catalog map is, the
+product is built from the products of their forms
+(:meth:`~hmap.series.ClosedForm.hadamard`) and keeps closed forms, so
+``conv(F,L)`` evaluates exactly near the unit circle; otherwise, and when
+both g have a log part, it is the product of the truncated series.
+
 For the product of the horizontally sheared half-plane map with a map whose
 parts sum to z/(1-z) and whose dilatation is w(z) = e^{i t} z^n, the product
 dilatation has the closed form
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import _FORMS, _closed_map, shear_vertical
 from .harmonic import HarmonicMap, _check_alpha, _polar_grid, dilatation
 from .report import Report
 from .series import TruncatedSeries, make_generator
@@ -36,15 +43,21 @@ def hadamard(f: HarmonicMap, F: HarmonicMap) -> HarmonicMap:
     """Harmonic Hadamard product of two normalized maps.
 
     The result keeps the normalization (the degree-one analytic coefficient
-    is 1 * 1) and is truncated to the smaller operand degree.  Closed-form
-    evaluators do not survive the product; the result is series-backed.
+    is 1 * 1) and is truncated to the smaller operand degree.  When both maps
+    were built from closed forms (h, g, alpha), as the catalog builds them,
+    the product is built the same way from h1 * h2 and g1 * g2
+    (:meth:`ClosedForm.hadamard`), with g scaled by alpha1 alpha2, so it keeps
+    closed forms.  It is series-only when either map has only series or
+    hand-given :class:`ExactEvaluators`, or when both g have a log part (their
+    product is a dilogarithm).
     """
-    return HarmonicMap(
-        hadamard_series(f.h, F.h),
-        hadamard_series(f.g, F.g),
-        None,
-        label=f"({f.label or 'f'})*({F.label or 'F'})",
-    )
+    label = f"({f.label or 'f'})*({F.label or 'F'})"
+    if hasattr(f.exact, "forms") and hasattr(F.exact, "forms"):
+        (h1, g1, a1), (h2, g2, a2) = f.exact.forms, F.exact.forms
+        h, g = h1.hadamard(h2), g1.hadamard(g2)
+        if None not in (h, g):
+            return _closed_map(h, min(f.order, F.order), label, a1 * a2, g)
+    return HarmonicMap(hadamard_series(f.h, F.h), hadamard_series(f.g, F.g), None, label=label)
 
 
 def convex_combination_convolve(
@@ -122,8 +135,6 @@ def tilde_dilatation_check(n: int, theta: float) -> TildeDilatationReport:
     """
     if n not in (1, 2):
         raise ValueError("closed form applies to n = 1 or 2")
-    from .catalog import _FORMS, shear_vertical
-
     # eight rows at a time, and the grid freed before the cross-check: a whole-grid temporary (over
     # glibc's 128 KiB mmap threshold) or a grid live under the cross-check faults in new pages each call
     zg = _polar_grid(TildeDilatationReport.r_max, *_TILDE_GRID)

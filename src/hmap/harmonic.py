@@ -5,9 +5,10 @@ analytic power series (the conjugation is applied only at evaluation time),
 because every coefficient relation used elsewhere in the package acts on the
 analytic ``g``.  A map may carry closed-form evaluators for (h, g) and their
 first two derivatives; the catalog derives all six, and the series, from one
-closed form per part (:class:`~hmap.series.ClosedForm`).  Each map has
-exactly one evaluation route: a map with closed forms evaluates them on
-every point, so scans near the boundary stay accurate; a map without them
+closed form per part (:class:`~hmap.series.ClosedForm`), and so does a
+Hadamard product of two such maps, from the products of their forms.  Each
+map has exactly one evaluation route: a map with closed forms evaluates them
+on every point, so scans near the boundary stay accurate; a map without them
 evaluates its truncated series.  The two
 meet only once, when a map with closed forms is built and checked against its
 series: all six closed forms at 20 fixed points in |z| <= 1/2 against one
@@ -51,7 +52,10 @@ class SingularPointError(ValueError):
 class ExactEvaluators:
     """Closed-form evaluators for h, g and their first two derivatives.
 
-    Each callable must accept complex scalars and ndarrays alike.
+    Each callable must accept complex scalars and ndarrays alike.  A map
+    built from closed forms carries them in a private subclass that also
+    keeps the forms, which :func:`~hmap.convolution.hadamard` multiplies;
+    hand-given evaluators have no forms, and their products are series-only.
     """
 
     h: Callable
@@ -122,9 +126,12 @@ def _check_exact_agreement(hmap: "HarmonicMap") -> None:
     gaps = np.max(np.abs(exact - _agreement_powers()[:, : deg + 1] @ cols), axis=0)
     # second derivatives of maps with quadratically growing coefficients leave
     # a tail ~ n^4 (1/2)^n at the check radius; the allowance keeps the check
-    # strict at the default truncation degree but not vacuous below it
+    # strict at the default truncation degree but not vacuous below it.  It
+    # reads the growth n^2 off 4 |c_N| where that is larger: products of
+    # products grow faster than n^2/4
     order = min(hmap.h.order, hmap.g.order)
-    tol = EXACT_AGREEMENT_TOL + 8.0 * (order + 2) ** 4 * 0.5 ** (order + 1)
+    growth = max((order + 2) ** 2, 4 * max(abs(hmap.h.coeffs[order]), abs(hmap.g.coeffs[order])))
+    tol = EXACT_AGREEMENT_TOL + 8.0 * growth**2 * 0.5 ** (order + 1)
     for name, gap in zip(_ROUTES, gaps):
         series = hmap.h if name.endswith("h") else hmap.g
         if name.startswith("d2") and series.order < 2:

@@ -15,10 +15,15 @@ the only domain the rest of the package cares about.
 
 A :class:`ClosedForm` is the function N(z)/(1 - z)^k + c log(1 - z), N a
 polynomial: the shape of every stock generator and of each part of every
-catalog map.  It yields its Taylor coefficients at any degree, its
-derivative and its M(alpha) partner G, with G' = z h' (both again such
-forms), and one compiled evaluator per scale factor, so a map written as
-forms carries no hand-written series, derivative or co-analytic part.
+catalog map.  It yields its Taylor coefficients at any degree and one
+compiled evaluator per scale factor.  One operation derives every other
+form: the Hadamard product of two forms (coefficients multiplied), again
+such a form unless both have a log part.  The derivative is the product
+with z/(1 - z)^2 (coefficients n), shifted down one degree, and the
+M(alpha) partner G, with G' = z h', is the product of z^2 h' with
+-log(1 - z) (coefficients 1/n).  So a map written as forms, and a product
+of such maps, carries no hand-written series, derivative or co-analytic
+part.
 """
 
 from __future__ import annotations
@@ -258,7 +263,8 @@ def _evaluate_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
 class ClosedForm:
     """N(z)/(1 - z)^k + log * log(1 - z), ``num`` the coefficients of N as Python numbers, constant first.
 
-    Closed under d/dz, so one literal per part of a map gives its series and all its closed forms.
+    Closed under the Hadamard product except log x log (:meth:`hadamard`), and so under d/dz and the
+    M(alpha) partner, so one literal per part of a map gives its series and all its closed forms.
     """
 
     num: tuple[float, ...]
@@ -267,46 +273,59 @@ class ClosedForm:
 
     @cached_property
     def derivative(self) -> "ClosedForm":
-        """d/dz, with w = 1 - z: (N/w^k)' = (N' w + k N)/w^(k+1) and (c log w)' = -c/w."""
-        num, k, c = self.num, self.k, self.log
-        if k or c:
-            out = [0.0] * max(len(num), k + 1)
-            for j, a in enumerate(num):  # N' w + k N
-                out[j] += (k - j) * a
-                if j:
-                    out[j - 1] += j * a
-            for j in range(k + 1):
-                out[j] -= c * (-1) ** j * math.comb(k, j)
-            k += 1
-        else:
-            out = [j * a for j, a in enumerate(num)][1:]
-        return ClosedForm(_trimmed(out), k)
+        """d/dz: the product with z/(1 - z)^2 (coefficients n), shifted down one degree."""
+        p = self.hadamard(_GENERATORS["koebe_k"])
+        return ClosedForm(p.num[1:], p.k)
 
     @cached_property
     def partner(self) -> "ClosedForm":
         """The M(alpha) partner of h = self: G with G' = z h' and G(0) = 0, so g = alpha G.
 
-        Its coefficients are b_n = (n - 1) a_(n-1) / n.  With h' = D/w^K (w = 1 - z,
-        K = 0 for a polynomial h) and e the coefficients of z D, a polynomial h gives
-        M_(i+1) = e_i/(i + 1).  Otherwise G = M/w^(K-1) + c log w, where G' = z h'
-        reads (i + 1) M_(i+1) + (K - 1 - i) M_i = e_i + c [w^(K-1)]_i for every i:
-        solved downwards from the top for i >= K, at i = K - 1 for c (the w^-1 term
-        of z h' in powers of w), then upwards from M_0 = 0, which is G(0) = 0.
+        Its coefficients are b_n = (n - 1) a_(n-1) / n: the product of z^2 h' with
+        -log(1 - z), whose coefficients are 1/n.
         """
         d = self.derivative
-        if not d.k:
-            return ClosedForm(_trimmed([0.0, 0.0] + [a / (i + 2) for i, a in enumerate(d.num)]))
-        k = d.k - 1  # G's power of w
-        size = max(len(d.num) + 1, k + 1) + 1  # M_0 .. M_(size-1), the last one 0
-        e = ([0.0, *d.num] + [0.0] * size)[:size]
-        m = [0.0] * size
-        for i in range(size - 2, k, -1):
-            m[i] = (e[i] - (i + 1) * m[i + 1]) / (k - i)
-        w_k = [(-1) ** i * math.comb(k, i) for i in range(k + 1)]
-        c = ((k + 1) * m[k + 1] - e[k]) / w_k[k]
-        for i in range(k):
-            m[i + 1] = (e[i] + c * w_k[i] - (k - i) * m[i]) / (i + 1)
-        return ClosedForm(_trimmed(m), k, c or 0.0)  # no -0.0
+        return ClosedForm((0, 0, *d.num), d.k).hadamard(ClosedForm((), 0, -1))
+
+    @lru_cache(maxsize=256)
+    def hadamard(self, other: "ClosedForm") -> "ClosedForm | None":
+        """The form whose coefficients are the products of self's and other's; None when both have a log part.
+
+        Past its numerator, from n = s = len(N) - k (and n >= 1), a form's coefficients
+        are P(n) - c/n, P of degree k - 1 (P = 0 when k = 0).  With c1 c2 = 0 the product
+        is P1 P2 - (c1 P2 + c2 P1)/n, and P(n)/n = Q(n) + P(0)/n: again a form, with
+        k = k1 + k2 - 1 (0 when either side is a polynomial) and log part
+        c1 P2(0) + c2 P1(0).  Its numerator is (1 - z)^k times the product series with
+        that log part added back, which vanishes past degree s + k - 1 for the larger s
+        of the two; cut there, rounding residue of the later terms stays out of it.
+        With a and b the coefficients of the rational parts N/(1 - z)^k, that series is
+        a b - (c1 b + c2 a - log)/n.  Its 1/n part is summed scaled by
+        d = lcm(1, ..., s + k - 1), so that for dyadic numerators every term is
+        exact and one division by d rounds each numerator coefficient.  (With c1 c2 != 0 the product has a
+        c1 c2 / n^2 part: a dilogarithm.)
+        """
+        if self.log and other.log:
+            return None
+        k = self.k + other.k - 1 if (self.k or self.log) and (other.k or other.log) else 0
+        log = self.log * other._p_at_zero + other.log * self._p_at_zero + 0.0  # + 0.0: no -0.0
+        top = max(len(self.num) - self.k, len(other.num) - other.k, 1) + k - 1
+        a, b = ClosedForm(self.num, self.k).coefficients(top), ClosedForm(other.num, other.k).coefficients(top)
+        d = math.lcm(*range(1, min(top, 40) + 1))  # d/n stays an integer below 2^53
+        scaled = np.zeros(top + 1)  # d/n, from n = 1 on
+        scaled[1:] = d / np.arange(1, top + 1)
+        w = [(-1) ** i * math.comb(k, i) for i in range(k + 1)]
+        num = np.convolve(a * b, w) - np.convolve((self.log * b + other.log * a - log) * scaled, w) / d
+        return ClosedForm(_trimmed((num[: top + 1] + 0.0).tolist()), k, log)
+
+    @property
+    def _p_at_zero(self) -> float:
+        """P(0), P the polynomial the coefficients follow past N: 0 when k = 0.
+
+        In powers of w = 1 - z, N = sum_i M_i w^i, and w^(i-k) has coefficients
+        C(n + k - i - 1, k - i - 1), 1 at n = 0 for i < k, while i >= k adds a
+        polynomial.  So P(0) = M_0 + ... + M_(k-1), with M_i = (-1)^i sum_j N_j C(j, i).
+        """
+        return sum(a * sum((-1) ** i * math.comb(j, i) for i in range(self.k)) for j, a in enumerate(self.num))
 
     @lru_cache(maxsize=256)
     def coefficients(self, order: int) -> np.ndarray:

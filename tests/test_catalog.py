@@ -351,14 +351,11 @@ def test_powers_of_one_minus_z_match_textbook_forms(name):
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (which, r)
 
 
-def _parts(entry):
-    """(h, g) of a catalog entry: an M(alpha) map is written as its h, and its g is h's partner."""
-    return entry if isinstance(entry, tuple) else (entry, entry.partner)
-
-
-# every part of every catalog map and every stock generator, as its closed form
-FORMS = {**{f"{name}.{part}": form for name, entry in catalog._FORMS.items() for part, form in zip("hg", _parts(entry))},
-         **series._GENERATORS}
+# every part of every catalog map and every stock generator, as its closed form: an
+# M(alpha) map is written as its h, and its g is h's partner; L*L's are the squares of L's
+_H = catalog._FORMS["f_alpha"]
+FORMS = {**{f"{name}.{part}": form for name, h in catalog._FORMS.items() for part, form in zip("hg", (h, h.partner))},
+         "L*L.h": _H.hadamard(_H), "L*L.g": _H.partner.hadamard(_H.partner), **series._GENERATORS}
 
 
 def _rule(order, start, fn):
@@ -398,6 +395,18 @@ def test_every_form_has_a_coefficient_rule():
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_form_coefficients_follow_the_rule(name, order):
     assert np.array_equal(FORMS[name].series(order).coeffs, RULES[name](order))
+
+
+@pytest.mark.parametrize("left", sorted(FORMS))
+def test_hadamard_of_two_forms_is_the_coefficientwise_product(left):
+    # with both log parts the product has a 1/n^2 part, a dilogarithm, and no form
+    a = FORMS[left]
+    for right, b in FORMS.items():
+        p = a.hadamard(b)
+        assert (p is None) == bool(a.log and b.log), right
+        for order in (8, 64, 2048) if p is not None else ():
+            np.testing.assert_array_max_ulp(p.coefficients(order), a.coefficients(order) * b.coefficients(order),
+                                            maxulp=1)
 
 
 @pytest.mark.parametrize("order", [8, 64, 2048])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import same_coeffs
-from hmap.catalog import f_alpha, l_hadamard_l, map_F, map_L, shear_vertical
+from hmap.catalog import f_alpha, l_hadamard_l, map_F, map_L, parse_function, shear_vertical
 from hmap.convolution import (
     convex_combination_convolve,
     hadamard,
@@ -14,8 +14,9 @@ from hmap.convolution import (
     tilde_dilatation_check,
 )
 from hmap import convolution, harmonic
-from hmap.harmonic import HarmonicMap, dilatation
-from hmap.series import TruncatedSeries, make_generator
+from hmap.harmonic import ExactEvaluators, HarmonicMap, dilatation
+from hmap.radius import radius_search
+from hmap.series import ClosedForm, TruncatedSeries, make_generator
 
 
 class TestHadamard:
@@ -67,6 +68,46 @@ class TestHadamard:
         # a_3 of the self-product is 4, above the in-family bound (3+1)/2 = 2
         prod = hadamard(f_alpha(1, 16), f_alpha(1, 16))
         assert abs(prod.h.coefficient(3)) == 4.0 > 2.0
+
+
+class TestClosedProducts:
+    """Maps built from closed forms multiply their forms, so their product keeps closed forms."""
+
+    @pytest.mark.parametrize("text", ["conv(L,L)", "conv(F,L)", "conv(example22,F)", "conv(f_alpha:0.3,-0.4,L)"])
+    def test_product_of_forms_has_closed_forms(self, text):
+        assert parse_function(text).exact is not None
+
+    def test_log_times_log_is_series_only(self):
+        assert parse_function("conv(example22,example22)").exact is None
+
+    def test_half_plane_square_near_the_circle(self):
+        # (z - 3 z^2/4 + z^3/4)/(1 - z)^3 at 0.95; the degree-64 series gives 2544.24
+        assert parse_function("conv(L,L)").h_at(0.95) == pytest.approx(3899.75, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
+    def test_radii_match_a_degree_2048_series(self, kind):
+        F, L = map_F(2048), map_L(2048)
+        series = HarmonicMap(hadamard_series(F.h, L.h), hadamard_series(F.g, L.g))
+        tol = 1e-6
+        closed, deep = radius_search(parse_function("conv(F,L)"), kind, tol), radius_search(series, kind, tol)
+        assert abs(closed.r_lo - deep.r_lo) <= tol and abs(closed.r_hi - deep.r_hi) <= tol
+
+    @pytest.mark.parametrize("order", [8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("text", ["conv(conv(L,L),conv(L,L))", "conv(conv(conv(L,L),conv(L,L)),conv(L,L))"])
+    def test_products_of_products_build(self, text, order):
+        # coefficients growing like n^8 and n^12: the agreement check reads the growth off c_N
+        f = parse_function(text, order)
+        assert f.exact is not None and f.order == order
+
+    def test_agreement_check_catches_a_shifted_log_part(self):
+        f = parse_function("conv(example22,F)")
+        h, g, alpha = f.exact.forms
+        assert g.log
+        off = ClosedForm(g.num, g.k, g.log + 1e-6)
+        ex = f.exact
+        with pytest.raises(ValueError, match="closed-form g disagrees with its series"):
+            HarmonicMap(f.h, f.g, ExactEvaluators(ex.h, off.evaluator(alpha), ex.dh, off.derivative.evaluator(alpha),
+                                                  ex.d2h, off.derivative.derivative.evaluator(alpha)))
 
 
 complexes = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)

@@ -12,10 +12,10 @@ from hmap.catalog import (
     make_M_alpha_member,
     map_F,
     map_L,
-    parse_function,
     shear_horizontal,
 )
 from hmap import harmonic
+from hmap.convolution import hadamard_series
 from hmap.defaults import EXACT_AGREEMENT_POINTS, EXACT_AGREEMENT_TOL
 from hmap.harmonic import (
     ExactEvaluators,
@@ -247,7 +247,7 @@ class TestEvaluationRoute:
         assert np.max(np.abs(F.d2h_at(z) - F.exact.d2h(z))) < 1e-12
 
     @pytest.mark.parametrize("build", [
-        lambda: parse_function("conv(L,L)"),
+        lambda: HarmonicMap(hadamard_series(map_L().h, map_L().h), hadamard_series(map_L().g, map_L().g)),
         lambda: shear_horizontal(make_generator("half_plane_l", 64), make_generator("identity", 64)),
         lambda: make_M_alpha_member(make_generator("half_plane_l", 64), 0.5j),
     ])

@@ -2,7 +2,8 @@
 
 The rules, one home each: a radius in (0, 1) (``harmonic._require_radius``),
 points inside the disk (``series._require_inside``), the family parameter
-|alpha| <= 1 (``harmonic._check_alpha``), family membership
+|alpha| <= 1 (``harmonic._check_alpha``; ``analytic_part_classify`` takes
+any finite alpha, since its theorem answers |alpha| > 1), family membership
 (``classifiers._require_member``), finite coefficients
 (``TruncatedSeries``), and the closed-form agreement and Kaplan's
 unimodular epsilon, each checked once.  Every row raises ValueError; a nan
@@ -17,7 +18,7 @@ import pytest
 
 from hmap.catalog import make_M_alpha_member, map_F, parse_function
 from hmap.classifiers import (analytic_part_classify, area_series, coefficient_sum_orders, family_bounds_check,
-                              kaplan_integral_check, kaplan_integrand, m_alpha_check, poisson_kernel)
+                              growth_bound, kaplan_integral_check, kaplan_integrand, m_alpha_check, poisson_kernel)
 from hmap.cli import dispatch
 from hmap.convolution import convex_combination_convolve
 from hmap.harmonic import (ExactEvaluators, HarmonicMap, angular_derivatives, evaluate_f, injectivity_sample_check,
@@ -94,6 +95,10 @@ CASES = [
     ("HarmonicMap closed-form h nan", _nan_closed_h, "closed-form h disagrees with its series by nan"),
     ("kaplan_integral_check epsilon=nan", lambda: kaplan_integral_check(map_F(), NAN, 0.5, 0.0, 1.0),
      "epsilon must be unimodular"),
+    *[(f"analytic_part_classify alpha={a}", lambda a=a: analytic_part_classify(_phi(), a, 2),
+       "alpha must be a finite number") for a in (NAN, complex(0, NAN), math.inf)],
+    *[(f"growth_bound alpha={a}", lambda a=a: growth_bound(a, 0.5), r"growth_bound requires \|alpha\| <= 1")
+      for a in (NAN, 3.0)],
     ("analytic_part_classify power=4", lambda: analytic_part_classify(_phi(), 0.1, 4), "power must be 2 or 3"),
     ("analytic_part_classify h'(0)=2", lambda: analytic_part_classify(2 * _phi(), 0.1, 2), "h must be normalized"),
 ]
@@ -108,8 +113,16 @@ def test_bad_input_raises(call, message):
 @pytest.mark.parametrize("argv, message", [
     (["radius", "--function", "f_alpha:nan,0", "--kind", "convex"], "f_alpha requires |alpha| <= 1, got nan"),
     (["classify", "--function", "F", "--check", "bounds", "--alpha", "nan,0"], "requires |alpha| <= 1, got nan"),
-], ids=["radius", "classify-bounds"])
+    (["classify", "--function", "g_alpha:0.1,0", "--check", "analytic-sums", "--alpha", "nan,0"],
+     "alpha must be a finite number"),
+], ids=["radius", "classify-bounds", "classify-analytic-sums"])
 def test_cli_bad_input_is_usage_error(argv, message, capsys):
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+def test_finite_alpha_above_one_is_an_answer_not_an_error():
+    # the theorem needs |alpha| <= 1, so a finite alpha outside reads as not close-to-convex
+    rep = analytic_part_classify(TruncatedSeries([0, 1, 0.1]), 2.0, 2)
+    assert rep.close_to_convex is False and not rep.passed

@@ -17,7 +17,6 @@ from hmap.catalog import (
     make_M_alpha_member,
     map_F,
     map_L,
-    parse_function,
     shear_horizontal,
 )
 from hmap.harmonic import (
@@ -31,6 +30,7 @@ from hmap.harmonic import (
 from hmap.series import TruncatedSeries, make_generator
 from hmap import radius
 from hmap.classifiers import coefficient_sum_orders
+from hmap.convolution import hadamard_series
 from hmap.defaults import CIRCLE_MIN_TOL
 from hmap.radius import (
     CircleTest,
@@ -154,7 +154,8 @@ def half_plane_koebe_mix(order):
 
 
 SERIES_ONLY = {
-    "conv(L,L)": lambda: parse_function("conv(L,L)"),
+    # conv(L,L) from coefficient arrays: the product of L's forms has closed forms
+    "conv(L,L)": lambda: HarmonicMap(hadamard_series(map_L().h, map_L().h), hadamard_series(map_L().g, map_L().g)),
     "M_alpha twin": lambda: make_M_alpha_member(half_plane_koebe_mix(64), 0.5 - 0.3j),
     "horizontal shear": lambda: shear_horizontal(make_generator("half_plane_l", 64), make_generator("identity", 64)),
 }
