@@ -392,7 +392,7 @@ def _kaplan_steps(f: HarmonicMap, epsilons: np.ndarray, r: float) -> tuple[int, 
         rate, curve = _fe_circle(f, epsilons, r, _unit_circle(n)[0], on_grid=True)
         return rate[None], tuple(np.concatenate([a, a[:, :1]], axis=1)[None] for a in (curve, rate))
 
-    n, _, _, steps, ok, _ = next(_chop_and_double(sample, _START_THETA_POINTS))
+    n, _, _, steps, ok, *_ = next(_chop_and_double(sample, _START_THETA_POINTS))
     if not ok[0]:
         raise ValueError(f"phase of z Fe' is ambiguous on |z| = {r} even on {n} angles")
     return n, steps[0]

@@ -37,7 +37,7 @@ import numpy as np
 
 from .defaults import COEFF_ABS_TOL, EXACT_AGREEMENT_POINTS, EXACT_AGREEMENT_TOL
 from .report import Report
-from .series import TruncatedSeries, _require_inside
+from .series import ClosedForm, TruncatedSeries, _require_inside
 
 
 class SingularPointError(ValueError):
@@ -108,7 +108,8 @@ def _check_exact_agreement(hmap: "HarmonicMap") -> None:
     z^0 .. z^N at the points times an (N+1) x 6 matrix whose columns hold
     the coefficients of h, g, h', g', h'', g'' (a_n, b_n, n a_n, n b_n,
     n(n-1) a_n, n(n-1) b_n, shifted down to the power they multiply).  N is
-    the larger degree of h and g, cut at _AGREEMENT_DEGREE.
+    the larger degree of h and g, cut at _AGREEMENT_DEGREE.  Each gap must
+    stay within its allowance (:func:`_agreement_allowances`).
     """
     z = _agreement_points()
     deg = min(max(hmap.h.order, hmap.g.order), _AGREEMENT_DEGREE)
@@ -124,15 +125,7 @@ def _check_exact_agreement(hmap: "HarmonicMap") -> None:
     for j, name in enumerate(_ROUTES):
         exact[:, j] = getattr(hmap.exact, name)(z)
     gaps = np.max(np.abs(exact - _agreement_powers()[:, : deg + 1] @ cols), axis=0)
-    # second derivatives of maps with quadratically growing coefficients leave
-    # a tail ~ n^4 (1/2)^n at the check radius; the allowance keeps the check
-    # strict at the default truncation degree but not vacuous below it.  It
-    # reads the growth n^2 off 4 |c_N| where that is larger: products of
-    # products grow faster than n^2/4
-    order = min(hmap.h.order, hmap.g.order)
-    growth = max((order + 2) ** 2, 4 * max(abs(hmap.h.coeffs[order]), abs(hmap.g.coeffs[order])))
-    tol = EXACT_AGREEMENT_TOL + 8.0 * growth**2 * 0.5 ** (order + 1)
-    for name, gap in zip(_ROUTES, gaps):
+    for name, gap, tol in zip(_ROUTES, gaps, _agreement_allowances(hmap)):
         series = hmap.h if name.endswith("h") else hmap.g
         if name.startswith("d2") and series.order < 2:
             raise ValueError(f"degree {series.order} too small for 2 derivatives")
@@ -141,6 +134,40 @@ def _check_exact_agreement(hmap: "HarmonicMap") -> None:
                 f"closed-form {name} disagrees with its series by {gap:.3e} "
                 f"inside |z| <= 0.5 (allowed {tol:.3e})"
             )
+
+
+_TAIL_TERMS = 80  # terms of a form's series past its degree that the tail sums; the next is below 2^-80 of them
+
+
+def _agreement_allowances(hmap: "HarmonicMap") -> list[float]:
+    """How far each of h, g, h', g', h'', g'' may stray from its series at the agreement points.
+
+    A series of degree N leaves out sum_{n>N} n^p |c_n| |z|^(n-p) of its
+    p-th derivative, at most the tail t_p = sum_{n>N} n^p |c_n| 2^(p-n) on
+    |z| <= 1/2.  A map built from forms (h, g, alpha) knows its
+    coefficients past N, so each route may stray EXACT_AGREEMENT_TOL plus
+    2 t_p, t_p summed over the 80 terms past N.  Hand-given evaluators have
+    no forms: all six may stray 1e-8 + 8 G^2 / 2^(N' + 1), N' the smaller
+    degree of h and g and G = max((N' + 2)^2, 4 max(|a_N'|, |b_N'|)), which
+    allows a tail ~ n^4 (1/2)^n of quadratically growing coefficients and
+    reads faster growth off the last ones.
+    """
+    forms = getattr(hmap.exact, "forms", None)
+    if forms is None:
+        order = min(hmap.h.order, hmap.g.order)
+        growth = max((order + 2) ** 2, 4 * max(abs(hmap.h.coeffs[order]), abs(hmap.g.coeffs[order])))
+        return [EXACT_AGREEMENT_TOL + 8.0 * growth**2 * 0.5 ** (order + 1)] * 6
+    h, g, alpha = forms
+    th, tg, scale = _form_tails(h, hmap.h.order), _form_tails(g, hmap.g.order), abs(alpha)
+    return [EXACT_AGREEMENT_TOL + 2 * t for p in range(3) for t in (th[p], scale * tg[p])]
+
+
+@lru_cache(maxsize=256)
+def _form_tails(form: ClosedForm, order: int) -> tuple[float, float, float]:
+    """t_p = sum_{n>order} n^p |c_n| 2^(p-n), p = 0, 1, 2, of ``form``'s coefficients, over the 80 terms past ``order``."""
+    n, p = np.arange(order + 1, order + _TAIL_TERMS + 1, dtype=float), np.arange(3.0)[:, None]
+    tails = n**p * 2.0 ** (p - n) @ np.abs(form.coefficients(order + _TAIL_TERMS)[order + 1 :])
+    return tuple(tails.tolist())
 
 
 def _require_radius(r: float, name: str = "r") -> None:
@@ -522,6 +549,14 @@ _MAX_THETA_POINTS = 65536  # the finest grid a circle doubles to
 _CHOP_TAIL = 1e-10  # a grid resolves the rate once its Fourier tail is this small
 
 
+@lru_cache(maxsize=8)
+def _squares(size: int) -> np.ndarray:
+    """k^2 for k = 0 .. size - 1, read-only: the weights of a spectrum's second derivative."""
+    k = np.arange(size, dtype=float) ** 2
+    k.flags.writeable = False
+    return k
+
+
 def _chop_and_double(sample: Callable, n: int, rows: int = 1):
     """Double the grid from n angles until each row's rate chops and its phase steps pass the guard.
 
@@ -538,6 +573,19 @@ def _chop_and_double(sample: Callable, n: int, rows: int = 1):
     is the largest such ratio.  Its guard passes when every phase step of
     every curve passes (:func:`_phase_steps`).
 
+    The same spectrum X_k (k = 0 .. n/2) bounds how far a resolved rate can
+    dip between its nodes below its least sample:
+
+        drop = (h^2 / 8) (2/n) sum_k k^2 |X_k| + (2/n) sum_{k >= 3n/8} |X_k|,   h = 2 pi / n.
+
+    The first term bounds the trigonometric interpolant of the samples: its
+    second derivative is at most (2/n) sum k^2 |X_k|, so on a step of length
+    h it lies at most h^2/8 times that below the chord of the two nodes,
+    and each chord lies at or above the least sample.  The second term
+    stands for the rate's part beyond the grid, which the interpolant
+    aliases and which a resolved spectrum has decayed to by k = 3n/8.  A
+    row's drop is the largest of its curves'.
+
     On n angles the leading sampled rows that chop and pass the guard settle
     there.  The first row that does not, and every row after it, are
     sampled again on 2n angles; if every sampled row settled, the next rows
@@ -547,23 +595,27 @@ def _chop_and_double(sample: Callable, n: int, rows: int = 1):
     stands.
 
     A generator: for each grid on which rows settle it yields (n, first,
-    rate, steps, ok, tails) of those rows, ``ok`` False where the guard
-    failed.  The caller stops where it has what it needs.
+    rate, steps, ok, tails, drops) of those rows, ``ok`` False where the
+    guard failed.  The caller stops where it has what it needs.
     """
     n, first = min(n, _MAX_THETA_POINTS), 0
     while first < rows:
         rate, path = sample(n, first)
         spectrum = np.abs(np.fft.rfft(rate))
-        tails = spectrum[..., -(-3 * n // 8):].max(-1) / spectrum.max(-1)  # division keeps the order: max of the ratios
+        tail = spectrum[..., -(-3 * n // 8):]
+        tails = tail.max(-1) / spectrum.max(-1)  # division keeps the order: max of the ratios
+        # row by row the same sums, so a row of a batch reads what the same row alone does
+        drops = (np.pi**2 / (2 * n * n) * (spectrum * _squares(spectrum.shape[-1])).sum(-1) + tail.sum(-1)) * (2 / n)
         steps, ok = _phase_steps(*path, _unit_circle(n)[0][1])
         if tails.ndim > 1:  # the curves of a row settle together
             tails, ok = tails.reshape(len(rate), -1).max(1), ok.reshape(len(rate), -1).all(1)
-        tails, ok = tails.tolist(), ok.tolist()
+            drops = drops.reshape(len(rate), -1).max(1)
+        tails, ok, drops = tails.tolist(), ok.tolist(), drops.tolist()
         k = 0
         while k < len(rate) and ((tails[k] <= _CHOP_TAIL and ok[k]) or 2 * n > _MAX_THETA_POINTS):
             k += 1
         if k:
-            yield n, first, rate[:k], steps[:k], ok[:k], tails[:k]
+            yield n, first, rate[:k], steps[:k], ok[:k], tails[:k], drops[:k]
             first += k
         if k < len(rate):
             n *= 2

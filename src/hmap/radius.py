@@ -10,18 +10,23 @@ quotients of theta-derivatives of f,
 
 sampled on a uniform theta grid that each test chooses by the circles' rule
 (``harmonic._chop_and_double``: from 128 angles, doubled until the rate's
-Fourier tail chops and the branch guard below passes, up to 65536), and
-sharpened by up to three parabolic steps from the grid minimum through exact
-values of the rate, so that transitions are resolved well below the search
-tolerance.  Near the boundary a rate may stay unresolved even at the cap:
-at r = 0.9979 the starlikeness rate of f_alpha(-0.75) keeps a tail of
-1.3e-2 on 65536 angles.  The margin is then still an exact rate value, but
-a dip narrower than the grid may go unseen.  The total turning guards
-against irregular curves: a simple closed regular curve must turn by
-exactly 2 pi.  It is read as the winding of the samples the test already
-holds (df for convexity, f for starlikeness), the sum of the arguments of
-consecutive sample ratios, so it is an integer multiple of 2 pi up to
-rounding.  A branch guard (``harmonic._phase_steps``) checks every step
+Fourier tail chops and the branch guard below passes, up to 65536).  The
+same spectrum bounds how far the rate can dip between nodes below its least
+sample g, by ``drop``.  Where g - drop stays at or above -CIRCLE_MIN_TOL the
+circle passes the margin whatever the rate does between nodes, and the
+margin is left at g.  Every other margin, and every margin a caller reads
+as a number (the public tests, the search for a dip between scan points),
+is sharpened by up to three parabolic steps from the grid minimum through
+exact values of the rate, so that transitions are resolved well below the
+search tolerance.  Near the boundary a rate may stay unresolved even at the
+cap: at r = 0.9979 the starlikeness rate of f_alpha(-0.75) keeps a tail of
+1.3e-2 on 65536 angles.  A sharpened margin is then still an exact rate
+value, but a dip narrower than the grid may go unseen.  The total
+turning guards against irregular curves: a simple closed regular curve
+must turn by exactly 2 pi.  It is read as the winding of the samples the
+test already holds (df for convexity, f for starlikeness), the sum of the
+arguments of consecutive sample ratios, so it is an integer multiple of
+2 pi up to rounding.  A branch guard (``harmonic._phase_steps``) checks every step
 against the trapezoid of the rate and fails the circle if one may have
 slipped a branch.
 
@@ -106,6 +111,13 @@ class CircleTest(NamedTuple):
     ``grid_theta`` is the full-circle grid the test ended on and ``tail``
     the largest Fourier coefficient of the rate on it at k >= 3n/8, relative
     to the largest; tests that do not report them leave 0, nan and nan.
+
+    A margin is refined (:func:`_refined_min`) only where the verdict may
+    depend on it.  Elsewhere it is the least grid value g, at its grid
+    angle, and ``drop`` bounds how far the rate dips below g between the
+    nodes (``harmonic._chop_and_double``); ``left`` and ``right`` are the
+    grid values on either side of g, from which :func:`_finished` takes the
+    parabolic steps later.  A refined test has drop 0 and nan neighbours.
     """
 
     passed: bool
@@ -114,6 +126,9 @@ class CircleTest(NamedTuple):
     grid_theta: int = 0
     tail: float = math.nan
     theta_min: float = math.nan
+    drop: float = 0.0
+    left: float = math.nan
+    right: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -174,8 +189,9 @@ def _refined_min(
     it predicts is below rounding, 1e-13 of the least value or of 1.
     Returns the least rate value sampled and its angle, an actual value at
     an actual angle.  Circle tests start it from the grid minimum and its
-    two neighbours, the tracked margin of :func:`radius_search` from the
-    end of a downhill walk (:func:`_tracked_min`).
+    two neighbours (:func:`_finished`), the tracked margin of
+    :func:`radius_search` from the end of a downhill walk
+    (:func:`_tracked_min`).
     """
     points = [mid, left, right]
     for _ in range(_REFINE_STEPS):
@@ -201,6 +217,28 @@ def _rate_at(f: HarmonicMap, r: float, m: int, theta: float, curve_name: str) ->
     return (upper / curve).imag
 
 
+def _verdict(margin: float, turning: float) -> bool:
+    """A circle passes iff its margin stays above -CIRCLE_MIN_TOL and its curve winds once, within TURNING_TOL."""
+    return margin >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
+
+
+def _finished(test: CircleTest, f: HarmonicMap, r: float, m: int, curve_name: str) -> CircleTest:
+    """``test`` of the circle |z| = r with its margin refined, where :func:`_circle_tests` left it on the grid.
+
+    The parabolic steps start from the grid minimum and its two neighbours,
+    the inputs a circle test refines from, so a finished test equals one
+    refined when it was sampled, bit for bit.  A refined test comes back as
+    it is.
+    """
+    if math.isnan(test.left):
+        return test
+    step = float(_unit_circle(test.grid_theta)[0][1])
+    mn, at = _refined_min(test.theta_min, (-step, test.left), (0.0, test.min_derivative), (step, test.right),
+                          lambda th: _rate_at(f, r, m, th, curve_name))
+    return test._replace(passed=_verdict(mn, test.total_turning), min_derivative=mn, theta_min=at,
+                         drop=0.0, left=math.nan, right=math.nan)
+
+
 def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) -> list[CircleTest]:
     """Circle tests at the increasing radii ``radii`` in scan order, up to the first that fails.
 
@@ -212,19 +250,28 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
     reached before it, as if the radii were tested one at a time.  One
     sampling call covers at most _BATCH_POINTS (2048) points, and more only
     when one row is larger, so never more than one circle at the cap.  Each
-    row that settles is judged in scan order: it passes iff the refined
-    minimum of its rate (:func:`_refined_min`) stays above -CIRCLE_MIN_TOL
-    and the winding of its curve equals 2 pi within TURNING_TOL.  The first
-    failing row ends the list; the rows sampled past it are dropped
-    unjudged.  ValueError is raised where the curve of a row that the list
-    reaches vanishes, and not for a row past the first failure.
+    row that settles is judged in scan order: it passes iff the minimum of
+    its rate stays above -CIRCLE_MIN_TOL and the winding of its curve equals
+    2 pi within TURNING_TOL.  The first failing row ends the list; the rows
+    sampled past it are dropped unjudged.  ValueError is raised where the
+    curve of a row that the list reaches vanishes, and not for a row past
+    the first failure.
+
+    A row whose least grid value g stays at least its ``drop`` above
+    -CIRCLE_MIN_TOL passes the margin however the rate dips between its
+    nodes, so no rate value can move its verdict: it keeps g and its grid
+    angle, with the grid values either side, unrefined.  Every other row is
+    refined on the spot (:func:`_finished`), its margin an actual rate value
+    at an actual angle.  A caller that reads an unrefined margin itself, not
+    only the verdict, finishes the test first.
 
     On a map with f(conj z) = conj f(z) and an even grid it samples only the
     nodes 0 <= theta <= pi.  The curve at -theta is the conjugate of that at
     theta, up to sign, and the rate is even in theta: the vanishing check
     holds by symmetry, every step of the second half repeats one of the
-    first, so the winding is twice the half, and the spectrum and the
-    refinement read the rate mirrored back onto the whole grid.
+    first, so the winding is twice the half, and the spectrum, the grid
+    minimum and its neighbours read the rate mirrored back onto the whole
+    grid.
     """
     radii = [float(r) for r in radii]
     for r in radii:
@@ -251,17 +298,18 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
         return rate, (np.concatenate([curve, curve[:, :1]], axis=1), np.concatenate([rate, rate[:, :1]], axis=1))
 
     tests = []
-    for n, first, rates, steps, oks, tails in _chop_and_double(sample, n_theta, len(radii)):
+    for n, first, rates, steps, oks, tails, drops in _chop_and_double(sample, n_theta, len(radii)):
         windings = ((2 if half(n) else 1) * steps.sum(-1)).tolist()
         step = float(_unit_circle(n)[0][1])  # parabolas in Python floats: numpy's arithmetic, not its scalar cost
-        for rate, r, winding, ok, tail in zip(rates, radii[first:], windings, oks, tails):
+        for rate, r, winding, ok, tail, drop in zip(rates, radii[first:], windings, oks, tails, drops):
             k = int(rate.argmin())
-            mn, at = _refined_min(k * step, (-step, float(rate[k - 1])), (0.0, float(rate[k])),
-                                  (step, float(rate[(k + 1) % n])), lambda th: _rate_at(f, r, m, th, curve_name))
-            turning = winding if ok else math.nan
-            passed = mn >= -CIRCLE_MIN_TOL and abs(turning - 2 * np.pi) <= TURNING_TOL
-            tests.append(CircleTest(passed, mn, turning, n, tail, at))
-            if not passed:
+            least, turning = float(rate[k]), winding if ok else math.nan
+            test = CircleTest(_verdict(least, turning), least, turning, n, tail, k * step, drop,
+                              float(rate[k - 1]), float(rate[(k + 1) % n]))
+            if not least - drop >= -CIRCLE_MIN_TOL:  # the margin may dip below the threshold between nodes
+                test = _finished(test, f, r, m, curve_name)
+            tests.append(test)
+            if not test.passed:
                 return tests
         del rates, steps, rate  # as in _chop_and_double: freed before the next rows are sampled
     return tests
@@ -276,7 +324,7 @@ def convex_test_at_radius(f: HarmonicMap, r: float) -> CircleTest:
     angles and doubles as the rate needs (:func:`_circle_tests`, the one-row
     case).
     """
-    return _circle_tests(f, [r], 1, _START_THETA_POINTS, "tangent vector")[0]
+    return _finished(_circle_tests(f, [r], 1, _START_THETA_POINTS, "tangent vector")[0], f, r, 1, "tangent vector")
 
 
 def starlike_test_at_radius(f: HarmonicMap, r: float) -> CircleTest:
@@ -287,7 +335,7 @@ def starlike_test_at_radius(f: HarmonicMap, r: float) -> CircleTest:
     -1e-9 and f winds once about the origin, by 2 pi within 1e-3.  The grid
     starts on 128 angles, as for :func:`convex_test_at_radius`.
     """
-    return _circle_tests(f, [r], 0, _START_THETA_POINTS, "map")[0]
+    return _finished(_circle_tests(f, [r], 0, _START_THETA_POINTS, "map")[0], f, r, 0, "map")
 
 
 def _dip_fails(test: Callable[[float], CircleTest], a: float, b: float, tol: float) -> bool:
@@ -385,7 +433,7 @@ def radius_search(f: HarmonicMap, kind: str, tol: float = 1e-6) -> RadiusResult:
     root x is confirmed by one batched pair of circle tests.  A lost walk,
     a tracked margin without a sign change, a pair that disagrees and a
     winding failure (margin above threshold) fall back to bisection on
-    pass/fail.  For F the tracker takes 13 and 29 tests, with 15 and 27
+    pass/fail.  For F the tracker takes 13 and 29 tests, with 15 and 30
     rate values; where it gives up at once, bisection takes 26 and 42.
     Radii above the first loss where the property holds again are not
     searched.  If the property still holds at the cap the result carries
@@ -397,10 +445,19 @@ def radius_search(f: HarmonicMap, kind: str, tol: float = 1e-6) -> RadiusResult:
     is one call: its circles are sampled together, as rows of one array per
     grid, judged in order up to the first failure, and a row past it is
     neither counted nor raises.  The confirming pair is a second such call,
-    and the dip search and the bisection make one call per radius.  Each
-    circle test chooses its own grid: the first starts on 128 angles and
-    each later one on the largest grid any test reached so far, in the batch
-    as in a call of its own; the result reports that finest grid.  A first
+    and the dip search and the bisection make one call per radius.  The
+    scan, the pair and the bisection read only verdicts, so their circles
+    keep the grid margins that cannot fail (:func:`_circle_tests`), and the
+    tracker starts from the grid angle of such a circle.  The check for a
+    dip, the dip search and the reads of the first loss's margin finish the
+    circles they read first (:func:`_finished`).  The check finishes the
+    three circles about a scan point only where their grid values and drop
+    leave room for a dip: a finished margin lies between its grid value less
+    its drop and its grid value, so the check fires exactly where one on
+    finished margins would.  Each circle test chooses its own grid: the
+    first starts on 128 angles and each later one on the largest grid any
+    test reached so far, in the batch as in a call of its own; the result
+    reports that finest grid.  A first
     loss that still fails only on the branch guard (turning nan, margin
     above threshold) on the 65536-angle cap says that the grid is too coarse
     for the curve there, not that the property is lost, and raises
@@ -429,6 +486,11 @@ def radius_search(f: HarmonicMap, kind: str, tol: float = 1e-6) -> RadiusResult:
             tests([r])
         return seen[r]
 
+    def margin(r: float) -> CircleTest:
+        """The circle test at r, finished: for the reads of the margin itself, not only of the verdict."""
+        seen[r] = _finished(test(r), f, r, m, name)
+        return seen[r]
+
     def rate(r: float, theta: float) -> float:
         nonlocal points
         points += 1
@@ -439,7 +501,7 @@ def radius_search(f: HarmonicMap, kind: str, tol: float = 1e-6) -> RadiusResult:
         return max(r for r, t in seen.items() if t.passed and r < hi), hi
 
     def result(lo: float, hi: float) -> RadiusResult:
-        loss = seen.get(hi)  # none above the cap
+        loss = margin(hi) if hi in seen else None  # none above the cap
         if loss and math.isnan(loss.total_turning) and loss.min_derivative >= -CIRCLE_MIN_TOL:
             raise ValueError(f"{kind} circle at r = {hi} fails only on the branch guard on "
                              f"{grid} angles; the curve needs a finer grid than the cap")
@@ -455,18 +517,21 @@ def radius_search(f: HarmonicMap, kind: str, tol: float = 1e-6) -> RadiusResult:
         raise ValueError(f"{kind} already fails at r = {scan[0]}; nothing to bracket")
 
     # a failing band narrower than the scan step can hide where the margin
-    # dips between passing scan points; rounding noise is no dip
+    # dips between passing scan points; rounding noise is no dip.  A margin
+    # refines to at most its grid value and at least that less its drop, so
+    # only where the grid values leave room for a dip are the three finished
     passing = [r for r in sorted(seen) if seen[r].passed]
-    margins = [seen[r].min_derivative for r in passing]
     for i in range(1, len(passing) - 1):
-        if min(margins[i - 1], margins[i + 1]) - margins[i] > CIRCLE_MIN_TOL:
-            if _dip_fails(test, passing[i - 1], passing[i + 1], tol):
+        below, at, above = (seen[r] for r in passing[i - 1 : i + 2])
+        if min(below.min_derivative, above.min_derivative) - (at.min_derivative - at.drop) > CIRCLE_MIN_TOL:
+            below, at, above = (margin(r).min_derivative for r in passing[i - 1 : i + 2])
+            if min(below, above) - at > CIRCLE_MIN_TOL and _dip_fails(margin, passing[i - 1], passing[i + 1], tol):
                 break
     if all(t.passed for t in seen.values()):
         return result(scan[-1], 1.0)
 
     lo, hi = first_loss()
-    if seen[hi].min_derivative + CIRCLE_MIN_TOL < 0:  # a margin failure, not a winding one: root the margin
+    if margin(hi).min_derivative + CIRCLE_MIN_TOL < 0:  # a margin failure, not a winding one: root the margin
         x = _tracked_root(rate, lo, hi, seen, xtol=0.4 * tol)
         if x is not None:
             # [x - 0.45 tol, x + 0.45 tol], tested as one batched pair, if it holds the first loss
@@ -501,22 +566,31 @@ def _tracked_min(fn: Callable[[float], float], theta: float, step: float) -> tup
     From theta - step, theta and theta + step the walk goes downhill, each
     stride twice the last, until the least of its last three points lies
     between the other two; :func:`_refined_min` then takes its parabolic
-    steps from those three.  A walk whose next stride would pass half a
-    turn is lost, as is one that meets a nan.
+    steps from those three.  Where the walk moved, those steps ran on
+    points up to two strides apart and may stop short, so the point they
+    reach is bracketed again on ``step`` and walked from in the same way,
+    until a walk stays where it starts.  Each walk ends lower than it
+    started, so this ends.  A walk whose next stride would pass half a turn
+    is lost, as is one that meets a nan.
     """
     left, mid, right = ((x, float(fn(theta + x))) for x in (-step, 0.0, step))
-    stride = step
-    while not mid[1] <= min(left[1], right[1]):
-        stride *= 2
-        if stride > math.pi:
-            return None
-        if left[1] < right[1]:
-            mid, right = left, mid
-            left = (mid[0] - stride, float(fn(theta + mid[0] - stride)))
-        else:
-            left, mid = mid, right
-            right = (mid[0] + stride, float(fn(theta + mid[0] + stride)))
-    return _refined_min(theta, left, mid, right, fn)
+    while True:
+        stride = step
+        while not mid[1] <= min(left[1], right[1]):
+            stride *= 2
+            if stride > math.pi:
+                return None
+            if left[1] < right[1]:
+                mid, right = left, mid
+                left = (mid[0] - stride, float(fn(theta + mid[0] - stride)))
+            else:
+                left, mid = mid, right
+                right = (mid[0] + stride, float(fn(theta + mid[0] + stride)))
+        least, at = _refined_min(theta, left, mid, right, fn)
+        if stride == step:
+            return least, at
+        theta, mid = at, (0.0, least)
+        left, right = ((x, float(fn(theta + x))) for x in (-step, step))
 
 
 class _LostBranch(Exception):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -95,9 +96,21 @@ class TestClosedProducts:
     @pytest.mark.parametrize("order", [8, 16, 32, 64, 128])
     @pytest.mark.parametrize("text", ["conv(conv(L,L),conv(L,L))", "conv(conv(conv(L,L),conv(L,L)),conv(L,L))"])
     def test_products_of_products_build(self, text, order):
-        # coefficients growing like n^8 and n^12: the agreement check reads the growth off c_N
+        # coefficients growing like n^8 and n^12: the agreement check allows each route its exact tail
         f = parse_function(text, order)
         assert f.exact is not None and f.order == order
+
+    def test_products_of_products_are_checked_on_their_tails(self):
+        # each route may stray 1e-8 plus twice the exact tail of its series at
+        # |z| = 1/2: at most 2.7e-6 here (for d2h), where the growth of the
+        # last coefficients allowed 4.82
+        f = parse_function("conv(conv(conv(L,L),conv(L,L)),conv(L,L))", 64)
+        assert max(harmonic._agreement_allowances(f)) < 1e-5
+        for route in ("h", "g", "dh", "dg", "d2h", "d2g"):
+            right = getattr(f.exact, route)
+            shifted = dataclasses.replace(f.exact, **{route: lambda z: right(z) + 1e-5})
+            with pytest.raises(ValueError, match=f"closed-form {route} disagrees with its series"):
+                HarmonicMap(f.h, f.g, shifted)
 
     def test_agreement_check_catches_a_shifted_log_part(self):
         f = parse_function("conv(example22,F)")

@@ -62,8 +62,9 @@ def b1_map():
 
 
 def circle_test(f, r, m, n):
-    """The circle test at r of arg d^m f (0 starlikeness, 1 convexity), started on n angles."""
-    return radius._circle_tests(f, [r], m, n, ("map", "tangent vector")[m])[0]
+    """The circle test at r of arg d^m f (0 starlikeness, 1 convexity), started on n angles, its margin refined."""
+    name = ("map", "tangent vector")[m]
+    return radius._finished(radius._circle_tests(f, [r], m, n, name)[0], f, r, m, name)
 
 
 class TestCircleTests:
@@ -604,6 +605,49 @@ class TestRadiusSearch:
         assert res.r_hi - res.r_lo <= 1e-6
         assert res.r_lo <= edge <= res.r_hi
 
+    def test_dip_trigger_finishes_rows_where_it_reads_margins(self, monkeypatch):
+        # the rate M(r) + A(r) (1 - cos(theta - t(r))) on a curve e^{i theta}.
+        # M is the margin of the dip above from the scan point 0.3935 up, and
+        # falls by 1e-4 a scan step below it.  At the scan point 0.4137, A is
+        # 10 and t half a step off the 128-angle grid, so its least node lies
+        # 3.0e-3 above M; at every other scan point A is 0.1 and t a node.  The
+        # grid values then rise along the whole scan and show no dip (6.12e-3,
+        # 6.30e-3, 4.11e-2 about 0.4137); the margins do (3.3e-3 at 0.4137)
+        depth, curvature = 5e-4, 50.0
+        scan = np.linspace(0.01, 0.999, 50)
+
+        def sampled(f, r, m, theta, on_grid):
+            r, theta = np.asarray(r), np.asarray(theta)
+            # 1 at 0.4137, 0 from a scan step off on
+            bump = (1 + np.cos(np.pi * np.clip((r - scan[20]) / (scan[1] - scan[0]), -1, 1))) / 2
+            margin = curvature * (np.maximum(r, scan[19]) - 0.405) ** 2 - depth - 5e-3 * np.maximum(scan[19] - r, 0)
+            rate = margin + (0.1 + 9.9 * bump) * (1 - np.cos(theta - np.pi / 128 * bump))
+            curve = np.exp(1j * theta) + 0 * r
+            return 1j * rate * curve, curve
+
+        monkeypatch.setattr(radius, "_circle_derivatives", sampled)
+        f = full_circle(map_F(), monkeypatch)
+        runs = {}
+        for every_row in (False, True):
+            dips, finished = [], []
+            tests, finish, dip_fails = radius._circle_tests, radius._finished, radius._dip_fails
+            with monkeypatch.context() as patch:
+                if every_row:  # every row refined where it is sampled, as when no row waited
+                    patch.setattr(radius, "_circle_tests", lambda f, radii, m, n, name: [
+                        finish(t, f, r, m, name) for r, t in zip(radii, tests(f, radii, m, n, name))])
+                patch.setattr(radius, "_finished", lambda t, *rest: (
+                    finished.append(not math.isnan(t.left)) or finish(t, *rest)))
+                patch.setattr(radius, "_dip_fails", lambda test, a, b, tol: dips.append((a, b)) or dip_fails(
+                    test, a, b, tol))
+                runs[every_row] = radius_search(f, "convexity"), dips, sum(finished)
+        (lazy, lazy_dips, lazy_finishes), (eager, eager_dips, _) = runs[False], runs[True]
+        edge = 0.405 - math.sqrt((depth - CIRCLE_MIN_TOL) / curvature)
+        assert lazy_dips == eager_dips == [(scan[19], scan[21])] and lazy == eager
+        assert lazy.r_lo <= edge <= lazy.r_hi
+        # the three rows about the dip, and the tests of the dip search, wait
+        # for their margins to be read; the other scan rows are never finished
+        assert 3 <= lazy_finishes < lazy.circle_tests - 30
+
     def test_f_alpha_convexity_first_loss(self):
         # the convexity margin of f_alpha(-0.75) is negative on about
         # (0.5803, 0.834) and positive again up to about 0.87; 0.58034786306
@@ -826,6 +870,45 @@ class TestBatchedScan:
         assert len(points) <= {"convexity": 3, "starlikeness": 6}[kind] < res.circle_tests // 2
         assert max(points) <= harmonic._MAX_THETA_POINTS
 
+    @pytest.mark.parametrize("kind,extra", [("convexity", 0), ("starlikeness", 12)])
+    def test_rate_values_beyond_the_tracker_of_F(self, kind, extra, monkeypatch):
+        # single rate values outside the tracked margin are the parabolic
+        # steps of circle tests: refining every circle took 0 / 87, refining
+        # only circles whose verdict may depend on it takes 0 / 12
+        calls, inner = [], radius._rate_at
+        monkeypatch.setattr(radius, "_rate_at", lambda *args: calls.append(args) or inner(*args))
+        res = radius_search(map_F(), kind)
+        assert len(calls) - res.point_evals == extra
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
+    def test_drop_bounds_the_rate_between_nodes(self, name, kind, monkeypatch):
+        # no rate value on a grid 16 times finer lies below an unrefined
+        # row's least grid value less its drop
+        f = BATCHED[name]()
+        radii, m, start, curve_name, rows = scan_of(f, kind, monkeypatch)
+        waiting = [(r, t) for r, t in zip(radii, rows) if not math.isnan(t.left)]
+        assert waiting and all(t.passed and t.drop > 0 for r, t in waiting)
+        for r, t in waiting:
+            upper, curve = _circle_derivatives(f, r, m, _unit_circle(16 * t.grid_theta)[0], True)
+            assert np.min((upper / curve).imag) >= t.min_derivative - t.drop, r
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
+    def test_finished_rows_are_the_one_circle_tests(self, name, kind, monkeypatch):
+        # each row has the verdict of the public test of its radius, and,
+        # finished, the margin and angle of its radius tested alone
+        f = BATCHED[name]()
+        radii, m, start, curve_name, rows = scan_of(f, kind, monkeypatch)
+        public = (starlike_test_at_radius, convex_test_at_radius)[m]
+        for r, row in zip(radii, rows):
+            assert row.passed == public(f, r).passed, r
+            done, alone = radius._finished(row, f, r, m, curve_name), circle_test(f, r, m, start)
+            assert math.isnan(done.left) and done.drop == 0 and done.passed == row.passed
+            for a, b in ((done.min_derivative, alone.min_derivative), (done.theta_min, alone.theta_min)):
+                assert a == b or name in ULP_ROWS and abs(a - b) <= 1e-12 * max(1.0, abs(b)), (r, a, b)
+            start = max(start, row.grid_theta)
+
     def test_rows_past_the_first_loss_raise_nothing(self):
         # the tangent i z (1 + z / r_k) vanishes at r_k, theta = pi, a scan
         # radius far above the first loss at r_k / 2
@@ -925,15 +1008,23 @@ class TestTrackedMargin:
     def test_a_walk_goes_downhill_to_an_interior_minimum(self):
         # rate 1 - cos(theta - 0.05) from theta = 0 on steps of 0.01: strides
         # of 0.02 and 0.04 reach 0.03 and 0.07, which hold the minimum between
-        # them, and the parabolic steps land on it
+        # them, and the parabolic step lands on it; the walk moved, so 0.04 and
+        # 0.06 bracket that point again, and the walk from it stays put
         calls = []
         value, angle = radius._tracked_min(lambda th: calls.append(th) or 1 - math.cos(th - 0.05), 0.0, 0.01)
-        assert calls[:5] == pytest.approx([-0.01, 0.0, 0.01, 0.03, 0.07], abs=1e-15)
+        assert calls == pytest.approx([-0.01, 0.0, 0.01, 0.03, 0.07, 0.05, 0.04, 0.06], abs=1e-15)
         assert angle == pytest.approx(0.05, abs=1e-7) and value <= 1e-14
-        assert len(calls) <= 5 + radius._REFINE_STEPS
         # no interior minimum within half a turn, or a nan: lost
         assert radius._tracked_min(lambda th: -th, 0.0, 0.01) is None
         assert radius._tracked_min(lambda th: math.nan, 0.0, 0.01) is None
+
+    def test_a_long_walk_is_bracketed_again_on_the_step(self):
+        # rate 1 - cos(theta - 1) from theta = 0 on steps of 0.01: strides up
+        # to 1.28 reach the minimum, and three parabolic steps through points
+        # that far apart stop at 0.99997, 4.6e-10 above it; bracketed again on
+        # the step, the point is walked from and refined onto the minimum
+        value, angle = radius._tracked_min(lambda th: 1 - math.cos(th - 1), 0.0, 0.01)
+        assert value <= 1e-15 and angle == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("name", sorted(BATCHED))
     def test_rate_at_theta_min_reproduces_the_margin(self, name):
