@@ -23,7 +23,8 @@ import numpy as np
 
 from .defaults import CURVE_VANISH_TOL, RELATION_ABS_TOL
 from .harmonic import (_START_THETA_POINTS, HarmonicMap, _check_alpha, _chop_and_double, _circle_derivatives,
-                       _phase_steps, _polar_grid, _require_nonzero, _require_radius, _unit_circle, evaluate_f)
+                       _phase_steps, _polar_grid, _polar_routes, _require_nonzero, _require_radius, _unit_circle,
+                       evaluate_f)
 from .report import Report
 from .series import TruncatedSeries, _require_inside
 
@@ -208,7 +209,10 @@ def m_alpha_check(f: HarmonicMap, alpha: complex, r_max: float = 0.99) -> MAlpha
     Part (a) checks the coefficient recurrence exactly (tolerance 1e-10).
     Part (b) samples Re(1 + z h''/h') > -1/2 on a 64 x 256 polar grid up to
     r_max; being an open condition it can only be falsified, never
-    certified, by sampling.
+    certified, by sampling.  h' and h'' come from
+    :func:`~hmap.harmonic._polar_routes`: the closed forms on the grid's
+    points, or, on a series-only map, one inverse FFT per circle of the
+    grid, exact at any degree.
     """
     _check_alpha(alpha, "m_alpha_check")
     _require_radius(r_max, "r_max")
@@ -216,7 +220,7 @@ def m_alpha_check(f: HarmonicMap, alpha: complex, r_max: float = 0.99) -> MAlpha
     relation_ok = residual <= RELATION_ABS_TOL
 
     z = _polar_grid(r_max, *_CURVATURE_GRID)
-    hp, hpp = f._eval_routes(("dh", "d2h"), z)
+    hp, hpp = _polar_routes(f, ("dh", "d2h"), r_max, *_CURVATURE_GRID)
     _require_nonzero(hp, z)
     curv = np.real(1 + z * hpp / hp)
     cmin = float(np.min(curv))

@@ -18,7 +18,12 @@ dilatation has the closed form
     wtil(z) = z (w^2 + [w - w' z / 2] + w'/2) / (1 + [w - w' z / 2] + w' z^2 / 2),
 
 which this module evaluates directly and cross-checks against the dilatation
-computed pointwise from the product series.
+g'/h' of the product series on a polar grid.  On each circle |z| = r of the
+grid a truncated series is a trigonometric polynomial in the angle, so its
+values on the grid's uniform angles are one inverse FFT of its coefficients
+scaled by r^k and folded modulo the number of angles
+(:func:`~hmap.harmonic._polar_routes`): exact at any degree, with no Horner
+sum per point.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import _FORMS, _closed_map, shear_vertical
-from .harmonic import HarmonicMap, _check_alpha, _polar_grid, dilatation
+from .harmonic import HarmonicMap, _check_alpha, _polar_grid, _polar_routes, _require_nonzero
 from .report import Report
 from .series import TruncatedSeries, make_generator
 
@@ -119,6 +124,7 @@ class TildeDilatationReport(Report):
 
 _TILDE_GRID = (64, 256)  # the polar grid of |wtil|, radii x angles
 _CROSS_ORDER = 512  # the degree of the series the cross-check rebuilds wtil from
+_CROSS_GRID = (16, 64)  # the polar grid of the cross-check, radii x angles
 
 
 def tilde_dilatation_check(n: int, theta: float) -> TildeDilatationReport:
@@ -129,14 +135,18 @@ def tilde_dilatation_check(n: int, theta: float) -> TildeDilatationReport:
     scratch at degree 512: the right factor is obtained by shearing z/(1-z)
     vertically with dilatation e^{i theta} z^n, the product with F's
     coefficients is formed coefficientwise, and its dilatation g'/h' is
-    compared against the closed form on a coarser grid up to r = 0.9,
+    compared against the closed form on a 16 x 64 grid up to r = 0.9,
     within 1e-6.  The product reads only coefficients, so F is built from
-    the series of the catalog's closed forms, without their evaluators.
+    the series of the catalog's closed forms, without their evaluators, and
+    the product is series-only: its h' and g' on the grid are one inverse
+    FFT per circle of the grid (:func:`~hmap.harmonic._polar_routes`).  A
+    zero of h' on the grid raises :class:`~hmap.harmonic.SingularPointError`,
+    as :func:`~hmap.harmonic.dilatation` does.
     """
     if n not in (1, 2):
         raise ValueError("closed form applies to n = 1 or 2")
-    # eight rows at a time, and the grid freed before the cross-check: a whole-grid temporary (over
-    # glibc's 128 KiB mmap threshold) or a grid live under the cross-check faults in new pages each call
+    # eight rows at a time: a whole-grid temporary is over glibc's 128 KiB mmap threshold, so it
+    # would fault in new pages each call; the grid itself is cached
     zg = _polar_grid(TildeDilatationReport.r_max, *_TILDE_GRID)
     max_abs = 0.0
     for i in range(0, _TILDE_GRID[0], 8):
@@ -144,15 +154,17 @@ def tilde_dilatation_check(n: int, theta: float) -> TildeDilatationReport:
         if not np.all(np.isfinite(wt)):
             raise ZeroDivisionError("product-dilatation denominator vanishes on the grid")
         max_abs = max(max_abs, float(np.max(np.abs(wt))))
-    del zg
 
     w = np.zeros(_CROSS_ORDER + 1, dtype=complex)
     w[n] = np.exp(1j * theta)
     right = shear_vertical(make_generator("half_plane_l", _CROSS_ORDER), TruncatedSeries(w))
     h = _FORMS["f_alpha"]
     prod = hadamard(HarmonicMap(h.series(_CROSS_ORDER), h.partner.series(_CROSS_ORDER), label="F"), right)
-    zc = _polar_grid(TildeDilatationReport.cross_check_r_max, 16, 64)
-    err = float(np.max(np.abs(dilatation(prod, zc) - tilde_dilatation(zc, n, theta))))
+    r_cross = TildeDilatationReport.cross_check_r_max
+    zc = _polar_grid(r_cross, *_CROSS_GRID)
+    hp, gp = _polar_routes(prod, ("dh", "dg"), r_cross, *_CROSS_GRID)
+    _require_nonzero(hp, zc)  # as dilatation(prod, zc) would
+    err = float(np.max(np.abs(gp / hp - tilde_dilatation(zc, n, theta))))
     return TildeDilatationReport(
         n=n,
         theta=theta,

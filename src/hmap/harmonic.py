@@ -24,7 +24,10 @@ path (:func:`_circle_derivatives`: closed forms at z = r e^{i theta}, or one
 inverse FFT of the coefficients per derivative), not through the ``*_at``
 methods.  They read the argument of the sampled curve through one per-step
 branch guard (:func:`_phase_steps`) on a uniform grid that one rule doubles,
-row by row, until the rate is resolved (:func:`_chop_and_double`).
+row by row, until the rate is resolved (:func:`_chop_and_double`).  The
+polar-grid checks (the Jacobian, the curvature of the M(alpha) membership
+test, the cross-check of the product dilatation) sample a map the same way,
+circle by circle (:func:`_polar_routes`).
 """
 
 from __future__ import annotations
@@ -295,7 +298,9 @@ class HarmonicMap:
         blocked in sqrt(N) blocks).  A scalar z gives Python complex values.
         Circle tests on either route do not come here: they call the closed
         forms directly or read the coefficients by inverse FFT
-        (:func:`_circle_derivatives`).
+        (:func:`_circle_derivatives`).  Polar-grid checks come here on a map
+        with closed forms only; a series-only map's grid is read by inverse
+        FFT too (:func:`_polar_routes`).
         """
         zarr = np.asarray(z, dtype=complex)
         _require_inside(zarr)
@@ -605,7 +610,10 @@ def _chop_and_double(sample: Callable, n: int, rows: int = 1):
         tail = spectrum[..., -(-3 * n // 8):]
         tails = tail.max(-1) / spectrum.max(-1)  # division keeps the order: max of the ratios
         # row by row the same sums, so a row of a batch reads what the same row alone does
-        drops = (np.pi**2 / (2 * n * n) * (spectrum * _squares(spectrum.shape[-1])).sum(-1) + tail.sum(-1)) * (2 / n)
+        # the tail (a view of the spectrum) is summed before the spectrum is weighted in place
+        tail_sum = tail.sum(-1)
+        spectrum *= _squares(spectrum.shape[-1])
+        drops = (np.pi**2 / (2 * n * n) * spectrum.sum(-1) + tail_sum) * (2 / n)
         steps, ok = _phase_steps(*path, _unit_circle(n)[0][1])
         if tails.ndim > 1:  # the curves of a row settle together
             tails, ok = tails.reshape(len(rate), -1).max(1), ok.reshape(len(rate), -1).all(1)
@@ -619,14 +627,49 @@ def _chop_and_double(sample: Callable, n: int, rows: int = 1):
             first += k
         if k < len(rate):
             n *= 2
-        del rate, path, spectrum, steps  # freed before the next rows are sampled: one grid's arrays at a time
+        del rate, path, spectrum, tail, steps  # freed before the next rows are sampled: one grid's arrays at a time
 
 
+@lru_cache(maxsize=8)
 def _polar_grid(r_max: float, n_r: int, n_t: int) -> np.ndarray:
-    """The (n_r x n_t) polar grid: radii r_max/n_r .. r_max, angles 2 pi j / n_t."""
-    radii = np.linspace(r_max / n_r, r_max, n_r)
-    thetas = np.linspace(0, 2 * np.pi, n_t, endpoint=False)
-    return radii[:, None] * np.exp(1j * thetas[None, :])
+    """The (n_r x n_t) polar grid: radii r_max/n_r .. r_max, angles 2 pi j / n_t, read-only.
+
+    Every polar-grid check on the same grid shares the array.
+    """
+    grid = np.linspace(r_max / n_r, r_max, n_r)[:, None] * _unit_circle(n_t)[1]
+    grid.flags.writeable = False
+    return grid
+
+
+def _polar_routes(f: HarmonicMap, routes: tuple[str, ...], r_max: float, n_r: int, n_t: int) -> tuple:
+    """Several of h, g, h', g', h'', g'' of f on the grid of :func:`_polar_grid`, in the order of ``routes``.
+
+    A map with closed forms calls them on the grid's points
+    (:meth:`HarmonicMap._eval_routes`).  On a series-only map each row of
+    the grid is a circle |z| = r, on which a series sum_k c_k z^k is the
+    trigonometric polynomial sum_k c_k r^k e^{i k theta}.  On n_t uniform
+    angles e^{i k theta_j} depends on k modulo n_t only, so the row is the
+    inverse FFT of the coefficients c_k r^k folded onto n_t bins: exact at
+    any degree, as on the circles of :func:`_circle_derivatives`.  The
+    powers r^k of all radii are built by one cumulative product, and each
+    route is one transform of all rows.
+    """
+    grid = _polar_grid(r_max, n_r, n_t)
+    if f.exact is not None:
+        return f._eval_routes(routes, grid)
+    coeffs = [f._series(which).coeffs for which in routes]
+    size = max(c.size for c in coeffs)
+    powers = np.empty((n_r, size))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = grid[:, :1].real  # the radii: the grid's column at angle 0 is real
+    np.cumprod(powers, axis=1, out=powers)
+    bins = -(-size // n_t) * n_t  # the degree padded to whole turns of n_t
+    out = []
+    for c in coeffs:
+        rows = np.zeros((n_r, bins), dtype=np.result_type(c, float))
+        rows[:, : c.size] = c * powers[:, : c.size]
+        out.append(np.fft.ifft(rows.reshape(n_r, -1, n_t).sum(1), norm="forward"))
+    return tuple(out)
 
 
 _SENSE_GRID = (32, 64)  # the polar grid of the Jacobian check, radii x angles
@@ -637,11 +680,15 @@ def sense_preserving_check(f: HarmonicMap, r_max: float) -> GridCheckReport:
     """Sample the Jacobian on a 32 x 64 polar grid up to r_max and require it to be positive.
 
     Failure reports the first offending node; a pass is only a sampled
-    necessary condition for the map being sense-preserving.
+    necessary condition for the map being sense-preserving.  h' and g' come
+    from :func:`_polar_routes`: the closed forms on the grid's points, or,
+    on a series-only map, one inverse FFT per circle of the grid, exact at
+    any degree.
     """
     _require_radius(r_max, "r_max")
     zg = _polar_grid(r_max, *_SENSE_GRID)
-    jac = jacobian(f, zg)
+    hp, gp = _polar_routes(f, ("dh", "dg"), r_max, *_SENSE_GRID)
+    jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
     worst = float(np.min(jac))
     if worst > 0:
         return GridCheckReport(True, r_max, _SENSE_GRID, worst)

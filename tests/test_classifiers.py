@@ -155,6 +155,18 @@ class TestMAlphaCheck:
     def test_report_is_labeled_necessary(self):
         assert m_alpha_check(map_F(), 1.0).to_dict()["check_kind"] == "necessary"
 
+    @pytest.mark.parametrize("alpha", [0.5 - 0.3j, -0.7])
+    def test_series_only_twin_matches_the_catalog_map(self, alpha):
+        # the twin's curvature grid is sampled by inverse FFT, the catalog map's by its closed forms;
+        # by r = 0.9 the sum for h'' near z = -r cancels terms 1e5 times its value, and the FFT's
+        # rounding, spread over the whole circle, reaches a few 1e-12 there: the comparison stops at 0.7
+        mix = 0.5 * (make_generator("half_plane_l", 512) + make_generator("koebe_k", 512))
+        twin = make_M_alpha_member(mix, alpha)
+        assert twin.exact is None
+        got, want = m_alpha_check(twin, alpha, r_max=0.7), m_alpha_check(f_alpha(alpha, 512), alpha, r_max=0.7)
+        assert (got.passed, got.curvature_passed) == (want.passed, want.curvature_passed)
+        assert abs(got.curvature_grid_min - want.curvature_grid_min) <= 1e-12 * max(1, abs(want.curvature_grid_min))
+
 
 class TestBoundsCheck:
     def test_extremal_equalities(self):

@@ -256,6 +256,20 @@ class TestTildeDilatation:
         assert rep.cross_check_passed
         assert calls == []
 
+    def test_cross_check_samples_the_product_without_horner(self, monkeypatch):
+        # the product's h' and g' are sampled on the grid by inverse FFT; the one
+        # series evaluated is the shear's guard on w = e^{i theta} z^2
+        products, evaluated = [], []
+        monkeypatch.setattr(convolution, "hadamard", lambda f, F: products.append(hadamard(f, F)) or products[-1])
+        evaluate = TruncatedSeries.evaluate
+        monkeypatch.setattr(TruncatedSeries, "evaluate", lambda s, z: evaluated.append(s) or evaluate(s, z))
+        rep = tilde_dilatation_check(2, math.pi / 3)
+        assert rep.cross_check_passed
+        (prod,) = products
+        assert prod.exact is None and {"dh", "dg"} <= set(prod._series_built)
+        assert not any(s is t for s in evaluated for t in prod._series_built.values())
+        assert [np.flatnonzero(s.coeffs).tolist() for s in evaluated] == [[2]]
+
     def test_direct_product_dilatation_matches(self):
         # independent reconstruction at one point, all plumbing inlined
         order = 256

@@ -414,6 +414,47 @@ class TestSensePreserving:
         assert d["passed"] is True
 
 
+class TestPolarRoutes:
+    """The polar-grid route: closed forms on the grid's points, a series-only map by inverse FFT."""
+
+    @pytest.mark.parametrize("order", [8, 64, 512, 2048])
+    @pytest.mark.parametrize("r_max", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_series_only_map_matches_horner(self, order, r_max, real):
+        rng = np.random.default_rng(order)
+        c = rng.standard_normal((2, order + 1))
+        if not real:
+            c = c + 1j * rng.standard_normal((2, order + 1))
+        c[0, :2] = 0, 1
+        f = HarmonicMap(TruncatedSeries(c[0]), TruncatedSeries(c[1]))
+        grid = harmonic._polar_grid(r_max, 16, 64)
+        for which, v in zip(ROUTES, harmonic._polar_routes(f, ROUTES, r_max, 16, 64)):
+            ref = f._series(which).evaluate(grid)
+            assert v.shape == grid.shape
+            assert np.all(np.abs(v - ref) <= 1e-12 * np.maximum(1, np.abs(ref))), which
+
+    def test_closed_forms_are_called_on_the_grid(self):
+        f = map_F(64)
+        values = harmonic._polar_routes(f, ("dh", "d2g"), 0.99, 8, 32)
+        expected = f._eval_routes(("dh", "d2g"), harmonic._polar_grid(0.99, 8, 32))
+        assert all(np.array_equal(v, e) for v, e in zip(values, expected))
+
+    def test_grid_is_cached_read_only(self):
+        grid = harmonic._polar_grid(0.9, 16, 64)
+        assert harmonic._polar_grid(0.9, 16, 64) is grid
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 0
+
+    @pytest.mark.parametrize("r_max", [0.5, 0.9])
+    def test_sense_check_on_a_series_only_twin(self, r_max):
+        L = map_L(512)
+        twin = HarmonicMap(hadamard_series(L.h, L.h), hadamard_series(L.g, L.g))
+        assert twin.exact is None
+        got, want = sense_preserving_check(twin, r_max), sense_preserving_check(l_hadamard_l(512), r_max)
+        assert got.passed == want.passed
+        assert abs(got.worst_value - want.worst_value) <= 1e-12 * max(1, abs(want.worst_value))
+
+
 class TestInjectivity:
     def test_example21_collision_flagged(self):
         f = example21()
