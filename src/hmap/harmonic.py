@@ -23,8 +23,10 @@ integrals (of Fe = h + epsilon g, all epsilon at once) sample a map on one
 path (:func:`_circle_derivatives`: closed forms at z = r e^{i theta}, or one
 inverse FFT of the coefficients per derivative), not through the ``*_at``
 methods.  They read the argument of the sampled curve through one per-step
-branch guard (:func:`_phase_steps`) on a uniform grid that one rule doubles,
-row by row, until the rate is resolved (:func:`_chop_and_double`).  The
+branch guard (:func:`_phase_steps`) on a grid that one rule doubles, row by
+row, until the rate is resolved (:func:`_chop_and_double`): uniform, or, on
+circle tests of a map with a pole at z = 1, uniform in a parameter s whose
+angles theta(s) cluster there (:func:`_circle_grid`).  The
 polar-grid checks (the Jacobian, the curvature of the M(alpha) membership
 test, the cross-check of the product dilatation) sample a map the same way,
 circle by circle (:func:`_polar_routes`).
@@ -253,6 +255,18 @@ class HarmonicMap:
         )
 
     @cached_property
+    def _pole_order(self) -> int:
+        """The order of the map's singularity at z = 1: the largest k of its forms N(z)/(1 - z)^k + c log(1 - z).
+
+        A form with only a log part counts 1, and a map with no singular form,
+        a series-only map and hand-given evaluators, which carry no forms,
+        count 0.  Every form is singular at z = 1 only, so circle tests of a
+        map with a pole cluster their angles there (``radius._cluster``).
+        """
+        forms = getattr(self.exact, "forms", None)
+        return max(max(form.k, bool(form.log)) for form in forms[:2]) if forms else 0
+
+    @cached_property
     def _circle_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The circle image sum_k c_k r^|k| e^{i k theta} of a series-only map, as arrays over k.
 
@@ -450,15 +464,61 @@ def _unit_circle(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, unit
 
 
-def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on_grid: bool, eps=None):
+def _clustered_angle(s, rho: float):
+    """theta(s) = 2 arctan(((1 - rho)/(1 + rho)) tan(s/2)), the angle of (e^{is} + rho)/(1 + rho e^{is}).
+
+    The boundary trace of the disk automorphism that moves 0 to rho: on
+    uniform s it clusters angles at theta = 0 by theta'(0) = (1 - rho)/(1 + rho),
+    and spreads them at theta = pi.  Odd in s, with theta(pi) = pi and
+    theta(s + 2 pi) = theta(s) + 2 pi.  Written through arctan2, it rounds
+    only a few times on -pi < s <= 2 pi, even where tan(s/2) has its pole,
+    and maps [0, 2 pi) into [0, 2 pi).  With -rho it is the inverse.
+    """
+    half = 0.5 * np.asarray(s, dtype=float)
+    return 2 * np.arctan2((1 - rho) / (1 + rho) * np.sin(half), np.cos(half))
+
+
+@lru_cache(maxsize=16)
+def _circle_grid(n_theta: int, rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The angles theta(2 pi j / n_theta) of :func:`_clustered_angle`, e^{i theta} and theta', read-only.
+
+    rho = 0 is the uniform grid of :func:`_unit_circle`, the same arrays,
+    with no weights (theta' = 1).  Otherwise the angles cluster at
+    theta = 0, and the weights theta'(s_j) = (1 - rho^2)/(1 + 2 rho cos s_j +
+    rho^2) turn a rate in theta into one in s.  The second half mirrors the
+    first, so that E(-s) = conj E(s) holds bit for bit: node n - j is the
+    conjugate of node j, and on an even grid node n/2 is -1.  Every circle
+    test on the same grid shares them.
+    """
+    if rho == 0:
+        return (*_unit_circle(n_theta), None)
+    s = _unit_circle(n_theta)[0]
+    theta = _clustered_angle(s, rho)
+    half = n_theta // 2 + 1
+    if n_theta % 2 == 0:  # s = pi rounded; theta'(pi) = (1 + rho)/(1 - rho) would magnify that rounding
+        theta[half - 1] = np.pi
+    theta[half:] = 2 * np.pi - theta[n_theta - half : 0 : -1]
+    unit = np.exp(1j * theta)
+    if n_theta % 2 == 0:
+        unit[half - 1] = -1.0
+    unit[half:] = unit[n_theta - half : 0 : -1].conj()
+    weight = (1 - rho * rho) / (1 + 2 * rho * np.cos(s) + rho * rho)
+    weight[half:] = weight[n_theta - half : 0 : -1]
+    for a in (theta, unit, weight):
+        a.flags.writeable = False
+    return theta, unit, weight
+
+
+def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on_grid, eps=None):
     """theta-derivatives (d^{m+1} f, d^m f) of f(r e^{i theta}), for m = 0 or 1.
 
     ``r`` is one radius, a float, or a column of radii (an (R, 1) array),
     which gives one row per radius: the circles of a radius scan, sampled in
-    one array.  ``on_grid`` says that ``theta`` is the uniform grid
-    2 pi j / n of :func:`_unit_circle`, or a prefix of it (j < theta.size <=
-    n, n read off the spacing theta[1] = 2 pi / n): half-circle tests pass
-    j <= n/2.  Off the grid ``theta`` is an array of angles or one angle, a
+    one array.  ``on_grid`` names the cached grid that ``theta`` is a prefix
+    of (j < theta.size <= n): the pair (n, rho) of :func:`_circle_grid`, or
+    True for the uniform grid 2 pi j / n of :func:`_unit_circle`, n read off
+    the spacing theta[1] = 2 pi / n.  Half-circle tests pass j <= n/2.  False
+    means off the grid: ``theta`` is an array of angles or one angle, a
     float, which with a float r gives complex scalars back (the circle tests'
     refinement points).  A map with closed forms calls them at
     z = r e^{i theta}, taking e^{i theta} from the cache on the grid, after
@@ -477,9 +537,10 @@ def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on
     one row per radius; a float r reuses the scaled rows of the last radius
     (``HarmonicMap._scaled_rows``), as the refinement points of a circle
     and the tracked margin of a radius search sample several angles at one
-    radius.  On the grid each derivative is one inverse FFT of the
-    coefficients folded modulo n, exact at any degree, cut to the prefix:
-    one transform of all rows.  Other angles, an array or one float on the
+    radius.  On the uniform grid (rho = 0, the only grid a series-only map
+    is sampled on) each derivative is one inverse FFT of the coefficients
+    folded modulo n (:func:`_folded`), exact at any degree, cut to the
+    prefix: one transform of all rows.  Other angles, an array or one float on the
     same code, take the direct sum with the phases e^{ik theta} as integer
     powers of e^{i theta} (numpy's complex power multiplies them out by
     squaring up to k = 99): no phase k theta is rounded, which lost digits
@@ -493,10 +554,10 @@ def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on
     called once for all rows; a series-only map folds a_n + eps b_n into
     one-sided rows of the same inverse FFT.
     """
-    n = round(2 * np.pi / float(theta[1])) if on_grid else None
+    n, rho = (round(2 * np.pi / float(theta[1])), 0.0) if on_grid is True else on_grid or (None, None)
     if f.exact is not None:
         ex = f.exact
-        z = r * (_unit_circle(n)[1][: theta.size] if on_grid else np.exp(1j * theta))
+        z = r * (_circle_grid(n, rho)[1][: theta.size] if on_grid else np.exp(1j * theta))
         z = complex(z) if z.ndim == 0 else z
         _require_inside(z)
         if eps is not None:
@@ -515,21 +576,41 @@ def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on
             rows = (weights[m : m + 2, None] * (c * r ** np.abs(powers))).reshape(-1, k.size)
         else:
             rows = f._scaled_rows(r)[m : m + 2]
+        low = -f.g.order  # k runs 0 .. deg h, then -1 .. -deg g: reversed, the negative ones come first
+        if on_grid:
+            rows = np.concatenate([rows[:, : f.h.order : -1], rows[:, : f.h.order + 1]], axis=1)
     else:
         k = powers = np.arange(max(f.h.order, f.g.order) + 1)
         a, b = (np.pad(s.coeffs, (0, k.size - s.coeffs.size)) for s in (f.h, f.g))
         c = (a + eps[:, None] * b) * r ** k
-        rows = np.concatenate([(1j * k) ** m * c, (1j * k) ** (m + 1) * c])
+        rows, low = np.concatenate([(1j * k) ** m * c, (1j * k) ** (m + 1) * c]), 0
     if on_grid:
-        spec = np.zeros((rows.shape[0], n), dtype=complex)
-        np.add.at(spec, (slice(None), k % n), rows)
-        out = np.fft.ifft(spec, norm="forward")[:, : theta.size]
+        if rho:
+            raise ValueError("a series-only map is sampled on the uniform grid only")
+        out = np.fft.ifft(_folded(rows, n, low), norm="forward")[:, : theta.size]
     else:
         out = rows.dot(np.power.outer(np.exp(1j * theta), powers).T)
     half = len(out) // 2
     if eps is None and not isinstance(r, np.ndarray):
         return out[1], out[0]
     return out[half:], out[:half]
+
+
+def _folded(rows: np.ndarray, n: int, low: int = 0) -> np.ndarray:
+    """The columns of ``rows``, at the frequencies low, low + 1, ..., summed onto n bins by frequency modulo n.
+
+    On n uniform angles e^{i k theta_j} depends on k modulo n only, so the
+    inverse FFT of the bins is the trigonometric polynomial of the rows
+    there, exact at any degree.  The rows are padded with zeros to whole
+    turns of n, the first column at bin low mod n, and summed turn by turn
+    (``reshape(...).sum``): the same sums as scattering each column onto its
+    bin in the order of its frequency, bit for bit where no bin takes more
+    than two nonzero terms.
+    """
+    lead, width = low % n, rows.shape[-1]
+    bins = np.zeros(rows.shape[:-1] + (-(-(lead + width) // n) * n,), dtype=np.result_type(rows, float))
+    bins[..., lead : lead + width] = rows
+    return bins.reshape(*rows.shape[:-1], -1, n).sum(-2)
 
 
 def _phase_steps(curve: np.ndarray, rate: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -570,8 +651,11 @@ def _chop_and_double(sample: Callable, n: int, rows: int = 1):
     circle.  A row may hold several curves along further axes that settle
     together (Kaplan's epsilons).  ``sample(n, first)`` samples rows
     ``first``, ``first + 1``, ... (as many as it chooses, at least one, up to
-    ``rows``) on the whole grid of :func:`_unit_circle`, and returns their
-    rates and the (curve, rate) pair along the summed path.  A row's rate
+    ``rows``) on a whole grid of n nodes uniform in a parameter s (the
+    angles themselves, or theta(s) of :func:`_circle_grid`), and returns
+    their rates and the (curve, derivative of its argument in s) pair along
+    the summed path.  Everything below reads the samples as functions of s,
+    with h = 2 pi / n the step of s.  A row's rate
     chops when, for each of its curves, the largest ``rfft`` coefficient at
     k >= 3n/8 is at most 1e-10 of the largest (Wright, Javed, Montanelli &
     Trefethen, SISC 2015; Trefethen & Weideman, SIAM Review 2014); its tail
@@ -663,13 +747,7 @@ def _polar_routes(f: HarmonicMap, routes: tuple[str, ...], r_max: float, n_r: in
     powers[:, 0] = 1.0
     powers[:, 1:] = grid[:, :1].real  # the radii: the grid's column at angle 0 is real
     np.cumprod(powers, axis=1, out=powers)
-    bins = -(-size // n_t) * n_t  # the degree padded to whole turns of n_t
-    out = []
-    for c in coeffs:
-        rows = np.zeros((n_r, bins), dtype=np.result_type(c, float))
-        rows[:, : c.size] = c * powers[:, : c.size]
-        out.append(np.fft.ifft(rows.reshape(n_r, -1, n_t).sum(1), norm="forward"))
-    return tuple(out)
+    return tuple(np.fft.ifft(_folded(c * powers[:, : c.size], n_t), norm="forward") for c in coeffs)
 
 
 _SENSE_GRID = (32, 64)  # the polar grid of the Jacobian check, radii x angles

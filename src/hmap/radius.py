@@ -8,32 +8,46 @@ quotients of theta-derivatives of f,
     d/dtheta arg(df/dtheta) = Im( d2f / d1f ),
     d/dtheta arg f          = Im( d1f / f ),
 
-sampled on a uniform theta grid that each test chooses by the circles' rule
-(``harmonic._chop_and_double``: from 128 angles, doubled until the rate's
-Fourier tail chops and the branch guard below passes, up to 65536).  The
-same spectrum bounds how far the rate can dip between nodes below its least
-sample g, by ``drop``.  Where g - drop stays at or above -CIRCLE_MIN_TOL the
-circle passes the margin whatever the rate does between nodes, and the
-margin is left at g.  Every other margin, and every margin a caller reads
-as a number (the public tests, the search for a dip between scan points),
-is sharpened by up to three parabolic steps from the grid minimum through
-exact values of the rate, so that transitions are resolved well below the
-search tolerance.  Near the boundary a rate may stay unresolved even at the
-cap: at r = 0.9979 the starlikeness rate of f_alpha(-0.75) keeps a tail of
-1.3e-2 on 65536 angles.  A sharpened margin is then still an exact rate
-value, but a dip narrower than the grid may go unseen.  The total
-turning guards against irregular curves: a simple closed regular curve
-must turn by exactly 2 pi.  It is read as the winding of the samples the
-test already holds (df for convexity, f for starlikeness), the sum of the
-arguments of consecutive sample ratios, so it is an integer multiple of
-2 pi up to rounding.  A branch guard (``harmonic._phase_steps``) checks every step
-against the trapezoid of the rate and fails the circle if one may have
-slipped a branch.
+sampled at the angles theta(s) of a grid uniform in s that each test
+chooses by the circles' rule (``harmonic._chop_and_double``: from 128
+nodes, doubled until the Fourier tail of g(s) = rate(theta(s)) chops and the
+branch guard below passes, up to 65536).  On most maps theta(s) = s.  Every
+map whose closed forms have a pole or a log (all at z = 1, the one singular
+point of every catalog map) has rates with a peak of width about 1 - r
+there, which a uniform grid must resolve at every angle.  Its circles from
+r = 1/2 on take the Moebius-clustered angles e^{i theta(s)} = (e^{is} + rho)
+/ (1 + rho e^{is}) (Tee & Trefethen, SISC 2006; Hale & Trefethen, SINUM
+2008), with rho a function of r and the map's forms (:func:`_cluster`):
+the nodes crowd at theta = 0 by (1 - rho)/(1 + rho) and thin out at theta =
+pi.  Starlikeness of L at r = 0.87185 then chops on 1024 nodes, not 8192,
+and that of f_alpha(-0.75) at its first loss, r = 0.99790034, on 4096 (tail
+3e-13), where 65536 uniform angles left a tail of 1.3e-2.  The test works
+in s: the chop rule and ``drop`` read g(s), whose least value is the rate's;
+the winding does not depend on the parametrization; the branch guard weighs
+the rate by theta'(s).  The spectrum bounds how far g can dip between nodes
+below its least sample g_min, by ``drop``.  Where g_min - drop stays at or
+above -CIRCLE_MIN_TOL the circle passes the margin whatever the rate does
+between nodes, and the margin is left at g_min.  Every other margin, and
+every margin a caller reads as a number (the public tests, the search for a
+dip between scan points), is sharpened by parabolic steps in s from the
+grid minimum through exact values of the rate until the gain they predict
+is below rounding, so that transitions are resolved well below the search
+tolerance.  A rate may still stay unresolved at the cap (a series-only map
+near the boundary); a sharpened margin is then still an exact rate value,
+but a dip narrower than the grid may go unseen.  The total turning guards
+against irregular curves: a simple closed regular curve must turn by
+exactly 2 pi.  It is read as the winding of the samples the test already
+holds (df for convexity, f for starlikeness), the sum of the arguments of
+consecutive sample ratios, so it is an integer multiple of 2 pi up to
+rounding.  A branch guard (``harmonic._phase_steps``) checks every step
+against the trapezoid of theta'(s) times the rate and fails the circle if
+one may have slipped a branch.
 
 Each circle test samples its map once per grid, on its own path
 (``harmonic._circle_derivatives``).  A map with f(conj z) = conj f(z) has
 circle images that mirror in the real axis, and on an even grid its tests
-sample only the nodes 0 <= theta <= pi.  Kaplan's arc integrals in
+sample only the nodes 0 <= theta <= pi (theta(s) is odd, so the nodes
+0 <= s <= pi).  Kaplan's arc integrals in
 ``hmap.classifiers`` share the sampler, the grid rule and the guard.
 
 Circle tests at many radii run together (:func:`_circle_tests`): the curves
@@ -98,7 +112,7 @@ from .defaults import CIRCLE_MIN_TOL, CURVE_VANISH_TOL, TURNING_TOL
 from .catalog import map_F
 from .classifiers import _weighted_terms
 from .harmonic import (_START_THETA_POINTS, HarmonicMap, _angular, _chop_and_double, _circle_derivatives,
-                       _require_radius, _unit_circle)
+                       _circle_grid, _clustered_angle, _require_radius, _unit_circle)
 from .report import Report
 
 
@@ -106,18 +120,21 @@ class CircleTest(NamedTuple):
     """One circle test: the verdict, the margin, the winding and the grid that decided them.
 
     ``min_derivative`` is the margin, the least sampled value of the rate,
-    and ``theta_min`` the angle it was sampled at; ``total_turning`` is the
-    winding of the sampled curve (nan where the branch guard failed).
-    ``grid_theta`` is the full-circle grid the test ended on and ``tail``
-    the largest Fourier coefficient of the rate on it at k >= 3n/8, relative
-    to the largest; tests that do not report them leave 0, nan and nan.
+    and ``theta_min`` the angle theta it was sampled at; ``total_turning``
+    is the winding of the sampled curve (nan where the branch guard failed).
+    ``grid_theta`` is the number of nodes of the full-circle grid the test
+    ended on, uniform in s (clustered in theta where :func:`_cluster` gives
+    rho > 0), and ``tail`` the largest Fourier coefficient of the rate
+    sampled there at k >= 3n/8, relative to the largest; tests that do not
+    report them leave 0, nan and nan.
 
     A margin is refined (:func:`_refined_min`) only where the verdict may
     depend on it.  Elsewhere it is the least grid value g, at its grid
     angle, and ``drop`` bounds how far the rate dips below g between the
     nodes (``harmonic._chop_and_double``); ``left`` and ``right`` are the
-    grid values on either side of g, from which :func:`_finished` takes the
-    parabolic steps later.  A refined test has drop 0 and nan neighbours.
+    grid values on either side of g, one step of s away, from which
+    :func:`_finished` takes the parabolic steps later.  A refined test has
+    drop 0 and nan neighbours.
     """
 
     passed: bool
@@ -161,7 +178,7 @@ class RadiusResult(Report):
     upper_limit_hit: bool
 
 
-_REFINE_STEPS = 3  # parabolic steps from the grid minimum
+_REFINE_STEPS = 12  # parabolic steps from the grid minimum at most; the gain rule stops them first
 _REFINE_GAIN = 1e-13  # a parabolic step that predicts less, relative to the margin, is not taken
 # points of one batched sampling call (more only when one circle is larger).
 # Fewer calls save numpy's per-call cost, but rows sampled past the first
@@ -178,20 +195,24 @@ def _refined_min(
     right: tuple[float, float],
     fn: Callable[[float], float],
 ) -> tuple[float, float]:
-    """The least of three rate values, improved by up to three successive parabolic steps.
+    """The least of three rate values, improved by successive parabolic steps until they converge.
 
-    ``left``, ``mid`` and ``right`` are (offset from the angle ``t0``, rate
-    value) pairs in increasing offset, ``mid`` the least, and ``fn``
-    evaluates the rate at one angle, a scalar.  The first parabola runs
+    ``left``, ``mid`` and ``right`` are (offset from the parameter ``t0``,
+    rate value) pairs in increasing offset, ``mid`` the least, and ``fn``
+    evaluates the rate at one parameter, a scalar.  The first parabola runs
     through the three; each step samples the rate at the vertex and keeps
-    the three least values for the next.  It stops early where the parabola
-    is not convex, where its vertex leaves (left, right), or where the gain
-    it predicts is below rounding, 1e-13 of the least value or of 1.
-    Returns the least rate value sampled and its angle, an actual value at
-    an actual angle.  Circle tests start it from the grid minimum and its
-    two neighbours (:func:`_finished`), the tracked margin of
-    :func:`radius_search` from the end of a downhill walk
-    (:func:`_tracked_min`).
+    the three least values for the next.  It stops where the gain the
+    parabola predicts is below rounding, 1e-13 of the least value or of 1,
+    and early where the parabola is not convex or its vertex leaves (left,
+    right), and after 12 steps at most.  A fixed few steps stop short where
+    the rate is far from a parabola across the grid's step: three left the
+    starlikeness margin of conv(L,L) at r = 0.25 1.8e-10 above the least
+    value on 2^18 angles, enough to give a margin near a root the wrong
+    sign.  Returns the least rate value sampled and its
+    parameter, an actual value at an actual point.  Circle tests start it
+    from the grid minimum and its two neighbours in s (:func:`_finished`),
+    the tracked margin of :func:`radius_search` from the end of a downhill
+    walk in theta (:func:`_tracked_min`).
     """
     points = [mid, left, right]
     for _ in range(_REFINE_STEPS):
@@ -207,6 +228,22 @@ def _refined_min(
         points = sorted(points + [(x, float(fn(t0 + x)))], key=lambda p: p[1])[:3]
     best, least = points[0]
     return least, t0 + best
+
+
+def _cluster(f: HarmonicMap, r: float) -> float:
+    """The rho of the grid that circle tests of f at radius r sample on (``harmonic._circle_grid``).
+
+    A map whose closed forms have a pole or a log at z = 1 has rates with a
+    peak of width about 1 - r there.  Its angles cluster at z = 1 by
+    rho = 1 - 2^-j, with j = floor(log2(1 / (1 - r))) for a pole of order
+    k >= 2 (from r = 1/2 on), so that 1 - rho lies within a factor 2 of
+    1 - r, and one level less for a simple pole or a log, whose peak stands
+    lower above the rest of the rate (from r = 3/4 on).  The few levels share
+    cached grids.  Every other map, and j = 0, keeps rho = 0, the uniform grid.
+    """
+    order = f._pole_order
+    j = math.floor(math.log2(1 / (1 - r))) - (order < 2)
+    return 1 - 2.0 ** -j if order and j > 0 else 0.0
 
 
 def _rate_at(f: HarmonicMap, r: float, m: int, theta: float, curve_name: str) -> float:
@@ -227,15 +264,21 @@ def _finished(test: CircleTest, f: HarmonicMap, r: float, m: int, curve_name: st
 
     The parabolic steps start from the grid minimum and its two neighbours,
     the inputs a circle test refines from, so a finished test equals one
-    refined when it was sampled, bit for bit.  A refined test comes back as
-    it is.
+    refined when it was sampled, bit for bit.  They run in s, the parameter
+    the grid is uniform in, through the rate at theta(s) (:func:`_cluster`
+    gives the grid's rho again), and the refined angle is theta at the
+    refined s.  A refined test comes back as it is.
     """
     if math.isnan(test.left):
         return test
-    step = float(_unit_circle(test.grid_theta)[0][1])
-    mn, at = _refined_min(test.theta_min, (-step, test.left), (0.0, test.min_derivative), (step, test.right),
-                          lambda th: _rate_at(f, r, m, th, curve_name))
-    return test._replace(passed=_verdict(mn, test.total_turning), min_derivative=mn, theta_min=at,
+    step, rho = float(_unit_circle(test.grid_theta)[0][1]), _cluster(f, r)
+    if rho:  # the steps run in s, on which the grid is uniform; the inverse of theta(s; rho) is theta(s; -rho)
+        start, angle = float(_clustered_angle(test.theta_min, -rho)), lambda s: float(_clustered_angle(s, rho))
+    else:
+        start, angle = test.theta_min, lambda s: s
+    mn, at = _refined_min(start, (-step, test.left), (0.0, test.min_derivative), (step, test.right),
+                          lambda s: _rate_at(f, r, m, angle(s), curve_name))
+    return test._replace(passed=_verdict(mn, test.total_turning), min_derivative=mn, theta_min=angle(at),
                          drop=0.0, left=math.nan, right=math.nan)
 
 
@@ -247,9 +290,12 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
     grid (``harmonic._circle_derivatives`` on a column of radii), on the
     grids that ``harmonic._chop_and_double`` picks row by row: the first row
     starts on ``n_theta`` angles and each later one on the largest grid
-    reached before it, as if the radii were tested one at a time.  One
-    sampling call covers at most _BATCH_POINTS (2048) points, and more only
-    when one row is larger, so never more than one circle at the cap.  Each
+    reached before it, as if the radii were tested one at a time.  Each row
+    takes the angles of its radius's rho (:func:`_cluster`), and one
+    sampling call covers consecutive rows of the same rho, at most
+    _BATCH_POINTS (2048) points, and more only when one row is larger, so
+    never more than one circle at the cap.  The branch guard reads the rate
+    times theta'(s), the derivative of arg d^m f in s.  Each
     row that settles is judged in scan order: it passes iff the minimum of
     its rate stays above -CIRCLE_MIN_TOL and the winding of its curve equals
     2 pi within TURNING_TOL.  The first failing row ends the list; the rows
@@ -267,23 +313,26 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
 
     On a map with f(conj z) = conj f(z) and an even grid it samples only the
     nodes 0 <= theta <= pi.  The curve at -theta is the conjugate of that at
-    theta, up to sign, and the rate is even in theta: the vanishing check
-    holds by symmetry, every step of the second half repeats one of the
-    first, so the winding is twice the half, and the spectrum, the grid
-    minimum and its neighbours read the rate mirrored back onto the whole
-    grid.
+    theta, up to sign, and the rate is even in theta, as theta'(s) is in s:
+    the vanishing check holds by symmetry, every step of the second half
+    repeats one of the first, so the winding is twice the half, and the
+    spectrum, the grid minimum and its neighbours read the rate mirrored
+    back onto the whole grid.
     """
     radii = [float(r) for r in radii]
     for r in radii:
         _require_radius(r)
-    column = np.array(radii)[:, None]
+    column, rhos = np.array(radii)[:, None], [_cluster(f, r) for r in radii]
     def half(n: int) -> bool:
         return n % 2 == 0 and f._conjugate_symmetric
 
     def sample(n: int, first: int):
-        thetas, mirrored = _unit_circle(n)[0], half(n)
+        (thetas, _, weights), mirrored, rho = _circle_grid(n, rhos[first]), half(n), rhos[first]
         th = thetas[: n // 2 + 1] if mirrored else thetas
-        upper, curve = _circle_derivatives(f, column[first : first + max(1, _BATCH_POINTS // th.size)], m, th, True)
+        last = first + 1  # the rows of one call share the grid
+        while last < min(len(radii), first + _BATCH_POINTS // th.size) and rhos[last] == rho:
+            last += 1
+        upper, curve = _circle_derivatives(f, column[first:last], m, th, (n, rho))
         small = abs(curve) < CURVE_VANISH_TOL
         if small.any():
             # the first row is reached and raises; a later one ends this call's
@@ -293,19 +342,20 @@ def _circle_tests(f: HarmonicMap, radii, m: int, n_theta: int, curve_name: str) 
                 raise ValueError(f"{curve_name} vanishes on |z| = {radii[first]}")
             upper, curve = upper[:j], curve[:j]
         rate = (upper / curve).imag
+        slope = rate if weights is None else rate * weights[: th.size]  # the guard's rate: d/ds arg, in s
         if mirrored:
-            return np.concatenate([rate, rate[:, -2:0:-1]], axis=1), (curve, rate)
-        return rate, (np.concatenate([curve, curve[:, :1]], axis=1), np.concatenate([rate, rate[:, :1]], axis=1))
+            return np.concatenate([rate, rate[:, -2:0:-1]], axis=1), (curve, slope)
+        return rate, (np.concatenate([curve, curve[:, :1]], axis=1), np.concatenate([slope, slope[:, :1]], axis=1))
 
     tests = []
     for n, first, rates, steps, oks, tails, drops in _chop_and_double(sample, n_theta, len(radii)):
         windings = ((2 if half(n) else 1) * steps.sum(-1)).tolist()
-        step = float(_unit_circle(n)[0][1])  # parabolas in Python floats: numpy's arithmetic, not its scalar cost
-        for rate, r, winding, ok, tail, drop in zip(rates, radii[first:], windings, oks, tails, drops):
+        for rate, r, rho, winding, ok, tail, drop in zip(rates, radii[first:], rhos[first:], windings, oks, tails,
+                                                         drops):
             k = int(rate.argmin())
             least, turning = float(rate[k]), winding if ok else math.nan
-            test = CircleTest(_verdict(least, turning), least, turning, n, tail, k * step, drop,
-                              float(rate[k - 1]), float(rate[(k + 1) % n]))
+            test = CircleTest(_verdict(least, turning), least, turning, n, tail, float(_circle_grid(n, rho)[0][k]),
+                              drop, float(rate[k - 1]), float(rate[(k + 1) % n]))
             if not least - drop >= -CIRCLE_MIN_TOL:  # the margin may dip below the threshold between nodes
                 test = _finished(test, f, r, m, curve_name)
             tests.append(test)
@@ -433,7 +483,7 @@ def radius_search(f: HarmonicMap, kind: str, tol: float = 1e-6) -> RadiusResult:
     root x is confirmed by one batched pair of circle tests.  A lost walk,
     a tracked margin without a sign change, a pair that disagrees and a
     winding failure (margin above threshold) fall back to bisection on
-    pass/fail.  For F the tracker takes 13 and 29 tests, with 15 and 30
+    pass/fail.  For F the tracker takes 13 and 29 tests, with 15 and 29
     rate values; where it gives up at once, bisection takes 26 and 42.
     Radii above the first loss where the property holds again are not
     searched.  If the property still holds at the cap the result carries

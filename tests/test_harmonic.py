@@ -439,6 +439,22 @@ class TestPolarRoutes:
         expected = f._eval_routes(("dh", "d2g"), harmonic._polar_grid(0.99, 8, 32))
         assert all(np.array_equal(v, e) for v, e in zip(values, expected))
 
+    @pytest.mark.parametrize("deg_h,deg_g,n", [(64, 64, 128), (64, 64, 64), (100, 37, 16), (2048, 2048, 64),
+                                               (512, 300, 256), (5, 0, 8)])
+    def test_fold_sums_each_bin_as_a_scatter_does(self, deg_h, deg_g, n):
+        # the columns of two-sided rows, frequencies -deg_g .. deg_h, summed
+        # onto n bins: within 1e-15 of each bin's absolute sum of a scatter by
+        # np.add.at, and bit for bit where no bin takes more than two terms
+        rng = np.random.default_rng(deg_h + n)
+        k = np.arange(-deg_g, deg_h + 1)
+        rows = rng.standard_normal((3, k.size)) + 1j * rng.standard_normal((3, k.size))
+        want, size = np.zeros((3, n), dtype=complex), np.zeros((3, n))
+        np.add.at(want, (slice(None), k % n), rows)
+        np.add.at(size, (slice(None), k % n), np.abs(rows))
+        got = harmonic._folded(rows, n, -deg_g)
+        assert got.shape == (3, n) and np.all(np.abs(got - want) <= 1e-15 * size)
+        assert np.bincount(k % n).max() > 2 or np.array_equal(got, want)
+
     def test_grid_is_cached_read_only(self):
         grid = harmonic._polar_grid(0.9, 16, 64)
         assert harmonic._polar_grid(0.9, 16, 64) is grid

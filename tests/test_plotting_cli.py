@@ -162,23 +162,26 @@ class TestCli:
         assert lo <= 0.580348 <= hi
 
     def test_radius_guard_only_circles_refine_the_grid(self, tmp_path, capsys):
-        # on 4096 angles the starlike circles of f_alpha(-0.75) fail on the
-        # branch guard from 0.9964 on; the circle tests there double their
-        # grids to the 65536-angle cap, and the radius is 0.997900
+        # on 4096 uniform angles the starlike circles of f_alpha(-0.75) fail
+        # on the branch guard from 0.9964 on, and 65536 left the rate
+        # unresolved; the clustered grid resolves them on 4096 nodes, and the
+        # search ends on 8192.  The radius is 0.99790034, the root of the
+        # margin on 2^20 angles refined between them (0.997900 rounded)
         out = tmp_path / "rad.json"
         rc = dispatch(["radius", "--function", "f_alpha:-0.75,0", "--kind", "starlike", "--out", str(out)])
         assert rc == 0
         printed = capsys.readouterr().out
         lo, hi = (float(x) for x in printed.split("[")[1].split("]")[0].split(","))
         assert hi - lo <= 1e-6
-        assert lo <= 0.997900 <= hi
-        assert printed.splitlines()[1].endswith("the finest grid they needed has 65536 angles")
-        assert json.loads(out.read_text())["grid_theta"] == 65536
+        assert lo <= 0.99790034 <= hi
+        assert printed.splitlines()[1].endswith("the finest grid they needed has 8192 angles")
+        assert json.loads(out.read_text())["grid_theta"] == 8192
 
     def test_radius_names_the_finest_grid(self, tmp_path, capsys):
         # F's convexity circles are resolved on at most 256 angles, L's
-        # starlikeness circles near its radius 0.87185 need 8192
-        for name, kind, grid in (("F", "convex", 256), ("L", "starlike", 8192)):
+        # starlikeness circles near its radius 0.87185 on 1024 clustered
+        # nodes (8192 uniform angles)
+        for name, kind, grid in (("F", "convex", 256), ("L", "starlike", 1024)):
             out = tmp_path / f"{name}.json"
             assert dispatch(["radius", "--function", name, "--kind", kind, "--out", str(out)]) == 0
             second = capsys.readouterr().out.splitlines()[1]

@@ -23,6 +23,7 @@ from hmap.harmonic import (
     ExactEvaluators,
     HarmonicMap,
     _circle_derivatives,
+    _circle_grid,
     _unit_circle,
     angular_derivatives,
     evaluate_f,
@@ -427,6 +428,8 @@ class TestHalfCircle:
         c = np.zeros(14, dtype=complex)
         c[1], c[13] = 1.0, 4 / 13
         wound = HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(14, dtype=complex)))
+        # (uniform grids forced: clustered ones pass the guard on 4096 nodes)
+        monkeypatch.setattr(radius, "_cluster", lambda f, r: 0.0)
         for make, m, r, n in ((lambda: wound, 1, 0.9, 8), (lambda: f_alpha(-0.75), 0, 0.997, 4096)):
             with monkeypatch.context() as patch:
                 patch.setattr(harmonic, "_MAX_THETA_POINTS", n)
@@ -670,11 +673,13 @@ class TestRadiusSearch:
         assert r_true <= res.r_hi
 
 
-    def test_guard_only_first_loss_is_searched_on_a_finer_grid(self):
-        # on 4096 angles the starlike circles of f_alpha(-0.75) trip the branch
-        # guard from r = 0.9964 on, with a margin of +0.0676; the circle tests
-        # there double their grids to the 65536-angle cap, and 0.997900 is the
-        # root of the margin on 65536 angles
+    def test_guard_only_first_loss_is_searched_on_a_finer_grid(self, monkeypatch):
+        # on 4096 uniform angles the starlike circles of f_alpha(-0.75) trip
+        # the branch guard from r = 0.9964 on, with a margin of +0.0676; the
+        # circle tests there double their grids to the 65536-angle cap, and
+        # 0.997900 is the root of the margin on 65536 angles (uniform grids
+        # forced: clustered ones resolve these circles on 4096 nodes)
+        monkeypatch.setattr(radius, "_cluster", lambda f, r: 0.0)
         res = radius_search(f_alpha(-0.75), "starlikeness")
         assert res.grid_theta == 65536
         assert res.r_hi - res.r_lo <= 1e-6
@@ -721,8 +726,9 @@ class TestRadiusSearch:
 
 
 def rate_tail(f, r, m, n):
-    """Largest Fourier coefficient of the rate on n angles at k >= 3n/8, over the largest."""
-    upper, curve = _circle_derivatives(f, r, m, _unit_circle(n)[0], True)
+    """Largest Fourier coefficient of the rate on the circle's n-node grid at k >= 3n/8, over the largest."""
+    grid = (n, radius._cluster(f, r))
+    upper, curve = _circle_derivatives(f, r, m, _circle_grid(*grid)[0], grid)
     spectrum = np.abs(np.fft.rfft((upper / curve).imag))
     return spectrum[-(-3 * n // 8):].max() / spectrum.max()
 
@@ -772,10 +778,11 @@ class TestSpectralGrid:
 
     def test_L_margin_at_its_root(self):
         # the 4096-angle grid with one parabolic step read this margin 5e-10
-        # too high; the rate needs 8192 angles here
+        # too high; the rate needs 8192 uniform angles here, and 1024 nodes
+        # clustered at z = 1
         r = 0.871854109771851
         res = starlike_test_at_radius(map_L(), r)
-        assert res.grid_theta == 8192
+        assert res.grid_theta == 1024
         assert abs(res.min_derivative - dense_margin(map_L(), r, 0)) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["convexity", "starlikeness"])
@@ -800,6 +807,156 @@ class TestSpectralGrid:
         full = radius_search(full_circle(MIRRORED[name](), monkeypatch), "starlikeness")
         assert (half.grid_theta, half.circle_tests) == (full.grid_theta, full.circle_tests)
         assert abs(half.r_lo - full.r_lo) <= 1e-12 and abs(half.r_hi - full.r_hi) <= 1e-12
+
+
+def dense_min(f, r, m, n=1 << 20, chunk=1 << 16):
+    """Least rate on n uniform angles (the nodes 0 <= theta <= pi of a mirrored map), sampled in chunks."""
+    top = n // 2 + 1 if f._conjugate_symmetric else n
+    least = math.inf
+    for i in range(0, top, chunk):
+        theta = np.arange(i, min(i + chunk, top)) * (2 * np.pi / n)
+        upper, curve = _circle_derivatives(f, r, m, theta, False)
+        least = min(least, float(np.min((upper / curve).imag)))
+    return least
+
+
+def uniform_circle_test(f, r, m, n):
+    """The circle test at r on uniform angles, written out: the rule every map without a pole keeps.
+
+    One row of ``harmonic._chop_and_double`` sampled through the uniform
+    grid (``on_grid`` True), with the rate itself in the branch guard; its
+    margin refined only where it may dip below the threshold between nodes.
+    """
+    mirrored = lambda n: n % 2 == 0 and f._conjugate_symmetric
+
+    def sample(n, first):
+        theta = _unit_circle(n)[0]
+        th = theta[: n // 2 + 1] if mirrored(n) else theta
+        upper, curve = _circle_derivatives(f, np.array([[r]]), m, th, True)
+        rate = (upper / curve).imag
+        if mirrored(n):
+            return np.concatenate([rate, rate[:, -2:0:-1]], axis=1), (curve, rate)
+        return rate, tuple(np.concatenate([a, a[:, :1]], axis=1) for a in (curve, rate))
+
+    n, _, rates, steps, oks, tails, drops = next(harmonic._chop_and_double(sample, n))
+    rate, k = rates[0], int(np.argmin(rates[0]))
+    turning = float((2 if mirrored(n) else 1) * steps[0].sum()) if oks[0] else math.nan
+    least = float(rate[k])
+    test = CircleTest(radius._verdict(least, turning), least, turning, n, tails[0], float(_unit_circle(n)[0][k]),
+                      drops[0], float(rate[k - 1]), float(rate[(k + 1) % n]))
+    return test if least - test.drop >= -CIRCLE_MIN_TOL else radius._finished(test, f, r, m, "curve")
+
+
+CLUSTERED = {
+    "map_F": map_F,
+    "map_L": map_L,
+    "example22": example22,
+    "l_hadamard_l": l_hadamard_l,
+    "f_alpha(0.5+0.5j)": lambda: f_alpha(0.5 + 0.5j),
+}
+
+
+class TestClusteredGrid:
+    """Circle tests of maps with a pole at z = 1 sample at angles clustered there, uniform in s."""
+
+    @pytest.mark.parametrize("n,rho", [(128, 0.5), (1024, 0.75), (4096, 1 - 2.0 ** -9), (255, 0.875)])
+    def test_cached_grid_is_the_moebius_trace(self, n, rho):
+        theta, unit, weight = _circle_grid(n, rho)
+        assert all(not a.flags.writeable for a in (theta, unit, weight))
+        with pytest.raises(ValueError, match="read-only"):
+            unit[0] = 0
+        assert _circle_grid(n, rho)[1] is unit
+        s = _unit_circle(n)[0]
+        e = np.exp(1j * s)
+        # the quotient cancels to 1 - rho at s = pi: its rounding grows by (1 + rho)/(1 - rho) there
+        assert np.max(np.abs(unit - (e + rho) / (1 + rho * e))) <= 1e-15 * (1 + rho) / (1 - rho)
+        half = (n + 1) // 2  # the nodes 0 <= s < pi; s = pi, on an even grid, is -1 itself
+        assert same_bits(unit[:half], np.exp(1j * theta[:half])) and np.all(np.diff(theta) > 0)
+        assert n % 2 or (theta[n // 2] == np.pi and unit[n // 2] == -1)
+        # E(-s) = conj E(s), bit for bit: node n - j mirrors node j
+        assert np.array_equal(unit[1:][::-1], unit[1:].conj()) and same_bits(weight[1:][::-1], weight[1:])
+        # theta'(s), against a centred difference of the angles over 2e-6
+        slope = (harmonic._clustered_angle(s + 1e-6, rho) - harmonic._clustered_angle(s - 1e-6, rho)) / 2e-6
+        assert np.max(np.abs(slope - weight) / weight) <= 1e-6
+        assert abs(theta[0]) == 0 and weight[0] == pytest.approx((1 - rho) / (1 + rho), rel=1e-15)
+
+    def test_uniform_grid_is_the_unit_circle(self):
+        theta, unit, weight = _circle_grid(512, 0.0)
+        assert theta is _unit_circle(512)[0] and unit is _unit_circle(512)[1] and weight is None
+
+    def test_rho_follows_r_and_the_pole(self):
+        rule = radius._cluster
+        F, E = map_F(), example22()
+        assert (F._pole_order, E._pole_order, l_hadamard_l()._pole_order) == (2, 1, 3)
+        assert [rule(F, r) for r in (0.49, 0.5, 0.87, 0.99, 0.999)] == [0, 0.5, 0.75, 1 - 2.0 ** -6, 1 - 2.0 ** -9]
+        assert [rule(E, r) for r in (0.7, 0.75, 0.87, 0.99)] == [0, 0.5, 0.5, 1 - 2.0 ** -5]
+        # no pole, no forms, or hand-given closed forms: uniform angles everywhere
+        for f in (example21(), g_alpha(0.5), SERIES_ONLY["conv(L,L)"](), horner_twin(F)):
+            assert f._pole_order == 0 and rule(f, 0.99) == 0.0
+
+    @pytest.mark.parametrize("name", sorted(CLUSTERED))
+    @pytest.mark.parametrize("m", [0, 1], ids=["starlikeness", "convexity"])
+    def test_finished_margins_against_dense_minima(self, name, m):
+        # a finished margin is a rate value, so never below the true least
+        # value; it may not sit above the least of 2^20 uniform angles either
+        f = CLUSTERED[name]()
+        for r in (0.6, 0.87, 0.95, 0.99):
+            t = circle_test(f, r, m, 128)
+            assert t.tail <= harmonic._CHOP_TAIL and not math.isnan(t.total_turning), r
+            assert t.min_derivative <= dense_min(f, r, m) + 1e-11, r
+
+    @pytest.mark.parametrize("name", ["example21", "M_alpha twin", "horner_twin(F)"])
+    def test_maps_without_a_pole_keep_the_uniform_rule(self, name, monkeypatch):
+        f = {"example21": example21, "M_alpha twin": SERIES_ONLY["M_alpha twin"],
+             "horner_twin(F)": lambda: horner_twin(map_F())}[name]()
+        grids, inner = [], harmonic._circle_grid
+        monkeypatch.setattr(radius, "_circle_grid", lambda n, rho: grids.append(rho) or inner(n, rho))
+        for m in (0, 1):
+            for r in (0.3, 0.6, 0.8, 0.9, 0.95):
+                got = radius._circle_tests(f, [r], m, 128, "curve")[0]
+                want = uniform_circle_test(f, r, m, 128)
+                assert got == want or all(a == b or math.isnan(a) and math.isnan(b) for a, b in zip(got, want)), r
+        assert grids and set(grids) == {0.0}
+
+    def test_guard_weighs_the_rate_by_the_slope_of_the_angles(self, monkeypatch):
+        # F's starlike circle at r = 0.9 on 128 nodes at rho = 0.75: each
+        # phase step lies within 0.04 of the trapezoid of theta'(s) times the
+        # rate, and 3.7 from that of the rate alone.  Judged there as it
+        # stands, it passes the guard and winds once
+        monkeypatch.setattr(harmonic, "_MAX_THETA_POINTS", 128)
+        t = circle_test(map_F(), 0.9, 0, 128)
+        assert t.grid_theta == 128 and t.total_turning == pytest.approx(2 * np.pi, abs=1e-12)
+
+    def test_branch_guard_trips_on_both_paths(self, monkeypatch):
+        # F's convex circle at r = 0.99 on 256 clustered nodes may slip a
+        # branch: judged there as it stands, the guard fails it on the half
+        # and the full circle alike; left to double, both pass it on 512
+        f = map_F()
+        with monkeypatch.context() as patch:
+            patch.setattr(harmonic, "_MAX_THETA_POINTS", 256)
+            half, full = circle_test(f, 0.99, 1, 256), circle_test(full_circle(map_F(), patch), 0.99, 1, 256)
+        assert math.isnan(half.total_turning) and math.isnan(full.total_turning)
+        half, full = circle_test(f, 0.99, 1, 256), circle_test(full_circle(map_F(), monkeypatch), 0.99, 1, 256)
+        assert half.grid_theta == full.grid_theta > 256
+        assert half.total_turning == pytest.approx(full.total_turning, abs=1e-12)
+        assert half.min_derivative == pytest.approx(full.min_derivative, abs=1e-12)
+
+    def test_f_alpha_starlikeness_resolves_at_its_first_loss(self):
+        # 0.99790034 is the root of the starlikeness margin of f_alpha(-0.75):
+        # 2^20 angles, the least one refined by a bounded scalar search,
+        # rooted by brentq.  65536 uniform angles left a tail of 1.3e-2 there
+        res = radius_search(f_alpha(-0.75), "starlikeness")
+        assert res.r_hi - res.r_lo <= 1e-6 and res.grid_theta <= 8192
+        assert res.r_lo <= 0.9979003402 <= res.r_hi
+        for r in (res.r_lo, res.r_hi):
+            t = starlike_test_at_radius(f_alpha(-0.75), r)
+            assert t.tail <= 1e-10 and t.grid_theta <= 4096
+
+    def test_refinement_runs_to_convergence(self):
+        # three parabolic steps left conv(L,L)'s starlikeness margin at
+        # r = 0.25 1.78e-10 above the least value on 2^18 angles
+        f = SERIES_ONLY["conv(L,L)"]()
+        assert starlike_test_at_radius(f, 0.25).min_derivative <= dense_min(f, 0.25, 0, 1 << 18)
 
 
 BATCHED = {
@@ -870,11 +1027,12 @@ class TestBatchedScan:
         assert len(points) <= {"convexity": 3, "starlikeness": 6}[kind] < res.circle_tests // 2
         assert max(points) <= harmonic._MAX_THETA_POINTS
 
-    @pytest.mark.parametrize("kind,extra", [("convexity", 0), ("starlikeness", 12)])
+    @pytest.mark.parametrize("kind,extra", [("convexity", 0), ("starlikeness", 16)])
     def test_rate_values_beyond_the_tracker_of_F(self, kind, extra, monkeypatch):
         # single rate values outside the tracked margin are the parabolic
         # steps of circle tests: refining every circle took 0 / 87, refining
-        # only circles whose verdict may depend on it takes 0 / 12
+        # only circles whose verdict may depend on it 0 / 12 with three steps
+        # at most, and 0 / 16 with steps until they converge
         calls, inner = [], radius._rate_at
         monkeypatch.setattr(radius, "_rate_at", lambda *args: calls.append(args) or inner(*args))
         res = radius_search(map_F(), kind)
