@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import CURVE_VANISH_TOL, RELATION_ABS_TOL
-from .harmonic import (_START_THETA_POINTS, HarmonicMap, _check_alpha, _chop_and_double, _circle_derivatives,
-                       _phase_steps, _polar_grid, _polar_routes, _require_nonzero, _require_radius, _unit_circle,
-                       evaluate_f)
+from .harmonic import (_START_THETA_POINTS, HarmonicMap, _check_alpha, _chop_and_double, _phase_steps, _polar_grid,
+                       _polar_routes, _require_nonzero, _require_radius, _unit_circle, evaluate_f)
 from .report import Report
 from .series import TruncatedSeries, _require_inside
 
@@ -331,19 +330,32 @@ def poisson_kernel(zeta: complex, theta) -> float | np.ndarray:
     return float(val) if np.isscalar(theta) else val
 
 
+_FE_ROUTES = ("dh", "dg", "d2h", "d2g")
+
+
 def _fe_circle(f: HarmonicMap, epsilon, r: float, theta: np.ndarray, on_grid: bool = False):
     """Re(1 + z Fe''/Fe') and i z Fe' at z = r e^{i theta}, one row per epsilon.
 
     With Fe = h + epsilon g, the integrand is the convexity rate Im(d2/d1) of
-    the analytic map Fe on the circle, and i z Fe' = d1 is the curve whose
-    argument it differentiates.  Both come from the circle-test sampler
-    (``harmonic._circle_derivatives``), every epsilon in one pass.  Raises
-    :class:`SingularPointError` where Fe' vanishes.
+    the analytic map Fe on the circle, d1 = i z Fe' and d2 = -(z Fe' + z^2 Fe''),
+    and d1 is the curve whose argument it differentiates.  h', g', h'' and
+    g'' come through the map's own routes, once for every epsilon: on the
+    uniform grid of theta.size angles (``on_grid``) from
+    ``harmonic._polar_routes``, elsewhere from ``HarmonicMap._eval_routes``.
+    Raises :class:`SingularPointError` where Fe' vanishes.
     """
     _require_radius(r)
-    d2, d1 = _circle_derivatives(f, r, 1, theta, on_grid, np.atleast_1d(epsilon))
-    _require_nonzero(d1, r * np.exp(1j * theta), tol=CURVE_VANISH_TOL)
-    return np.imag(d2 / d1), d1
+    if on_grid:
+        z = _polar_grid(r, 1, theta.size)[0]
+        dh, dg, d2h, d2g = (v[0] for v in _polar_routes(f, _FE_ROUTES, r, 1, theta.size))
+    else:
+        z = r * np.exp(1j * theta)
+        dh, dg, d2h, d2g = f._eval_routes(_FE_ROUTES, z)
+    zhp, zgp, e = z * dh, z * dg, np.atleast_1d(epsilon)[:, None]
+    d1 = 1j * (zhp + e * zgp)
+    _require_nonzero(d1, z, tol=CURVE_VANISH_TOL)
+    # a copy: the float view would keep the whole complex quotient alive
+    return (-(zhp + z * z * d2h + e * (zgp + z * z * d2g)) / d1).imag.copy(), d1
 
 
 def kaplan_integrand(f: HarmonicMap, epsilon: complex, r: float, theta):

@@ -18,18 +18,20 @@ several of h, g and their derivatives at the same points (f itself, the
 Jacobian, the dilatation) evaluate them together after one |z| < 1 guard
 (``HarmonicMap._eval_routes``).
 
-Circle tests (one radius, or the radii of a scan at once) and Kaplan arc
-integrals (of Fe = h + epsilon g, all epsilon at once) sample a map on one
-path (:func:`_circle_derivatives`: closed forms at z = r e^{i theta}, or one
-inverse FFT of the coefficients per derivative), not through the ``*_at``
-methods.  They read the argument of the sampled curve through one per-step
-branch guard (:func:`_phase_steps`) on a grid that one rule doubles, row by
-row, until the rate is resolved (:func:`_chop_and_double`): uniform, or, on
-circle tests of a map with a pole at z = 1, uniform in a parameter s whose
-angles theta(s) cluster there (:func:`_circle_grid`).  The
-polar-grid checks (the Jacobian, the curvature of the M(alpha) membership
-test, the cross-check of the product dilatation) sample a map the same way,
-circle by circle (:func:`_polar_routes`).
+Circle tests (one radius, or the radii of a scan at once) sample a map on
+their own path (:func:`_circle_derivatives`: closed forms at
+z = r e^{i theta}, or one inverse FFT of the coefficients per derivative),
+not through the ``*_at`` methods.  They read the argument of the sampled
+curve through one per-step branch guard (:func:`_phase_steps`) on a grid
+that one rule doubles, row by row, until the rate is resolved
+(:func:`_chop_and_double`): uniform, or, on a map with a pole at z = 1,
+uniform in a parameter s whose angles theta(s) cluster there
+(:func:`_circle_grid`).  The polar-grid checks (the Jacobian, the curvature
+of the M(alpha) membership test, the cross-check of the product dilatation,
+and Kaplan's arc integrals on their uniform grid) read h, g and their
+derivatives circle by circle (:func:`_polar_routes`); Kaplan's arcs read
+other angles through ``HarmonicMap._eval_routes``, and share the grid rule
+and the guard with the circle tests.
 """
 
 from __future__ import annotations
@@ -223,17 +225,10 @@ class HarmonicMap:
     def order(self) -> int:
         return min(self.h.order, self.g.order)
 
-    @cached_property
-    def _series_built(self) -> dict[str, TruncatedSeries]:
-        """The series of h, g and of each derivative built so far, by route name."""
-        return {"h": self.h, "g": self.g}
-
     def _series(self, which: str) -> TruncatedSeries:
-        """The truncated series of one of h, g, h', g', h'', g''; each derivative is built once per map."""
-        if which not in self._series_built:
-            part = self.h if which.endswith("h") else self.g
-            self._series_built[which] = part.differentiate(2 if which.startswith("d2") else 1)
-        return self._series_built[which]
+        """The truncated series of one of h, g, h', g', h'', g''; a derivative is built at each call."""
+        part = self.h if which.endswith("h") else self.g
+        return part if len(which) == 1 else part.differentiate(2 if which.startswith("d2") else 1)
 
     @cached_property
     def _conjugate_symmetric(self) -> bool:
@@ -308,13 +303,14 @@ class HarmonicMap:
 
         The points pass one |z| < 1 guard for all of them.  A map with closed
         forms evaluates them on every point, scalar or array; a map without
-        them evaluates its truncated series (:meth:`TruncatedSeries.evaluate`,
-        blocked in sqrt(N) blocks).  A scalar z gives Python complex values.
-        Circle tests on either route do not come here: they call the closed
-        forms directly or read the coefficients by inverse FFT
-        (:func:`_circle_derivatives`).  Polar-grid checks come here on a map
-        with closed forms only; a series-only map's grid is read by inverse
-        FFT too (:func:`_polar_routes`).
+        them evaluates its truncated series by Horner's rule
+        (:meth:`TruncatedSeries.evaluate`).  A scalar z gives Python complex
+        values.  Circle tests on either route do not come here: they call the
+        closed forms directly or read the coefficients by inverse FFT
+        (:func:`_circle_derivatives`).  Polar-grid checks, Kaplan's uniform
+        grids among them, come here on a map with closed forms only; a
+        series-only map's grid is read by inverse FFT too
+        (:func:`_polar_routes`).
         """
         zarr = np.asarray(z, dtype=complex)
         _require_inside(zarr)
@@ -425,7 +421,7 @@ def angular_derivatives(f: HarmonicMap, r: float, theta):
 
     Both follow from differentiating z(theta) = r e^{i theta} through the
     chain rule.  This is the public route through the ``*_at`` methods; the
-    circle tests and Kaplan arcs sample the same formulas on their own path
+    circle tests sample the same formulas on their own path
     (:func:`_circle_derivatives`).
     """
     _require_radius(r)
@@ -509,25 +505,26 @@ def _circle_grid(n_theta: int, rho: float) -> tuple[np.ndarray, np.ndarray, np.n
     return theta, unit, weight
 
 
-def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on_grid, eps=None):
-    """theta-derivatives (d^{m+1} f, d^m f) of f(r e^{i theta}), for m = 0 or 1.
+def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on_grid):
+    """theta-derivatives (d^{m+1} f, d^m f) of f(r e^{i theta}), for m = 0 or 1: the samples of a circle test.
 
     ``r`` is one radius, a float, or a column of radii (an (R, 1) array),
     which gives one row per radius: the circles of a radius scan, sampled in
-    one array.  ``on_grid`` names the cached grid that ``theta`` is a prefix
-    of (j < theta.size <= n): the pair (n, rho) of :func:`_circle_grid`, or
-    True for the uniform grid 2 pi j / n of :func:`_unit_circle`, n read off
-    the spacing theta[1] = 2 pi / n.  Half-circle tests pass j <= n/2.  False
-    means off the grid: ``theta`` is an array of angles or one angle, a
-    float, which with a float r gives complex scalars back (the circle tests'
-    refinement points).  A map with closed forms calls them at
-    z = r e^{i theta}, taking e^{i theta} from the cache on the grid, after
-    one |z| < 1 guard: f and d1 for m = 0, d1 and d2 of :func:`_angular` for
-    m = 1.  A column of radii makes z the 2-D array of all rows, one call of
-    each closed form for all of them.  At one angle z is a Python complex, on
-    which the closed forms cost a fraction of what they cost on a
-    one-element array.  On a series-only map the circle image is the
-    trigonometric polynomial
+    one array.  ``on_grid`` is the pair (n, rho) of the cached grid of
+    :func:`_circle_grid` that ``theta`` is a prefix of (j < theta.size <= n;
+    half-circle tests pass j <= n/2), or False off the grid: ``theta`` is an
+    array of angles or one angle, a float, which with a float r gives complex
+    scalars back (the refinement points of a circle test and the tracked
+    margin of a radius search).
+
+    A map with closed forms calls them at z = r e^{i theta}, taking
+    e^{i theta} from the cache on the grid, after one |z| < 1 guard: f and
+    d1 for m = 0, d1 and d2 of :func:`_angular` for m = 1.  A column of radii
+    makes z the 2-D array of all rows, one call of each closed form for all
+    of them.  At one angle z is a Python complex, on which the closed forms
+    cost a fraction of what they cost on a one-element array.
+
+    On a series-only map the circle image is the trigonometric polynomial
 
         sum_{n>=0} a_n r^n e^{i n theta} + sum_{n>=0} conj(b_n) r^n e^{-i n theta},
 
@@ -535,65 +532,44 @@ def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on
     The frequencies, coefficients and weights (ik)^p are built once per map
     (``HarmonicMap._circle_terms``), so a call only scales them by r^|k|,
     one row per radius; a float r reuses the scaled rows of the last radius
-    (``HarmonicMap._scaled_rows``), as the refinement points of a circle
-    and the tracked margin of a radius search sample several angles at one
-    radius.  On the uniform grid (rho = 0, the only grid a series-only map
-    is sampled on) each derivative is one inverse FFT of the coefficients
-    folded modulo n (:func:`_folded`), exact at any degree, cut to the
-    prefix: one transform of all rows.  Other angles, an array or one float on the
-    same code, take the direct sum with the phases e^{ik theta} as integer
-    powers of e^{i theta} (numpy's complex power multiplies them out by
-    squaring up to k = 99): no phase k theta is rounded, which lost digits
-    at high frequencies.  The angle is not reduced first: e^{i theta} is as
-    accurate at theta near 2 pi as near 0, and a reduced angle is another
-    rounding.
-
-    With a 1-D array ``eps`` (m = 1 and a float r only) it samples the
-    analytic maps Fe = h + eps g of Kaplan's arc integrals instead, one row
-    per eps: d1 = i z Fe' and d2 = -(z Fe' + z^2 Fe'').  Closed forms are
-    called once for all rows; a series-only map folds a_n + eps b_n into
-    one-sided rows of the same inverse FFT.
+    (``HarmonicMap._scaled_rows``).  On the uniform grid (rho = 0, the only
+    grid a series-only map is sampled on) each derivative is one inverse FFT
+    of the coefficients folded modulo n (:func:`_folded`), exact at any
+    degree, cut to the prefix: one transform of all rows.  Other angles take
+    the direct sum with the phases e^{ik theta} as integer powers of
+    e^{i theta} (numpy's complex power multiplies them out by squaring up to
+    k = 99): no phase k theta is rounded, which lost digits at high
+    frequencies.  The angle is not reduced first: e^{i theta} is as accurate
+    at theta near 2 pi as near 0, and a reduced angle is another rounding.
     """
-    n, rho = (round(2 * np.pi / float(theta[1])), 0.0) if on_grid is True else on_grid or (None, None)
+    n, rho = on_grid or (None, None)
     if f.exact is not None:
         ex = f.exact
         z = r * (_circle_grid(n, rho)[1][: theta.size] if on_grid else np.exp(1j * theta))
         z = complex(z) if z.ndim == 0 else z
         _require_inside(z)
-        if eps is not None:
-            zhp, zgp = z * ex.dh(z), z * ex.dg(z)
-            e = eps[:, None]
-            return -(zhp + z * z * ex.d2h(z) + e * (zgp + z * z * ex.d2g(z))), 1j * (zhp + e * zgp)
         if m == 1:
             d1, d2 = _angular(z, ex.dh, ex.dg, ex.d2h, ex.d2g)
             return d2, d1
         return _angular(z, ex.dh, ex.dg)[0], ex.h(z) + ex.g(z).conjugate()
-    if eps is None:
-        k, powers, c, weights = f._circle_terms
-        if isinstance(r, np.ndarray):
-            # rows (ik)^m c_k r^|k| and (ik)^(m+1) c_k r^|k|: the lower ones, one
-            # per radius, then the upper ones
-            rows = (weights[m : m + 2, None] * (c * r ** np.abs(powers))).reshape(-1, k.size)
-        else:
-            rows = f._scaled_rows(r)[m : m + 2]
-        low = -f.g.order  # k runs 0 .. deg h, then -1 .. -deg g: reversed, the negative ones come first
-        if on_grid:
-            rows = np.concatenate([rows[:, : f.h.order : -1], rows[:, : f.h.order + 1]], axis=1)
+    k, powers, c, weights = f._circle_terms
+    if isinstance(r, np.ndarray):
+        # rows (ik)^m c_k r^|k| and (ik)^(m+1) c_k r^|k|: the lower ones, one
+        # per radius, then the upper ones
+        rows = (weights[m : m + 2, None] * (c * r ** np.abs(powers))).reshape(-1, k.size)
     else:
-        k = powers = np.arange(max(f.h.order, f.g.order) + 1)
-        a, b = (np.pad(s.coeffs, (0, k.size - s.coeffs.size)) for s in (f.h, f.g))
-        c = (a + eps[:, None] * b) * r ** k
-        rows, low = np.concatenate([(1j * k) ** m * c, (1j * k) ** (m + 1) * c]), 0
+        rows = f._scaled_rows(r)[m : m + 2]
     if on_grid:
         if rho:
             raise ValueError("a series-only map is sampled on the uniform grid only")
-        out = np.fft.ifft(_folded(rows, n, low), norm="forward")[:, : theta.size]
+        # k runs 0 .. deg h, then -1 .. -deg g: reversed, the negative ones come first
+        rows = np.concatenate([rows[:, : f.h.order : -1], rows[:, : f.h.order + 1]], axis=1)
+        out = np.fft.ifft(_folded(rows, n, -f.g.order), norm="forward")[:, : theta.size]
     else:
         out = rows.dot(np.power.outer(np.exp(1j * theta), powers).T)
-    half = len(out) // 2
-    if eps is None and not isinstance(r, np.ndarray):
-        return out[1], out[0]
-    return out[half:], out[:half]
+    if isinstance(r, np.ndarray):
+        return out[len(out) // 2 :], out[: len(out) // 2]
+    return out[1], out[0]
 
 
 def _folded(rows: np.ndarray, n: int, low: int = 0) -> np.ndarray:
@@ -736,7 +712,8 @@ def _polar_routes(f: HarmonicMap, routes: tuple[str, ...], r_max: float, n_r: in
     inverse FFT of the coefficients c_k r^k folded onto n_t bins: exact at
     any degree, as on the circles of :func:`_circle_derivatives`.  The
     powers r^k of all radii are built by one cumulative product, and each
-    route is one transform of all rows.
+    route is one transform of all rows.  Kaplan's arcs read their uniform
+    grid here as one row (n_r = 1, r_max their radius).
     """
     grid = _polar_grid(r_max, n_r, n_t)
     if f.exact is not None:

@@ -48,7 +48,8 @@ Each circle test samples its map once per grid, on its own path
 circle images that mirror in the real axis, and on an even grid its tests
 sample only the nodes 0 <= theta <= pi (theta(s) is odd, so the nodes
 0 <= s <= pi).  Kaplan's arc integrals in
-``hmap.classifiers`` share the sampler, the grid rule and the guard.
+``hmap.classifiers`` share the grid rule and the guard, not the sampler:
+they read h', g', h'' and g'' through the map's own routes.
 
 Circle tests at many radii run together (:func:`_circle_tests`): the curves
 of the radii are the rows of one sampled array per grid, and the grid rule

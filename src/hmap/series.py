@@ -5,13 +5,10 @@ an analytic function at the origin.  Arithmetic is exact on the retained
 coefficients and never extends the truncation degree: sums and differences
 keep the smaller degree of the two operands, and Cauchy products and
 quotients are cut at the smaller degree as well.  Quotients are a blocked
-forward substitution, about sqrt(N) numpy calls.  Evaluation is blocked and
-pays only for the coefficients a series holds: each series keeps one table
-of its coefficients up to the last nonzero one, M, in rows of
-b = ceil(sqrt(M + 1)), real when every coefficient is real.  One matrix
-product gives every row's value at a slice of points, and Horner in z^b
-combines the row values.  It is restricted to the open unit disk, which is
-the only domain the rest of the package cares about.
+forward substitution, about sqrt(N) numpy calls.  Evaluation is Horner's
+rule on the coefficients up to the last nonzero one, so a series pays only
+for the coefficients it holds.  It is restricted to the open unit disk,
+which is the only domain the rest of the package cares about.
 
 A :class:`ClosedForm` is the function N(z)/(1 - z)^k + c log(1 - z), N a
 polynomial: the shape of every stock generator and of each part of every
@@ -33,18 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-
-# points per matrix product in ``evaluate``: bounds its temporaries to a few MB
-_EVAL_SLICE = 4096
-# A BLAS kernel sums a column of a product in the same order as every other
-# column only inside a full register block of columns (4 wide in OpenBLAS's
-# Haswell zgemm, 8 in its dgemm); edge columns, and a one-column product (which
-# numpy hands to gemv), sum in another order.  Padding every product to a
-# multiple of 16 points (32 real columns when a real table multiplies the
-# powers as float pairs) keeps each point's value independent of the other
-# points of a call.
-_EVAL_PAD = 16
-
 
 def _require_inside(z) -> None:
     """ValueError unless every point z, a complex scalar or an ndarray, lies in |z| < 1; nan fails.
@@ -170,52 +155,23 @@ class TruncatedSeries:
 
     # -- evaluation ---------------------------------------------------------
 
-    @cached_property
-    def _table(self) -> np.ndarray:
-        """The block table of :meth:`evaluate`, built once per series.
-
-        It holds ``c[0] .. c[M]``, M the index of the last nonzero
-        coefficient, in rows of b = ceil(sqrt(M + 1)) padded with zeros; its
-        dtype is float when every coefficient is real.
-        """
-        nonzero = np.flatnonzero(self.coeffs)
-        c = self.coeffs[: nonzero[-1] + 1 if nonzero.size else 1]
-        if not c.imag.any():
-            c = c.real
-        b = math.isqrt(c.size - 1) + 1  # ceil(sqrt(M + 1))
-        table = np.zeros((-(-c.size // b), b), dtype=c.dtype)
-        table.flat[: c.size] = c
-        table.setflags(write=False)
-        return table
-
     def evaluate(self, z):
-        """Blocked evaluation of the truncated polynomial at ``z``.
+        """Horner's rule on ``c[0] .. c[M]`` at ``z``, M the index of the last nonzero coefficient.
 
-        The zeros above the last nonzero coefficient c[M] are dropped: with
-        b = ceil(sqrt(M + 1)) the coefficients c[0] .. c[M] form rows of b
-        (``_table``); a row is one block value sum_j c[k b + j] z^j, and the
-        polynomial is Horner in z^b over the block values.  All block values
-        of a slice of points come from one matrix product with the table of
-        powers z^0 .. z^(b-1); a real table multiplies the powers viewed as
-        (re, im) float pairs, one real product with half the flops of a
-        complex one.  So a series of M + 1 stored coefficients costs about
-        2 sqrt(M) numpy calls and (M + 1) complex multiply-adds per point,
-        whatever its truncation degree.
-
-        ``z`` may be a complex scalar or an ndarray of any shape; every point
-        must lie in the open unit disk.  A point's value does not depend on
-        the other points of the call.
+        The zeros above c[M] are not evaluated, so a series costs M complex
+        multiply-adds per point whatever its truncation degree.  ``z`` may be
+        a complex scalar or an ndarray of any shape; every point must lie in
+        the open unit disk.  A scalar gives a Python complex back.  A point's
+        value does not depend on the other points of the call (see
+        :func:`_horner`).
         """
         zarr = np.asarray(z, dtype=complex)
         _require_inside(zarr)
-        flat = zarr.ravel()
-        result = np.empty_like(flat)
-        for start in range(0, flat.size, _EVAL_SLICE):
-            zs = flat[start : start + _EVAL_SLICE]
-            result[start : start + zs.size] = _evaluate_blocks(self._table, zs)
+        nonzero = np.flatnonzero(self.coeffs)
+        value = _horner(self.coeffs[: nonzero[-1] + 1 if nonzero.size else 1], zarr.ravel())
         if np.isscalar(z) or zarr.ndim == 0:
-            return complex(result[0])
-        return result.reshape(zarr.shape)
+            return complex(value[0])
+        return value.reshape(zarr.shape)
 
     def __repr__(self) -> str:
         head = np.array2string(self.coeffs[:4], precision=6, separator=", ")
@@ -235,28 +191,19 @@ def _inverse(d: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _evaluate_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k (blocks[k] . (z^0 .. z^(b-1))) (z^b)^k at the points of a 1-D array."""
-    rows, b = blocks.shape
-    # one buffer holds z^0 .. z^b and the block values: a single freed
-    # allocation of this size is reused by the next call, where two would be
-    # handed back to the system and page-fault in again on every call
-    buf = np.empty((b + 1 + rows, -(-z.size // _EVAL_PAD) * _EVAL_PAD), dtype=complex)
-    powers, values = buf[: b + 1], buf[b + 1 :]
-    powers[0] = 1.0
-    powers[1, : z.size] = z
-    powers[1, z.size :] = 0.0
-    for k in range(2, b + 1):
-        np.multiply(powers[k - 1], powers[1], out=powers[k])
-    if blocks.dtype == float:
-        np.matmul(blocks, powers[:b].view(float), out=values.view(float))
-    else:
-        np.matmul(blocks, powers[:b], out=values)
-    acc = values[-1]
-    for row in values[-2::-1]:
-        acc *= powers[b]
-        acc += row
-    return acc[: z.size]
+def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k c[k] z^k at the points of a 1-D array, by Horner's rule from c[-1] down.
+
+    Every product is out of place: numpy rounds an in-place complex product
+    on a one-element array apart from the same product inside a longer one,
+    which would make a point's value depend on the size of its call.  The
+    error is at most gamma_2n sum_k |c_k| |z|^k (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, section 5.1).
+    """
+    acc = np.full(z.shape, c[-1])
+    for a in c[-2::-1]:
+        acc = acc * z + a
+    return acc
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from scipy.integrate import quad  # reference quadrature; hmap itself must not i
 from hmap import harmonic
 from hmap.catalog import example21, f_alpha, g_alpha, make_M_alpha_member, map_F
 from hmap.classifiers import (
+    _fe_circle,
     _kaplan_steps,
     _kaplan_sweep,
     _worst_subarc,
@@ -34,6 +35,11 @@ def padded(coeffs, order=16):
     c = np.zeros(order + 1, dtype=complex)
     c[: len(coeffs)] = coeffs
     return TruncatedSeries(c)
+
+
+def degree_512_twin_of_F() -> HarmonicMap:
+    """F's coefficients to degree 512, without closed forms: the member with h = (L + K)/2 and alpha = 1."""
+    return make_M_alpha_member(0.5 * (make_generator("half_plane_l", 512) + make_generator("koebe_k", 512)), 1.0)
 
 
 class TestLemma13:
@@ -411,10 +417,9 @@ class TestKaplan:
 
     def test_series_only_twin_matches_closed_form(self):
         # F is the member with h = (L + K)/2 and dilatation z; its degree-512
-        # twin is sampled by inverse FFT of h + eps g instead of closed forms
+        # twin is sampled by inverse FFT of h', g', h'', g'' instead of closed forms
         F = map_F()
-        twin = make_M_alpha_member(0.5 * (make_generator("half_plane_l", 512)
-                                          + make_generator("koebe_k", 512)), 1.0)
+        twin = degree_512_twin_of_F()
         assert twin.exact is None
         epsilons = np.exp(2j * np.pi * np.arange(16) / 16)
         for r in (0.5, 0.9):
@@ -426,9 +431,23 @@ class TestKaplan:
     @pytest.mark.parametrize("series_only", [False, True])
     def test_sweep_evaluates_no_point(self, series_only, monkeypatch):
         f = make_M_alpha_member(make_generator("half_plane_l", 64), 0.5j) if series_only else map_F()
+        inside, routes, eval_routes = [], [], HarmonicMap._eval_routes
+        evaluate = TruncatedSeries.evaluate
 
         def refuse(*args, **kwargs):
             raise AssertionError("Kaplan sweep evaluated pointwise")
+
+        def through_routes(s, z):  # Horner only on the map's own pointwise route
+            assert inside, "arc check evaluated a series outside _eval_routes"
+            return evaluate(s, z)
+
+        def recording(self, which, z):
+            inside.append(which)
+            routes.append((which, np.shape(z)))
+            try:
+                return eval_routes(self, which, z)
+            finally:
+                inside.pop()
 
         monkeypatch.setattr(TruncatedSeries, "evaluate", refuse)
         for which in ("h", "g", "dh", "dg", "d2h", "d2g"):
@@ -436,7 +455,33 @@ class TestKaplan:
         epsilons = np.exp(2j * np.pi * np.arange(16) / 16)
         for r in (0.5, 0.9):
             assert len(_kaplan_sweep(f, epsilons, r)) == 16
+        # the arc check reads its angles through the map's pointwise route, once per arc
+        monkeypatch.setattr(TruncatedSeries, "evaluate", through_routes)
+        monkeypatch.setattr(HarmonicMap, "_eval_routes", recording)
+        for r in (0.5, 0.9):
             kaplan_integral_check(f, 1j, r, 1.0, 4.0)
+        # closed forms read the grid of _kaplan_steps there too, as one (1, n) row
+        assert {which for which, _ in routes} == {("dh", "dg", "d2h", "d2g")}
+        assert sum(len(shape) == 1 and shape[0] > 1 for _, shape in routes) == 2
+        assert all(len(shape) == 1 or shape[0] == 1 and not series_only for _, shape in routes)
+
+    @pytest.mark.parametrize("r", [0.5, 0.9])
+    @pytest.mark.parametrize("series_only", [False, True], ids=["F", "degree-512 twin"])
+    def test_grid_route_matches_the_pointwise_one(self, series_only, r):
+        # on the uniform grid h', g', h'', g'' come from the polar-grid route
+        # (one inverse FFT each on a series-only map); at the same angles off
+        # the grid, from the pointwise one (Horner on a series-only map).  The
+        # rate divides by the curve d1, so its rounding grows by max|d1| / |d1|
+        # where the curve is small (near theta = pi at r = 0.9)
+        f = degree_512_twin_of_F() if series_only else map_F()
+        epsilons = np.exp(2j * np.pi * np.arange(16) / 16)
+        theta = _unit_circle(256)[0]
+        rate, d1 = _fe_circle(f, epsilons, r, theta, on_grid=True)
+        rate_off, d1_off = _fe_circle(f, epsilons, r, theta)
+        assert rate.shape == rate_off.shape == d1.shape == d1_off.shape == (16, 256)
+        size = np.abs(d1_off) / np.abs(d1_off).max(axis=1, keepdims=True)
+        assert np.max(np.abs(d1 - d1_off)) <= 1e-13 * np.max(np.abs(d1_off))
+        assert np.max(np.abs(rate - rate_off) * size) <= 1e-13 * np.max(np.abs(rate_off))
 
     def test_singular_point_raises(self):
         # Fe' = h' = 1 + 2z vanishes at z = -1/2 on the circle r = 1/2

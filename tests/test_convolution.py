@@ -259,15 +259,18 @@ class TestTildeDilatation:
     def test_cross_check_samples_the_product_without_horner(self, monkeypatch):
         # the product's h' and g' are sampled on the grid by inverse FFT; the one
         # series evaluated is the shear's guard on w = e^{i theta} z^2
-        products, evaluated = [], []
+        products, evaluated, derived = [], [], []
         monkeypatch.setattr(convolution, "hadamard", lambda f, F: products.append(hadamard(f, F)) or products[-1])
-        evaluate = TruncatedSeries.evaluate
+        evaluate, differentiate = TruncatedSeries.evaluate, TruncatedSeries.differentiate
         monkeypatch.setattr(TruncatedSeries, "evaluate", lambda s, z: evaluated.append(s) or evaluate(s, z))
+        monkeypatch.setattr(TruncatedSeries, "differentiate",
+                            lambda s, times=1: derived.append((s, differentiate(s, times))) or derived[-1][1])
         rep = tilde_dilatation_check(2, math.pi / 3)
         assert rep.cross_check_passed
         (prod,) = products
-        assert prod.exact is None and {"dh", "dg"} <= set(prod._series_built)
-        assert not any(s is t for s in evaluated for t in prod._series_built.values())
+        built = [d for s, d in derived if s is prod.h or s is prod.g]
+        assert prod.exact is None and {id(s) for s, _ in derived} >= {id(prod.h), id(prod.g)}
+        assert not any(s is t for s in evaluated for t in [prod.h, prod.g, *built])
         assert [np.flatnonzero(s.coeffs).tolist() for s in evaluated] == [[2]]
 
     def test_direct_product_dilatation_matches(self):

@@ -175,3 +175,51 @@ def test_public_options_are_the_listed_ones():
     assert set(found) - PUBLIC_OPTIONS == set(), "options not listed in PUBLIC_OPTIONS"
     assert PUBLIC_OPTIONS - set(found) == set(), "listed options the API no longer has"
     assert [option for option in found if found.count(option) > 1] == [], "options found twice"
+
+
+# pointwise series evaluation (``TruncatedSeries.evaluate``, Horner's rule)
+# per workload of the benchmark, as (calls, most terms up to the last nonzero
+# coefficient in one call).  Circle tests, polar grids and Kaplan's uniform
+# grids read series-only maps by inverse FFT and closed forms directly; the
+# only series the four verify suites evaluate are the shear guards' dilatations
+# in the convolution suite.  Routing hot work through Horner is done here on
+# purpose, or the census below fails
+EVAL_TRAFFIC = {"verify-all": (6, 3), "radius-scan": (0, 0), "cli-cold": (0, 0)}
+
+
+def _eval_traffic(monkeypatch, run) -> tuple[int, int]:
+    """(calls, most terms in one call) of ``TruncatedSeries.evaluate`` while ``run()`` runs in this process."""
+    import numpy as np
+    from hmap.series import TruncatedSeries
+
+    calls, evaluate = [], TruncatedSeries.evaluate
+
+    def counting(s, z):
+        calls.append(int(np.flatnonzero(s.coeffs).max(initial=0)) + 1)
+        return evaluate(s, z)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TruncatedSeries, "evaluate", counting)
+        run()
+    return len(calls), max(calls, default=0)
+
+
+def test_eval_traffic_of_each_workload(monkeypatch, tmp_path):
+    from hmap import catalog, cli, radius, verify
+    from hmap.series import make_generator
+
+    def radius_scan():
+        mix = 0.5 * (make_generator("half_plane_l", 64) + make_generator("koebe_k", 64))
+        for f in (catalog.make_M_alpha_member(mix, 0.5 + 0.3j), catalog.map_F()):
+            for kind in ("convexity", "starlikeness"):
+                radius.radius_search(f, kind, tol=1e-6)
+
+    def cli_cold():
+        for argv, _, _ in CLI_CALLS.values():
+            assert cli.dispatch(argv) == 0
+
+    monkeypatch.chdir(tmp_path)  # the plot and verify calls write their files here
+    found = {"verify-all": _eval_traffic(monkeypatch, lambda: verify.run_suite("all")),
+             "radius-scan": _eval_traffic(monkeypatch, radius_scan),
+             "cli-cold": _eval_traffic(monkeypatch, cli_cold)}
+    assert found == EVAL_TRAFFIC

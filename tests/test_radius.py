@@ -182,8 +182,8 @@ class TestSeriesOnlyCircles:
         thetas = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
         for r in (0.3, 0.6, 0.9, 0.99):
             for m, test in ((0, starlike_test_at_radius), (1, convex_test_at_radius)):
-                got = _circle_derivatives(f, r, m, thetas, True)
-                want = _circle_derivatives(ref, r, m, thetas, True)
+                got = _circle_derivatives(f, r, m, thetas, (4096, 0.0))
+                want = _circle_derivatives(ref, r, m, thetas, (4096, 0.0))
                 # each derivative to 1e-12 of its own largest modulus; the rate,
                 # their quotient, can lose more where the curve is small
                 for a, b in zip(got, want):
@@ -203,8 +203,8 @@ class TestSeriesOnlyCircles:
         ref = horner_twin(f)
         thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
         for m in (0, 1):
-            for a, b in zip(_circle_derivatives(f, 0.99, m, thetas, True),
-                            _circle_derivatives(ref, 0.99, m, thetas, True)):
+            for a, b in zip(_circle_derivatives(f, 0.99, m, thetas, (n_theta, 0.0)),
+                            _circle_derivatives(ref, 0.99, m, thetas, (n_theta, 0.0))):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
     @pytest.mark.parametrize("order", [16, 48])
@@ -219,8 +219,8 @@ class TestSeriesOnlyCircles:
         f = HarmonicMap(TruncatedSeries(h), TruncatedSeries(g))
         thetas = _unit_circle(64)[0]
         for m in (0, 1):
-            for a, b in zip(_circle_derivatives(f, 0.8, m, thetas, True),
-                            _circle_derivatives(horner_twin(f), 0.8, m, thetas, True)):
+            for a, b in zip(_circle_derivatives(f, 0.8, m, thetas, (64, 0.0)),
+                            _circle_derivatives(horner_twin(f), 0.8, m, thetas, (64, 0.0))):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
     def test_off_grid_angles_sum_directly(self):
@@ -288,7 +288,7 @@ class TestClosedFormCircles:
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM))
     def test_matches_angular_derivatives_bit_for_bit(self, name):
         f = CLOSED_FORM[name]()
-        for theta, on_grid in ((np.linspace(0, 2 * np.pi, 4096, endpoint=False), True),
+        for theta, on_grid in ((np.linspace(0, 2 * np.pi, 4096, endpoint=False), (4096, 0.0)),
                                (np.array([0.1, 1.234, 3.0, 6.2]), False)):
             for r in (0.3, 0.9, 0.999):
                 d1, d2 = angular_derivatives(f, r, theta)
@@ -316,10 +316,10 @@ class TestClosedFormCircles:
         monkeypatch.setattr(harmonic, "_require_inside", lambda z: calls.append(z.size) or guard(z))
         theta = _unit_circle(512)[0]
         for m in (0, 1):
-            _circle_derivatives(map_F(), 0.9, m, theta, True)
+            _circle_derivatives(map_F(), 0.9, m, theta, (512, 0.0))
         assert calls == [512, 512]
         with pytest.raises(ValueError, match=r"\|z\| < 1"):
-            _circle_derivatives(map_F(), 1.0, 1, theta, True)
+            _circle_derivatives(map_F(), 1.0, 1, theta, (512, 0.0))
 
     def test_cached_grid_is_read_only_and_shared(self):
         theta, unit = _unit_circle(4096)
@@ -398,7 +398,7 @@ class TestHalfCircle:
     def test_argmin_at_zero_and_pi(self, monkeypatch):
         theta = _unit_circle(4096)[0]
         for f, r, m, node in ((map_F(), R_CONVEX, 1, 2048), (example21(), 0.5, 0, 0)):
-            upper, curve = _circle_derivatives(f, r, m, theta, True)
+            upper, curve = _circle_derivatives(f, r, m, theta, (4096, 0.0))
             assert int(np.argmin(np.imag(upper / curve))) == node
             test = (starlike_test_at_radius, convex_test_at_radius)[m]
             half, full = test(f, r), test(full_circle(f, monkeypatch), r)
@@ -736,7 +736,7 @@ def rate_tail(f, r, m, n):
 def dense_margin(f, r, m):
     """Least rate on 65536 angles, refined on 2001 angles across the two steps around it."""
     theta = _unit_circle(65536)[0]
-    upper, curve = _circle_derivatives(f, r, m, theta, True)
+    upper, curve = _circle_derivatives(f, r, m, theta, (65536, 0.0))
     k = int(np.argmin((upper / curve).imag))
     local = theta[k] + np.linspace(-theta[1], theta[1], 2001)
     upper, curve = _circle_derivatives(f, r, m, local, False)
@@ -832,7 +832,7 @@ def uniform_circle_test(f, r, m, n):
     def sample(n, first):
         theta = _unit_circle(n)[0]
         th = theta[: n // 2 + 1] if mirrored(n) else theta
-        upper, curve = _circle_derivatives(f, np.array([[r]]), m, th, True)
+        upper, curve = _circle_derivatives(f, np.array([[r]]), m, th, (n, 0.0))
         rate = (upper / curve).imag
         if mirrored(n):
             return np.concatenate([rate, rate[:, -2:0:-1]], axis=1), (curve, rate)
@@ -1048,7 +1048,8 @@ class TestBatchedScan:
         waiting = [(r, t) for r, t in zip(radii, rows) if not math.isnan(t.left)]
         assert waiting and all(t.passed and t.drop > 0 for r, t in waiting)
         for r, t in waiting:
-            upper, curve = _circle_derivatives(f, r, m, _unit_circle(16 * t.grid_theta)[0], True)
+            grid = (16 * t.grid_theta, 0.0)
+            upper, curve = _circle_derivatives(f, r, m, _unit_circle(grid[0])[0], grid)
             assert np.min((upper / curve).imag) >= t.min_derivative - t.drop, r
 
     @pytest.mark.parametrize("name", sorted(BATCHED))

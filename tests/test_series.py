@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import same_coeffs
+from hmap import series
 from hmap.series import TruncatedSeries, make_generator
 
 
@@ -81,9 +82,9 @@ class TestEvaluate:
             assert vi == s.evaluate(complex(zi))
 
 
-# the block length is b = ceil(sqrt(N + 1)): degrees 63, 64 and 65 are b^2 - 1
-# (8 full rows of 8), b^2 and b^2 + 1 (a ninth, partial row); 1, 2 and 3 have b = 2
-BLOCK_EDGE_DEGREES = (1, 2, 3, 63, 64, 65, 511, 2048)
+# the fewest terms (1, 2, 3), around a power of two (63, 64, 65) and long
+# series (511 and 2048), where Horner's rounding error grows with the degree
+EVAL_DEGREES = (1, 2, 3, 63, 64, 65, 511, 2048)
 
 
 def _random_series(order: int, seed: int) -> TruncatedSeries:
@@ -96,8 +97,15 @@ def _random_disk_points(n: int, seed: int = 11) -> np.ndarray:
     return rng.uniform(0, 0.999, n) * np.exp(2j * np.pi * rng.uniform(size=n))
 
 
+def _horner_inputs(monkeypatch) -> list:
+    """Record the coefficient array that each evaluation hands to Horner's rule."""
+    seen, horner = [], series._horner
+    monkeypatch.setattr(series, "_horner", lambda c, z: seen.append(c) or horner(c, z))
+    return seen
+
+
 class TestBlockedEvaluate:
-    @pytest.mark.parametrize("order", BLOCK_EDGE_DEGREES)
+    @pytest.mark.parametrize("order", EVAL_DEGREES)
     def test_matches_mpmath_reference(self, order):
         s = _random_series(order, seed=order)
         radii = np.array([0.0, 0.5, 0.9, 0.999])
@@ -115,22 +123,24 @@ class TestBlockedEvaluate:
 
     @pytest.mark.parametrize("order", (1, 2, 65, 511))
     def test_point_value_independent_of_batch(self, order):
-        # 4097 points: one full slice of 4096 and a last slice of one point;
-        # the real part of the series takes the real product over (re, im) pairs
-        z = _random_disk_points(4097)
+        # Horner's rule treats every point alone, so 67 points (several whole
+        # SIMD vectors of any width and a ragged end) cover every way numpy
+        # splits one elementwise product.  numpy rounds an in-place complex
+        # product on a one-element array apart from the same product in a
+        # longer one: scalars and batches of one point catch that
+        z = _random_disk_points(67)
         complex_series = _random_series(order, seed=3)
-        for s, dtype in ((complex_series, complex), (TruncatedSeries(complex_series.coeffs.real), float)):
-            assert s._table.dtype == dtype
+        for s in (complex_series, TruncatedSeries(complex_series.coeffs.real)):
             full = s.evaluate(z)
             alone = np.array([s.evaluate(complex(zi)) for zi in z])
             assert np.array_equal(alone, full)
-            for size in (2, 3):
+            for size in (1, 2, 3, 17):
                 batched = np.concatenate([s.evaluate(z[i : i + size]) for i in range(0, z.size, size)])
-                assert np.array_equal(batched, full)
+                assert np.array_equal(batched, full), size
 
     @pytest.mark.parametrize("real", (False, True))
     @pytest.mark.parametrize("degree", (0, 1, 3, 64))
-    def test_zero_padded_series_equals_its_trimmed_copy(self, degree, real):
+    def test_zero_padded_series_equals_its_trimmed_copy(self, degree, real, monkeypatch):
         # the zeros above the last nonzero coefficient are not evaluated
         c = _random_series(max(degree, 1), seed=degree).coeffs[: degree + 1]
         if real:
@@ -138,18 +148,21 @@ class TestBlockedEvaluate:
         padded = TruncatedSeries(np.concatenate([c, np.zeros(2048 - degree)]))
         trimmed = TruncatedSeries(c if degree else np.r_[c, 0])
         assert padded.order == 2048
-        assert padded._table.shape == trimmed._table.shape
+        seen = _horner_inputs(monkeypatch)
+        padded.evaluate(0.5j), trimmed.evaluate(0.5j)
+        assert seen[0].size == seen[1].size == degree + 1 and np.array_equal(seen[0], seen[1])
         z = _random_disk_points(300)
         assert np.array_equal(padded.evaluate(z), trimmed.evaluate(z))
         assert padded.evaluate(0.3 - 0.2j) == trimmed.evaluate(0.3 - 0.2j)
 
-    def test_real_product_matches_the_complex_one(self):
+    def test_real_product_matches_the_complex_one(self, monkeypatch):
         s = _random_series(2048, seed=5)
         real = TruncatedSeries(s.coeffs.real)
         as_complex = TruncatedSeries(s.coeffs.real + 1j * np.where(np.arange(2049) == 2048, 1e-300, 0))
-        assert real._table.dtype == float and as_complex._table.dtype == complex
+        seen = _horner_inputs(monkeypatch)
         z = _random_disk_points(500)
         got, want = real.evaluate(z), as_complex.evaluate(z)
+        assert [c.size for c in seen] == [2049, 2049] and not seen[0].imag.any() and seen[1].imag.any()
         scale = np.sum(np.abs(s.coeffs.real) * np.abs(z[:, None]) ** np.arange(2049), axis=1)
         assert np.all(np.abs(got - want) <= 8 * 2049 * np.finfo(float).eps * scale)
 
