@@ -4,7 +4,7 @@ A tour of the built-in harmonic mappings
 
 Every catalog entry is a map f = h + conj(g) on the unit disk, normalized so
 that f(0) = 0 and the analytic part has unit derivative at the origin.  Each
-one carries both truncated series coefficients and closed-form evaluators.
+one carries both truncated series coefficients and the closed forms they come from.
 """
 
 import sys

@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "defaults": ("DEFAULT_ORDER",),
     "harmonic": (
-        "CollisionReport", "ExactEvaluators", "GridCheckReport", "HarmonicMap",
+        "CollisionReport", "GridCheckReport", "HarmonicMap",
         "SingularPointError", "angular_derivatives", "dilatation", "evaluate_f",
         "injectivity_sample_check", "jacobian", "sense_preserving_check",
     ),

@@ -9,12 +9,13 @@ N(z)/(1-z)^k + c log(1-z) (:class:`~hmap.series.ClosedForm`), and g is alpha
 times h's partner G, with G' = z h' and G(0) = 0 (``ClosedForm.partner``).
 ``l_hadamard_l``, not in M(alpha), is the Hadamard product of L with itself:
 its h and g are the squares of L's forms (``ClosedForm.hadamard``).  The
-map's series and the evaluators of h, g and their first two derivatives all
-derive from the forms, which the map keeps, so that a Hadamard product of two
-catalog maps is built from the products of their forms.  The closed forms
-evaluate every point, so radius scans close to the unit circle stay accurate;
-the coefficients serve the coefficient classifiers, and meet the closed forms
-once, in the agreement check at construction.  Only shears,
+map is its series and its forms (h, g, alpha) (``HarmonicMap.forms``), from
+which it compiles the evaluators of h, g and their first two derivatives, so
+that a Hadamard product of two catalog maps is built from the products of
+their forms.  The closed forms evaluate every point, so radius scans close
+to the unit circle stay accurate; the coefficients serve the coefficient
+classifiers, and meet the closed forms once, in the agreement check at
+construction.  Only shears,
 ``make_M_alpha_member`` (the series recurrence, for an h given by its
 coefficients alone) and Hadamard products with an operand without forms, or
 with a log part in both g, build series-only maps, evaluated from their
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULT_ORDER
-from .harmonic import ExactEvaluators, HarmonicMap, _check_alpha
+from .harmonic import HarmonicMap, _check_alpha
 from .series import _GENERATORS, ClosedForm, TruncatedSeries
 
 # -- closed forms ----------------------------------------------------------------
@@ -57,26 +58,14 @@ _FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class _FormEvaluators(ExactEvaluators):
-    """The six closed forms of a map built from forms, and the forms (h, g, alpha) they come from."""
-
-    forms: tuple[ClosedForm, ClosedForm, complex]
-
-
 def _closed_map(h: ClosedForm, order: int, label: str, alpha: complex = 1.0,
                 g: ClosedForm | None = None) -> HarmonicMap:
-    """h + conj(alpha g) from closed forms: its series and its six closed forms (:class:`ExactEvaluators`).
+    """h + conj(alpha g) from closed forms: their series at degree ``order``, and the forms (h, g, alpha).
 
     g defaults to h's partner, so that g' = alpha z h': the M(alpha) member of h.
-    The forms ride on the evaluators, so that :func:`~hmap.convolution.hadamard`
-    can multiply them.
     """
     g = h.partner if g is None else g
-    dh, dg = h.derivative, g.derivative
-    exact = _FormEvaluators(h.evaluator(), g.evaluator(alpha), dh.evaluator(), dg.evaluator(alpha),
-                            dh.derivative.evaluator(), dg.derivative.evaluator(alpha), (h, g, alpha))
-    return HarmonicMap(h.series(order), g.series(order, alpha), exact, label=label)
+    return HarmonicMap(h.series(order), g.series(order, alpha), (h, g, alpha), label=label)
 
 
 _TABLE = {
@@ -259,7 +248,7 @@ def _shear(phi: TruncatedSeries, w: TruncatedSeries, sign: float) -> HarmonicMap
     h[1:] = hp / np.arange(1, order + 1)
     hs = TruncatedSeries(h)
     gs = TruncatedSeries(sign * (phi.coeffs[: order + 1] - h))
-    return HarmonicMap(hs, gs, None, label="shear_h" if sign < 0 else "shear_v")
+    return HarmonicMap(hs, gs, label="shear_h" if sign < 0 else "shear_v")
 
 
 def shear_horizontal(phi: TruncatedSeries, w: TruncatedSeries) -> HarmonicMap:

@@ -52,17 +52,16 @@ def hadamard(f: HarmonicMap, F: HarmonicMap) -> HarmonicMap:
     were built from closed forms (h, g, alpha), as the catalog builds them,
     the product is built the same way from h1 * h2 and g1 * g2
     (:meth:`ClosedForm.hadamard`), with g scaled by alpha1 alpha2, so it keeps
-    closed forms.  It is series-only when either map has only series or
-    hand-given :class:`ExactEvaluators`, or when both g have a log part (their
-    product is a dilogarithm).
+    closed forms.  It is series-only when either map is (it has no forms), or
+    when both g have a log part (their product is a dilogarithm).
     """
     label = f"({f.label or 'f'})*({F.label or 'F'})"
-    if hasattr(f.exact, "forms") and hasattr(F.exact, "forms"):
-        (h1, g1, a1), (h2, g2, a2) = f.exact.forms, F.exact.forms
+    if f.forms and F.forms:
+        (h1, g1, a1), (h2, g2, a2) = f.forms, F.forms
         h, g = h1.hadamard(h2), g1.hadamard(g2)
         if None not in (h, g):
             return _closed_map(h, min(f.order, F.order), label, a1 * a2, g)
-    return HarmonicMap(hadamard_series(f.h, F.h), hadamard_series(f.g, F.g), None, label=label)
+    return HarmonicMap(hadamard_series(f.h, F.h), hadamard_series(f.g, F.g), label=label)
 
 
 def convex_combination_convolve(
@@ -137,7 +136,7 @@ def tilde_dilatation_check(n: int, theta: float) -> TildeDilatationReport:
     coefficients is formed coefficientwise, and its dilatation g'/h' is
     compared against the closed form on a 16 x 64 grid up to r = 0.9,
     within 1e-6.  The product reads only coefficients, so F is built from
-    the series of the catalog's closed forms, without their evaluators, and
+    the series of the catalog's closed forms, without the forms, and
     the product is series-only: its h' and g' on the grid are one inverse
     FFT per circle of the grid (:func:`~hmap.harmonic._polar_routes`).  A
     zero of h' on the grid raises :class:`~hmap.harmonic.SingularPointError`,

@@ -3,13 +3,14 @@
 The analytic part ``h`` and the co-analytic part ``g`` are both stored as
 analytic power series (the conjugation is applied only at evaluation time),
 because every coefficient relation used elsewhere in the package acts on the
-analytic ``g``.  A map may carry closed-form evaluators for (h, g) and their
-first two derivatives; the catalog derives all six, and the series, from one
-closed form per part (:class:`~hmap.series.ClosedForm`), and so does a
-Hadamard product of two such maps, from the products of their forms.  Each
-map has exactly one evaluation route: a map with closed forms evaluates them
-on every point, so scans near the boundary stay accurate; a map without them
-evaluates its truncated series.  The two
+analytic ``g``.  A map may carry closed forms (h, g, alpha), one
+:class:`~hmap.series.ClosedForm` per part with g scaled by alpha; the catalog
+builds each map, and its series, from them, and so does a Hadamard product of
+two such maps, from the products of their forms.  The map compiles the
+evaluators of h, g and their first two derivatives from the forms
+(``HarmonicMap.exact``).  Each map has exactly one evaluation route: a map
+with closed forms evaluates them on every point, so scans near the boundary
+stay accurate; a map without them evaluates its truncated series.  The two
 meet only once, when a map with closed forms is built and checked against its
 series: all six closed forms at 20 fixed points in |z| <= 1/2 against one
 matrix product of the powers of those points with the coefficients of the
@@ -38,7 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -53,24 +55,6 @@ class SingularPointError(ValueError):
     def __init__(self, z: complex):
         self.z = z
         super().__init__(f"h' vanishes at z = {z}")
-
-
-@dataclass(frozen=True)
-class ExactEvaluators:
-    """Closed-form evaluators for h, g and their first two derivatives.
-
-    Each callable must accept complex scalars and ndarrays alike.  A map
-    built from closed forms carries them in a private subclass that also
-    keeps the forms, which :func:`~hmap.convolution.hadamard` multiplies;
-    hand-given evaluators have no forms, and their products are series-only.
-    """
-
-    h: Callable
-    g: Callable
-    dh: Callable
-    dg: Callable
-    d2h: Callable
-    d2g: Callable
 
 
 _ROUTES = ("h", "g", "dh", "dg", "d2h", "d2g")
@@ -130,7 +114,7 @@ def _check_exact_agreement(hmap: "HarmonicMap") -> None:
         cols[:, 4 + j] = n[2:] * n[1:-1] * c[2:]
     exact = np.empty((z.size, 6), dtype=complex)
     for j, name in enumerate(_ROUTES):
-        exact[:, j] = getattr(hmap.exact, name)(z)
+        exact[:, j] = hmap.exact[name](z)
     gaps = np.max(np.abs(exact - _agreement_powers()[:, : deg + 1] @ cols), axis=0)
     for name, gap, tol in zip(_ROUTES, gaps, _agreement_allowances(hmap)):
         series = hmap.h if name.endswith("h") else hmap.g
@@ -151,20 +135,11 @@ def _agreement_allowances(hmap: "HarmonicMap") -> list[float]:
 
     A series of degree N leaves out sum_{n>N} n^p |c_n| |z|^(n-p) of its
     p-th derivative, at most the tail t_p = sum_{n>N} n^p |c_n| 2^(p-n) on
-    |z| <= 1/2.  A map built from forms (h, g, alpha) knows its
-    coefficients past N, so each route may stray EXACT_AGREEMENT_TOL plus
-    2 t_p, t_p summed over the 80 terms past N.  Hand-given evaluators have
-    no forms: all six may stray 1e-8 + 8 G^2 / 2^(N' + 1), N' the smaller
-    degree of h and g and G = max((N' + 2)^2, 4 max(|a_N'|, |b_N'|)), which
-    allows a tail ~ n^4 (1/2)^n of quadratically growing coefficients and
-    reads faster growth off the last ones.
+    |z| <= 1/2.  The forms (h, g, alpha) give the coefficients past N, so
+    each route may stray EXACT_AGREEMENT_TOL plus 2 t_p, t_p summed over the
+    80 terms past N (and scaled by |alpha| for g).
     """
-    forms = getattr(hmap.exact, "forms", None)
-    if forms is None:
-        order = min(hmap.h.order, hmap.g.order)
-        growth = max((order + 2) ** 2, 4 * max(abs(hmap.h.coeffs[order]), abs(hmap.g.coeffs[order])))
-        return [EXACT_AGREEMENT_TOL + 8.0 * growth**2 * 0.5 ** (order + 1)] * 6
-    h, g, alpha = forms
+    h, g, alpha = hmap.forms
     th, tg, scale = _form_tails(h, hmap.h.order), _form_tails(g, hmap.g.order), abs(alpha)
     return [EXACT_AGREEMENT_TOL + 2 * t for p in range(3) for t in (th[p], scale * tg[p])]
 
@@ -206,24 +181,39 @@ class HarmonicMap:
     """Sense-preserving candidate f = h + conj(g), normalized at the origin.
 
     Normalization ``h(0) = 0`` and ``h'(0) = 1`` is enforced; ``g`` is an
-    arbitrary analytic series.  Instances are immutable and all operations on
-    them are pure.
+    arbitrary analytic series.  ``forms``, when given, is the triple
+    (h_form, g_form, alpha) of :class:`~hmap.series.ClosedForm` parts, with
+    h = h_form and g = alpha g_form: the map evaluates them on every point
+    (:attr:`exact`), and is built only if they agree with its series
+    (:func:`_check_exact_agreement`).  Without forms it is series-only.
+    Instances are immutable and all operations on them are pure.
     """
 
     h: TruncatedSeries
     g: TruncatedSeries
-    exact: ExactEvaluators | None = None
+    forms: tuple[ClosedForm, ClosedForm, complex] | None = None
     label: str = ""
 
     def __post_init__(self):
         if abs(self.h.coefficient(0)) > COEFF_ABS_TOL or abs(self.h.coefficient(1) - 1) > COEFF_ABS_TOL:
             raise ValueError("analytic part must satisfy h(0) = 0 and h'(0) = 1")
-        if self.exact is not None:
+        if self.forms is not None:
             _check_exact_agreement(self)
 
     @property
     def order(self) -> int:
         return min(self.h.order, self.g.order)
+
+    @cached_property
+    def exact(self) -> Mapping[str, Callable] | None:
+        """h, g, h', g', h'', g'' compiled from :attr:`forms`, a read-only mapping by route name; None without forms."""
+        if self.forms is None:
+            return None
+        h, g, alpha = self.forms
+        dh, dg = h.derivative, g.derivative
+        return MappingProxyType(dict(zip(_ROUTES, (
+            h.evaluator(), g.evaluator(alpha), dh.evaluator(), dg.evaluator(alpha),
+            dh.derivative.evaluator(), dg.derivative.evaluator(alpha)))))
 
     def _series(self, which: str) -> TruncatedSeries:
         """The truncated series of one of h, g, h', g', h'', g''; a derivative is built at each call."""
@@ -235,31 +225,24 @@ class HarmonicMap:
         """Does f(conj z) = conj f(z) hold, so that circle images mirror in the real axis?
 
         True when every coefficient of h and g is real and, on a map with
-        closed forms, each of them satisfies F(conj z) = conj F(z) on the
-        agreement points within EXACT_AGREEMENT_TOL.  Worked out at the
-        first circle test that asks, not when the map is built.
+        forms, alpha is real: a form's numerator and log part are real, so
+        each form F satisfies F(conj z) = conj F(z).  Worked out at the first
+        circle test that asks, not when the map is built.
         """
         if np.any(self.h.coeffs.imag != 0) or np.any(self.g.coeffs.imag != 0):
             return False
-        if self.exact is None:
-            return True
-        z = _agreement_points()
-        return all(
-            np.max(np.abs(fn(np.conj(z)) - np.conj(fn(z)))) <= EXACT_AGREEMENT_TOL
-            for fn in (getattr(self.exact, name) for name in _ROUTES)
-        )
+        return self.forms is None or complex(self.forms[2]).imag == 0
 
     @cached_property
     def _pole_order(self) -> int:
         """The order of the map's singularity at z = 1: the largest k of its forms N(z)/(1 - z)^k + c log(1 - z).
 
         A form with only a log part counts 1, and a map with no singular form,
-        a series-only map and hand-given evaluators, which carry no forms,
-        count 0.  Every form is singular at z = 1 only, so circle tests of a
-        map with a pole cluster their angles there (``radius._cluster``).
+        or with no forms, counts 0.  Every form is singular at z = 1 only, so
+        circle tests of a map with a pole cluster their angles there
+        (``radius._cluster``).
         """
-        forms = getattr(self.exact, "forms", None)
-        return max(max(form.k, bool(form.log)) for form in forms[:2]) if forms else 0
+        return max(max(form.k, bool(form.log)) for form in self.forms[:2]) if self.forms else 0
 
     @cached_property
     def _circle_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -318,9 +301,9 @@ class HarmonicMap:
             zz = zarr if zarr.ndim else z
             return tuple(self._series(which).evaluate(zz) for which in routes)
         if zarr.ndim:
-            return tuple(getattr(self.exact, which)(zarr) for which in routes)
+            return tuple(self.exact[which](zarr) for which in routes)
         zc = complex(z)
-        return tuple(complex(getattr(self.exact, which)(zc)) for which in routes)
+        return tuple(complex(self.exact[which](zc)) for which in routes)
 
     def h_at(self, z):
         return self._eval("h", z)
@@ -549,9 +532,9 @@ def _circle_derivatives(f: HarmonicMap, r, m: int, theta: np.ndarray | float, on
         z = complex(z) if z.ndim == 0 else z
         _require_inside(z)
         if m == 1:
-            d1, d2 = _angular(z, ex.dh, ex.dg, ex.d2h, ex.d2g)
+            d1, d2 = _angular(z, ex["dh"], ex["dg"], ex["d2h"], ex["d2g"])
             return d2, d1
-        return _angular(z, ex.dh, ex.dg)[0], ex.h(z) + ex.g(z).conjugate()
+        return _angular(z, ex["dh"], ex["dg"])[0], ex["h"](z) + ex["g"](z).conjugate()
     k, powers, c, weights = f._circle_terms
     if isinstance(r, np.ndarray):
         # rows (ik)^m c_k r^|k| and (ik)^(m+1) c_k r^|k|: the lower ones, one

@@ -440,7 +440,7 @@ def _certified_radius(f: HarmonicMap, kind: str) -> float:
     c = _weighted_terms(f, 1 if kind == "starlikeness" else 2)
     k = np.arange(1.0, c.size + 1)  # the powers of r, n - 1
     ratio, top = 0.0, 1.0  # a polynomial: no tail
-    if f.exact is not None and np.any(c[-2:]):
+    if f.forms is not None and np.any(c[-2:]):
         if c.size < 2 or not np.all(c[-2:]):
             return 0.0
         ratio = float(c[-1] / c[-2])
@@ -833,8 +833,8 @@ def identity_check_tangent(r, u) -> TangentIdentityResiduals:
         raise ValueError("need 0 < r < 1 and -1 <= u <= 1")
     ex = map_F().exact
     z = r * (u + 1j * np.sqrt(1 - u * u))
-    d1, d2 = _angular(z, ex.dh, ex.dg, ex.d2h, ex.d2g)
-    f = ex.h(z) + np.conj(ex.g(z))
+    d1, d2 = _angular(z, ex["dh"], ex["dg"], ex["d2h"], ex["d2g"])
+    f = ex["h"](z) + np.conj(ex["g"](z))
     rho = 1 - 2 * r * u + r * r
     convex = rho ** 6 * np.imag(np.conj(d1) * d2) / (r * r) - polynomial_p(r, u)
     starlike = rho ** 4 * np.imag(np.conj(f) * d1) / (r * r) - polynomial_q(r, u)

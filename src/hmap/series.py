@@ -212,11 +212,18 @@ class ClosedForm:
 
     Closed under the Hadamard product except log x log (:meth:`hadamard`), and so under d/dz and the
     M(alpha) partner, so one literal per part of a map gives its series and all its closed forms.
+    ValueError unless every entry of ``num`` and ``log`` is finite and ``k`` is an integer >= 0.
     """
 
     num: tuple[float, ...]
     k: int = 0
     log: float = 0.0
+
+    def __post_init__(self):
+        if not all(math.isfinite(a) for a in (*self.num, self.log)):
+            raise ValueError("a closed form's numerator and log coefficient must be finite")
+        if not isinstance(self.k, int) or self.k < 0:
+            raise ValueError(f"a closed form's k must be an integer >= 0, got {self.k!r}")
 
     @cached_property
     def derivative(self) -> "ClosedForm":

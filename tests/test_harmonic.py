@@ -12,13 +12,13 @@ from hmap.catalog import (
     make_M_alpha_member,
     map_F,
     map_L,
+    parse_function,
     shear_horizontal,
 )
 from hmap import harmonic
 from hmap.convolution import hadamard_series
-from hmap.defaults import EXACT_AGREEMENT_POINTS, EXACT_AGREEMENT_TOL
+from hmap.defaults import EXACT_AGREEMENT_POINTS
 from hmap.harmonic import (
-    ExactEvaluators,
     HarmonicMap,
     SingularPointError,
     _agreement_points,
@@ -30,7 +30,7 @@ from hmap.harmonic import (
     jacobian,
     sense_preserving_check,
 )
-from hmap.series import TruncatedSeries, make_generator
+from hmap.series import ClosedForm, TruncatedSeries, make_generator
 
 ROUTES = ("h", "g", "dh", "dg", "d2h", "d2g")
 
@@ -64,25 +64,19 @@ class TestConstruction:
     def test_exact_series_disagreement_rejected(self):
         h = make_generator("half_plane_l", 32)
         g = make_generator("identity", 32)
-        wrong = ExactEvaluators(
-            h=lambda z: z / (1 - z) + 0.1,  # offset breaks agreement
-            g=lambda z: z,
-            dh=lambda z: 1 / (1 - z) ** 2,
-            dg=lambda z: 1 + 0 * z,
-            d2h=lambda z: 2 / (1 - z) ** 3,
-            d2g=lambda z: 0 * z,
-        )
+        # the form of h is z/(1-z) + 0.1 = (0.1 + 0.9 z)/(1-z): the offset breaks agreement
+        wrong = (ClosedForm((0.1, 0.9), 1), ClosedForm((0, 1)), 1.0)
         with pytest.raises(ValueError):
             HarmonicMap(h, g, wrong)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_one_wrong_route_is_rejected(self, route):
         f = map_L()
-        routes = {w: getattr(f.exact, w) for w in ROUTES}
+        routes = dict(f.exact)
         right = routes[route]
         routes[route] = lambda z: right(z) + 1e-6 * z
         with pytest.raises(ValueError, match=f"closed-form {route} disagrees"):
-            HarmonicMap(f.h, f.g, ExactEvaluators(**routes))
+            _check_with(f, routes)
 
     def test_agreement_points_are_fixed_sunflower_samples(self):
         z = _agreement_points()
@@ -113,49 +107,51 @@ class TestConstruction:
     @pytest.mark.parametrize("h_order,g_order", [(64, 32), (32, 64), (9, 40), (40, 9)])
     @pytest.mark.parametrize("scale", [0.0, 0.5, 2.0])
     def test_unequal_degrees_accepted_and_rejected_as_before(self, h_order, g_order, scale):
-        # each closed form in turn is moved by ``scale`` times the allowance
-        h, g = map_F(h_order).h, map_F(g_order).g
-        tol = _allowance(min(h_order, g_order))
+        # each closed form in turn is moved by ``scale`` times its allowance
+        f = HarmonicMap(map_F(h_order).h, map_F(g_order).g, map_F().forms)
+        tols, exact = _allowances(f), dict(f.exact)
         for route in ROUTES:
-            routes = {w: getattr(map_F().exact, w) for w in ROUTES}
+            routes = dict(exact)
             right = routes[route]
-            routes[route] = lambda z, right=right: right(z) + scale * tol
-            first = _first_gap_past(h, g, routes, tol)
-            _assert_check_verdict(h, g, routes, first, tol)
+            routes[route] = lambda z, right=right: right(z) + scale * tols[route]
+            first = _first_gap_past(f.h, f.g, routes, tols)
+            _assert_check_verdict(f, routes, first, tols)
             assert (first is None) == (scale < 1)
 
     @pytest.mark.parametrize("longer", ["h", "g"])
     def test_coefficients_past_the_shorter_degree_are_checked(self, longer):
         # a coefficient of the longer part that its closed form lacks is seen
-        # even though the allowance follows the shorter degree
+        # even though it lies past the shorter part's degree
         parts = {"h": map_F(32).h, "g": map_F(32).g}
         c = map_F(64)._series(longer).coeffs.copy()
+        parts[longer] = TruncatedSeries(c)
+        f = HarmonicMap(parts["h"], parts["g"], map_F().forms)
+        tols = _allowances(f)
         c[40] += 1e13
         parts[longer] = TruncatedSeries(c)
-        routes = {w: getattr(map_F().exact, w) for w in ROUTES}
-        tol = _allowance(32)
-        first = _first_gap_past(parts["h"], parts["g"], routes, tol)
+        first = _first_gap_past(parts["h"], parts["g"], f.exact, tols)
         assert first == longer
-        _assert_check_verdict(parts["h"], parts["g"], routes, first, tol)
+        with pytest.raises(ValueError, match=_rejection(first, tols[first])):
+            HarmonicMap(parts["h"], parts["g"], f.forms)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_twice_a_large_allowance_is_rejected(self, route):
-        # at degree 16 the allowance for the series tail is about 6.4
-        f = map_F(16)
-        tol = _allowance(16)
+        # at degree 8 the exact tails of the product of products, whose
+        # coefficients grow like n^8, allow its routes 3.8 (g) to 4065 (h'')
+        f = parse_function("conv(conv(L,L),conv(L,L))", 8)
+        tol = _allowances(f)[route]
         assert tol > 1
-        routes = {w: getattr(f.exact, w) for w in ROUTES}
+        routes = dict(f.exact)
         right = routes[route]
         routes[route] = lambda z: right(z) + 2 * tol
         with pytest.raises(ValueError, match=_rejection(route, tol)):
-            HarmonicMap(f.h, f.g, ExactEvaluators(**routes))
+            _check_with(f, routes)
 
     def test_check_needs_two_derivatives(self):
         h = TruncatedSeries([0, 1])
-        exact = ExactEvaluators(h=lambda z: z, g=lambda z: 0 * z, dh=lambda z: 1 + 0 * z,
-                                dg=lambda z: 0 * z, d2h=lambda z: 0 * z, d2g=lambda z: 0 * z)
+        forms = (ClosedForm((0, 1)), ClosedForm(()), 1.0)
         with pytest.raises(ValueError, match="degree 1 too small for 2 derivatives"):
-            HarmonicMap(h, TruncatedSeries([0, 0, 0]), exact)
+            HarmonicMap(h, TruncatedSeries([0, 0, 0]), forms)
 
     def test_power_table_reaches_underflow(self):
         # terms past the table's last power would add exactly nothing
@@ -166,12 +162,19 @@ class TestConstruction:
         assert map_F(4096).exact is not None
 
 
-def _allowance(order):
-    return EXACT_AGREEMENT_TOL + 8.0 * (order + 2) ** 4 * 0.5 ** (order + 1)
+def _allowances(f):
+    """The agreement check's allowance of each route of f, by route name."""
+    return dict(zip(ROUTES, harmonic._agreement_allowances(f)))
 
 
-def _first_gap_past(h, g, routes, tol):
-    """The first route whose closed form strays from its series by more than tol, or None.
+def _check_with(f, routes):
+    """The agreement check on f, with its evaluators replaced by ``routes`` (which f keeps)."""
+    vars(f)["exact"] = routes
+    harmonic._check_exact_agreement(f)
+
+
+def _first_gap_past(h, g, routes, tols):
+    """The first route whose closed form strays from its series by more than its allowance, or None.
 
     The reference evaluates each route from its own differentiated series,
     as the agreement check did before it became one matrix product.
@@ -179,15 +182,15 @@ def _first_gap_past(h, g, routes, tol):
     z = _agreement_points()
     series = {"h": h, "g": g, "dh": h.differentiate(), "dg": g.differentiate(),
               "d2h": h.differentiate(2), "d2g": g.differentiate(2)}
-    return next((w for w in ROUTES if np.max(np.abs(routes[w](z) - series[w].evaluate(z))) > tol), None)
+    return next((w for w in ROUTES if np.max(np.abs(routes[w](z) - series[w].evaluate(z))) > tols[w]), None)
 
 
-def _assert_check_verdict(h, g, routes, first, tol):
+def _assert_check_verdict(f, routes, first, tols):
     if first is None:
-        HarmonicMap(h, g, ExactEvaluators(**routes))
+        _check_with(f, routes)
     else:
-        with pytest.raises(ValueError, match=_rejection(first, tol)):
-            HarmonicMap(h, g, ExactEvaluators(**routes))
+        with pytest.raises(ValueError, match=_rejection(first, tols[first])):
+            _check_with(f, routes)
 
 
 def _rejection(route, tol):
@@ -241,7 +244,7 @@ class TestEvaluationRoute:
         for r in (0.1, 0.5, 0.7 * (1 - 1e-12)):
             z = r * np.exp(1j * thetas)
             for which in ROUTES:
-                exact = getattr(f.exact, which)
+                exact = f.exact[which]
                 assert np.array_equal(getattr(f, which + "_at")(z), exact(z))
                 assert getattr(f, which + "_at")(complex(z[3])) == complex(exact(complex(z[3])))
 
@@ -250,7 +253,7 @@ class TestEvaluationRoute:
         # fallback would show
         F = map_F()
         z = 0.7 * (1 - 1e-12) * np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
-        assert np.max(np.abs(F.d2h_at(z) - F.exact.d2h(z))) < 1e-12
+        assert np.max(np.abs(F.d2h_at(z) - F.exact["d2h"](z))) < 1e-12
 
     @pytest.mark.parametrize("build", [
         lambda: HarmonicMap(hadamard_series(map_L().h, map_L().h), hadamard_series(map_L().g, map_L().g)),

@@ -144,7 +144,7 @@ PUBLIC_OPTIONS = set("""
     make_named(order) map_F(order) map_L(order) parse_function(order) ClassificationReport.order_starlike
     ClassificationReport.order_convex ClassificationReport.close_to_convex ClassificationReport.degenerate
     ClassificationReport.truncation_order m_alpha_check(r_max) family_bounds_check(samples)
-    family_bounds_check(r_max) GridCheckReport.first_failure HarmonicMap.exact HarmonicMap.label
+    family_bounds_check(r_max) GridCheckReport.first_failure HarmonicMap.forms HarmonicMap.label
     injectivity_sample_check(include) PlotSpec.radii PlotSpec.n_rays PlotSpec.n_circles
     PlotSpec.samples_per_curve PlotSpec.output_format radius_search(tol) TruncatedSeries.differentiate(times)
     run_suite(order)

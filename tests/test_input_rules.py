@@ -5,8 +5,8 @@ points inside the disk (``series._require_inside``), the family parameter
 |alpha| <= 1 (``harmonic._check_alpha``; ``analytic_part_classify`` takes
 any finite alpha, since its theorem answers |alpha| > 1), family membership
 (``classifiers._require_member``), finite coefficients
-(``TruncatedSeries``), and the closed-form agreement and Kaplan's
-unimodular epsilon, each checked once.  Every row raises ValueError; a nan
+(``TruncatedSeries``) and closed forms (``ClosedForm``), and the
+closed-form agreement and Kaplan's unimodular epsilon, each checked once.  Every row raises ValueError; a nan
 compares false with any bound, so a check written ``x > bound`` lets it
 through.
 """
@@ -21,10 +21,10 @@ from hmap.classifiers import (analytic_part_classify, area_series, coefficient_s
                               growth_bound, kaplan_integral_check, kaplan_integrand, m_alpha_check, poisson_kernel)
 from hmap.cli import dispatch
 from hmap.convolution import convex_combination_convolve
-from hmap.harmonic import (ExactEvaluators, HarmonicMap, angular_derivatives, evaluate_f, injectivity_sample_check,
+from hmap.harmonic import (HarmonicMap, angular_derivatives, evaluate_f, injectivity_sample_check,
                            sense_preserving_check)
 from hmap.radius import convex_test_at_radius, radius_search
-from hmap.series import TruncatedSeries, make_generator
+from hmap.series import ClosedForm, TruncatedSeries, make_generator
 
 NAN = math.nan
 
@@ -43,11 +43,11 @@ def _alpha_two_member() -> HarmonicMap:
     return HarmonicMap(F.h, 2 * F.g)
 
 
-def _nan_closed_h() -> HarmonicMap:
-    """F whose closed-form h returns nan."""
+def _with_alpha(value) -> HarmonicMap:
+    """F's series with F's forms, whose g is scaled by ``value``."""
     F = map_F()
-    ex = F.exact
-    return HarmonicMap(F.h, F.g, ExactEvaluators(lambda z: z * NAN, ex.g, ex.dh, ex.dg, ex.d2h, ex.d2g))
+    h, g, _ = F.forms
+    return HarmonicMap(F.h, F.g, (h, g, value))
 
 
 def _phi() -> TruncatedSeries:
@@ -58,6 +58,7 @@ RADIUS = r"need 0 < r < 1"
 RADIUS_MAX = r"need 0 < r_max < 1"
 ALPHA = r"\|alpha\| <= 1"
 FINITE = "coefficients must be finite"
+CLOSED_FINITE = "numerator and log coefficient must be finite"
 
 # (case, call, message): every call raises ValueError matching the message
 CASES = [
@@ -92,7 +93,9 @@ CASES = [
      FINITE),
     ("HarmonicMap h_0=nan", lambda: HarmonicMap(TruncatedSeries([NAN, 1, 0]), TruncatedSeries([0, 0, 0])), FINITE),
     ("radius_search b_1=nan", lambda: radius_search(_with_b1(NAN), "convexity"), FINITE),
-    ("HarmonicMap closed-form h nan", _nan_closed_h, "closed-form h disagrees with its series by nan"),
+    ("ClosedForm numerator nan", lambda: ClosedForm((0, NAN), 1), CLOSED_FINITE),
+    ("ClosedForm log inf", lambda: ClosedForm((0, 1), 1, math.inf), CLOSED_FINITE),
+    ("HarmonicMap forms alpha nan", lambda: _with_alpha(NAN), "closed-form g disagrees with its series by nan"),
     ("kaplan_integral_check epsilon=nan", lambda: kaplan_integral_check(map_F(), NAN, 0.5, 0.0, 1.0),
      "epsilon must be unimodular"),
     *[(f"analytic_part_classify alpha={a}", lambda a=a: analytic_part_classify(_phi(), a, 2),

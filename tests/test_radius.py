@@ -20,7 +20,6 @@ from hmap.catalog import (
     shear_horizontal,
 )
 from hmap.harmonic import (
-    ExactEvaluators,
     HarmonicMap,
     _circle_derivatives,
     _circle_grid,
@@ -28,7 +27,7 @@ from hmap.harmonic import (
     angular_derivatives,
     evaluate_f,
 )
-from hmap.series import TruncatedSeries, make_generator
+from hmap.series import ClosedForm, TruncatedSeries, make_generator
 from hmap import radius
 from hmap.classifiers import coefficient_sum_orders
 from hmap.convolution import hadamard_series
@@ -164,12 +163,14 @@ SERIES_ONLY = {
 
 
 def horner_twin(f):
-    """f on the closed-form route, with Horner on its own series as the closed forms.
+    """f's series without forms, on the closed-form route with Horner on its own series as the evaluators.
 
     Its circle tests evaluate the series point by point, as every
     series-only map did before circle tests read the coefficients directly.
     """
-    return HarmonicMap(f.h, f.g, ExactEvaluators(**{w: f._series(w).evaluate for w in ROUTES}))
+    twin = HarmonicMap(f.h, f.g)
+    vars(twin)["exact"] = {w: f._series(w).evaluate for w in ROUTES}
+    return twin
 
 
 class TestSeriesOnlyCircles:
@@ -350,11 +351,12 @@ def full_circle(f, monkeypatch):
 
 
 def recording(f, sizes):
-    """f with closed forms that append the number of points of each call to ``sizes``."""
+    """f, its closed forms wrapped to append the number of points of each call to ``sizes``."""
     def wrap(fn):
         return lambda z: sizes.append(np.size(z)) or fn(z)
 
-    return HarmonicMap(f.h, f.g, ExactEvaluators(**{w: wrap(getattr(f.exact, w)) for w in ROUTES}))
+    vars(f)["exact"] = {w: wrap(fn) for w, fn in f.exact.items()}
+    return f
 
 
 class TestHalfCircle:
@@ -407,12 +409,11 @@ class TestHalfCircle:
     @pytest.mark.parametrize("closed", [False, True], ids=["series", "closed"])
     def test_vanishing_curve_raises_on_both_paths(self, closed, monkeypatch):
         # h = z + 2 z^2 vanishes at z = -1/2 and h' at z = -1/4, both at theta = pi
-        exact = ExactEvaluators(h=lambda z: z + 2 * z * z, g=lambda z: 0 * z, dh=lambda z: 1 + 4 * z,
-                                dg=lambda z: 0 * z, d2h=lambda z: 4 + 0 * z, d2g=lambda z: 0 * z)
+        forms = (ClosedForm((0, 1, 2)), ClosedForm(()), 1.0)
         for test, r, what in ((starlike_test_at_radius, 0.5, "map"),
                               (convex_test_at_radius, 0.25, "tangent vector")):
             f = HarmonicMap(TruncatedSeries(np.array([0, 1, 2], dtype=complex)), TruncatedSeries(np.zeros(3)),
-                            exact if closed else None)
+                            forms if closed else None)
             assert f._conjugate_symmetric
             with pytest.raises(ValueError, match=f"{what} vanishes"):
                 test(f, r)
@@ -464,11 +465,9 @@ class TestHalfCircle:
                             or sample(f, r, m, th, on_grid))
         c = np.array([0, 1, 0, 0, 0], dtype=complex)
         one_imaginary = np.array([0, 0, 0.1, 0.01j, 0], dtype=complex)
-        # real coefficients, but the closed form of h is z + 1e-3 i z^2, which
-        # agrees with the series only within the allowance of a degree-4 map
-        broken = ExactEvaluators(h=lambda z: z + 1e-3j * z * z, g=lambda z: 0 * z,
-                                 dh=lambda z: 1 + 2e-3j * z, dg=lambda z: 0 * z,
-                                 d2h=lambda z: 2e-3j + 0 * z, d2g=lambda z: 0 * z)
+        # real coefficients, but the forms' g is 1e-9 i z^2, which agrees with
+        # the series g = 0 within the allowance of 1e-8
+        broken = (ClosedForm((0, 1)), ClosedForm((0, 0, 1)), 1e-9j)
         for f in (HarmonicMap(TruncatedSeries(c), TruncatedSeries(one_imaginary)),
                   HarmonicMap(TruncatedSeries(c), TruncatedSeries(np.zeros(5)), broken)):
             sizes.clear()
@@ -890,7 +889,7 @@ class TestClusteredGrid:
         assert (F._pole_order, E._pole_order, l_hadamard_l()._pole_order) == (2, 1, 3)
         assert [rule(F, r) for r in (0.49, 0.5, 0.87, 0.99, 0.999)] == [0, 0.5, 0.75, 1 - 2.0 ** -6, 1 - 2.0 ** -9]
         assert [rule(E, r) for r in (0.7, 0.75, 0.87, 0.99)] == [0, 0.5, 0.5, 1 - 2.0 ** -5]
-        # no pole, no forms, or hand-given closed forms: uniform angles everywhere
+        # no pole, no forms, or Horner evaluators on a map without forms: uniform angles everywhere
         for f in (example21(), g_alpha(0.5), SERIES_ONLY["conv(L,L)"](), horner_twin(F)):
             assert f._pole_order == 0 and rule(f, 0.99) == 0.0
 
@@ -1222,9 +1221,8 @@ class TestRefinementPoint:
 
     def test_closed_forms_take_a_python_complex(self):
         kinds = set()
-        f = map_F()
-        spy = HarmonicMap(f.h, f.g, ExactEvaluators(
-            **{w: (lambda fn: lambda z: kinds.add(type(z)) or fn(z))(getattr(f.exact, w)) for w in ROUTES}))
+        spy = map_F()
+        vars(spy)["exact"] = {w: (lambda fn: lambda z: kinds.add(type(z)) or fn(z))(fn) for w, fn in spy.exact.items()}
         convex_test_at_radius(spy, 0.2)
         starlike_test_at_radius(spy, 0.2)
         assert kinds == {np.ndarray, complex}

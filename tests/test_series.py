@@ -38,6 +38,11 @@ class TestGenerators:
         with pytest.raises(ValueError):
             make_generator("identity", 0)
 
+    @pytest.mark.parametrize("k", [-1, 1.5])
+    def test_closed_form_needs_an_integer_k(self, k):
+        with pytest.raises(ValueError, match=r"k must be an integer >= 0"):
+            series.ClosedForm((0, 1), k)
+
     @pytest.mark.parametrize("kind,closed,growth", [
         ("half_plane_l", lambda z: z / (1 - z), 1.0),
         ("koebe_k", lambda z: z / (1 - z) ** 2, 1.0),
